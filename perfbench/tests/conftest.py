@@ -1,0 +1,8 @@
+"""Put the benchmark package and the program's sources on the path."""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+sys.path[:0] = [ROOT, os.path.join(ROOT, "src")]
