@@ -82,12 +82,6 @@ class CFG:
     def is_well_formed(self) -> bool:
         return not self.unresolved_branches
 
-    def block_of(self, entry: InstructionEntry) -> Optional[BasicBlock]:
-        for block in self.blocks:
-            if entry in block.entries:
-                return block
-        return None
-
     def reverse_postorder(self) -> List[BasicBlock]:
         seen: Set[int] = set()
         order: List[BasicBlock] = []
@@ -269,13 +263,17 @@ def _resolve_via_reaching_defs(cfg: CFG, unit: MaoUnit,
         ...
         mov  (%rA,%rB,8), %rC       # load table slot   (optional)
         jmp  *%rC                   # or: jmp *(%rA,%rB,8)
+
+    Every branch is chased before any table edge is added, so each one
+    sees the same graph and no answer depends on the order of the jumps.
     """
     from repro.analysis.dataflow import ReachingDefinitions
 
     reaching = ReachingDefinitions(cfg)
+    chased = [(block, entry, _chase_indirect_target(reaching, unit, entry))
+              for block, entry in pending]
     remaining: List[Tuple[BasicBlock, InstructionEntry]] = []
-    for block, entry in pending:
-        targets = _chase_indirect_target(reaching, unit, entry)
+    for block, entry, targets in chased:
         if targets and all(t in label_map for t in targets):
             for t in targets:
                 block.add_successor(label_map[t])

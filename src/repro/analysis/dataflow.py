@@ -13,7 +13,6 @@ redundant-test removal.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
@@ -51,83 +50,51 @@ def location_defs(insn: Instruction) -> Set[str]:
 
 
 class ReachingDefinitions:
-    """Classic forward may-analysis over (location, defining entry) pairs."""
+    """Reaching definitions, answered on demand by a backward walk.
+
+    Tier-2 jump-table resolution asks one to three (jump, register)
+    questions per jump table, so nothing is solved up front: construction
+    only records where each entry sits.  A query scans backward from *at*
+    in its own block; failing a definition there, it walks predecessors
+    depth-first, scanning each block once from its end and stopping each
+    path at the nearest definition of the location.  A back edge into the
+    query block scans that block in full.  The answer is the least
+    solution of the classic forward equations, so a definition-free path
+    from the function entry contributes nothing.
+    """
 
     def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
-        # Definition sites, one id per (entry, location).
-        self._sites: List[Tuple[InstructionEntry, str]] = []
-        self._site_ids: Dict[Tuple[int, str], int] = {}
-        self._entry_block: Dict[int, BasicBlock] = {}
-        self._in: Dict[int, Set[int]] = {}
-        self._out: Dict[int, Set[int]] = {}
-        self._defs_by_loc: Dict[str, Set[int]] = defaultdict(set)
-        self._compute()
-
-    def _site(self, entry: InstructionEntry, loc: str) -> int:
-        key = (id(entry), loc)
-        if key not in self._site_ids:
-            self._site_ids[key] = len(self._sites)
-            self._sites.append((entry, loc))
-            self._defs_by_loc[loc].add(self._site_ids[key])
-        return self._site_ids[key]
-
-    def _compute(self) -> None:
-        cfg = self.cfg
-        gen: Dict[int, Set[int]] = {}
-        kill_locs: Dict[int, Set[str]] = {}
-
+        self._position: Dict[int, Tuple[BasicBlock, int]] = {}
         for block in cfg.blocks:
-            block_gen: Dict[str, int] = {}
-            locs_killed: Set[str] = set()
-            for entry in block.entries:
-                self._entry_block[id(entry)] = block
-                for loc in location_defs(entry.insn):
-                    block_gen[loc] = self._site(entry, loc)
-                    locs_killed.add(loc)
-            gen[block.index] = set(block_gen.values())
-            kill_locs[block.index] = locs_killed
-
-        in_sets: Dict[int, Set[int]] = {b.index: set() for b in cfg.blocks}
-        out_sets: Dict[int, Set[int]] = {b.index: set() for b in cfg.blocks}
-
-        changed = True
-        while changed:
-            changed = False
-            for block in cfg.blocks:
-                new_in: Set[int] = set()
-                for pred in block.predecessors:
-                    new_in |= out_sets.get(pred.index, set())
-                killed = set()
-                for loc in kill_locs[block.index]:
-                    killed |= self._defs_by_loc[loc]
-                new_out = gen[block.index] | (new_in - killed)
-                if new_in != in_sets[block.index] \
-                        or new_out != out_sets[block.index]:
-                    in_sets[block.index] = new_in
-                    out_sets[block.index] = new_out
-                    changed = True
-        self._in = in_sets
-        self._out = out_sets
+            for index, entry in enumerate(block.entries):
+                self._position[id(entry)] = (block, index)
 
     def reaching_defs(self, at: InstructionEntry,
                       loc: str) -> List[InstructionEntry]:
         """Definitions of *loc* that reach the program point just before
         *at* (block-local definitions shadow incoming ones)."""
-        block = self._entry_block.get(id(at))
-        if block is None:
-            block = self.cfg.block_of(at)
-            if block is None:
-                return []
-        live: Set[int] = {s for s in self._in.get(block.index, set())
-                          if self._sites[s][1] == loc}
-        for entry in block.entries:
-            if entry is at:
-                break
-            defs = location_defs(entry.insn)
-            if loc in defs:
-                live = {self._site(entry, loc)}
-        return [self._sites[s][0] for s in live]
+        where = self._position.get(id(at))
+        if where is None:
+            return []
+        block, index = where
+        local = _last_def(block.entries[:index], loc)
+        if local is not None:
+            return [local]
+        found: List[InstructionEntry] = []
+        seen: Set[int] = set()
+        stack = list(block.predecessors)
+        while stack:
+            pred = stack.pop()
+            if pred.index in seen:
+                continue
+            seen.add(pred.index)
+            entry = _last_def(pred.entries, loc)
+            if entry is not None:
+                found.append(entry)
+            else:
+                stack.extend(pred.predecessors)
+        return found
 
     def unique_reaching_def(self, at: InstructionEntry,
                             loc: str) -> Optional[InstructionEntry]:
@@ -135,6 +102,15 @@ class ReachingDefinitions:
         if len(defs) == 1:
             return defs[0]
         return None
+
+
+def _last_def(entries: List[InstructionEntry],
+              loc: str) -> Optional[InstructionEntry]:
+    """The last of *entries* that defines *loc*, if any."""
+    for entry in reversed(entries):
+        if loc in location_defs(entry.insn):
+            return entry
+    return None
 
 
 class Liveness:

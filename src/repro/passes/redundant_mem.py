@@ -61,9 +61,11 @@ class RedundantMemAccessPass(MaoFunctionPass):
                         self.Trace(2, "reusing %%%s for %s",
                                    first_dst.reg.name, insn)
                         if not self.option("count_only"):
-                            insn.operands = [RegisterOperand(first_dst.reg),
-                                             dst]
-                            insn.encoding = None
+                            new = Instruction(insn.mnemonic,
+                                              [RegisterOperand(first_dst.reg),
+                                               dst], insn.prefixes)
+                            new.address = insn.address
+                            entry.insn = new
                         self._invalidate(available, insn)
                         if not self.option("count_only"):
                             # The rewritten mov is itself a reusable copy

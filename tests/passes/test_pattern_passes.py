@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.analysis.relax import relax_section
 from repro.ir import parse_unit
 from repro.passes import run_passes
 from repro.sim import run_unit
+from repro.workloads.corpus import CorpusConfig, generate_corpus_text
 
 
 def apply_passes(source, spec):
@@ -245,6 +247,21 @@ helper:
 """
         unit, result = assert_same_semantics(source, "REDMOV")
         assert result.total("REDMOV", "rewritten") == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rewrite_after_relaxation_encodes_new_load(self, seed):
+        # LOOP16 relaxes the unit first, which pins each instruction's
+        # encoding; a rewritten load must not keep the old load's bytes.
+        # The optimized unit's image must equal its emitted text's.
+        def text_image(unit):
+            return relax_section(unit,
+                                 unit.get_section(".text")).code_image()
+
+        source = generate_corpus_text(CorpusConfig(seed=seed, scale=0.0005,
+                                                   functions=2))
+        unit, result = apply_passes(source, "LOOP16:REDMOV")
+        assert result.total("REDMOV", "rewritten") > 0
+        assert text_image(unit) == text_image(parse_unit(unit.to_asm()))
 
 
 class TestAddAdd:

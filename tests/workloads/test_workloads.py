@@ -82,18 +82,23 @@ class TestCorpus:
         assert removed / candidates >= 0.90
 
     def test_indirect_branch_tiers(self):
-        unit = generate_corpus(CorpusConfig(seed=0, scale=0.05))
+        # §II: "246 out of 320 indirect branches could no longer be
+        # resolved ... only 4 out of the 320 ... remained unresolved".
+        unit = generate_corpus(CorpusConfig(seed=0, scale=1.0, filler_run=2,
+                                            indirect_only=True))
         resolved = {"operand": 0, "reaching-defs": 0}
-        unresolved = 0
+        base_unresolved = unresolved = 0
         for function in unit.functions:
+            base = build_cfg(function, unit, resolve_indirect=False)
+            base_unresolved += len(base.unresolved_branches)
             cfg = build_cfg(function, unit)
             for _, tier in cfg.resolved_branches:
                 resolved[tier] += 1
             unresolved += len(cfg.unresolved_branches)
-        assert resolved["operand"] > 0
-        assert resolved["reaching-defs"] > resolved["operand"]
-        # The hard patterns (4 in the paper) stay unresolved.
-        assert unresolved >= 1
+        assert sum(resolved.values()) + unresolved == 320
+        assert base_unresolved == 246
+        assert unresolved == 4
+        assert resolved == {"operand": 74, "reaching-defs": 242}
 
 
 class TestSpecBenchmarks:
