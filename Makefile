@@ -8,6 +8,7 @@ PYTHON ?= python
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -q perfbench/tests
 
 bench:
 	$(PYTHON) benchmarks/bench_hotpath.py

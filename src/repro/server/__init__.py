@@ -1,10 +1,13 @@
 """``repro.server`` — the asyncio optimization service.
 
 The network layer over :mod:`repro.api`: a long-lived HTTP server
-(``mao serve``) exposing ``/v1/optimize``, ``/v1/batch`` and
-``/v1/simulate`` behind bounded admission control, all sharing one
-persistent artifact cache and one worker pool, plus ``/healthz`` and
-``/metrics`` views over :mod:`repro.obs`.  The blocking
+(``mao serve``) exposing ``/v1/optimize``, ``/v1/batch``,
+``/v1/simulate``, ``/v1/predict``, ``/v1/tune`` and ``/v1/profile``
+behind bounded admission control on one worker pool, plus ``/healthz``
+and ``/metrics`` views over :mod:`repro.obs`.  Optimize, batch and tune
+share one persistent artifact cache.  :data:`repro.server.work.ENDPOINTS`
+is the one list of the ``/v1`` endpoints; the server, the fleet and the
+pool read each endpoint's row from it.  The blocking
 :class:`~repro.server.client.Client` (and the ``mao remote`` verb) is
 the supported way to talk to it.
 

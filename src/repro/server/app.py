@@ -2,17 +2,20 @@
 
 One long-lived :class:`MaoServer` turns the :mod:`repro.api` facade and
 the :mod:`repro.batch` artifact cache into a network service, so many
-clients amortize one warm cache and one worker pool:
+clients amortize one warm cache and one worker pool.  It serves every
+``POST /v1/*`` endpoint in :data:`repro.server.work.ENDPOINTS` (optimize,
+batch, predict, tune, simulate, profile), plus:
 
-* ``POST /v1/optimize`` — one source through a pass spec (the
-  ``pymao.pipeline/1`` report rides in the response);
-* ``POST /v1/batch`` — a corpus in one request (``pymao.batch/1``);
-* ``POST /v1/simulate`` — execute + time on a processor model;
-* ``POST /v1/predict`` — the static throughput model
-  (``pymao.predict/1``); cheap enough to skip the artifact cache;
 * ``GET /healthz`` — liveness + admission state;
 * ``GET /metrics`` — the :data:`repro.obs.REGISTRY` snapshot as a
   ``pymao.trace/1`` metrics event.
+
+**One connection lifecycle.**  :class:`Service` owns what the server and
+the fleet front door (:mod:`repro.server.fleet`) have in common: the
+listener, the keep-alive connection loop, the error envelope, admission
+with ``503``/``504``, drain, and the :class:`ServiceThread` harness.  A
+subclass supplies how an admitted request is served (``_serve``), its
+``/healthz`` and ``/metrics`` views, and what it opens and closes.
 
 **Admission control.**  CPU-bound work never runs on the event loop; it
 is shipped to a bounded worker pool (thread or process — the pass
@@ -24,13 +27,14 @@ buffering).  Admitted requests wait on a semaphore for one of the
 end-to-end.  Once admitted, a request is never dropped: it ends in a
 response (200/4xx/504), even during drain.
 
-**Shared cache.**  All optimize/batch work shares one content-addressed
+**Shared cache.**  Optimize, batch and tune share one content-addressed
 :class:`~repro.batch.cache.ArtifactCache` store; identical concurrent
-``/v1/optimize`` requests are additionally *coalesced* — followers await
-the leader's executor task (shielded, so one impatient client cannot
-cancel work others depend on) instead of re-optimizing.
+requests to a coalescing endpoint (optimize) additionally share one
+execution — followers await the leader's pool future (shielded, so
+one impatient client cannot cancel work others depend on) instead of
+re-optimizing.
 
-**Drain.**  ``SIGTERM``/``SIGINT`` (or :meth:`MaoServer.request_drain`)
+**Drain.**  ``SIGTERM``/``SIGINT`` (or :meth:`Service.request_drain`)
 closes the listener, nudges idle keep-alive connections closed, lets
 every inflight request finish, flushes the trace sink, and returns — the
 process exits 0.
@@ -43,22 +47,16 @@ import itertools
 import signal
 import socket
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Set, Tuple
 
 from repro import obs
 from repro.batch.cache import (
     DEFAULT_MAX_BYTES,
     default_cache_dir,
     default_salt,
-    source_sha256,
-)
-from repro.passes.manager import (
-    canonical_pass_spec,
-    encode_pass_spec,
-    parse_pass_spec,
-    spec_has_side_effects,
 )
 from repro.result import register_schema
 from repro.server import work
@@ -73,28 +71,8 @@ from repro.server.http import (
 #: Schema tag carried by every JSON response envelope.
 SERVER_SCHEMA = register_schema("server", "pymao.server/1")
 
-def _validate_core(core: Any) -> Any:
-    """Validate a request's ``core`` field against the profile registry.
-
-    Accepts a registry name (``core2`` … plus any data-only profile
-    dropped into ``repro/uarch/data/``) or an inline ``pymao.uarch/1``
-    document; filesystem paths are deliberately rejected server-side.
-    """
-    from repro.uarch import tables
-
-    if isinstance(core, dict):
-        try:
-            tables.validate_doc(core, where="request core")
-        except ValueError as exc:
-            raise ProtocolError(400, "invalid inline core profile: %s"
-                                % (exc,))
-        return core
-    names = tables.profile_names()
-    if not isinstance(core, str) or core not in names:
-        raise ProtocolError(400, "field 'core' must be one of %s or an "
-                            "inline pymao.uarch/1 document"
-                            % ", ".join(names))
-    return core
+#: How long the thread harness waits for a service to start or stop.
+_THREAD_TIMEOUT_S = 120.0
 
 
 @dataclass
@@ -104,7 +82,6 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 8423                  # 0 = ephemeral (bound port on start)
     parallel_backend: str = "thread"  # worker pool kind: thread | process
-    workers: int = 0                  # pool size; 0 = max_inflight
     max_inflight: int = 4             # concurrently executing requests
     max_queue: int = 16               # admitted-but-waiting bound
     request_timeout_s: float = 120.0  # admission-to-response bound
@@ -116,13 +93,16 @@ class ServerConfig:
     max_cache_bytes: int = DEFAULT_MAX_BYTES
     trace_out: Optional[str] = None   # pymao.trace/1 JSONL, flushed on drain
     drain_grace_s: float = 60.0
-    #: Root of the PGO profile store served by ``/v1/profile``;
+    #: Root of the PGO profile store the profile endpoint serves;
     #: ``None`` = :func:`repro.pgo.default_profile_dir`.
     profile_dir: Optional[str] = None
     #: Artificial pre-execution delay per work item.  Test/bench hook for
     #: holding execution slots open deterministically; never set in
     #: production configs.
     test_delay_s: float = 0.0
+
+    def capacity(self) -> int:
+        return self.max_inflight + self.max_queue
 
     def cache_spec(self) -> work.CacheSpec:
         if not self.cache:
@@ -132,65 +112,71 @@ class ServerConfig:
         return (root, salt, self.max_cache_bytes)
 
 
-def _delayed(fn, delay_s: float):
-    """Wrap a worker so it sleeps *delay_s* before executing (the
-    ``test_delay_s`` hook).  Defined at module scope per backend rules —
-    but a closure cannot cross a process boundary, so the process
-    backend rejects the hook instead (see :meth:`MaoServer.start`)."""
-    import functools
-    import time
-
-    @functools.wraps(fn)
-    def wrapper(payload):
-        time.sleep(delay_s)
-        return fn(payload)
-
-    return wrapper
+def _delayed(delay_s: float, path: str,
+             payload: Dict[str, Any]) -> Dict[str, Any]:
+    """:func:`work.execute` after sleeping *delay_s* (the
+    ``test_delay_s`` hook); top-level so it pickles like ``execute``."""
+    time.sleep(delay_s)
+    return work.execute(path, payload)
 
 
-class MaoServer:
-    """The service: admission control + routing over a worker pool."""
+class Service:
+    """The HTTP lifecycle shared by :class:`MaoServer` and the fleet
+    front door: listener, keep-alive loop, error envelope, admission
+    (503 past ``config.capacity()``, 504 past ``request_timeout_s``) and
+    drain.  Counters are named ``<name>.*``."""
 
-    def __init__(self, config: ServerConfig, *,
+    #: Counter prefix, and the name in harness errors.
+    name = "server"
+    #: Request id for requests that carry no ``X-Request-Id``.
+    request_id_format = "req-%06d"
+    #: The 503 message when admitted work is at ``config.capacity()``.
+    full_message = "at capacity (inflight+queued >= %d)"
+    #: Routes that bypass admission: ``(method, path) -> handler name``;
+    #: a handler returns the 200 payload or raises ProtocolError.
+    routes = {("GET", "/healthz"): "_health",
+              ("GET", "/metrics"): "_metrics"}
+
+    def __init__(self, config: Any, *,
                  registry: Optional[obs.Registry] = None) -> None:
         self.config = config
         self.registry = registry if registry is not None else obs.REGISTRY
         self.port: Optional[int] = None      # bound port after start()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._executor = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._draining = False
         self._drain_requested: Optional[asyncio.Event] = None
-        self._admitted = 0                   # executing + queued
-        self._executing = 0
-        self._slots: Optional[asyncio.Semaphore] = None
-        self._singleflight: Dict[str, asyncio.Task] = {}
+        self._admitted = 0
         self._conn_tasks: Set[asyncio.Task] = set()
         self._idle_writers: Set[asyncio.StreamWriter] = set()
         self._request_seq = itertools.count(1)
 
+    # -- hooks --------------------------------------------------------------
+
+    async def _open(self) -> None:
+        """Validate the config and acquire resources, before listening."""
+
+    async def _close(self) -> None:
+        """Release what :meth:`_open` acquired, after the last request."""
+
+    def _publish_gauges(self) -> None:
+        """Mirror the admission state into registry gauges."""
+
+    async def _serve(self, request: Request, rid: str, span: Any,
+                     keep_alive: bool,
+                     headers: Dict[str, str]) -> Tuple[int, bytes]:
+        """Answer one admitted work request: ``(status, response)``."""
+        raise NotImplementedError
+
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        config = self.config
-        if config.parallel_backend not in ("thread", "process"):
-            raise ValueError("unknown server backend %r"
-                             % config.parallel_backend)
-        if config.parallel_backend == "process" and config.test_delay_s:
-            raise ValueError("test_delay_s requires the thread backend")
-        if config.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        workers = config.workers or config.max_inflight
-        pool_cls = (ThreadPoolExecutor if config.parallel_backend == "thread"
-                    else ProcessPoolExecutor)
-        self._executor = pool_cls(max_workers=workers)
         self._loop = asyncio.get_running_loop()
         self._drain_requested = asyncio.Event()
-        self._slots = asyncio.Semaphore(config.max_inflight)
+        await self._open()
         self._server = await asyncio.start_server(
-            self._handle_conn, config.host, config.port)
-        sockets = self._server.sockets or []
-        for sock in sockets:
+            self._handle_conn, self.config.host, self.config.port)
+        for sock in self._server.sockets or []:
             if sock.family in (socket.AF_INET, socket.AF_INET6):
                 self.port = sock.getsockname()[1]
                 break
@@ -219,7 +205,7 @@ class MaoServer:
             self._drain_requested.set()
 
     async def drain(self) -> None:
-        """Stop accepting, finish inflight, flush the trace sink."""
+        """Stop accepting, finish inflight, then :meth:`_close`."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -230,22 +216,13 @@ class MaoServer:
             writer.close()
         pending = [task for task in self._conn_tasks if not task.done()]
         if pending:
-            done, not_done = await asyncio.wait(
+            _done, not_done = await asyncio.wait(
                 pending, timeout=self.config.drain_grace_s)
             for task in not_done:
                 task.cancel()
             if not_done:
                 await asyncio.gather(*not_done, return_exceptions=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-        if self.config.trace_out:
-            sink = obs.JsonlSink(self.config.trace_out)
-            try:
-                obs.write_trace(sink, obs.finish_spans(),
-                                server="%s:%s" % (self.config.host,
-                                                  self.port))
-            finally:
-                sink.close()
+        await self._close()
 
     # -- connection handling ------------------------------------------------
 
@@ -270,7 +247,7 @@ class MaoServer:
                 request = await read_request(
                     reader, max_body_bytes=self.config.max_body_bytes)
             except ProtocolError as exc:
-                self.registry.inc("server.protocol_errors")
+                self.registry.inc(self.name + ".protocol_errors")
                 writer.write(render_json(
                     exc.status, error_payload(exc.status, exc.message),
                     keep_alive=False))
@@ -291,25 +268,19 @@ class MaoServer:
 
     async def _dispatch(self, request: Request, keep_alive: bool) -> bytes:
         rid = request.headers.get("x-request-id") \
-            or "req-%06d" % next(self._request_seq)
-        self.registry.inc("server.requests")
+            or self.request_id_format % next(self._request_seq)
+        self.registry.inc(self.name + ".requests")
         headers = {"X-Request-Id": rid}
         route = (request.method, request.path)
         try:
-            if route == ("GET", "/healthz"):
-                return render_json(200, self._health_payload(rid),
-                                   keep_alive=keep_alive, headers=headers)
-            if route == ("GET", "/metrics"):
-                event = obs.metrics_event(self.registry.snapshot())
-                event["request_id"] = rid
-                return render_json(200, event, keep_alive=keep_alive,
+            if request.method == "POST" and request.path in work.ENDPOINTS:
+                return await self._admit(request, rid, keep_alive, headers)
+            handler = self.routes.get(route)
+            if handler is not None:
+                payload = await getattr(self, handler)(request, rid)
+                return render_json(200, payload, keep_alive=keep_alive,
                                    headers=headers)
-            if request.method == "POST" and request.path in (
-                    "/v1/optimize", "/v1/batch", "/v1/simulate",
-                    "/v1/predict", "/v1/tune", "/v1/profile"):
-                return await self._dispatch_work(request, rid, keep_alive,
-                                                 headers)
-            self.registry.inc("server.not_found")
+            self.registry.inc(self.name + ".not_found")
             return render_json(404, error_payload(
                 404, "no route for %s %s" % route, rid),
                 keep_alive=keep_alive, headers=headers)
@@ -318,12 +289,92 @@ class MaoServer:
                                error_payload(exc.status, exc.message, rid),
                                keep_alive=keep_alive, headers=headers)
         except Exception as exc:   # a handler bug, not a client error
-            self.registry.inc("server.errors")
+            self.registry.inc(self.name + ".errors")
             return render_json(500, error_payload(
                 500, "internal error: %s: %s" % (type(exc).__name__, exc),
                 rid), keep_alive=keep_alive, headers=headers)
 
-    def _health_payload(self, rid: str) -> Dict[str, Any]:
+    # -- admission ----------------------------------------------------------
+
+    async def _admit(self, request: Request, rid: str, keep_alive: bool,
+                     headers: Dict[str, str]) -> bytes:
+        config = self.config
+        # Admission decision: accept-and-finish, or refuse now.  A
+        # draining service accepts nothing new; a full one sheds load
+        # instead of buffering it.
+        capacity = config.capacity()
+        if self._draining or self._admitted >= capacity:
+            self.registry.inc(self.name + ".rejected")
+            return render_json(503, error_payload(
+                503, "draining" if self._draining
+                else self.full_message % capacity, rid),
+                keep_alive=keep_alive,
+                headers={**headers,
+                         "Retry-After": "%g" % config.retry_after_s})
+        self._admitted += 1
+        self._publish_gauges()
+        try:
+            with obs.detached_span("request:%s" % request.path,
+                                   request_id=rid,
+                                   bytes=len(request.body)) as span:
+                try:
+                    status, response = await asyncio.wait_for(
+                        self._serve(request, rid, span, keep_alive,
+                                    headers),
+                        timeout=config.request_timeout_s)
+                except asyncio.TimeoutError:
+                    self.registry.inc(self.name + ".timeouts")
+                    if span:
+                        span.attach(outcome="timeout")
+                    return render_json(504, error_payload(
+                        504, "request exceeded %.1fs"
+                        % config.request_timeout_s, rid),
+                        keep_alive=keep_alive, headers=headers)
+                if span:
+                    span.attach(status=status)
+                return response
+        finally:
+            self._admitted -= 1
+            self._publish_gauges()
+            obs.adopt_span(None, span)
+
+
+class MaoServer(Service):
+    """The service: admission control + routing over a worker pool."""
+
+    def __init__(self, config: ServerConfig, *,
+                 registry: Optional[obs.Registry] = None) -> None:
+        super().__init__(config, registry=registry)
+        self._executor = None
+        self._executing = 0
+        self._slots: Optional[asyncio.Semaphore] = None
+        self._singleflight: Dict[str, "asyncio.Future"] = {}
+
+    async def _open(self) -> None:
+        config = self.config
+        if config.parallel_backend not in ("thread", "process"):
+            raise ValueError("unknown server backend %r"
+                             % config.parallel_backend)
+        if config.max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
+        pool_cls = (ThreadPoolExecutor if config.parallel_backend == "thread"
+                    else ProcessPoolExecutor)
+        self._executor = pool_cls(max_workers=config.max_inflight)
+        self._slots = asyncio.Semaphore(config.max_inflight)
+
+    async def _close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+        if self.config.trace_out:
+            sink = obs.JsonlSink(self.config.trace_out)
+            try:
+                obs.write_trace(sink, obs.finish_spans(),
+                                server="%s:%s" % (self.config.host,
+                                                  self.port))
+            finally:
+                sink.close()
+
+    async def _health(self, request: Request, rid: str) -> Dict[str, Any]:
         from repro import __version__
 
         return {"schema": SERVER_SCHEMA,
@@ -337,7 +388,12 @@ class MaoServer:
                 "max_queue": self.config.max_queue,
                 "cache": self.config.cache_spec() is not None}
 
-    def _publish_admission_gauges(self) -> None:
+    async def _metrics(self, request: Request, rid: str) -> Dict[str, Any]:
+        event = obs.metrics_event(self.registry.snapshot())
+        event["request_id"] = rid
+        return event
+
+    def _publish_gauges(self) -> None:
         """Keep the live admission state visible as registry gauges, so
         ``/metrics`` (and the fleet front door aggregating it) reports
         the same ``inflight`` / ``queue_depth`` numbers ``/healthz``
@@ -346,360 +402,83 @@ class MaoServer:
         self.registry.gauge("server.queue_depth",
                             self._admitted - self._executing)
 
-    # -- admission + execution ----------------------------------------------
+    # -- execution ----------------------------------------------------------
 
-    async def _dispatch_work(self, request: Request, rid: str,
-                             keep_alive: bool,
-                             headers: Dict[str, str]) -> bytes:
-        config = self.config
-        # Admission decision: accept-and-finish, or refuse now.  A
-        # draining server accepts nothing new; a full server (executing
-        # + queued at the bound) sheds load instead of buffering it.
-        if self._draining \
-                or self._admitted >= config.max_inflight + config.max_queue:
-            self.registry.inc("server.rejected")
-            headers = dict(headers)
-            headers["Retry-After"] = "%g" % config.retry_after_s
-            return render_json(503, error_payload(
-                503, "draining" if self._draining else "at capacity "
-                "(inflight+queued >= %d)"
-                % (config.max_inflight + config.max_queue), rid),
-                keep_alive=keep_alive, headers=headers)
-        self._admitted += 1
-        self._publish_admission_gauges()
-        try:
-            with obs.detached_span("request:%s" % request.path,
-                                   request_id=rid,
-                                   bytes=len(request.body)) as span:
-                try:
-                    payload = await asyncio.wait_for(
-                        self._execute(request, rid, span),
-                        timeout=config.request_timeout_s)
-                except asyncio.TimeoutError:
-                    self.registry.inc("server.timeouts")
-                    if span:
-                        span.attach(outcome="timeout")
-                    return render_json(504, error_payload(
-                        504, "request exceeded %.1fs"
-                        % config.request_timeout_s, rid),
-                        keep_alive=keep_alive, headers=headers)
-                status = payload.pop("_status", 200)
-                if span:
-                    span.attach(status=status)
-                return render_json(status, payload,
-                                   keep_alive=keep_alive, headers=headers)
-        finally:
-            self._admitted -= 1
-            self._publish_admission_gauges()
-            obs.adopt_span(None, span)
-
-    async def _execute(self, request: Request, rid: str,
-                       span) -> Dict[str, Any]:
+    async def _serve(self, request: Request, rid: str, span: Any,
+                     keep_alive: bool,
+                     headers: Dict[str, str]) -> Tuple[int, bytes]:
         async with self._slots:
             self._executing += 1
-            self._publish_admission_gauges()
+            self._publish_gauges()
             try:
-                if request.path == "/v1/optimize":
-                    return await self._handle_optimize(request, rid, span)
-                if request.path == "/v1/batch":
-                    return await self._handle_batch(request, rid, span)
-                if request.path == "/v1/predict":
-                    return await self._handle_predict(request, rid, span)
-                if request.path == "/v1/tune":
-                    return await self._handle_tune(request, rid, span)
-                if request.path == "/v1/profile":
-                    return await self._handle_profile(request, rid, span)
-                return await self._handle_simulate(request, rid, span)
+                status, payload = await self._execute(request, rid, span)
             finally:
                 self._executing -= 1
-                self._publish_admission_gauges()
+                self._publish_gauges()
+        return status, render_json(status, payload, keep_alive=keep_alive,
+                                   headers=headers)
 
-    def _run_in_pool(self, fn, payload) -> "asyncio.Future":
-        if self.config.test_delay_s:
-            fn = _delayed(fn, self.config.test_delay_s)
-        return self._loop.run_in_executor(self._executor, fn, payload)
-
-    # -- handlers -----------------------------------------------------------
-
-    @staticmethod
-    def _body_object(request: Request) -> Dict[str, Any]:
+    async def _execute(self, request: Request, rid: str,
+                       span: Any) -> Tuple[int, Dict[str, Any]]:
+        path = request.path
+        row = work.ENDPOINTS[path]
         data = request.json()
         if not isinstance(data, dict):
             raise ProtocolError(400, "request body must be a JSON object")
-        return data
-
-    @staticmethod
-    def _parse_spec(data: Dict[str, Any]):
-        spec = data.get("spec")
-        try:
-            if spec is None:
-                items = []
-            elif isinstance(spec, str):
-                items = parse_pass_spec(spec)
-            elif isinstance(spec, list):
-                items = [(str(name), dict(options))
-                         for name, options in spec]
-            else:
-                raise ValueError("spec must be a string or [name, options] "
-                                 "items")
-        except ValueError as exc:
-            raise ProtocolError(400, "bad pass spec: %s" % exc)
-        if spec_has_side_effects(items):
-            # The response carries the emitted asm; letting a request
-            # run ASM=o[...] would write arbitrary server-side paths and
-            # make warm (cache-replayed) runs skip the effect cold runs
-            # performed.
-            raise ProtocolError(400, "side-effecting passes (ASM) are not "
-                                     "allowed over the wire; read the asm "
-                                     "from the response")
-        return items
-
-    async def _handle_optimize(self, request: Request, rid: str,
-                               span) -> Dict[str, Any]:
-        data = self._body_object(request)
-        source = data.get("source")
-        if not isinstance(source, str):
-            raise ProtocolError(400, "missing string field 'source'")
-        spec_items = self._parse_spec(data)
-        payload = {"source": source, "spec_items": spec_items,
-                   "filename": data.get("filename"),
-                   "want_spans": obs.enabled(),
-                   "cache": self.config.cache_spec(),
-                   "key_spec": encode_pass_spec(spec_items),
-                   "canonical_spec": canonical_pass_spec(spec_items)}
-        # Singleflight: identical concurrent requests share one executor
-        # task keyed by (salt, source, spec).  The task is shielded so a
-        # follower's (or the leader's) timeout cancels only its own
-        # wait, never the shared computation.
-        key = "%s\x00%s" % (source_sha256(source), payload["key_spec"])
-        task = self._singleflight.get(key)
-        coalesced = task is not None
-        if task is None:
-            task = self._loop.create_task(self._await_pool(
-                work.optimize_worker, payload))
-            self._singleflight[key] = task
-            task.add_done_callback(
-                lambda _t, _key=key: self._singleflight.pop(_key, None))
-        outcome = await asyncio.shield(task)
+        payload = row.prepare(data, self.config)
+        payload["want_spans"] = obs.enabled()
+        future = None
+        if row.coalesce:
+            # Singleflight: identical concurrent requests share one pool
+            # future.  It is shielded so a follower's (or the leader's)
+            # timeout cancels only its own wait, never the shared work.
+            key = row.route_key(data, b"")
+            future = self._singleflight.get(key)
+            coalesced = future is not None
+            if future is None:
+                future = self._singleflight[key] = self._pool(path, payload)
+                future.add_done_callback(
+                    lambda _f: self._singleflight.pop(key, None))
+            outcome = await asyncio.shield(future)
+        else:
+            coalesced = False
+            outcome = await self._pool(path, payload)
         if outcome["status"] == "error":
             self.registry.inc("server.client_errors")
             if span:
                 span.attach(error=outcome["kind"])
-            return {"_status": 400,
-                    "error": outcome["error"], "status": 400,
-                    "request_id": rid}
+            return 400, error_payload(400, outcome["error"], rid)
         if outcome.get("span") is not None and span:
             obs.adopt_span(span, obs.Span.from_dict(outcome["span"]))
-        cache_state = "coalesced" if coalesced else outcome["cache"]
+        reply = {name: outcome[name] for name in row.reply}
+        if coalesced:
+            reply["cache"] = "coalesced"
         if span:
-            span.attach(cache=cache_state)
-        self.registry.inc("server.optimize.%s" % cache_state)
-        return {"schema": SERVER_SCHEMA, "request_id": rid,
-                "cache": cache_state, "asm": outcome["asm"],
-                "pipeline": outcome["pipeline"]}
+            span.attach(**row.span(payload, reply))
+        if row.counter is not None:
+            self.registry.inc(row.counter.format(**reply))
+        reply.update(schema=SERVER_SCHEMA, request_id=rid)
+        return 200, reply
 
-    async def _await_pool(self, fn, payload) -> Dict[str, Any]:
-        return await self._run_in_pool(fn, payload)
-
-    async def _handle_batch(self, request: Request, rid: str,
-                            span) -> Dict[str, Any]:
-        data = self._body_object(request)
-        inputs = data.get("inputs")
-        if (not isinstance(inputs, list)
-                or not all(isinstance(pair, (list, tuple))
-                           and len(pair) == 2
-                           and isinstance(pair[0], str)
-                           and isinstance(pair[1], str)
-                           for pair in inputs)):
-            raise ProtocolError(400, "field 'inputs' must be a list of "
-                                     "[name, source] pairs")
-        spec_items = self._parse_spec(data)
-        payload = {"inputs": [(name, source) for name, source in inputs],
-                   "spec_items": spec_items,
-                   "want_spans": obs.enabled(),
-                   "cache": self.config.cache_spec()}
-        outcome = await self._await_pool(work.batch_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
-        if span:
-            span.attach(files=len(inputs))
-        return {"schema": SERVER_SCHEMA, "request_id": rid,
-                "summary": outcome["summary"], "asm": outcome["asm"]}
-
-    async def _handle_predict(self, request: Request, rid: str,
-                              span) -> Dict[str, Any]:
-        """``/v1/predict``: the static model, no artifact cache.
-
-        A prediction re-runs faster than a cache round trip, so unlike
-        optimize/batch this path never touches the shared store; the
-        ``predict.*`` counters in :data:`repro.obs.REGISTRY` (surfaced
-        at ``/metrics``) are its observability story.
-        """
-        data = self._body_object(request)
-        core = data.get("core")
-        core = _validate_core(core)
-        source = data.get("source")
-        workload = data.get("workload")
-        if (source is None) == (workload is None):
-            raise ProtocolError(400, "pass exactly one of 'source' or "
-                                     "'workload'")
-        payload = {"source": source, "workload": workload, "core": core,
-                   "function": data.get("function"),
-                   "loop": data.get("loop"),
-                   "assume_lsd": bool(data.get("assume_lsd", False)),
-                   "want_spans": obs.enabled()}
-        outcome = await self._await_pool(work.predict_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
-        prediction = outcome["prediction"]
-        self.registry.inc("server.predict.requests")
-        if span:
-            span.attach(core=core, cycles=prediction["cycles"],
-                        bottleneck=prediction["bottleneck"])
-        return {"schema": SERVER_SCHEMA, "request_id": rid,
-                "core": core, "prediction": prediction}
-
-    #: Server-side ceilings for the tuner search parameters: a request
-    #: can spend at most this much work, whatever it asks for.
-    _TUNE_MAX_BUDGET = 256
-    _TUNE_MAX_ROUNDS = 8
-    _TUNE_MAX_SELECT = 16
-
-    async def _handle_tune(self, request: Request, rid: str,
-                           span) -> Dict[str, Any]:
-        """``/v1/tune``: the pass-pipeline autotuner over the shared
-        artifact cache.
-
-        Every prefix the search materializes is published to the same
-        store ``/v1/optimize`` replays from, so tuning an input warms
-        the cache for later plain optimizes of the winning spec (and the
-        fleet routes both by the same input digest — cache affinity).
-        """
-        data = self._body_object(request)
-        core = data.get("core")
-        core = _validate_core(core)
-        source = data.get("source")
-        workload = data.get("workload")
-        if (source is None) == (workload is None):
-            raise ProtocolError(400, "pass exactly one of 'source' or "
-                                     "'workload'")
-        payload: Dict[str, Any] = {
-            "source": source, "workload": workload, "core": core,
-            "function": data.get("function"),
-            "simulate_top": self._tune_param(data, "simulate_top",
-                                             self._TUNE_MAX_SELECT) or 0,
-            "budget": self._tune_param(data, "budget",
-                                       self._TUNE_MAX_BUDGET),
-            "n_select": self._tune_param(data, "n_select",
-                                         self._TUNE_MAX_SELECT),
-            "max_rounds": self._tune_param(data, "max_rounds",
-                                           self._TUNE_MAX_ROUNDS),
-            "want_spans": obs.enabled(),
-            "cache": self.config.cache_spec()}
-        outcome = await self._await_pool(work.tune_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
-        doc = outcome["tune"]
-        self.registry.inc("server.tune.requests")
-        if span:
-            span.attach(core=core, winner=doc["winner"]["spec"],
-                        cycles=doc["winner"]["cycles"],
-                        stop=doc["early_stop"]["reason"])
-        return {"schema": SERVER_SCHEMA, "request_id": rid,
-                "core": core, "tune": doc, "asm": outcome["asm"]}
-
-    async def _handle_profile(self, request: Request, rid: str,
-                              span) -> Dict[str, Any]:
-        """``/v1/profile``: ingest or read back one ``pymao.profile/1``.
-
-        Exactly one profile document per request — that keeps the fleet's
-        digest-based routing well defined (profile affinity = cache
-        affinity: the worker that ingests an input's profile is the one
-        holding its warm tune prefixes).  A ``{"digest": ...}``-only body
-        reads the stored entry back without ingesting.
-        """
-        data = self._body_object(request)
-        document = data.get("profile")
-        digest = data.get("digest")
-        if (document is None) == (digest is None):
-            raise ProtocolError(400, "pass exactly one of 'profile' "
-                                     "(a pymao.profile/1 document) or "
-                                     "'digest'")
-        if document is not None:
-            if not isinstance(document, dict):
-                raise ProtocolError(400, "field 'profile' must be an object")
-        elif not isinstance(digest, str):
-            raise ProtocolError(400, "field 'digest' must be a string")
-        payload = {"profile": document, "digest": digest,
-                   "want_spans": obs.enabled(),
-                   "profile_dir": self.config.profile_dir}
-        outcome = await self._await_pool(work.profile_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
-        self.registry.inc("server.profile.requests")
-        stored = outcome["profile"]
-        if span:
-            span.attach(found=outcome["found"],
-                        ingested=document is not None,
-                        epoch=stored["epoch"] if stored else 0)
-        return {"schema": SERVER_SCHEMA, "request_id": rid,
-                "found": outcome["found"], "profile": stored}
-
-    @staticmethod
-    def _tune_param(data: Dict[str, Any], name: str,
-                    ceiling: int) -> Optional[int]:
-        value = data.get(name)
-        if value is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool) \
-                or value < 0:
-            raise ProtocolError(400, "field %r must be a non-negative "
-                                     "integer" % name)
-        return min(value, ceiling)
-
-    async def _handle_simulate(self, request: Request, rid: str,
-                               span) -> Dict[str, Any]:
-        data = self._body_object(request)
-        core = data.get("core")
-        core = _validate_core(core)
-        source = data.get("source")
-        workload = data.get("workload")
-        if (source is None) == (workload is None):
-            raise ProtocolError(400, "pass exactly one of 'source' or "
-                                     "'workload'")
-        payload = {"source": source, "workload": workload, "core": core,
-                   "entry_symbol": data.get("entry_symbol", "main"),
-                   "max_steps": data.get("max_steps", 5_000_000),
-                   "want_spans": obs.enabled()}
-        outcome = await self._await_pool(work.simulate_worker, payload)
-        if outcome["status"] == "error":
-            self.registry.inc("server.client_errors")
-            return {"_status": 400, "error": outcome["error"],
-                    "status": 400, "request_id": rid}
-        if span:
-            span.attach(core=core, cycles=outcome["cycles"])
-        return {"schema": SERVER_SCHEMA, "request_id": rid,
-                "core": core, "cycles": outcome["cycles"],
-                "steps": outcome["steps"], "ipc": outcome["ipc"],
-                "counters": outcome["counters"]}
+    def _pool(self, path: str, payload: Dict[str, Any]) -> "asyncio.Future":
+        delay = self.config.test_delay_s
+        if delay:
+            return self._loop.run_in_executor(self._executor, _delayed,
+                                              delay, path, payload)
+        return self._loop.run_in_executor(self._executor, work.execute,
+                                          path, payload)
 
 
-class ServerThread:
-    """Run a :class:`MaoServer` on a background thread — the in-process
+class ServiceThread:
+    """Run a :class:`Service` on a background thread — the in-process
     harness tests and benches use (``with ServerThread(config) as s:``).
-    """
+    ``server`` is the running service once ready."""
 
-    def __init__(self, config: ServerConfig) -> None:
+    service_cls: type = Service
+
+    def __init__(self, config: Any) -> None:
         self.config = config
-        self.server: Optional[MaoServer] = None
+        self.server: Optional[Service] = None
         self.port: Optional[int] = None
         self._ready = threading.Event()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -715,23 +494,24 @@ class ServerThread:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        server = MaoServer(self.config)
 
-        def on_ready(bound: MaoServer) -> None:
+        def on_ready(bound: Service) -> None:
             self.server = bound
             self.port = bound.port
             self._ready.set()
 
-        await server.run(install_signals=False, ready=on_ready)
+        await self.service_cls(self.config).run(install_signals=False,
+                                                ready=on_ready)
 
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self) -> "ServiceThread":
         self._thread.start()
-        self._ready.wait(timeout=30)
+        self._ready.wait(timeout=_THREAD_TIMEOUT_S)
+        name = self.service_cls.name
         if self._startup_error is not None:
-            raise RuntimeError("server failed to start") \
+            raise RuntimeError("%s failed to start" % name) \
                 from self._startup_error
         if self.port is None:
-            raise RuntimeError("server did not become ready")
+            raise RuntimeError("%s did not become ready" % name)
         return self
 
     def stop(self) -> None:
@@ -741,7 +521,13 @@ class ServerThread:
                 self._loop.call_soon_threadsafe(self.server.request_drain)
             except RuntimeError:
                 pass               # loop torn down between check and call
-        self._thread.join(timeout=60)
+        self._thread.join(timeout=_THREAD_TIMEOUT_S)
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
+
+
+class ServerThread(ServiceThread):
+    """Run a :class:`MaoServer` on a background thread."""
+
+    service_cls = MaoServer

@@ -40,10 +40,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
                         default="thread",
                         help="worker pool kind for request execution "
                              "(default: thread)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="worker pool size (default: --max-inflight)")
     parser.add_argument("--max-inflight", type=int, default=4, metavar="N",
-                        help="concurrently executing requests (default: 4)")
+                        help="concurrently executing requests, and the "
+                             "worker pool size (default: 4)")
     parser.add_argument("--max-queue", type=int, default=16, metavar="N",
                         help="admitted-but-waiting bound; beyond "
                              "max-inflight+max-queue requests get 503 + "
@@ -78,7 +77,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     args = build_serve_parser().parse_args(argv)
     config = ServerConfig(host=args.host, port=args.port,
                           parallel_backend=args.parallel_backend,
-                          workers=args.workers,
                           max_inflight=args.max_inflight,
                           max_queue=args.max_queue,
                           request_timeout_s=args.timeout,

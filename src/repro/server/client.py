@@ -202,44 +202,39 @@ class Client:
 
     # -- endpoints ----------------------------------------------------------
 
+    def _post(self, path: str, request_id: Optional[str],
+              **fields: Any) -> Dict[str, Any]:
+        """POST the non-``None`` *fields*, in argument order (the fleet
+        routes some endpoints by a hash of the raw body, so the bytes
+        must not depend on anything else)."""
+        payload = {name: value for name, value in fields.items()
+                   if value is not None}
+        return self.request("POST", path, payload, request_id=request_id)
+
     def optimize(self, source: str,
                  spec: Union[None, str, List[Tuple[str, Dict[str, Any]]]]
                  = None, *,
                  filename: Optional[str] = None,
                  request_id: Optional[str] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"source": source}
-        if spec is not None:
-            payload["spec"] = spec
-        if filename is not None:
-            payload["filename"] = filename
-        return self.request("POST", "/v1/optimize", payload,
-                            request_id=request_id)
+        return self._post("/v1/optimize", request_id, source=source,
+                          spec=spec, filename=filename)
 
     def batch(self, inputs: Iterable[Tuple[str, str]],
               spec: Union[None, str, List[Tuple[str, Dict[str, Any]]]]
               = None, *,
               request_id: Optional[str] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "inputs": [[name, source] for name, source in inputs]}
-        if spec is not None:
-            payload["spec"] = spec
-        return self.request("POST", "/v1/batch", payload,
-                            request_id=request_id)
+        return self._post("/v1/batch", request_id,
+                          inputs=[[name, source] for name, source in inputs],
+                          spec=spec)
 
     def simulate(self, source: Optional[str] = None, core: str = "core2", *,
                  workload: Optional[str] = None,
                  entry_symbol: str = "main",
                  max_steps: int = 5_000_000,
                  request_id: Optional[str] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"core": core,
-                                   "entry_symbol": entry_symbol,
-                                   "max_steps": max_steps}
-        if source is not None:
-            payload["source"] = source
-        if workload is not None:
-            payload["workload"] = workload
-        return self.request("POST", "/v1/simulate", payload,
-                            request_id=request_id)
+        return self._post("/v1/simulate", request_id, core=core,
+                          entry_symbol=entry_symbol, max_steps=max_steps,
+                          source=source, workload=workload)
 
     def predict(self, source: Optional[str] = None, core: str = "core2", *,
                 workload: Optional[str] = None,
@@ -247,19 +242,10 @@ class Client:
                 loop: Optional[str] = None,
                 assume_lsd: bool = False,
                 request_id: Optional[str] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"core": core}
-        if source is not None:
-            payload["source"] = source
-        if workload is not None:
-            payload["workload"] = workload
-        if function is not None:
-            payload["function"] = function
-        if loop is not None:
-            payload["loop"] = loop
-        if assume_lsd:
-            payload["assume_lsd"] = True
-        return self.request("POST", "/v1/predict", payload,
-                            request_id=request_id)
+        return self._post("/v1/predict", request_id, core=core,
+                          source=source, workload=workload,
+                          function=function, loop=loop,
+                          assume_lsd=True if assume_lsd else None)
 
     def tune(self, source: Optional[str] = None, core: str = "core2", *,
              workload: Optional[str] = None,
@@ -269,36 +255,18 @@ class Client:
              max_rounds: Optional[int] = None,
              simulate_top: Optional[int] = None,
              request_id: Optional[str] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"core": core}
-        if source is not None:
-            payload["source"] = source
-        if workload is not None:
-            payload["workload"] = workload
-        if function is not None:
-            payload["function"] = function
-        if budget is not None:
-            payload["budget"] = budget
-        if n_select is not None:
-            payload["n_select"] = n_select
-        if max_rounds is not None:
-            payload["max_rounds"] = max_rounds
-        if simulate_top is not None:
-            payload["simulate_top"] = simulate_top
-        return self.request("POST", "/v1/tune", payload,
-                            request_id=request_id)
+        return self._post("/v1/tune", request_id, core=core, source=source,
+                          workload=workload, function=function,
+                          budget=budget, n_select=n_select,
+                          max_rounds=max_rounds, simulate_top=simulate_top)
 
     def profile(self, profile: Optional[Dict[str, Any]] = None, *,
                 digest: Optional[str] = None,
                 request_id: Optional[str] = None) -> Dict[str, Any]:
         """Ingest a ``pymao.profile/1`` document, or read one back by
         digest (pass exactly one of the two)."""
-        payload: Dict[str, Any] = {}
-        if profile is not None:
-            payload["profile"] = profile
-        if digest is not None:
-            payload["digest"] = digest
-        return self.request("POST", "/v1/profile", payload,
-                            request_id=request_id)
+        return self._post("/v1/profile", request_id, profile=profile,
+                          digest=digest)
 
     def healthz(self) -> Dict[str, Any]:
         return self.request("GET", "/healthz")

@@ -48,37 +48,33 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import itertools
 import json
 import os
+import select
 import signal
-import socket
 import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.batch.cache import (
     DEFAULT_MAX_BYTES,
     default_cache_dir,
     default_salt,
-    source_sha256,
 )
+from repro.result import register_schema
+from repro.server import work
+from repro.server.app import Service, ServiceThread
 from repro.server.http import (
     ProtocolError,
     Request,
     Response,
-    error_payload,
-    read_request,
     read_response,
-    render_json,
     render_request,
     render_response,
 )
-from repro.result import register_schema
 from repro.server.ring import DEFAULT_REPLICAS, HashRing
 
 #: Schema tag carried by fleet-level response envelopes (/healthz).
@@ -86,6 +82,9 @@ FLEET_SCHEMA = register_schema("fleet", "pymao.fleet/1")
 
 #: Headers never forwarded between hops (owned per-connection).
 _HOP_HEADERS = ("connection", "content-length", "host", "keep-alive")
+
+#: How long a spawned worker may take to print its listening line.
+WORKER_START_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -108,10 +107,9 @@ class FleetConfig:
     max_cache_bytes: int = DEFAULT_MAX_BYTES
     ring_replicas: int = DEFAULT_REPLICAS
     drain_grace_s: float = 60.0
-    #: Root of the shared PGO profile store each worker serves at
-    #: ``/v1/profile``; ``None`` = :func:`repro.pgo.default_profile_dir`.
+    #: Root of the shared PGO profile store each worker's profile
+    #: endpoint serves; ``None`` = :func:`repro.pgo.default_profile_dir`.
     profile_dir: Optional[str] = None
-    worker_start_timeout_s: float = 30.0
     #: Artificial pre-execution delay per work item inside each worker
     #: (the server's ``test_delay_s`` hook) — the fleet bench uses it as
     #: a pinned per-request service floor; never set in production.
@@ -156,26 +154,21 @@ def _worker_env() -> Dict[str, str]:
     return env
 
 
-class FleetServer:
+class FleetServer(Service):
     """The front door: admission + consistent-hash routing over N
     ``mao serve`` worker subprocesses."""
 
+    name = "fleet"
+    request_id_format = "fleet-%06d"
+    full_message = "fleet at capacity (admitted >= %d)"
+    routes = {**Service.routes, ("POST", "/admin/restart"): "_restart"}
+
     def __init__(self, config: FleetConfig, *,
                  registry: Optional[obs.Registry] = None) -> None:
-        self.config = config
-        self.registry = registry if registry is not None else obs.REGISTRY
-        self.port: Optional[int] = None
+        super().__init__(config, registry=registry)
         self.ring = HashRing(replicas=config.ring_replicas)
         self._slots: List[WorkerSlot] = []
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._draining = False
-        self._drain_requested: Optional[asyncio.Event] = None
         self._restart_lock: Optional[asyncio.Lock] = None
-        self._admitted = 0
-        self._conn_tasks: Set[asyncio.Task] = set()
-        self._idle_writers: Set[asyncio.StreamWriter] = set()
-        self._request_seq = itertools.count(1)
         #: member -> idle upstream connections [(reader, writer, gen)].
         self._pools: Dict[str, List[Tuple[asyncio.StreamReader,
                                           asyncio.StreamWriter, int]]] = {}
@@ -212,14 +205,15 @@ class FleetServer:
         proc = subprocess.Popen(self._worker_argv(),
                                 stdout=subprocess.PIPE, text=True,
                                 env=_worker_env())
-        deadline = time.monotonic() + self.config.worker_start_timeout_s
-        line = ""
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline().strip()
-            break
+        # A worker that hangs before printing its listening line must not
+        # block start-up or a rolling restart forever.
+        ready, _, _ = select.select([proc.stdout], [], [],
+                                    WORKER_START_TIMEOUT_S)
+        line = proc.stdout.readline().strip() if ready else ""
         if "listening on" not in line:
             proc.kill()
             proc.wait()
+            proc.stdout.close()
             raise RuntimeError("worker %s failed to start: %r"
                                % (slot.member, line))
         slot.proc = proc
@@ -239,6 +233,7 @@ class FleetServer:
         except subprocess.TimeoutExpired:
             proc.kill()
             code = proc.wait()
+        proc.stdout.close()
         slot.proc = None
         slot.port = None
         slot.state = "down"
@@ -250,7 +245,7 @@ class FleetServer:
 
     # -- lifecycle ----------------------------------------------------------
 
-    async def start(self) -> None:
+    async def _open(self) -> None:
         config = self.config
         if config.workers < 1:
             raise ValueError("fleet needs at least one worker")
@@ -259,8 +254,6 @@ class FleetServer:
         if config.worker_backend not in ("thread", "process"):
             raise ValueError("unknown worker backend %r"
                              % config.worker_backend)
-        self._loop = asyncio.get_running_loop()
-        self._drain_requested = asyncio.Event()
         self._restart_lock = asyncio.Lock()
         self._slots = [WorkerSlot(i) for i in range(config.workers)]
         try:
@@ -277,51 +270,9 @@ class FleetServer:
         for slot in self._slots:
             self.ring.add(slot.member)
         self.registry.gauge("fleet.workers_live", len(self.ring))
-        self._server = await asyncio.start_server(
-            self._handle_conn, config.host, config.port)
-        for sock in self._server.sockets or []:
-            if sock.family in (socket.AF_INET, socket.AF_INET6):
-                self.port = sock.getsockname()[1]
-                break
 
-    async def run(self, *, install_signals: bool = True,
-                  ready=None) -> None:
-        """Start, serve until drain is requested, then drain."""
-        await self.start()
-        if install_signals:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                self._loop.add_signal_handler(signum, self.request_drain)
-        try:
-            if ready is not None:
-                ready(self)
-            await self._drain_requested.wait()
-        finally:
-            if install_signals:
-                for signum in (signal.SIGTERM, signal.SIGINT):
-                    self._loop.remove_signal_handler(signum)
-            await self.drain()
-
-    def request_drain(self) -> None:
-        self._draining = True
-        if self._drain_requested is not None:
-            self._drain_requested.set()
-
-    async def drain(self) -> None:
-        """Stop accepting, finish inflight forwards, stop the workers."""
-        self._draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        for writer in list(self._idle_writers):
-            writer.close()
-        pending = [task for task in self._conn_tasks if not task.done()]
-        if pending:
-            _done, not_done = await asyncio.wait(
-                pending, timeout=self.config.drain_grace_s)
-            for task in not_done:
-                task.cancel()
-            if not_done:
-                await asyncio.gather(*not_done, return_exceptions=True)
+    async def _close(self) -> None:
+        """Stop the workers once the inflight forwards have finished."""
         for slot in self._slots:
             self.ring.remove(slot.member)
             self._close_pool(slot.member)
@@ -329,159 +280,28 @@ class FleetServer:
             self._loop.run_in_executor(None, self._stop_worker_sync, slot)
             for slot in self._slots])
 
-    # -- connection handling (mirrors MaoServer) ----------------------------
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        try:
-            await self._conn_loop(reader, writer)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self._conn_tasks.discard(task)
-            self._idle_writers.discard(writer)
-            writer.close()
-
-    async def _conn_loop(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-        while True:
-            self._idle_writers.add(writer)
-            try:
-                request = await read_request(
-                    reader, max_body_bytes=self.config.max_body_bytes)
-            except ProtocolError as exc:
-                self.registry.inc("fleet.protocol_errors")
-                writer.write(render_json(
-                    exc.status, error_payload(exc.status, exc.message),
-                    keep_alive=False))
-                await writer.drain()
-                return
-            finally:
-                self._idle_writers.discard(writer)
-            if request is None:
-                return
-            keep_alive = request.keep_alive and not self._draining
-            response = await self._dispatch(request, keep_alive)
-            writer.write(response)
-            await writer.drain()
-            if not keep_alive:
-                return
-
-    # -- routing ------------------------------------------------------------
-
-    async def _dispatch(self, request: Request, keep_alive: bool) -> bytes:
-        rid = request.headers.get("x-request-id") \
-            or "fleet-%06d" % next(self._request_seq)
-        self.registry.inc("fleet.requests")
-        headers = {"X-Request-Id": rid}
-        route = (request.method, request.path)
-        try:
-            if route == ("GET", "/healthz"):
-                payload = await self._fleet_health(rid)
-                return render_json(200, payload, keep_alive=keep_alive,
-                                   headers=headers)
-            if route == ("GET", "/metrics"):
-                payload = await self._fleet_metrics(rid)
-                return render_json(200, payload, keep_alive=keep_alive,
-                                   headers=headers)
-            if route == ("POST", "/admin/restart"):
-                return await self._handle_restart(request, rid,
-                                                  keep_alive, headers)
-            if request.method == "POST" \
-                    and request.path.startswith("/v1/"):
-                return await self._dispatch_work(request, rid, keep_alive,
-                                                 headers)
-            self.registry.inc("fleet.not_found")
-            return render_json(404, error_payload(
-                404, "no route for %s %s" % route, rid),
-                keep_alive=keep_alive, headers=headers)
-        except ProtocolError as exc:
-            return render_json(exc.status,
-                               error_payload(exc.status, exc.message, rid),
-                               keep_alive=keep_alive, headers=headers)
-        except Exception as exc:   # a front-door bug, not a client error
-            self.registry.inc("fleet.errors")
-            return render_json(500, error_payload(
-                500, "internal error: %s: %s" % (type(exc).__name__, exc),
-                rid), keep_alive=keep_alive, headers=headers)
+    def _publish_gauges(self) -> None:
+        self.registry.gauge("fleet.admitted", self._admitted)
 
     # -- admission + forwarding ---------------------------------------------
 
     def routing_key(self, request: Request) -> str:
-        """The consistent-hash key for *request*.
-
-        ``/v1/optimize`` hashes the **artifact cache key** (salt +
-        source sha + injective spec encoding — byte-identical to the
-        key the worker's cache lookup will compute), so routing
-        affinity and cache affinity coincide.  ``/v1/tune`` hashes the
-        **input digest** alone (salt + source sha): every prefix the
-        tuner materializes for one input lands on one worker, so a
-        re-tune — or a tune after related tunes of the same input —
-        replays that worker's warm prefixes.  ``/v1/profile`` hashes
-        the **same input-digest key** as ``/v1/tune`` (the profile
-        document's digest *is* the source sha), so an input's profile
-        ingests land on the worker already holding its warm tune
-        prefixes — profile affinity = cache affinity.  Anything
-        unparsable falls back to a raw body hash; the routed worker
-        answers the 400 with the real diagnostics.
-        """
-        if request.path == "/v1/profile":
+        """The consistent-hash key for *request*: its endpoint row's
+        ``route_key`` over the decoded body (see :data:`work.ENDPOINTS`
+        — the artifact cache key for optimize, the input digest for
+        tune and profile).  Anything else, or anything unparsable,
+        falls back to a raw body hash; the routed worker answers the
+        400 with the real diagnostics."""
+        row = work.ENDPOINTS.get(request.path)
+        if row is not None and row.route_key is not None:
             try:
-                data = json.loads(request.body.decode("utf-8"))
-                value = data.get("digest")
-                if value is None and isinstance(data.get("profile"), dict):
-                    value = data["profile"].get("digest")
-                if isinstance(value, str):
-                    digest = hashlib.sha256()
-                    digest.update(self._key_salt)
-                    digest.update(b"\x00")
-                    digest.update(value.encode("utf-8"))
-                    return "input\x00" + digest.hexdigest()
-            except (ValueError, UnicodeDecodeError, TypeError,
-                    AttributeError):
-                pass
-        if request.path == "/v1/tune":
-            try:
-                data = json.loads(request.body.decode("utf-8"))
-                source = data.get("source")
-                if source is None and isinstance(data.get("workload"), str):
-                    # Resolve kernel names here so tune-by-name and
-                    # tune-by-text of the same kernel share a worker.
-                    from repro.workloads import kernels
-                    factory = getattr(kernels, data["workload"], None)
-                    if (callable(factory) and getattr(
-                            factory, "__module__", None) == kernels.__name__):
-                        source = factory()
-                if isinstance(source, str):
-                    digest = hashlib.sha256()
-                    digest.update(self._key_salt)
-                    digest.update(b"\x00")
-                    digest.update(source_sha256(source).encode("ascii"))
-                    return "input\x00" + digest.hexdigest()
-            except (ValueError, UnicodeDecodeError, TypeError,
-                    AttributeError):
-                pass
-        if request.path == "/v1/optimize":
-            try:
-                from repro.passes.manager import encode_pass_spec
-                from repro.server.app import MaoServer
-
-                data = json.loads(request.body.decode("utf-8"))
-                source = data.get("source")
-                if isinstance(source, str):
-                    items = MaoServer._parse_spec(data)
-                    digest = hashlib.sha256()
-                    digest.update(self._key_salt)
-                    digest.update(b"\x00")
-                    digest.update(source_sha256(source).encode("ascii"))
-                    digest.update(b"\x00")
-                    digest.update(encode_pass_spec(items).encode("utf-8"))
-                    return "artifact\x00" + digest.hexdigest()
+                key = row.route_key(json.loads(request.body.decode("utf-8")),
+                                    self._key_salt)
             except (ProtocolError, ValueError, UnicodeDecodeError,
                     TypeError, AttributeError):
-                pass
+                key = None
+            if key is not None:
+                return key
         body_sha = hashlib.sha256(request.body).hexdigest()
         return "body\x00%s\x00%s" % (request.path, body_sha)
 
@@ -491,43 +311,19 @@ class FleetServer:
                 return slot
         return None
 
-    async def _dispatch_work(self, request: Request, rid: str,
-                             keep_alive: bool,
-                             headers: Dict[str, str]) -> bytes:
-        config = self.config
-        if self._draining or self._admitted >= config.capacity():
-            self.registry.inc("fleet.rejected")
-            headers = dict(headers)
-            headers["Retry-After"] = "%g" % config.retry_after_s
-            return render_json(503, error_payload(
-                503, "draining" if self._draining else
-                "fleet at capacity (admitted >= %d)" % config.capacity(),
-                rid), keep_alive=keep_alive, headers=headers)
-        self._admitted += 1
-        self.registry.gauge("fleet.admitted", self._admitted)
-        try:
-            try:
-                member, response = await asyncio.wait_for(
-                    self._route_and_forward(request, rid),
-                    timeout=config.request_timeout_s)
-            except asyncio.TimeoutError:
-                self.registry.inc("fleet.timeouts")
-                return render_json(504, error_payload(
-                    504, "request exceeded %.1fs"
-                    % config.request_timeout_s, rid),
-                    keep_alive=keep_alive, headers=headers)
-            out_headers = dict(headers)
-            out_headers["X-Worker"] = member
-            if "retry-after" in response.headers:
-                out_headers["Retry-After"] = response.headers["retry-after"]
-            return render_response(
-                response.status, response.body,
-                content_type=response.headers.get("content-type",
-                                                  "application/json"),
-                keep_alive=keep_alive, headers=out_headers)
-        finally:
-            self._admitted -= 1
-            self.registry.gauge("fleet.admitted", self._admitted)
+    async def _serve(self, request: Request, rid: str, span: Any,
+                     keep_alive: bool,
+                     headers: Dict[str, str]) -> Tuple[int, bytes]:
+        member, response = await self._route_and_forward(request, rid)
+        out_headers = dict(headers)
+        out_headers["X-Worker"] = member
+        if "retry-after" in response.headers:
+            out_headers["Retry-After"] = response.headers["retry-after"]
+        return response.status, render_response(
+            response.status, response.body,
+            content_type=response.headers.get("content-type",
+                                              "application/json"),
+            keep_alive=keep_alive, headers=out_headers)
 
     async def _route_and_forward(self, request: Request,
                                  rid: str) -> Tuple[str, Response]:
@@ -641,7 +437,7 @@ class FleetServer:
                 UnicodeDecodeError):
             return None
 
-    async def _fleet_health(self, rid: str) -> Dict[str, Any]:
+    async def _health(self, request: Request, rid: str) -> Dict[str, Any]:
         from repro import __version__
 
         live = [slot for slot in self._slots if slot.state == "live"]
@@ -676,7 +472,8 @@ class FleetServer:
                 "ring": self.ring.describe(),
                 "cache": self.config.cache}
 
-    async def _fleet_metrics(self, rid: str) -> Dict[str, Any]:
+    async def _metrics(self, request: Request,
+                       rid: str) -> Dict[str, Any]:
         live = [slot for slot in self._slots if slot.state == "live"]
         snapshots = await asyncio.gather(*[
             self._query_worker(slot, "/metrics") for slot in live])
@@ -690,9 +487,7 @@ class FleetServer:
 
     # -- rolling restart ----------------------------------------------------
 
-    async def _handle_restart(self, request: Request, rid: str,
-                              keep_alive: bool,
-                              headers: Dict[str, str]) -> bytes:
+    async def _restart(self, request: Request, rid: str) -> Dict[str, Any]:
         data: Dict[str, Any] = {}
         if request.body:
             parsed = request.json()
@@ -718,12 +513,10 @@ class FleetServer:
             for slot in targets:
                 await self._restart_slot(slot)
                 restarted.append(slot.describe())
-        return render_json(200, {
-            "schema": FLEET_SCHEMA, "request_id": rid,
-            "restarted": restarted,
-            "elapsed_s": round(time.monotonic() - start, 6),
-            "ring": self.ring.describe()},
-            keep_alive=keep_alive, headers=headers)
+        return {"schema": FLEET_SCHEMA, "request_id": rid,
+                "restarted": restarted,
+                "elapsed_s": round(time.monotonic() - start, 6),
+                "ring": self.ring.describe()}
 
     async def _restart_slot(self, slot: WorkerSlot) -> None:
         """Drain one worker while the ring reroutes its keys, then
@@ -774,55 +567,12 @@ def merge_metric_values(
     return dict(sorted(merged.items()))
 
 
-class FleetThread:
+class FleetThread(ServiceThread):
     """Run a :class:`FleetServer` on a background thread — the test and
     bench harness (``with FleetThread(config) as fleet:``)."""
 
-    def __init__(self, config: FleetConfig) -> None:
-        self.config = config
-        self.fleet: Optional[FleetServer] = None
-        self.port: Optional[int] = None
-        self._ready = threading.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._startup_error: Optional[BaseException] = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
+    service_cls = FleetServer
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        fleet = FleetServer(self.config)
-
-        def on_ready(bound: FleetServer) -> None:
-            self.fleet = bound
-            self.port = bound.port
-            self._ready.set()
-
-        await fleet.run(install_signals=False, ready=on_ready)
-
-    def __enter__(self) -> "FleetThread":
-        self._thread.start()
-        self._ready.wait(timeout=120)
-        if self._startup_error is not None:
-            raise RuntimeError("fleet failed to start") \
-                from self._startup_error
-        if self.port is None:
-            raise RuntimeError("fleet did not become ready")
-        return self
-
-    def stop(self) -> None:
-        if (self._loop is not None and self.fleet is not None
-                and not self._loop.is_closed()):
-            try:
-                self._loop.call_soon_threadsafe(self.fleet.request_drain)
-            except RuntimeError:
-                pass
-        self._thread.join(timeout=120)
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+    @property
+    def fleet(self) -> Optional[FleetServer]:
+        return self.server

@@ -1,14 +1,20 @@
-"""The CPU-bound request bodies, as picklable top-level functions.
+"""The ``/v1`` endpoint table and the request bodies it runs.
 
-The event loop never runs a parser or a pass pipeline: every ``/v1/*``
-request is shipped to the server's worker pool (thread or process — the
-same backend vocabulary as ``passes.manager``) as one of these
-functions.  They follow the ``repro.batch`` worker contract:
+:data:`ENDPOINTS` is the one list of ``POST /v1/*`` endpoints: the
+server (:mod:`repro.server.app`), the fleet front door
+(:mod:`repro.server.fleet`) and the worker pool read everything they
+know about an endpoint from its row, so adding an endpoint is one row.
 
-* **never raise** — a raised exception inside ``pool.map`` /
-  ``run_in_executor`` would surface as a 500 with a traceback instead of
-  a typed error payload, and on the process backend could poison the
-  pool.  Every outcome is a plain dict with ``"status"``;
+The event loop never runs a parser or a pass pipeline: a row's
+``prepare`` validates the request on the loop, and its ``run`` body is
+shipped to the server's worker pool (thread or process — the same
+backend vocabulary as ``passes.manager``) through :func:`execute`, which
+keeps the ``repro.batch`` worker contract in one place:
+
+* **never raise** — a raised exception inside ``run_in_executor`` would
+  surface as a 500 with a traceback instead of a typed error payload,
+  and on the process backend could poison the pool.  Every outcome is a
+  plain dict with ``"status"``;
 * **plain-data in, plain-data out** — payloads and outcomes must cross a
   process boundary, so they are dicts of JSON-able values (spans ride
   back serialized via ``Span.to_dict``, artifacts as the stored dicts);
@@ -22,21 +28,280 @@ functions.  They follow the ``repro.batch`` worker contract:
 
 from __future__ import annotations
 
+import hashlib
 import threading
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
+
+from repro.batch.cache import source_sha256
+from repro.passes.manager import (
+    canonical_pass_spec,
+    encode_pass_spec,
+    parse_pass_spec,
+    spec_has_side_effects,
+)
+from repro.server.http import ProtocolError
 
 #: Cache construction parameters as they ride inside a worker payload.
 CacheSpec = Optional[Tuple[str, str, int]]   # (root, salt, max_bytes)
 
-#: One long-lived handle per (root, salt, max_bytes) per process.  A
+#: Server-side ceilings for the tuner search parameters: a request can
+#: spend at most this much work, whatever it asks for.
+_TUNE_MAX_BUDGET = 256
+_TUNE_MAX_ROUNDS = 8
+_TUNE_MAX_SELECT = 16
+
+
+class Endpoint(NamedTuple):
+    """One ``POST /v1/*`` endpoint."""
+
+    #: ``(request JSON object, server config) -> worker payload``; runs
+    #: on the event loop and raises :class:`ProtocolError` (400) on bad
+    #: input.
+    prepare: Callable[[Dict[str, Any], Any], Dict[str, Any]]
+    #: ``payload -> outcome``; the worker body, run in the pool.
+    run: Callable[[Dict[str, Any]], Dict[str, Any]]
+    #: Outcome fields a 200 response carries, besides schema/request_id.
+    reply: Tuple[str, ...]
+    #: ``(payload, reply) -> attributes`` for the request span.
+    span: Callable[[Dict[str, Any], Dict[str, Any]], Dict[str, Any]]
+    #: Counter bumped per success, formatted over the reply.
+    counter: Optional[str] = None
+    #: ``(request JSON, salt) -> key`` the fleet routes by; without one,
+    #: or when it returns None, the fleet hashes the raw body.
+    route_key: Optional[Callable[[Any, bytes], Optional[str]]] = None
+    #: Identical concurrent requests (same route key) share one run.
+    coalesce: bool = False
+
+
+def execute(path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Run the worker body of endpoint *path* — the function the pool
+    executes.  Never raises: any exception becomes ``{"status":
+    "error", "kind": <exception name>, "error": str}``."""
+    import repro.passes  # noqa: F401 — register built-ins in spawned children
+    from repro import obs
+
+    obs.set_enabled(payload.get("want_spans", False))
+    try:
+        outcome = ENDPOINTS[path].run(payload)
+    except Exception as exc:  # parse errors, bad specs, pass failures
+        return {"status": "error", "kind": type(exc).__name__,
+                "error": "%s: %s" % (type(exc).__name__, exc)}
+    outcome["status"] = "ok"
+    return outcome
+
+
+# -- request validation (event loop) -------------------------------------
+
+def _spec_items(data: Dict[str, Any]):
+    spec = data.get("spec")
+    try:
+        if spec is None:
+            items = []
+        elif isinstance(spec, str):
+            items = parse_pass_spec(spec)
+        elif isinstance(spec, list):
+            items = [(str(name), dict(options)) for name, options in spec]
+        else:
+            raise ValueError("spec must be a string or [name, options] "
+                             "items")
+    except (ValueError, TypeError) as exc:
+        raise ProtocolError(400, "bad pass spec: %s" % exc)
+    if spec_has_side_effects(items):
+        # The response carries the emitted asm; letting a request run
+        # ASM=o[...] would write arbitrary server-side paths and make
+        # warm (cache-replayed) runs skip the effect cold runs performed.
+        raise ProtocolError(400, "side-effecting passes (ASM) are not "
+                                 "allowed over the wire; read the asm "
+                                 "from the response")
+    return items
+
+
+def _validate_core(core: Any) -> Any:
+    """Validate a request's ``core`` field against the profile registry.
+
+    Accepts a registry name (``core2`` … plus any data-only profile
+    dropped into ``repro/uarch/data/``) or an inline ``pymao.uarch/1``
+    document; filesystem paths are deliberately rejected server-side.
+    """
+    from repro.uarch import tables
+
+    if isinstance(core, dict):
+        try:
+            tables.validate_doc(core, where="request core")
+        except ValueError as exc:
+            raise ProtocolError(400, "invalid inline core profile: %s"
+                                % (exc,))
+        return core
+    names = tables.profile_names()
+    if not isinstance(core, str) or core not in names:
+        raise ProtocolError(400, "field 'core' must be one of %s or an "
+                            "inline pymao.uarch/1 document"
+                            % ", ".join(names))
+    return core
+
+
+def _count(data: Dict[str, Any], name: str,
+           ceiling: Optional[int] = None) -> Optional[int]:
+    """An optional non-negative integer field, capped at *ceiling*."""
+    value = data.get(name)
+    if value is None:
+        return None
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ProtocolError(400, "field %r must be a non-negative "
+                                 "integer" % name)
+    return value if ceiling is None else min(value, ceiling)
+
+
+def _program(data: Dict[str, Any]) -> Dict[str, Any]:
+    """The head predict, tune and simulate share: a known core plus
+    exactly one of ``source`` / ``workload``."""
+    core = _validate_core(data.get("core"))
+    source = data.get("source")
+    workload = data.get("workload")
+    if (source is None) == (workload is None):
+        raise ProtocolError(400, "pass exactly one of 'source' or "
+                                 "'workload'")
+    return {"source": source, "workload": workload, "core": core,
+            "function": data.get("function")}
+
+
+def _optimize_payload(data, config):
+    source = data.get("source")
+    if not isinstance(source, str):
+        raise ProtocolError(400, "missing string field 'source'")
+    items = _spec_items(data)
+    return {"source": source, "spec_items": items,
+            "filename": data.get("filename"),
+            "cache": config.cache_spec(),
+            "key_spec": encode_pass_spec(items),
+            "canonical_spec": canonical_pass_spec(items)}
+
+
+def _batch_payload(data, config):
+    inputs = data.get("inputs")
+    if (not isinstance(inputs, list)
+            or not all(isinstance(pair, (list, tuple))
+                       and len(pair) == 2
+                       and isinstance(pair[0], str)
+                       and isinstance(pair[1], str)
+                       for pair in inputs)):
+        raise ProtocolError(400, "field 'inputs' must be a list of "
+                                 "[name, source] pairs")
+    return {"inputs": [(name, source) for name, source in inputs],
+            "spec_items": _spec_items(data),
+            "cache": config.cache_spec()}
+
+
+def _predict_payload(data, config):
+    return dict(_program(data), loop=data.get("loop"),
+                assume_lsd=bool(data.get("assume_lsd", False)))
+
+
+def _tune_payload(data, config):
+    payload = _program(data)
+    payload.update(
+        simulate_top=_count(data, "simulate_top", _TUNE_MAX_SELECT) or 0,
+        budget=_count(data, "budget", _TUNE_MAX_BUDGET),
+        n_select=_count(data, "n_select", _TUNE_MAX_SELECT),
+        max_rounds=_count(data, "max_rounds", _TUNE_MAX_ROUNDS),
+        cache=config.cache_spec())
+    return payload
+
+
+def _simulate_payload(data, config):
+    payload = _program(data)
+    max_steps = _count(data, "max_steps")
+    payload.update(entry_symbol=data.get("entry_symbol", "main"),
+                   max_steps=5_000_000 if max_steps is None else max_steps)
+    return payload
+
+
+def _profile_payload(data, config):
+    document = data.get("profile")
+    digest = data.get("digest")
+    if (document is None) == (digest is None):
+        raise ProtocolError(400, "pass exactly one of 'profile' "
+                                 "(a pymao.profile/1 document) or "
+                                 "'digest'")
+    if document is not None:
+        if not isinstance(document, dict):
+            raise ProtocolError(400, "field 'profile' must be an object")
+    elif not isinstance(digest, str):
+        raise ProtocolError(400, "field 'digest' must be a string")
+    return {"profile": document, "digest": digest,
+            "profile_dir": config.profile_dir}
+
+
+# -- fleet routing keys ----------------------------------------------------
+
+def _salted(salt: bytes, *parts: str) -> str:
+    digest = hashlib.sha256(salt)
+    for part in parts:
+        digest.update(b"\x00")
+        digest.update(part.encode("utf-8"))
+    return digest.hexdigest()
+
+
+def _artifact_key(data, salt: bytes) -> Optional[str]:
+    """The artifact cache key (salt + source sha + injective spec
+    encoding), byte-identical to the key the worker's cache lookup
+    computes, so routing affinity and cache affinity coincide."""
+    source = data.get("source")
+    if not isinstance(source, str):
+        return None
+    return "artifact\x00" + _salted(salt, source_sha256(source),
+                                    encode_pass_spec(_spec_items(data)))
+
+
+def _input_key(data, salt: bytes) -> Optional[str]:
+    """The input digest alone (salt + source sha): every prefix the
+    tuner materializes for one input lands on one worker, so a re-tune
+    replays that worker's warm prefixes."""
+    source = data.get("source")
+    if source is None and isinstance(data.get("workload"), str):
+        # Resolve kernel names here so tune-by-name and tune-by-text of
+        # the same kernel share a worker.
+        from repro.workloads import kernels
+        factory = getattr(kernels, data["workload"], None)
+        if (callable(factory) and getattr(
+                factory, "__module__", None) == kernels.__name__):
+            source = factory()
+    if not isinstance(source, str):
+        return None
+    return "input\x00" + _salted(salt, source_sha256(source))
+
+
+def _profile_key(data, salt: bytes) -> Optional[str]:
+    """The same input-digest key as tune (a profile's digest *is* the
+    source sha), so an input's profile lands on the worker holding its
+    warm tune prefixes."""
+    value = data.get("digest")
+    if value is None and isinstance(data.get("profile"), dict):
+        value = data["profile"].get("digest")
+    if not isinstance(value, str):
+        return None
+    return "input\x00" + _salted(salt, value)
+
+
+# -- worker bodies (pool) --------------------------------------------------
+
+#: One long-lived store handle per construction key per process.  A
 #: fresh :class:`~repro.batch.cache.ArtifactCache` seeds its running
 #: size estimate with a full store walk on its first ``put``; a fleet
 #: worker serving thousands of requests must pay that walk once per
 #: process, not once per request.  Sharing a handle across pool threads
 #: is safe: publication is atomic on disk, and the estimate is advisory
 #: (a race at worst triggers an early eviction sweep, which resyncs it).
-_CACHE_HANDLES: Dict[Tuple[str, str, int], Any] = {}
-_CACHE_HANDLES_LOCK = threading.Lock()
+_HANDLES: Dict[Tuple[Any, ...], Any] = {}
+_HANDLES_LOCK = threading.Lock()
+
+
+def _handle(key: Tuple[Any, ...], factory: Callable[[], Any]) -> Any:
+    with _HANDLES_LOCK:
+        handle = _HANDLES.get(key)
+        if handle is None:
+            handle = _HANDLES[key] = factory()
+    return handle
 
 
 def _open_cache(cache_spec: CacheSpec):
@@ -45,209 +310,177 @@ def _open_cache(cache_spec: CacheSpec):
     from repro.batch.cache import ArtifactCache
 
     root, salt, max_bytes = cache_spec
-    key = (root, salt, max_bytes)
-    with _CACHE_HANDLES_LOCK:
-        cache = _CACHE_HANDLES.get(key)
-        if cache is None:
-            cache = _CACHE_HANDLES[key] = ArtifactCache(
-                root, salt=salt, max_bytes=max_bytes)
-    return cache
-
-
-def optimize_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One ``/v1/optimize`` body: cache get -> optimize -> cache put.
-
-    Outcome: ``{"status": "ok", "cache": "hit"|"miss"|"off", "asm": str,
-    "pipeline": <pymao.pipeline/1>, "span": <span dict>|None}`` or
-    ``{"status": "error", "error": str, "kind": <exception name>}``.
-    """
-    import repro.passes  # noqa: F401 — register built-ins in spawned children
-    from repro import api, obs
-    from repro.batch.cache import source_sha256
-    from repro.passes.manager import PipelineResult
-
-    source = payload["source"]
-    spec_items = payload["spec_items"]
-    filename = payload.get("filename") or "<request>"
-    obs.set_enabled(payload.get("want_spans", False))
-    cache = _open_cache(payload.get("cache"))
-    try:
-        key = None
-        if cache is not None:
-            key = cache.key_for(source, payload["key_spec"])
-            hit = cache.get(key)
-            if hit is not None:
-                try:
-                    PipelineResult.from_dict(hit.pipeline)
-                except (ValueError, KeyError, TypeError):
-                    pass           # stale schema: fall through to a miss
-                else:
-                    return {"status": "ok", "cache": "hit",
-                            "asm": hit.asm, "pipeline": hit.pipeline,
-                            "span": None}
-        span_data = None
-        with obs.detached_span("optimize:%s" % filename,
-                               bytes=len(source)) as span:
-            result = api.optimize(source, spec_items, filename=filename)
-            asm = result.unit.to_asm()
-            if span:
-                span.attach(reports=len(result.pipeline.reports))
-        if span:
-            span_data = span.to_dict()
-        pipeline = result.pipeline.to_dict()
-        if cache is not None and key is not None:
-            cache.put(key, asm, pipeline,
-                      source_sha=source_sha256(source),
-                      spec=payload.get("canonical_spec", ""))
-        return {"status": "ok",
-                "cache": "off" if cache is None else "miss",
-                "asm": asm, "pipeline": pipeline, "span": span_data}
-    except Exception as exc:  # parse errors, bad specs, pass failures
-        return {"status": "error", "kind": type(exc).__name__,
-                "error": "%s: %s" % (type(exc).__name__, exc)}
-
-
-def batch_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One ``/v1/batch`` body: the whole corpus through ``run_batch``.
-
-    The batch runs with ``jobs=1`` inside this worker so one admitted
-    request occupies exactly one pool slot; concurrency across requests
-    is the server's admission control, not a nested pool.
-    """
-    import repro.passes  # noqa: F401
-    from repro import obs
-    from repro.batch import run_batch
-
-    obs.set_enabled(payload.get("want_spans", False))
-    cache = _open_cache(payload.get("cache"))
-    try:
-        inputs = [(name, source) for name, source in payload["inputs"]]
-        batch = run_batch(inputs, payload["spec_items"], jobs=1,
-                          cache=cache)
-        return {"status": "ok",
-                "summary": batch.to_dict(),
-                "asm": {item.name: item.asm for item in batch if item.ok}}
-    except Exception as exc:
-        return {"status": "error", "kind": type(exc).__name__,
-                "error": "%s: %s" % (type(exc).__name__, exc)}
-
-
-def predict_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One ``/v1/predict`` body over :func:`repro.api.predict`.
-
-    Cheap enough that it skips the artifact cache entirely — the static
-    model re-runs faster than a cache round trip would pay for itself.
-    """
-    import repro.passes  # noqa: F401
-    from repro import api, obs
-
-    obs.set_enabled(payload.get("want_spans", False))
-    try:
-        prediction = api.predict(
-            payload.get("source"), payload["core"],
-            workload=payload.get("workload"),
-            function=payload.get("function"),
-            loop=payload.get("loop"),
-            assume_lsd=bool(payload.get("assume_lsd", False)))
-        return {"status": "ok", "prediction": prediction.to_dict()}
-    except Exception as exc:
-        return {"status": "error", "kind": type(exc).__name__,
-                "error": "%s: %s" % (type(exc).__name__, exc)}
-
-
-def tune_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One ``/v1/tune`` body over :func:`repro.api.tune`.
-
-    Opens the shared artifact cache like :func:`optimize_worker` does,
-    so tuned pipeline prefixes are published for every other worker —
-    and for plain ``/v1/optimize`` requests — to replay.
-    """
-    import repro.passes  # noqa: F401
-    from repro import api, obs
-
-    obs.set_enabled(payload.get("want_spans", False))
-    cache = _open_cache(payload.get("cache"))
-    try:
-        result = api.tune(
-            payload.get("source"), payload["core"],
-            workload=payload.get("workload"),
-            function=payload.get("function"),
-            budget=payload.get("budget"),
-            n_select=payload.get("n_select"),
-            max_rounds=payload.get("max_rounds"),
-            simulate_top=int(payload.get("simulate_top", 0)),
-            cache=cache if cache is not None else False)
-        return {"status": "ok", "tune": result.to_dict(),
-                "asm": result.asm}
-    except Exception as exc:
-        return {"status": "error", "kind": type(exc).__name__,
-                "error": "%s: %s" % (type(exc).__name__, exc)}
-
-
-#: One long-lived :class:`~repro.pgo.ProfileStore` handle per root per
-#: process — same rationale as :data:`_CACHE_HANDLES`.
-_STORE_HANDLES: Dict[str, Any] = {}
-_STORE_HANDLES_LOCK = threading.Lock()
+    return _handle(("cache", root, salt, max_bytes), lambda: ArtifactCache(
+        root, salt=salt, max_bytes=max_bytes))
 
 
 def _open_store(profile_dir: Optional[str]):
     from repro.pgo import ProfileStore
 
-    root = profile_dir or ""
-    with _STORE_HANDLES_LOCK:
-        store = _STORE_HANDLES.get(root)
-        if store is None:
-            store = _STORE_HANDLES[root] = ProfileStore(profile_dir or None)
-    return store
+    return _handle(("profiles", profile_dir or ""),
+                   lambda: ProfileStore(profile_dir or None))
 
 
-def profile_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One ``/v1/profile`` body: ingest or look up a profile document.
+def _replay(hit) -> Optional[Dict[str, Any]]:
+    """A cache hit as an optimize outcome; None when there is no hit or
+    it carries a stale pipeline schema (both are misses)."""
+    from repro.passes.manager import PipelineResult
 
-    With a ``"profile"`` document the store ingests it (epoch bumps only
-    when the weight changed) and returns the stored entry.  With only a
-    ``"digest"`` the stored entry is returned (``"found": false`` when
-    absent) — that read-back path is what lets tests and operators
-    confirm the store survives worker restarts.
-    """
-    from repro import obs
-
-    obs.set_enabled(payload.get("want_spans", False))
+    if hit is None:
+        return None
     try:
-        store = _open_store(payload.get("profile_dir"))
-        document = payload.get("profile")
-        with obs.detached_span("pgo.ingest" if document is not None
-                               else "pgo.lookup") as span:
-            if document is not None:
-                entry = store.ingest(document)
-                outcome = {"status": "ok", "found": True,
-                           "profile": entry.to_dict()}
-            else:
-                entry = store.get(payload["digest"])
-                outcome = {"status": "ok", "found": entry is not None,
-                           "profile": entry.to_dict() if entry else None}
-            if span:
-                span.attach(found=outcome["found"])
-        return outcome
-    except Exception as exc:
-        return {"status": "error", "kind": type(exc).__name__,
-                "error": "%s: %s" % (type(exc).__name__, exc)}
+        PipelineResult.from_dict(hit.pipeline)
+    except (ValueError, KeyError, TypeError):
+        return None
+    return {"cache": "hit", "asm": hit.asm, "pipeline": hit.pipeline,
+            "span": None}
 
 
-def simulate_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One ``/v1/simulate`` body over :func:`repro.api.simulate`."""
-    import repro.passes  # noqa: F401
+def _optimize(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Cache get -> optimize -> cache put; ``cache`` is
+    ``"hit"|"miss"|"off"``."""
     from repro import api, obs
 
-    obs.set_enabled(payload.get("want_spans", False))
-    try:
-        sim = api.simulate(payload.get("source"), payload["core"],
-                           workload=payload.get("workload"),
-                           entry_symbol=payload.get("entry_symbol", "main"),
-                           max_steps=int(payload.get("max_steps",
-                                                     5_000_000)))
-        return {"status": "ok", "cycles": sim.cycles, "steps": sim.steps,
-                "counters": dict(sim.counters), "ipc": sim.stats.ipc()}
-    except Exception as exc:
-        return {"status": "error", "kind": type(exc).__name__,
-                "error": "%s: %s" % (type(exc).__name__, exc)}
+    source = payload["source"]
+    filename = payload.get("filename") or "<request>"
+    cache = _open_cache(payload["cache"])
+    key = outcome = None
+    if cache is not None:
+        key = cache.key_for(source, payload["key_spec"])
+        outcome = _replay(cache.get(key))
+    if outcome is None:
+        with obs.detached_span("optimize:%s" % filename,
+                               bytes=len(source)) as span:
+            result = api.optimize(source, payload["spec_items"],
+                                  filename=filename)
+            asm = result.unit.to_asm()
+            if span:
+                span.attach(reports=len(result.pipeline.reports))
+        pipeline = result.pipeline.to_dict()
+        if cache is not None:
+            cache.put(key, asm, pipeline, source_sha=source_sha256(source),
+                      spec=payload["canonical_spec"])
+        outcome = {"cache": "off" if cache is None else "miss",
+                   "asm": asm, "pipeline": pipeline,
+                   "span": span.to_dict() if span else None}
+    return outcome
+
+
+def _batch(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The whole corpus through ``run_batch`` with ``jobs=1``, so one
+    admitted request occupies exactly one pool slot; concurrency across
+    requests is the server's admission control, not a nested pool."""
+    from repro.batch import run_batch
+
+    batch = run_batch(payload["inputs"], payload["spec_items"], jobs=1,
+                      cache=_open_cache(payload["cache"]))
+    return {"summary": batch.to_dict(),
+            "asm": {item.name: item.asm for item in batch if item.ok}}
+
+
+def _predict(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The static model; it skips the artifact cache because it re-runs
+    faster than a cache round trip would pay for itself."""
+    from repro import api
+
+    prediction = api.predict(
+        payload["source"], payload["core"], workload=payload["workload"],
+        function=payload["function"], loop=payload["loop"],
+        assume_lsd=payload["assume_lsd"])
+    return {"core": payload["core"], "prediction": prediction.to_dict()}
+
+
+def _tune(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The autotuner over the shared artifact cache: every prefix it
+    materializes is published for other workers — and for plain
+    ``/v1/optimize`` requests — to replay."""
+    from repro import api
+
+    cache = _open_cache(payload["cache"])
+    result = api.tune(
+        payload["source"], payload["core"], workload=payload["workload"],
+        function=payload["function"], budget=payload["budget"],
+        n_select=payload["n_select"], max_rounds=payload["max_rounds"],
+        simulate_top=payload["simulate_top"],
+        cache=cache if cache is not None else False)
+    return {"core": payload["core"], "tune": result.to_dict(),
+            "asm": result.asm}
+
+
+def _simulate(payload: Dict[str, Any]) -> Dict[str, Any]:
+    from repro import api
+
+    sim = api.simulate(payload["source"], payload["core"],
+                       workload=payload["workload"],
+                       entry_symbol=payload["entry_symbol"],
+                       max_steps=payload["max_steps"])
+    return {"core": payload["core"], "cycles": sim.cycles,
+            "steps": sim.steps, "counters": dict(sim.counters),
+            "ipc": sim.stats.ipc()}
+
+
+def _profile(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Ingest a profile document (the epoch bumps only when the weight
+    changed), or read the stored entry back by digest — the read-back is
+    what shows the store survives worker restarts."""
+    from repro import obs
+
+    store = _open_store(payload["profile_dir"])
+    document = payload["profile"]
+    with obs.detached_span("pgo.ingest" if document is not None
+                           else "pgo.lookup") as span:
+        if document is not None:
+            entry = store.ingest(document)
+        else:
+            entry = store.get(payload["digest"])
+        if span:
+            span.attach(found=entry is not None)
+    return {"found": entry is not None,
+            "profile": None if entry is None else entry.to_dict(),
+            "span": span.to_dict() if span else None}
+
+
+def _tune_span(payload, reply):
+    doc = reply["tune"]
+    return {"core": reply["core"], "winner": doc["winner"]["spec"],
+            "cycles": doc["winner"]["cycles"],
+            "stop": doc["early_stop"]["reason"]}
+
+
+#: Every ``POST /v1/*`` endpoint, by path.
+ENDPOINTS: Dict[str, Endpoint] = {
+    "/v1/optimize": Endpoint(
+        prepare=_optimize_payload, run=_optimize,
+        reply=("cache", "asm", "pipeline"),
+        span=lambda payload, reply: {"cache": reply["cache"]},
+        counter="server.optimize.{cache}", route_key=_artifact_key,
+        coalesce=True),
+    "/v1/batch": Endpoint(
+        prepare=_batch_payload, run=_batch, reply=("summary", "asm"),
+        span=lambda payload, reply: {"files": len(payload["inputs"])}),
+    "/v1/predict": Endpoint(
+        prepare=_predict_payload, run=_predict,
+        reply=("core", "prediction"),
+        span=lambda payload, reply: {
+            "core": reply["core"],
+            "cycles": reply["prediction"]["cycles"],
+            "bottleneck": reply["prediction"]["bottleneck"]},
+        counter="server.predict.requests"),
+    "/v1/tune": Endpoint(
+        prepare=_tune_payload, run=_tune, reply=("core", "tune", "asm"),
+        span=_tune_span, counter="server.tune.requests",
+        route_key=_input_key),
+    "/v1/simulate": Endpoint(
+        prepare=_simulate_payload, run=_simulate,
+        reply=("core", "cycles", "steps", "ipc", "counters"),
+        span=lambda payload, reply: {"core": reply["core"],
+                                     "cycles": reply["cycles"]}),
+    "/v1/profile": Endpoint(
+        prepare=_profile_payload, run=_profile,
+        reply=("found", "profile"),
+        span=lambda payload, reply: {
+            "found": reply["found"],
+            "ingested": payload["profile"] is not None,
+            "epoch": reply["profile"]["epoch"] if reply["profile"] else 0},
+        counter="server.profile.requests", route_key=_profile_key),
+}

@@ -1,5 +1,6 @@
 """End-to-end tests for the asyncio service (repro.server.app)."""
 
+import http.client
 import json
 import os
 import threading
@@ -13,6 +14,7 @@ from repro.server import (
     ServerError,
     ServerThread,
 )
+from repro.server.work import ENDPOINTS
 
 SOURCE = """
 .text
@@ -245,6 +247,47 @@ class TestClientErrors:
         with pytest.raises(ServerError) as exc_info:
             client.request("POST", "/v1/batch", {"inputs": "not-a-list"})
         assert exc_info.value.status == 400
+
+    @pytest.mark.parametrize("max_steps", [True, "7", -3, 2.9])
+    def test_simulate_rejects_bad_max_steps(self, client, max_steps):
+        with pytest.raises(ServerError) as exc_info:
+            client.simulate(workload="hash_bench", core="core2",
+                            max_steps=max_steps)
+        assert exc_info.value.status == 400
+        assert "max_steps" in str(exc_info.value)
+
+    def test_malformed_spec_item_is_400(self, client):
+        with pytest.raises(ServerError) as exc_info:
+            client.optimize(SOURCE, [5])
+        assert exc_info.value.status == 400
+        assert "bad pass spec" in str(exc_info.value)
+
+
+def _post_raw(port, path, body):
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("POST", path, body=body,
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read().decode())
+    finally:
+        conn.close()
+
+
+class TestEndpointContract:
+    """Every row of the endpoint table answers a body that is not a JSON
+    object with the 400 error envelope, never with a 500."""
+
+    @pytest.mark.parametrize("body", [b"[1, 2]", b'"text"', b"\xff\xfe"],
+                             ids=["array", "string", "undecodable"])
+    @pytest.mark.parametrize("path", sorted(ENDPOINTS))
+    def test_non_object_body_is_400(self, server, client, path, body):
+        errors = client.metrics()["values"].get("server.errors", 0)
+        status, payload = _post_raw(server.port, path, body)
+        assert status == 400
+        assert set(payload) == {"error", "status", "request_id"}
+        assert payload["status"] == 400
+        assert client.metrics()["values"].get("server.errors", 0) == errors
 
 
 class TestLimitsAndBackends:

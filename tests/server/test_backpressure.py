@@ -27,7 +27,7 @@ f%d:
 
 def overload_config(**overrides):
     defaults = dict(port=0, cache=False, max_inflight=1, max_queue=1,
-                    workers=1, test_delay_s=0.5, retry_after_s=0.05)
+                    test_delay_s=0.5, retry_after_s=0.05)
     defaults.update(overrides)
     return ServerConfig(**defaults)
 

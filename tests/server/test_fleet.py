@@ -8,7 +8,9 @@ a hit for every other one sharing the store), aggregated ``/healthz`` /
 
 import http.client
 import json
+import sys
 import threading
+import time
 import uuid
 
 import pytest
@@ -265,6 +267,88 @@ class TestRoutingKey:
                                        version="HTTP/1.1",
                                        body=b"\xff not json"))
         assert key.startswith("body\x00/v1/tune\x00")
+
+    #: Raw bodies and the keys they routed to before the endpoint table
+    #: existed (salt ``rk-test``): the table must route every one alike.
+    PINNED = [
+        ("/v1/optimize", b'{"source": "f:\\n    ret\\n"}',
+         "artifact\x007c60d1bf0a82aecfbc4a76ab3df2ee3a"
+         "f2598d9a51ba6579cf1fd3ca05209588"),
+        ("/v1/optimize",
+         b'{"source": "f:\\n    ret\\n", "spec": "REDTEST:LOOP16"}',
+         "artifact\x00daa5956de3cc2452c3a60fb35558611e"
+         "3925624d61dc45b53914cc7f55db7b0d"),
+        ("/v1/optimize",
+         b'{"source": "f:\\n    ret\\n", '
+         b'"spec": [["REDTEST", {}], ["LOOP16", {}]]}',
+         "artifact\x00daa5956de3cc2452c3a60fb35558611e"
+         "3925624d61dc45b53914cc7f55db7b0d"),
+        ("/v1/optimize",
+         b'{"source": "f:\\n    ret\\n", "spec": "REDTEST:ASM=o[/tmp/x.s]"}',
+         "body\x00/v1/optimize\x00eae6e29ac2fd26ed4539c7f38dee04"
+         "3a3623dd083aca4a7696f2cdf35247fd17"),
+        ("/v1/optimize", b'{"source": "f:\\n    ret\\n", "spec": [5]}',
+         "body\x00/v1/optimize\x00b41b53d1a0b1fd30d347df3cebb434"
+         "a8aacb1db0aefa81596654dd844e200ac7"),
+        ("/v1/optimize", b'["not", "an", "object"]',
+         "body\x00/v1/optimize\x00bad315b8d7d55f516ee4819f3e771b"
+         "ba374c97b72aeaa6e4da9c3626477768e3"),
+        ("/v1/tune", b'{"workload": "hash_bench", "core": "core2"}',
+         "input\x00b3e453c2e6384daaa648f2d9aa2cd03a5a"
+         "bbe39359ab122e2f3c41007f1b5511"),
+        ("/v1/tune",
+         b'{"source": "f:\\n    ret\\n", "core": "core2", "budget": 8}',
+         "input\x00ccf9871acb8eda8f5a09d095b66f0fdc52"
+         "898152fa9a0b26050ab6b047742b8d"),
+        ("/v1/tune", b'{"workload": "no_such_kernel", "core": "core2"}',
+         "body\x00/v1/tune\x00565bb321b2c7efad8a731a69e8ad8506"
+         "6483646b25916ccc7a4d7c4378a7eca1"),
+        ("/v1/profile", b'{"digest": "abc123"}',
+         "input\x0023f5cf2eb6987e1c75540ebe80db14d623"
+         "0781afac8be394526ee25263effc08"),
+        ("/v1/profile", b'{"profile": {"digest": "abc123", "samples": []}}',
+         "input\x0023f5cf2eb6987e1c75540ebe80db14d623"
+         "0781afac8be394526ee25263effc08"),
+        ("/v1/predict", b'{"core": "core2", "workload": "hash_bench"}',
+         "body\x00/v1/predict\x00edbcdca56ba0c51c89db2fceef84be"
+         "d013554e2495e5e185799f4bbcabb156ac"),
+        ("/v1/simulate",
+         b'{"core": "core2", "entry_symbol": "main", '
+         b'"max_steps": 5000000, "workload": "hash_bench"}',
+         "body\x00/v1/simulate\x00320b60c8ffd04ecc7754d09acc0642"
+         "6694b3c80579ce2952eebc4a5aa5fb2683"),
+        ("/v1/batch", b'{"inputs": [["a.s", "f:\\n    ret\\n"]]}',
+         "body\x00/v1/batch\x0011aacde6690b1a1d41960032babc92ba"
+         "1bd5c78c78f5bd1e8198d0b43e8bc98d"),
+    ]
+
+    @pytest.mark.parametrize("path,body,key", PINNED)
+    def test_pinned_keys(self, path, body, key):
+        from repro.server.http import Request
+        request = Request(method="POST", path=path, version="HTTP/1.1",
+                          body=body)
+        assert self._front_door().routing_key(request) == key
+
+
+class TestWorkerStartDeadline:
+    def test_hung_worker_fails_start_within_the_deadline(self,
+                                                         monkeypatch):
+        """A worker that never prints its listening line is killed at
+        the start deadline instead of blocking start-up forever."""
+        from repro.server import fleet as fleet_module
+
+        monkeypatch.setattr(fleet_module, "WORKER_START_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(
+            fleet_module.FleetServer, "_worker_argv",
+            lambda self: [sys.executable, "-c",
+                          "import time; time.sleep(30)"])
+        door = fleet_module.FleetServer(FleetConfig(port=0, workers=1))
+        slot = fleet_module.WorkerSlot(0)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="failed to start"):
+            door._spawn_worker_sync(slot)
+        assert time.monotonic() - start < 5
+        assert slot.proc is None and slot.state == "down"
 
 
 class TestMetricsMerge:
