@@ -141,7 +141,7 @@ perf-report:
 
 trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.cli --mao=REDTEST:LOOP16 \
-		--sim core2 --jobs 2 --trace-out /tmp/pymao_trace.jsonl \
+		--sim core2 --trace-out /tmp/pymao_trace.jsonl \
 		-o /tmp/pymao_trace_out.s examples/hot_loop.s
 	$(PYTHON) scripts/validate_trace.py /tmp/pymao_trace.jsonl \
 		--require optimize --require parse --require pass:REDTEST \

@@ -15,8 +15,8 @@ content-addressed artifact cache —
 The warm run must have a 100% hit rate and produce byte-identical
 assembly for every file, or the harness refuses to report a speedup.  A
 determinism section additionally re-runs the cold configuration with
-``jobs=1`` vs ``jobs=4`` on both the thread and the process backend and
-diffs outputs and ``pymao.batch/1`` summaries.
+``jobs=1`` vs ``jobs=4`` and diffs outputs and ``pymao.batch/1``
+summaries.
 
 Results land in ``BENCH_batch.json`` (schema ``mao-bench-batch/1``),
 rendered and gated by ``scripts/perf_report.py`` (warm speedup >= 5x on
@@ -61,12 +61,10 @@ def build_corpus(directory: str, n_files: int, scale: float) -> list:
     return paths
 
 
-def run_once(paths: list, jobs: int, backend: str,
-             cache_dir: str = None) -> tuple:
+def run_once(paths: list, jobs: int, cache_dir: str = None) -> tuple:
     cache = ArtifactCache(cache_dir) if cache_dir else None
     start = time.perf_counter()
-    batch = run_batch(paths, SPEC, jobs=jobs, parallel_backend=backend,
-                      cache=cache)
+    batch = run_batch(paths, SPEC, jobs=jobs, cache=cache)
     elapsed = time.perf_counter() - start
     return batch, elapsed
 
@@ -86,22 +84,14 @@ def summarize(batch, elapsed: float) -> dict:
 
 
 def bench_determinism(paths: list) -> dict:
-    """jobs=1 vs jobs=4, thread and process: outputs and summaries must
-    be identical (no cache, so every case does the full work)."""
-    cases = [("jobs1-thread", 1, "thread"),
-             ("jobs4-thread", 4, "thread"),
-             ("jobs4-process", 4, "process")]
-    reference = None
-    identical = True
-    for _name, jobs, backend in cases:
-        batch, _elapsed = run_once(paths, jobs, backend, cache_dir=None)
-        fingerprint = ([item.asm for item in batch], batch.to_dict())
-        if reference is None:
-            reference = fingerprint
-        elif fingerprint != reference:
-            identical = False
-    return {"cases": [name for name, _j, _b in cases],
-            "identical": identical}
+    """jobs=1 vs jobs=4: outputs and summaries must be identical (no
+    cache, so both cases do the full work)."""
+    fingerprints = []
+    for jobs in (1, 4):
+        batch, _elapsed = run_once(paths, jobs, cache_dir=None)
+        fingerprints.append(([item.asm for item in batch], batch.to_dict()))
+    return {"cases": ["jobs1", "jobs4"],
+            "identical": fingerprints[0] == fingerprints[1]}
 
 
 def main(argv=None) -> int:
@@ -113,12 +103,8 @@ def main(argv=None) -> int:
     parser.add_argument("--files", type=int, default=None,
                         help="corpus size (default 100, quick 12)")
     parser.add_argument("--jobs", type=int, default=4,
-                        help="worker count for the timed runs (default 4)")
-    parser.add_argument("--parallel-backend",
-                        choices=("thread", "process"), default="process",
-                        help="worker pool kind for the timed runs "
-                             "(default: process — the passes are "
-                             "CPU-bound)")
+                        help="worker processes for the timed runs "
+                             "(default 4)")
     parser.add_argument("--cache-dir", default=None,
                         help="cache directory (default: a fresh tmpdir, "
                              "removed afterwards)")
@@ -142,10 +128,8 @@ def main(argv=None) -> int:
         print("corpus: %d files, %.1f KiB, spec %s"
               % (n_files, total_bytes / 1024.0, SPEC))
 
-        cold_batch, cold_s = run_once(paths, args.jobs,
-                                      args.parallel_backend, cache_dir)
-        warm_batch, warm_s = run_once(paths, args.jobs,
-                                      args.parallel_backend, cache_dir)
+        cold_batch, cold_s = run_once(paths, args.jobs, cache_dir)
+        warm_batch, warm_s = run_once(paths, args.jobs, cache_dir)
         byte_identical = ([item.asm for item in cold_batch]
                           == [item.asm for item in warm_batch])
         determinism = bench_determinism(paths)
@@ -156,7 +140,6 @@ def main(argv=None) -> int:
                 "quick": args.quick,
                 "files": n_files,
                 "jobs": args.jobs,
-                "parallel_backend": args.parallel_backend,
                 "spec": SPEC,
                 "corpus_bytes": total_bytes,
             },

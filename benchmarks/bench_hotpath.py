@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Hot-path performance harness: encoding cache + incremental relaxation +
-parallel pass pipeline.
+"""Hot-path performance harness: encoding cache + incremental relaxation.
 
 Measures the optimize→assemble hot path on a repeated-relaxation workload
 (the paper's §III overhead argument: MAO must be cheap enough to sit inside
@@ -9,8 +8,7 @@ perf trajectory is tracked from PR to PR:
 
 * **baseline** — the pre-fast-path configuration: reference full-re-walk
   relaxation with the encoding cache disabled;
-* **fast** — incremental relaxation with a warm encoding cache;
-* **parallel** — the pass pipeline at ``--jobs N`` vs. serial.
+* **fast** — incremental relaxation with a warm encoding cache.
 
 The fast path must be *bit-identical* to the baseline: the harness
 diffs section images and symbol tables and refuses to report a speedup
@@ -35,7 +33,6 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 
-from repro import api  # noqa: E402
 from repro.analysis.relax import (  # noqa: E402
     relax_section,
     relax_section_reference,
@@ -106,46 +103,9 @@ def bench_relax(text: str, repeats: int) -> dict:
     }
 
 
-def bench_parallel(text: str, spec: str, jobs: int, backend: str) -> dict:
-    """Pass pipeline: serial vs. --jobs N, with a determinism check.
-
-    Both runs go through the ``repro.api`` facade on pre-parsed units
-    (so only the pass pipeline is timed); the serial run's PipelineResult
-    ships in the output under its versioned ``pymao.pipeline/1`` schema
-    for ``perf_report.py`` to consume.
-    """
-    unit_serial = parse_unit(text)
-    unit_parallel = parse_unit(text)
-
-    start = time.perf_counter()
-    serial = api.optimize(unit_serial, spec)
-    serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = api.optimize(unit_parallel, spec, jobs=jobs,
-                            parallel_backend=backend)
-    parallel_s = time.perf_counter() - start
-
-    reports_match = ([r.to_dict() for r in serial.reports]
-                     == [r.to_dict() for r in parallel.reports])
-    return {
-        "spec": spec,
-        "jobs": jobs,
-        "backend": backend,
-        "functions": len(unit_serial.functions),
-        "serial_s": round(serial_s, 6),
-        "parallel_s": round(parallel_s, 6),
-        "speedup": round(serial_s / parallel_s, 3) if parallel_s else None,
-        "deterministic": (serial.to_asm() == parallel.to_asm()
-                          and reports_match),
-        "pipeline": serial.pipeline.to_dict(),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="hot-path perf harness (cache + incremental relax + "
-                    "parallel pipeline)")
+        description="hot-path perf harness (cache + incremental relax)")
     parser.add_argument("--quick", action="store_true",
                         help="small workload for CI smoke runs")
     parser.add_argument("--scale", type=float, default=None,
@@ -153,10 +113,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None,
                         help="relaxation sweeps to time (default 20, "
                              "quick 5)")
-    parser.add_argument("--jobs", type=int, default=4,
-                        help="worker count for the parallel measurement")
-    parser.add_argument("--backend", choices=("thread", "process"),
-                        default="thread")
     parser.add_argument("-o", "--output", default=None,
                         help="JSON output path (default: "
                              "BENCH_hotpath.json next to the repo root)")
@@ -176,8 +132,6 @@ def main(argv=None) -> int:
 
     corpus = bench_relax(corpus_text, repeats)
     cascade = bench_relax(cascade_text, repeats)
-    parallel = bench_parallel(corpus_text, "REDTEST:REDZEE:ADDADD",
-                              args.jobs, args.backend)
 
     results = {
         "schema": "mao-bench-hotpath/1",
@@ -185,12 +139,9 @@ def main(argv=None) -> int:
             "quick": args.quick,
             "scale": scale,
             "repeats": repeats,
-            "jobs": args.jobs,
-            "backend": args.backend,
         },
         "relax_corpus": corpus,
         "relax_cascade": cascade,
-        "parallel_pipeline": parallel,
     }
 
     with open(output, "w") as handle:
@@ -207,11 +158,6 @@ def main(argv=None) -> int:
                  100.0 * r["cache_hit_rate"], r["relax_iterations"],
                  r["byte_identical"]))
         ok = ok and r["byte_identical"]
-    p = results["parallel_pipeline"]
-    print("parallel       %6.2fx vs serial (%s backend, jobs=%d)  "
-          "deterministic=%s"
-          % (p["speedup"], p["backend"], p["jobs"], p["deterministic"]))
-    ok = ok and p["deterministic"]
 
     if not ok:
         print("FAIL: fast path output diverged from baseline",

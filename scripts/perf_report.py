@@ -6,9 +6,7 @@ field:
 
 * ``BENCH_hotpath.json`` (``mao-bench-hotpath/1``) from
   ``benchmarks/bench_hotpath.py`` — encoding cache + incremental
-  relaxation + parallel pass pipeline; its ``parallel_pipeline.pipeline``
-  section is a versioned ``pymao.pipeline/1`` PipelineResult, rebuilt
-  through ``PipelineResult.from_dict`` (no duck-typed dict poking);
+  relaxation;
 * ``BENCH_sim.json`` (``mao-bench-sim/1``) from
   ``benchmarks/bench_sim_engine.py`` or ``scripts/bench_runner.py`` —
   block cache + streaming + loop fast-forward (plus, when produced by
@@ -17,7 +15,7 @@ field:
   ``benchmarks/bench_batch.py`` — corpus batch engine: warm
   artifact-cache replay vs cold optimization (gated at >= 5x on full
   runs), 100% warm hit rate, byte-identical outputs, and jobs-1-vs-4
-  determinism on both pool backends;
+  determinism;
 * ``BENCH_server.json`` (``mao-bench-server/1``) from
   ``benchmarks/bench_server.py`` — the asyncio optimization service
   under a closed-loop mixed workload: warm shared-cache throughput vs
@@ -86,8 +84,6 @@ _DEFAULT_FILES = ("BENCH_hotpath.json", "BENCH_sim.json",
                   "BENCH_tune.json", "BENCH_pgo.json",
                   "BENCH_discover.json")
 
-if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
-    sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import validate_trace  # noqa: E402  (sibling script)
@@ -115,18 +111,6 @@ def _row(label: str, value: str) -> None:
     print("  %-26s %s" % (label, value))
 
 
-def _load_pipeline(data: dict):
-    """Rebuild a serialized PipelineResult; None if absent/invalid."""
-    from repro.passes.manager import PipelineResult
-
-    if not data:
-        return None
-    try:
-        return PipelineResult.from_dict(data)
-    except (ValueError, KeyError, TypeError):
-        return None
-
-
 # ---------------------------------------------------------------------------
 # The schema registry.
 # ---------------------------------------------------------------------------
@@ -148,7 +132,7 @@ def register(schema: str):
 
 @register("mao-bench-hotpath/1")
 class HotpathReport:
-    """Encoding cache + incremental relaxation + parallel pipeline."""
+    """Encoding cache + incremental relaxation."""
 
     @staticmethod
     def render(results: dict) -> None:
@@ -169,23 +153,6 @@ class HotpathReport:
             _row("cache hit rate",
                  "%.1f%%" % (100 * section["cache_hit_rate"]))
             _row("byte-identical", str(section["byte_identical"]))
-        parallel = results.get("parallel_pipeline")
-        if parallel:
-            print("parallel_pipeline:")
-            _row("spec", parallel["spec"])
-            _row("jobs / backend", "%d / %s"
-                 % (parallel["jobs"], parallel["backend"]))
-            _row("serial", "%.4fs" % parallel["serial_s"])
-            _row("parallel", "%.4fs" % parallel["parallel_s"])
-            _row("speedup vs serial", "%.2fx" % parallel["speedup"])
-            _row("deterministic", str(parallel["deterministic"]))
-            pipeline = _load_pipeline(parallel.get("pipeline"))
-            if pipeline is not None:
-                for name in pipeline.pass_names():
-                    totals = pipeline.stats_for(name)
-                    summary = "  ".join("%s=%d" % (k, v)
-                                        for k, v in sorted(totals.items()))
-                    _row("pass %s" % name, summary or "(no stats)")
 
     @staticmethod
     def check(results: dict, min_speedup: float) -> list:
@@ -202,15 +169,6 @@ class HotpathReport:
         if corpus and corpus["speedup"] < min_speedup:
             failures.append("relax_corpus speedup %.2fx < required %.2fx"
                             % (corpus["speedup"], min_speedup))
-        parallel = results.get("parallel_pipeline")
-        if parallel:
-            if not parallel["deterministic"]:
-                failures.append("parallel pipeline output diverged from "
-                                "serial")
-            if "pipeline" in parallel \
-                    and _load_pipeline(parallel["pipeline"]) is None:
-                failures.append("parallel_pipeline.pipeline is not a valid "
-                                "pymao.pipeline/1 document")
         return failures
 
 
@@ -295,8 +253,7 @@ class BatchReport:
         config = results.get("config", {})
         print("batch-engine benchmark (%s)" % results.get("schema", "?"))
         _row("corpus files", str(config.get("files")))
-        _row("jobs / backend", "%s / %s"
-             % (config.get("jobs"), config.get("parallel_backend")))
+        _row("jobs", str(config.get("jobs")))
         _row("spec", str(config.get("spec")))
         for key in ("batch_cold", "batch_warm"):
             section = results.get(key)

@@ -8,7 +8,7 @@ through :mod:`repro.obs`:
 
 * :func:`optimize` — parse (if needed) and run a pass pipeline::
 
-      result = api.optimize(source, "REDTEST:LOOP16", jobs=4)
+      result = api.optimize(source, "REDTEST:LOOP16")
       result.unit, result.pipeline, result.parse_s, result.passes_s
 
 * :func:`simulate` — execute + time a program on a processor model::
@@ -29,8 +29,8 @@ through :mod:`repro.obs`:
       t.winner_spec, t.leaderboard, t.to_dict()   # pymao.tune/1
 
 * :func:`optimize_many` — a whole corpus in one call, sharded across
-  workers, with a persistent content-addressed artifact cache so warm
-  rebuilds replay instead of re-optimizing::
+  worker processes, with a persistent content-addressed artifact cache
+  so warm rebuilds replay instead of re-optimizing::
 
       batch = api.optimize_many(["a.s", "b.s"], "REDTEST:LOOP16",
                                 jobs=4, cache_dir="/var/cache/pymao")
@@ -47,9 +47,7 @@ parameter of every entry point is ``source`` and accepts assembly text,
 a parsed :class:`~repro.ir.MaoUnit`, or the *name* of a workload kernel
 from :mod:`repro.workloads.kernels` (``api.predict("hash_bench",
 "core2")``); ``workload=`` additionally accepts a kernel name or any
-callable returning source, with ``source`` left ``None``.  The old
-per-function first-parameter keywords (``src=``, ``src_or_unit=``,
-``src_or_result=``) keep working behind ``DeprecationWarning`` shims.
+callable returning source, with ``source`` left ``None``.
 
 One model convention everywhere: ``core=`` takes a
 :class:`~repro.uarch.model.ProcessorModel` instance or a profile name
@@ -68,7 +66,6 @@ admission control and the shared artifact cache.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
@@ -107,22 +104,6 @@ class _Unset:
 
 
 _UNSET = _Unset()
-
-
-def _merge_renamed(new: Any, old: Any, old_name: str) -> Any:
-    """Fold a deprecated first-parameter keyword into ``source``.
-
-    Returns the effective value; warns when the old keyword is used and
-    rejects calls that set both.
-    """
-    if old is _UNSET:
-        return None if new is _UNSET else new
-    warnings.warn("%s= is deprecated; pass source= (or positionally)"
-                  % old_name, DeprecationWarning, stacklevel=3)
-    if new is not _UNSET and new is not None:
-        raise TypeError("got values for both source and the deprecated "
-                        "%s= keyword" % old_name)
-    return old
 
 
 def _resolve_source(source: Union[None, str, MaoUnit], *,
@@ -327,10 +308,9 @@ class SimResult(ApiResult):
                    _reason=str(data.get("reason", "")))
 
 
-def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
+def optimize(source: Union[None, str, MaoUnit] = None,
              spec: Union[None, str, SpecItems] = None, *,
              jobs: int = 1,
-             parallel_backend: str = "thread",
              filename: str = "<string>",
              workload: Union[None, str, Any] = None,
              profile_guided: bool = False,
@@ -338,8 +318,7 @@ def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
              profile_dir: Optional[str] = None,
              pgo_policy: Any = None,
              cache: Union[bool, Any] = True,
-             cache_dir: Optional[str] = None,
-             src: Any = _UNSET) -> OptimizeResult:
+             cache_dir: Optional[str] = None) -> OptimizeResult:
     """Parse *source* (text, a unit, or a kernel name) and run *spec*
     (a ``--mao=`` string or ``(name, options)`` items) over it.
 
@@ -349,13 +328,12 @@ def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     the input's hotness tier decides between the ``tune()`` winner
     (hot, searched on *core* against ``pgo_policy``'s budget and cached
     via *cache*/*cache_dir*), the default spec (warm), or a passthrough
-    (cold).  The decision summary lands on ``result.pgo``.
-
-    ``src=`` is the deprecated spelling of ``source=``.
+    (cold).  The decision summary lands on ``result.pgo``; ``jobs`` is
+    the worker-process count of that search.  The passes themselves
+    run serially over the one unit.
     """
     import time
 
-    source = _merge_renamed(source, src, "src")
     resolved = _resolve_source(source, workload=workload)
     pgo_doc: Optional[Dict[str, Any]] = None
     if profile_guided:
@@ -368,12 +346,10 @@ def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
         decision = _pgo.decide_one(
             _source_text(resolved), core=core,
             store=_pgo.ProfileStore(profile_dir), policy=pgo_policy,
-            cache=_resolve_cache(cache, cache_dir), jobs=jobs,
-            parallel_backend=parallel_backend)
+            cache=_resolve_cache(cache, cache_dir), jobs=jobs)
         spec = decision.spec_items
         pgo_doc = decision.to_dict()
-    with obs.span("optimize", jobs=jobs,
-                  parallel_backend=parallel_backend) as root:
+    with obs.span("optimize", jobs=jobs) as root:
         if isinstance(resolved, MaoUnit):
             unit = resolved
             parse_s = 0.0
@@ -388,8 +364,7 @@ def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
                               functions=len(unit.functions))
         items = _resolve_spec(spec)
         start = time.perf_counter()
-        result = PassPipeline(items).run(unit, jobs=jobs,
-                                         parallel_backend=parallel_backend)
+        result = PassPipeline(items).run(unit)
         passes_s = time.perf_counter() - start
         if root:
             root.attach(passes=[name for name, _ in items],
@@ -400,7 +375,6 @@ def optimize(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
 
 def optimize_many(inputs, spec: Union[None, str, SpecItems] = None, *,
                   jobs: int = 1,
-                  parallel_backend: str = "thread",
                   cache: Union[bool, Any] = True,
                   cache_dir: Optional[str] = None,
                   cache_salt: Optional[str] = None,
@@ -412,8 +386,8 @@ def optimize_many(inputs, spec: Union[None, str, SpecItems] = None, *,
                   pgo_policy: Any = None):
     """Optimize a corpus of files (paths or ``(name, source)`` pairs).
 
-    The batch front door: shards cache misses across ``jobs`` workers on
-    the ``thread`` or ``process`` backend and returns a
+    The batch front door: shards cache misses across ``jobs`` worker
+    processes and returns a
     :class:`repro.batch.BatchResult` whose ``to_dict()`` is the versioned
     ``pymao.batch/1`` summary, in input order regardless of completion
     order.
@@ -451,15 +425,12 @@ def optimize_many(inputs, spec: Union[None, str, SpecItems] = None, *,
         return _pgo.run_guided_batch(
             inputs, core=core, store=_pgo.ProfileStore(profile_dir),
             policy=pgo_policy, cache=cache_obj, jobs=jobs,
-            parallel_backend=parallel_backend, predict=predict_core)
-    return _batch.run_batch(inputs, spec, jobs=jobs,
-                            parallel_backend=parallel_backend,
-                            cache=cache_obj, predict=predict_core)
+            predict=predict_core)
+    return _batch.run_batch(inputs, spec, jobs=jobs, cache=cache_obj,
+                            predict=predict_core)
 
 
-def verify(source: Union[None, str, MaoUnit, "OptimizeResult",
-                         _Unset] = _UNSET, *,
-           src_or_result: Any = _UNSET):
+def verify(source: Union[None, str, MaoUnit, "OptimizeResult"] = None):
     """The paper's §III.A correctness flow on the public surface.
 
     For source text (or a unit / kernel name): assemble it (O1), run the
@@ -471,12 +442,9 @@ def verify(source: Union[None, str, MaoUnit, "OptimizeResult",
 
     Returns a :class:`repro.verify.VerifyResult`; ``identical`` is the
     verdict, ``first_diff`` the earliest divergent disassembly pair.
-
-    ``src_or_result=`` is the deprecated spelling of ``source=``.
     """
     from repro import verify as _verify
 
-    source = _merge_renamed(source, src_or_result, "src_or_result")
     if isinstance(source, OptimizeResult):
         text = source.to_asm()
     else:
@@ -488,13 +456,12 @@ def verify(source: Union[None, str, MaoUnit, "OptimizeResult",
     return result
 
 
-def predict(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
+def predict(source: Union[None, str, MaoUnit] = None,
             core: Union[str, ProcessorModel, _Unset] = _UNSET, *,
             function: Optional[str] = None,
             loop: Optional[str] = None,
             workload: Union[None, str, Any] = None,
-            assume_lsd: bool = False,
-            src_or_unit: Any = _UNSET):
+            assume_lsd: bool = False):
     """Statically predict steady-state cycles-per-iteration on *core*.
 
     The analytical fast path: no instruction is executed.  The
@@ -510,14 +477,11 @@ def predict(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     Orders of magnitude faster than :func:`simulate` but blind to branch
     prediction, caches, and trip counts — see DESIGN for when to trust
     which tool.
-
-    ``src_or_unit=`` is the deprecated spelling of ``source=``.
     """
     import time
 
     from repro.uarch import static_model
 
-    source = _merge_renamed(source, src_or_unit, "src_or_unit")
     if core is _UNSET:
         raise TypeError("predict() missing required argument: 'core'")
     resolved = _resolve_source(source, workload=workload)
@@ -538,24 +502,20 @@ def predict(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     return prediction
 
 
-def simulate(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
+def simulate(source: Union[None, str, MaoUnit] = None,
              core: Union[str, ProcessorModel, _Unset] = _UNSET, *,
              workload: Union[None, str, Any] = None,
              entry_symbol: str = "main",
              max_steps: int = 5_000_000,
              args: Optional[List[int]] = None,
-             fast_forward: bool = True,
-             src_or_unit: Any = _UNSET) -> SimResult:
+             fast_forward: bool = True) -> SimResult:
     """Execute + time a program on *core* in one streaming pass.
 
     *source* is assembly text, a parsed unit, or a workload kernel name;
     alternatively pass ``workload=`` (a kernel name from
     :mod:`repro.workloads.kernels`, or any callable returning source
     text) and leave *source* ``None``.
-
-    ``src_or_unit=`` is the deprecated spelling of ``source=``.
     """
-    source = _merge_renamed(source, src_or_unit, "src_or_unit")
     if core is _UNSET:
         raise TypeError("simulate() missing required argument: 'core'")
     model = _resolve_model(core)
@@ -573,7 +533,7 @@ def simulate(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     return SimResult(result=result, stats=stats)
 
 
-def tune(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
+def tune(source: Union[None, str, MaoUnit] = None,
          core: Union[str, ProcessorModel, _Unset] = _UNSET, *,
          function: Optional[str] = None,
          budget: Optional[int] = None,
@@ -581,7 +541,6 @@ def tune(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
          max_rounds: Optional[int] = None,
          simulate_top: int = 0,
          jobs: int = 1,
-         parallel_backend: str = "thread",
          cache: Union[bool, Any] = True,
          cache_dir: Optional[str] = None,
          cache_salt: Optional[str] = None,
@@ -612,7 +571,6 @@ def tune(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
 
     if core is _UNSET:
         raise TypeError("tune() missing required argument: 'core'")
-    source = None if isinstance(source, _Unset) else source
     text = _source_text(_resolve_source(source, workload=workload))
     cache_obj = _resolve_cache(cache, cache_dir, cache_salt,
                                max_cache_bytes)
@@ -626,15 +584,13 @@ def tune(source: Union[None, str, MaoUnit, _Unset] = _UNSET,
     if default_spec is not None:
         kwargs["default_spec"] = default_spec
     return _tune.tune(text, core, function=function,
-                      simulate_top=simulate_top, jobs=jobs,
-                      parallel_backend=parallel_backend, cache=cache_obj,
+                      simulate_top=simulate_top, jobs=jobs, cache=cache_obj,
                       entry_symbol=entry_symbol, max_steps=max_steps,
                       **kwargs)
 
 
 def discover(core: Any = None, *, seed: Optional[int] = None,
-             name: Optional[str] = None, jobs: int = 1,
-             parallel_backend: str = "thread"):
+             name: Optional[str] = None, jobs: int = 1):
     """Infer a processor's µarch parameters from microbenchmarks alone.
 
     Runs the :mod:`repro.discover` ladder harness against an oracle —
@@ -643,12 +599,10 @@ def discover(core: Any = None, *, seed: Optional[int] = None,
     :class:`repro.discover.DiscoverResult` whose ``profile_doc()`` is a
     complete ``pymao.uarch/1`` document; written to a file it is
     accepted by every ``core=`` surface.  For a fixed oracle the result
-    document is byte-identical at any ``jobs`` count under either
-    backend.
+    document is byte-identical at any ``jobs`` count.
     """
     from repro import discover as _discover
 
     if core is not None and seed is None:
         core = _resolve_model(core)
-    return _discover.discover(core, seed=seed, name=name, jobs=jobs,
-                              parallel_backend=parallel_backend)
+    return _discover.discover(core, seed=seed, name=name, jobs=jobs)

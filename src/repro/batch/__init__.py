@@ -7,7 +7,7 @@ Two coupled pieces turn the per-file fast paths into fleet throughput:
   version salt`` → emitted assembly + ``pymao.pipeline/1`` report), with
   atomic writes, LRU size-bounding, and corruption-tolerant reads;
 * :mod:`repro.batch.engine` — :func:`run_batch`, the scheduler that
-  shards cache misses across a thread/process worker pool and merges
+  shards cache misses across worker processes and merges
   per-file results into one deterministic ``pymao.batch/1`` summary.
 
 The supported entry point is :func:`repro.api.optimize_many`; the ``mao``

@@ -12,27 +12,26 @@ three guarantees:
   and nothing else, so specs containing a side-effecting pass (``ASM``)
   bypass the cache entirely — cold and warm runs of the same command
   must produce the same filesystem effects.
-* **Parallel misses, deterministic output.**  Cache misses are sharded
-  across a worker pool — the same ``thread`` / ``process`` backend
-  vocabulary as ``passes.manager`` — and merged back **in input order**,
-  whatever the completion order.  ``jobs=1`` and ``jobs=4`` produce
-  byte-identical outputs and an identical ``pymao.batch/1`` summary.
+* **Parallel misses, deterministic output.**  With ``jobs > 1`` cache
+  misses are sharded across a process pool and merged back **in input
+  order**, whatever the completion order.  ``jobs=1`` and ``jobs=4``
+  produce byte-identical outputs and an identical ``pymao.batch/1``
+  summary.
 * **Failure isolation.**  A file that cannot be read or parsed becomes an
   ``"error"`` item; every other file is still processed.  The batch never
   aborts on the first bad translation unit.
 
 Observability: the whole batch runs under one ``batch`` span with a
-``file:<name>`` detached subtree per optimized input (adopted in input
-order, mirroring the pass manager's span merge; process workers ship
-their subtree back serialized), and the metrics registry counts
-``batch.files``, ``batch.errors``, and ``batch.cache.{hit,miss,store,
-evict}``.
+``file:<name>`` detached subtree per optimized input (workers ship it
+back serialized; it is adopted in input order), and the metrics registry
+counts ``batch.files``, ``batch.errors``, and ``batch.cache.{hit,miss,
+store,evict}``.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -40,7 +39,6 @@ from repro import obs
 from repro.batch.cache import ArtifactCache, source_sha256
 from repro.passes.manager import (
     PipelineResult,
-    _resolve_backend,
     canonical_pass_spec,
     encode_pass_spec,
     parse_pass_spec,
@@ -245,15 +243,14 @@ def _batch_worker(payload: Tuple[str, str, SpecItems, bool]
                              float, float, Optional[str],
                              Optional[Dict[str, Any]]]:
     """Optimize one file; never raises (a raised exception would poison
-    the whole pool map).  Top-level so the process backend can pickle it.
+    the whole pool map).  Top-level so the process pool can pickle it.
     """
     name, source, spec_items, want_spans = payload
     import repro.passes  # noqa: F401 — register built-ins in spawned children
     from repro import api
 
-    # Same contract as the pass manager's process worker: the parent's
-    # tracing flag rides in the payload, the span subtree rides back
-    # serialized for the deterministic input-order adopt.
+    # The parent's tracing flag rides in the payload, the span subtree
+    # rides back serialized for the deterministic input-order adopt.
     obs.set_enabled(want_spans)
     span_data: Optional[Dict[str, Any]] = None
     try:
@@ -274,8 +271,6 @@ def _batch_worker(payload: Tuple[str, str, SpecItems, bool]
 def run_batch(inputs: Iterable[BatchInput],
               spec: Union[None, str, SpecItems] = None, *,
               jobs: int = 1,
-              parallel_backend: Optional[str] = None,
-              backend: Optional[str] = None,
               cache: Optional[ArtifactCache] = None,
               predict: Optional[str] = None) -> BatchResult:
     """Optimize a corpus of files through one pass spec.
@@ -285,8 +280,7 @@ def run_batch(inputs: Iterable[BatchInput],
     *cache*, byte-identical sources under the same spec replay their
     stored artifact instead of being re-optimized (unless the spec
     contains a side-effecting pass, which disables caching for the
-    run).  ``backend=`` is the
-    deprecated alias of ``parallel_backend=`` (as in ``passes.manager``).
+    run).  ``jobs > 1`` optimizes misses on that many worker processes.
 
     ``predict=`` a processor profile name (``"core2"``) additionally
     runs the static throughput model over each ok item's *emitted*
@@ -296,11 +290,8 @@ def run_batch(inputs: Iterable[BatchInput],
     cannot analyze keeps its ``ok`` status and records
     ``predict_error`` instead.
     """
-    parallel_backend = _resolve_backend(parallel_backend, backend)
     if jobs < 1:
         raise ValueError("jobs must be >= 1, got %d" % jobs)
-    if parallel_backend not in ("thread", "process"):
-        raise ValueError("unknown batch backend %r" % parallel_backend)
     spec_items = _resolve_spec(spec)
     canonical = canonical_pass_spec(spec_items)
     if cache is not None and spec_has_side_effects(spec_items):
@@ -318,7 +309,6 @@ def run_batch(inputs: Iterable[BatchInput],
 
     start = time.perf_counter()
     with obs.span("batch", files=len(loaded), jobs=jobs,
-                  parallel_backend=parallel_backend,
                   cache=cache is not None) as root:
         items: List[Optional[BatchItem]] = [None] * len(loaded)
         spans: List[Optional[obs.Span]] = [None] * len(loaded)
@@ -356,10 +346,7 @@ def run_batch(inputs: Iterable[BatchInput],
             payloads = [(name, source, spec_items, want_spans)
                         for _index, name, source, _key, _sha in pending]
             if jobs > 1 and len(pending) > 1:
-                pool_cls = (ThreadPoolExecutor
-                            if parallel_backend == "thread"
-                            else ProcessPoolExecutor)
-                with pool_cls(max_workers=jobs) as pool:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
                     outcomes = list(pool.map(_batch_worker, payloads))
             else:
                 outcomes = [_batch_worker(payload) for payload in payloads]

@@ -18,14 +18,14 @@ emulates that flow by accepting (and ignoring) common gas flags like
 Batch mode: more than one input file (globs are expanded, so quoted
 patterns work from scripts) switches the driver to the corpus engine —
 ``repro.api.optimize_many`` — which shards files across ``--jobs``
-workers and replays warm results from the persistent content-addressed
-artifact cache (``--cache-dir`` / ``$PYMAO_CACHE_DIR``, default
-``~/.cache/pymao``; ``--no-cache`` disables it).  ``-o`` names an output
-*directory* in batch mode; inputs with colliding basenames mirror their
-directory structure under it instead of silently overwriting each
-other.  A file that fails to read or parse does not
-abort the batch: every other file is still processed, the failures are
-reported at the end, and the exit status is non-zero.
+worker processes and replays warm results from the persistent
+content-addressed artifact cache (``--cache-dir`` /
+``$PYMAO_CACHE_DIR``, default ``~/.cache/pymao``; ``--no-cache``
+disables it).  ``-o`` names an output *directory* in batch mode; inputs
+with colliding basenames mirror their directory structure under it
+instead of silently overwriting each other.  A file that fails to read
+or parse does not abort the batch: every other file is still processed,
+the failures are reported at the end, and the exit status is non-zero.
 
 Service mode: ``mao serve`` runs the long-lived :mod:`repro.server`
 optimization service (admission control, shared artifact cache, graceful
@@ -102,13 +102,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="attach cProfile summaries to spans matching "
                              "the fnmatch PATTERN (implies span capture; "
                              "PYMAO_PROFILE env var is the equivalent)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="fan function-scoped passes across N workers "
-                             "(default: 1, serial)")
-    parser.add_argument("--parallel-backend", choices=("thread", "process"),
-                        default="thread",
-                        help="worker pool kind for --jobs > 1 "
-                             "(default: thread)")
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                        help="batch mode: optimize files on N worker "
+                             "processes (default: 1, serial)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="artifact-cache directory for batch mode "
                              "(default: $PYMAO_CACHE_DIR, else "
@@ -129,6 +125,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "switches to batch mode, and glob patterns "
                              "are expanded")
     return parser
+
+
+def _positive_int(text: str) -> int:
+    """The ``--jobs`` argument type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
 
 
 def expand_inputs(patterns: List[str]) -> List[str]:
@@ -298,11 +302,8 @@ def tune_main(argv: List[str]) -> int:
                              "simulation (ground truth; slower)")
     parser.add_argument("--function", default=None, metavar="NAME",
                         help="function to score (default: first)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers for independent candidates")
-    parser.add_argument("--parallel-backend", default="thread",
-                        choices=("thread", "process"),
-                        help="worker pool backend")
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                        help="worker processes for independent candidates")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="artifact cache directory "
                              "($PYMAO_CACHE_DIR, else ~/.cache/pymao)")
@@ -338,7 +339,6 @@ def tune_main(argv: List[str]) -> int:
                           max_rounds=args.max_rounds,
                           simulate_top=args.simulate_top,
                           jobs=args.jobs,
-                          parallel_backend=args.parallel_backend,
                           cache=not args.no_cache,
                           cache_dir=args.cache_dir)
     except (TuneError, ValueError) as exc:
@@ -402,12 +402,9 @@ def profile_main(argv: List[str]) -> int:
     parser.add_argument("--max-steps", type=int, default=5_000_000,
                         metavar="N",
                         help="execution step bound (default: 5000000)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel workers when profiling several "
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                        help="worker processes when profiling several "
                              "inputs")
-    parser.add_argument("--parallel-backend", default="thread",
-                        choices=("thread", "process"),
-                        help="worker pool backend")
     parser.add_argument("--ingest", action="store_true",
                         help="also store the document in the local PGO "
                              "profile store")
@@ -445,9 +442,7 @@ def profile_main(argv: List[str]) -> int:
         pairs.append((name, source))
 
     results = pgo.profile_many(pairs, period=args.period, seed=args.seed,
-                               jobs=args.jobs,
-                               parallel_backend=args.parallel_backend,
-                               entry_symbol=args.entry,
+                               jobs=args.jobs, entry_symbol=args.entry,
                                max_steps=args.max_steps)
     failed = [(name, error) for name, doc, error in results if doc is None]
     for name, error in failed:
@@ -484,7 +479,7 @@ def discover_main(argv: List[str]) -> int:
     recovered; ``mao discover --core skylake`` targets a registry
     profile instead.  ``-o profile.json`` writes a ``pymao.uarch/1``
     document every ``--core`` surface accepts.  Output is byte-identical
-    at any ``--jobs`` count and either backend.
+    at any ``--jobs`` count.
     """
     import argparse
     import json as _json
@@ -501,11 +496,9 @@ def discover_main(argv: List[str]) -> int:
                              "a blinded seed (name or .json path)")
     parser.add_argument("--name", default=None, metavar="NAME",
                         help="name for the discovered profile")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parallel ladder tasks per stage (default 1)")
-    parser.add_argument("--parallel-backend", default="thread",
-                        choices=("thread", "process"),
-                        help="worker pool backend")
+    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+                        help="worker processes for the ladder tasks of "
+                             "one stage (default 1)")
     parser.add_argument("--json", action="store_true",
                         help="emit the pymao.discover/1 document instead "
                              "of the summary")
@@ -520,8 +513,7 @@ def discover_main(argv: List[str]) -> int:
         return 2
     try:
         result = api.discover(core=args.core, seed=args.seed,
-                              name=args.name, jobs=args.jobs,
-                              parallel_backend=args.parallel_backend)
+                              name=args.name, jobs=args.jobs)
     except ValueError as exc:
         sys.stderr.write("mao discover: %s\n" % exc)
         return 1
@@ -669,9 +661,7 @@ def _run_single(args, parser, input_path: str, spec_items) -> int:
     if args.output and not any(name == "ASM" for name, _ in spec_items):
         spec_items = spec_items + [("ASM", {"o": args.output})]
 
-    result = api.optimize(source, spec_items, jobs=args.jobs,
-                          parallel_backend=args.parallel_backend,
-                          filename=input_path)
+    result = api.optimize(source, spec_items, filename=input_path)
     sim = None
     if args.sim:
         names = [f.name for f in result.unit.functions]
@@ -744,7 +734,6 @@ def _run_batch(args, parser, files: List[str], spec_items) -> int:
                      "individually")
 
     batch = api.optimize_many(files, spec_items, jobs=args.jobs,
-                              parallel_backend=args.parallel_backend,
                               cache=not args.no_cache,
                               cache_dir=args.cache_dir,
                               predict_core=args.predict)

@@ -11,8 +11,7 @@ whose ``profile_doc()`` is a complete ``pymao.uarch/1`` document: drop
 it in a file and every ``core=`` surface accepts it.
 
 Determinism: for a fixed oracle the result document is byte-identical
-at any ``jobs`` count and under both executor backends; the discovery
-determinism tests pin this.
+at any ``jobs`` count; the discovery determinism tests pin this.
 
 Surfaces: ``mao discover`` / :func:`repro.api.discover` (this module),
 ``benchmarks/bench_discover.py`` emits ``mao-bench-discover/1``
@@ -137,8 +136,7 @@ class DiscoverResult(ApiResult):
 
 
 def discover(core: Any = None, *, seed: Optional[int] = None,
-             name: Optional[str] = None, jobs: int = 1,
-             parallel_backend: str = "thread") -> DiscoverResult:
+             name: Optional[str] = None, jobs: int = 1) -> DiscoverResult:
     """Run the discovery harness against an oracle.
 
     Exactly one of *core* (anything :func:`repro.uarch.tables.
@@ -161,8 +159,7 @@ def discover(core: Any = None, *, seed: Optional[int] = None,
         oracle = tables.resolve_core(core)
         default_name = "discovered-%s" % oracle.name
     start = time.perf_counter()
-    report = run_discovery(oracle, name=name or default_name, jobs=jobs,
-                           parallel_backend=parallel_backend)
+    report = run_discovery(oracle, name=name or default_name, jobs=jobs)
     wall = time.perf_counter() - start
     return DiscoverResult(name=report["name"], doc=report["doc"],
                           params=report["params"],

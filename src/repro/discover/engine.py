@@ -27,14 +27,14 @@ silently mixed with measurements.
 
 Determinism: every task is a pure function of the oracle model, tasks
 are merged in declaration order (not completion order), and the result
-document excludes wall-clock fields — so any ``jobs`` count and either
-executor backend produce byte-identical documents.  Worker tasks are
-module-level functions, picklable for the process backend.
+document excludes wall-clock fields — so any ``jobs`` count produces
+byte-identical documents.  Worker tasks are module-level functions,
+picklable for the process pool that ``jobs > 1`` runs them on.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.mbench import detect
@@ -68,7 +68,7 @@ def _base_model(inferred: Dict[str, Any], ranges: Dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# Ladder tasks.  Each is a module-level function (process-backend
+# Ladder tasks.  Each is a module-level function (process-pool
 # picklable) taking (model, inferred, ranges) and returning
 # (updates, evidence): parameter-path -> value, plus the measurements
 # that justify them.
@@ -218,15 +218,13 @@ def _exec_task(payload: Tuple[str, ProcessorModel, Dict[str, Any],
 
 def _run_stage(names: List[str], model: ProcessorModel,
                inferred: Dict[str, Any], ranges: Dict[str, Any],
-               jobs: int, parallel_backend: str):
+               jobs: int):
     """Execute one stage's tasks, merging results in declaration order."""
     payloads = [(name, model, dict(inferred), ranges) for name in names]
     if jobs <= 1 or len(payloads) == 1:
         outcomes = [_exec_task(p) for p in payloads]
     else:
-        pool_cls = (ProcessPoolExecutor if parallel_backend == "process"
-                    else ThreadPoolExecutor)
-        with pool_cls(max_workers=min(jobs, len(payloads))) as pool:
+        with ProcessPoolExecutor(min(jobs, len(payloads))) as pool:
             outcomes = list(pool.map(_exec_task, payloads))
     by_name = {name: (updates, evidence)
                for name, updates, evidence in outcomes}
@@ -284,7 +282,7 @@ def _crosscheck(oracle: ProcessorModel, candidate: ProcessorModel,
 # ---------------------------------------------------------------------------
 
 def run_discovery(oracle: ProcessorModel, *, name: str = "discovered",
-                  jobs: int = 1, parallel_backend: str = "thread",
+                  jobs: int = 1,
                   ranges: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Infer *oracle*'s parameters; return the raw engine report.
 
@@ -293,10 +291,6 @@ def run_discovery(oracle: ProcessorModel, *, name: str = "discovered",
     and the ``crosscheck`` battery.  :func:`repro.discover.discover`
     wraps it in a :class:`~repro.discover.DiscoverResult`.
     """
-    if parallel_backend not in ("thread", "process"):
-        raise ValueError("unknown parallel backend %r "
-                         "(expected 'thread' or 'process')"
-                         % (parallel_backend,))
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     ranges = ranges if ranges is not None else tables.load_ranges()
@@ -305,7 +299,7 @@ def run_discovery(oracle: ProcessorModel, *, name: str = "discovered",
     evidence: Dict[str, Any] = {}
     for stage in _STAGES:
         updates, stage_evidence = _run_stage(stage, oracle, inferred,
-                                             ranges, jobs, parallel_backend)
+                                             ranges, jobs)
         inferred.update(updates)
         evidence.update(stage_evidence)
 

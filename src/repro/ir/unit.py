@@ -15,7 +15,6 @@ The unit owns one doubly-linked list of entries.  Sections and functions are
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, Iterator, List, Optional
 
 from repro.ir.entries import InstructionEntry, LabelEntry, MaoEntry
@@ -85,11 +84,6 @@ class MaoUnit:
         self.sections: Dict[str, Section] = {}
         self.functions: List[Function] = []
         self._size = 0
-        #: Structural mutations are atomic so the parallel pass pipeline can
-        #: run function-scoped passes concurrently: function bodies are
-        #: disjoint, but entries at function boundaries share prev/next
-        #: links with the neighbouring function.
-        self._mutate_lock = threading.RLock()
 
     # ---- list management ---------------------------------------------------
 
@@ -104,57 +98,53 @@ class MaoUnit:
             entry = next_entry
 
     def append(self, entry: MaoEntry) -> MaoEntry:
-        with self._mutate_lock:
-            entry.prev = self.tail
-            entry.next = None
-            if self.tail is not None:
-                self.tail.next = entry
-            else:
-                self.head = entry
-            self.tail = entry
-            self._size += 1
+        entry.prev = self.tail
+        entry.next = None
+        if self.tail is not None:
+            self.tail.next = entry
+        else:
+            self.head = entry
+        self.tail = entry
+        self._size += 1
         return entry
 
     def insert_after(self, anchor: MaoEntry, entry: MaoEntry) -> MaoEntry:
-        with self._mutate_lock:
-            entry.prev = anchor
-            entry.next = anchor.next
-            if anchor.next is not None:
-                anchor.next.prev = entry
-            else:
-                self.tail = entry
-            anchor.next = entry
-            if entry.section is None:
-                entry.section = anchor.section
-            self._size += 1
+        entry.prev = anchor
+        entry.next = anchor.next
+        if anchor.next is not None:
+            anchor.next.prev = entry
+        else:
+            self.tail = entry
+        anchor.next = entry
+        if entry.section is None:
+            entry.section = anchor.section
+        self._size += 1
         return entry
 
     def insert_before(self, anchor: MaoEntry, entry: MaoEntry) -> MaoEntry:
-        with self._mutate_lock:
-            entry.next = anchor
-            entry.prev = anchor.prev
-            if anchor.prev is not None:
-                anchor.prev.next = entry
-            else:
-                self.head = entry
-            anchor.prev = entry
-            if entry.section is None:
-                entry.section = anchor.section
-            self._size += 1
+        entry.next = anchor
+        entry.prev = anchor.prev
+        if anchor.prev is not None:
+            anchor.prev.next = entry
+        else:
+            self.head = entry
+        anchor.prev = entry
+        if entry.section is None:
+            entry.section = anchor.section
+        self._size += 1
         return entry
 
     def remove(self, entry: MaoEntry) -> None:
-        with self._mutate_lock:
-            if entry.prev is not None:
-                entry.prev.next = entry.next
-            else:
-                self.head = entry.next
-            if entry.next is not None:
-                entry.next.prev = entry.prev
-            else:
-                self.tail = entry.prev
-            entry.prev = entry.next = None
-            self._size -= 1
+        if entry.prev is not None:
+            entry.prev.next = entry.next
+        else:
+            self.head = entry.next
+        if entry.next is not None:
+            entry.next.prev = entry.prev
+        else:
+            self.tail = entry.prev
+        entry.prev = entry.next = None
+        self._size -= 1
 
     def replace(self, old: MaoEntry, new: MaoEntry) -> MaoEntry:
         self.insert_after(old, new)

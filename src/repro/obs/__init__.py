@@ -4,8 +4,8 @@ Three coupled pieces, threaded through every layer of PyMAO:
 
 * **Spans** (:mod:`repro.obs.span`) — hierarchical wall-clock phases
   (parse → per-pass → relax → encode → sim/pipeline), off by default,
-  surviving the thread *and* process parallel backends via deterministic
-  serialized span merge.
+  surviving worker threads and processes via deterministic serialized
+  span merge.
 * **Metrics** (:mod:`repro.obs.metrics`) — one process-wide registry of
   counters/gauges/histograms absorbing the formerly scattered stats
   (encoding cache, block cache, loop fast-forward, program cache,

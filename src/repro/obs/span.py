@@ -8,15 +8,15 @@ costs one attribute load plus a generator frame, so instrumentation can
 stay in place on hot paths that run once per pass or per program (never
 per instruction).
 
-Parallel backends
------------------
+Workers
+-------
 
 Worker threads and worker processes cannot append to the caller's span
 stack directly (thread-locality; process isolation).  Instead a worker
 builds a *detached* subtree (:func:`Tracer.detached`) — recorded with
 normal nesting inside the worker but attached to nothing — and the
-coordinator adopts the finished subtrees in **function order**, mirroring
-the pass manager's deterministic report merge.  Process workers return
+coordinator adopts the finished subtrees in **input order**, mirroring
+the batch engine's deterministic result merge.  Process workers return
 ``Span.to_dict()`` payloads; ``Span.from_dict`` rebuilds them on the
 coordinator side.  The result: the span tree for ``--jobs 4`` is
 structurally identical to the serial one, whatever the completion order.

@@ -10,36 +10,19 @@ order::
 selects pass ``LFIND`` with option ``trace`` set to ``3``, then pass ``ASM``
 with option ``o`` (output) set to ``/dev/null``.
 
-Parallel pipeline
------------------
-
-``PassPipeline.run(unit, jobs=N)`` fans independent function-scoped passes
-across a ``concurrent.futures`` pool.  Function bodies are disjoint, so a
-function pass can run on every function concurrently; unit-scoped passes
-(reading, emission) always fall back to serial.  ``PassReport`` merging is
-deterministic: reports are appended in function order regardless of worker
-completion order, so serial and parallel runs produce identical results.
-
-Two backends exist.  ``thread`` (default) runs passes directly on the
-shared IR — structural mutations are made atomic by the unit's mutation
-lock.  ``process`` round-trips each eligible function through textual
-assembly to a worker process (parse → pass → emit) and splices the result
-back; functions whose span crosses sections, or that contain opaque
-entries, transparently run in-process instead.
+A pipeline runs serially over one unit, as MAO runs once per translation
+unit; parallel work runs across files (:mod:`repro.batch`).
 """
 
 from __future__ import annotations
 
 import json
 import re
-import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro import obs
-from repro.ir.entries import MaoEntry, OpaqueEntry
-from repro.ir.unit import Function, MaoUnit
+from repro.ir.unit import MaoUnit
 from repro.passes.base import MaoFunctionPass, MaoPass, MaoUnitPass
 from repro.result import register_schema
 
@@ -261,44 +244,26 @@ class PassPipeline:
         self.passes.append((name, options))
         return self
 
-    def run(self, unit: MaoUnit, jobs: int = 1,
-            parallel_backend: Optional[str] = None, *,
-            backend: Optional[str] = None) -> PipelineResult:
-        """Run the pipeline.
-
-        ``jobs`` > 1 fans each function-scoped pass over the unit's
-        functions using a ``concurrent.futures`` pool
-        (``parallel_backend``: ``"thread"`` or ``"process"``); unit
-        passes always run serially.  Reports — and trace spans, when
-        tracing is on — are merged in function order, so the result is
-        deterministic and identical to a serial run.
-
-        ``backend=`` is the deprecated spelling of ``parallel_backend=``
-        (the CLI flag has always been ``--parallel-backend``); it still
-        works but warns.
-        """
-        parallel_backend = _resolve_backend(parallel_backend, backend)
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1, got %d" % jobs)
-        if parallel_backend not in ("thread", "process"):
-            raise ValueError("unknown pipeline backend %r"
-                             % parallel_backend)
+    def run(self, unit: MaoUnit) -> PipelineResult:
+        """Run the pipeline: each pass in spec order, each function pass
+        over the unit's functions in order."""
         result = PipelineResult()
         for name, options in self.passes:
             cls = get_pass(name)
             if issubclass(cls, MaoFunctionPass):
-                parallel = jobs > 1 and len(unit.functions) > 1
-                with obs.span("pass:%s" % name, kind="function",
-                              parallel=parallel) as pass_span:
-                    if parallel:
-                        keep_going = self._run_function_pass_parallel(
-                            cls, name, options, unit, result, jobs,
-                            parallel_backend, pass_span)
-                    else:
-                        keep_going = self._run_function_pass_serial(
-                            cls, name, options, unit, result, pass_span)
-                if not keep_going:
-                    return result
+                with obs.span("pass:%s" % name, kind="function"):
+                    for function in unit.functions:
+                        with obs.span("fn:%s" % function.name) as span:
+                            pass_obj = cls(options, unit, function)
+                            pass_obj.dump_ir("before")
+                            keep_going = pass_obj.Go()
+                            pass_obj.dump_ir("after")
+                            if span:
+                                span.attach(stats=dict(pass_obj.stats))
+                        _record(result, PassReport(name, function.name,
+                                                   pass_obj.stats))
+                        if not keep_going:
+                            return result
             else:
                 with obs.span("pass:%s" % name, kind="unit") as pass_span:
                     pass_obj = cls(options, unit)
@@ -309,61 +274,6 @@ class PassPipeline:
                 if not keep_going:
                     return result
         return result
-
-    @staticmethod
-    def _run_function_pass_serial(cls: Type[MaoFunctionPass], name: str,
-                                  options: Dict[str, Any], unit: MaoUnit,
-                                  result: PipelineResult,
-                                  pass_span: Any) -> bool:
-        for function in unit.functions:
-            stats, keep_going, span = _apply_function_pass(
-                cls, options, unit, function)
-            obs.adopt_span(pass_span, span)
-            _record(result, PassReport(name, function.name, stats))
-            if not keep_going:
-                return False
-        return True
-
-    @staticmethod
-    def _run_function_pass_parallel(cls: Type[MaoFunctionPass], name: str,
-                                    options: Dict[str, Any], unit: MaoUnit,
-                                    result: PipelineResult, jobs: int,
-                                    parallel_backend: str,
-                                    pass_span: Any) -> bool:
-        functions = list(unit.functions)
-        if parallel_backend == "thread":
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(
-                    lambda fn: _apply_function_pass(cls, options, unit, fn),
-                    functions))
-        else:
-            outcomes = _run_process_backend(
-                cls, name, options, unit, functions, jobs)
-        # Deterministic merge: function order, not completion order —
-        # reports and worker span subtrees alike.
-        for function, (stats, keep_going, span) in zip(functions, outcomes):
-            obs.adopt_span(pass_span, span)
-            _record(result, PassReport(name, function.name, stats))
-            if not keep_going:
-                return False
-        return True
-
-
-def _resolve_backend(parallel_backend: Optional[str],
-                     backend: Optional[str]) -> str:
-    """Canonicalize the pool-kind kwarg; ``backend=`` is a deprecated
-    alias kept as a shim for pre-``pymao.pipeline/1`` callers."""
-    if backend is not None:
-        warnings.warn(
-            "the backend= keyword is deprecated; use parallel_backend= "
-            "(matching the CLI's --parallel-backend)",
-            DeprecationWarning, stacklevel=3)
-        if parallel_backend is not None and parallel_backend != backend:
-            raise ValueError(
-                "conflicting parallel_backend=%r and backend=%r"
-                % (parallel_backend, backend))
-        return backend
-    return parallel_backend if parallel_backend is not None else "thread"
 
 
 def _record(result: PipelineResult, report: PassReport) -> None:
@@ -376,155 +286,6 @@ def _record(result: PipelineResult, report: PassReport) -> None:
         registry.inc("pass.%s.%s" % (report.pass_name, stat), value)
 
 
-def _apply_function_pass(cls: Type[MaoFunctionPass],
-                         options: Dict[str, Any], unit: MaoUnit,
-                         function: Function
-                         ) -> Tuple[Dict[str, int], bool, Any]:
-    """Instantiate and run one function pass in-process.
-
-    The span is *detached* — workers cannot reach the coordinator's span
-    stack — and handed back for an in-order adopt; ``None`` when tracing
-    is off.
-    """
-    with obs.detached_span("fn:%s" % function.name) as span:
-        pass_obj = cls(options, unit, function)
-        pass_obj.dump_ir("before")
-        keep_going = pass_obj.Go()
-        pass_obj.dump_ir("after")
-        if span:
-            span.attach(stats=dict(pass_obj.stats))
-    return pass_obj.stats, keep_going, (span if span else None)
-
-
-# ---------------------------------------------------------------------------
-# Process backend: round-trip a function through textual assembly.
-# ---------------------------------------------------------------------------
-
-def _function_span(function: Function) -> Optional[List[MaoEntry]]:
-    """The function's entries, or None if it is ineligible for the
-    process backend (span crosses sections, or contains opaque entries)."""
-    span: List[MaoEntry] = []
-    entry = function.start
-    while entry is not None and entry is not function.end:
-        if entry.section is not function.section:
-            return None
-        if isinstance(entry, OpaqueEntry):
-            return None
-        span.append(entry)
-        entry = entry.next
-    return span
-
-
-def _render_function(function: Function, span: List[MaoEntry]) -> str:
-    section = function.section
-    if section.name == ".text":
-        header = [".text"]
-    elif section.flags:
-        header = ['.section %s, "%s"' % (section.name, section.flags)]
-    else:
-        header = [".section %s" % section.name]
-    header.append(".type %s, @function" % function.name)
-    return "\n".join(header + [e.to_asm() for e in span]) + "\n"
-
-
-def _pass_process_worker(payload: Tuple[str, Dict[str, Any], str, str, bool]
-                         ) -> Tuple[str, Dict[str, int], bool,
-                                    Optional[Dict[str, Any]]]:
-    pass_name, options, function_name, asm_text, want_spans = payload
-    import repro.passes  # noqa: F401 — register built-ins in spawned children
-    from repro.ir.builder import parse_unit
-
-    # The parent's tracing flag does not survive into a spawned child (and
-    # must not leak out of a forked one), so it rides in the payload and
-    # spans come back serialized for the deterministic merge.
-    obs.set_enabled(want_spans)
-    unit = parse_unit(asm_text)
-    cls = get_pass(pass_name)
-    function = unit.function_named(function_name)
-    stats, keep_going, span = _apply_function_pass(
-        cls, options, unit, function)
-    span_data = span.to_dict() if span is not None else None
-    return unit.to_asm(), stats, keep_going, span_data
-
-
-def _splice_function(unit: MaoUnit, function: Function,
-                     new_text: str) -> None:
-    """Replace the function's body with the worker's optimized text.
-
-    The original LabelEntry node is kept in place — neighbouring
-    ``Function`` views use it as their ``end`` anchor — and only the
-    entries after it are swapped out.
-    """
-    from repro.ir.builder import parse_unit
-
-    new_unit = parse_unit(new_text)
-    new_fn = new_unit.function_named(function.name)
-
-    body: List[MaoEntry] = []
-    node = new_fn.start.next
-    while node is not None:
-        nxt = node.next
-        body.append(node)
-        node = nxt
-
-    node = function.start.next
-    while node is not None and node is not function.end:
-        nxt = node.next
-        unit.remove(node)
-        node = nxt
-
-    anchor: MaoEntry = function.start
-    for entry in body:
-        entry.prev = entry.next = None
-        entry.section = function.section
-        unit.insert_after(anchor, entry)
-        anchor = entry
-
-
-def _run_process_backend(cls: Type[MaoFunctionPass], name: str,
-                         options: Dict[str, Any], unit: MaoUnit,
-                         functions: List[Function], jobs: int
-                         ) -> List[Tuple[Dict[str, int], bool, Any]]:
-    want_spans = obs.enabled()
-    payload_indices: List[int] = []
-    payloads: List[Tuple[str, Dict[str, Any], str, str, bool]] = []
-    for index, function in enumerate(functions):
-        span = _function_span(function)
-        if span is not None:
-            payload_indices.append(index)
-            payloads.append(
-                (name, options, function.name,
-                 _render_function(function, span), want_spans))
-
-    worker_results: Dict[int, tuple] = {}
-    if payloads:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for index, outcome in zip(payload_indices,
-                                      pool.map(_pass_process_worker,
-                                               payloads)):
-                worker_results[index] = outcome
-
-    outcomes: List[Tuple[Dict[str, int], bool, Any]] = []
-    for index, function in enumerate(functions):
-        if index in worker_results:
-            new_text, stats, keep_going, span_data = worker_results[index]
-            _splice_function(unit, function, new_text)
-            span = obs.Span.from_dict(span_data) if span_data else None
-            outcomes.append((stats, keep_going, span))
-        else:
-            # Ineligible for text round-trip: run in-process instead.
-            outcomes.append(
-                _apply_function_pass(cls, options, unit, function))
-    return outcomes
-
-
-def run_passes(unit: MaoUnit, spec: str, jobs: int = 1,
-               parallel_backend: Optional[str] = None, *,
-               backend: Optional[str] = None) -> PipelineResult:
-    """Convenience: run a ``--mao=`` style spec string over a unit.
-
-    ``backend=`` is the deprecated alias of ``parallel_backend=``.
-    """
-    return PassPipeline.from_spec(spec).run(
-        unit, jobs=jobs,
-        parallel_backend=_resolve_backend(parallel_backend, backend))
+def run_passes(unit: MaoUnit, spec: str) -> PipelineResult:
+    """Convenience: run a ``--mao=`` style spec string over a unit."""
+    return PassPipeline.from_spec(spec).run(unit)

@@ -83,7 +83,6 @@ def decide_many(sources: Sequence[Tuple[str, str]], *,
                 policy: Optional[PgoPolicy] = None,
                 cache: Any = None,
                 jobs: int = 1,
-                parallel_backend: str = "thread",
                 ) -> Dict[str, PgoDecision]:
     """Decide a spec for every ``(name, source)`` pair; keyed by digest.
 
@@ -142,8 +141,8 @@ def decide_many(sources: Sequence[Tuple[str, str]], *,
                     result = tune(
                         by_digest[tier.digest], core,
                         budget=int(policy.tune_budget_per_input),
-                        jobs=jobs, parallel_backend=parallel_backend,
-                        cache=cache, default_spec=policy.warm_spec)
+                        jobs=jobs, cache=cache,
+                        default_spec=policy.warm_spec)
                 except TuneError:
                     decisions[tier.digest] = PgoDecision(
                         origin="tune-failed-default", spec=warm_spec,
@@ -168,7 +167,6 @@ def run_guided_batch(inputs: Any, *,
                      policy: Optional[PgoPolicy] = None,
                      cache: Any = None,
                      jobs: int = 1,
-                     parallel_backend: str = "thread",
                      predict: Optional[str] = None):
     """Profile-guided :func:`repro.batch.engine.run_batch`.
 
@@ -191,8 +189,7 @@ def run_guided_batch(inputs: Any, *,
     readable = [(name, source) for name, source, err in loaded
                 if err is None]
     decisions = decide_many(readable, core=core, store=store, policy=policy,
-                            cache=cache, jobs=jobs,
-                            parallel_backend=parallel_backend)
+                            cache=cache, jobs=jobs)
 
     # Group readable inputs by (epoch, spec): one run_batch per group,
     # each against a cache whose salt folds in that group's epoch.
@@ -217,7 +214,6 @@ def run_guided_batch(inputs: Any, *,
                 cache.root, max_bytes=cache.max_bytes,
                 salt=pgo_cache_salt(cache.salt, epoch))
         result = run_batch(group_inputs, decision.spec_items, jobs=jobs,
-                           parallel_backend=parallel_backend,
                            cache=group_cache, predict=predict)
         for index, item in zip(indices, result.items):
             item.pgo = decisions[source_sha256(loaded[index][1])].to_dict()
@@ -232,11 +228,9 @@ def decide_one(source: str, *,
                store: Optional[ProfileStore] = None,
                policy: Optional[PgoPolicy] = None,
                cache: Any = None,
-               jobs: int = 1,
-               parallel_backend: str = "thread") -> PgoDecision:
+               jobs: int = 1) -> PgoDecision:
     """Single-input convenience wrapper over :func:`decide_many`."""
     from repro.batch.cache import source_sha256
     decisions = decide_many([("<input>", source)], core=core, store=store,
-                            policy=policy, cache=cache, jobs=jobs,
-                            parallel_backend=parallel_backend)
+                            policy=policy, cache=cache, jobs=jobs)
     return decisions[source_sha256(source)]

@@ -272,21 +272,19 @@ def _profile_worker(payload: Tuple[str, str, int, Optional[int], str, int]
 
 def profile_many(inputs: Sequence[Tuple[str, str]], *, period: int,
                  seed: Optional[int] = None, jobs: int = 1,
-                 parallel_backend: str = "thread",
                  entry_symbol: str = "main", max_steps: int = 5_000_000,
                  ) -> List[Tuple[str, Optional[Dict[str, Any]], str]]:
-    """Build profiles for ``(name, source)`` pairs, optionally in parallel.
+    """Build profiles for ``(name, source)`` pairs, on ``jobs`` worker
+    processes when ``jobs > 1``.
 
     Output order always follows input order and every document depends
     only on ``(source, period, seed)``, so results are identical for any
-    ``jobs`` / backend combination.
+    ``jobs``.
     """
     payloads = [(name, source, int(period), seed, entry_symbol,
                  int(max_steps)) for name, source in inputs]
     if jobs <= 1 or len(payloads) <= 1:
         return [_profile_worker(payload) for payload in payloads]
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-    pool_cls = (ThreadPoolExecutor if parallel_backend == "thread"
-                else ProcessPoolExecutor)
-    with pool_cls(max_workers=jobs) as pool:
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_profile_worker, payloads))

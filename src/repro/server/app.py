@@ -18,8 +18,8 @@ subclass supplies how an admitted request is served (``_serve``), its
 ``/healthz`` and ``/metrics`` views, and what it opens and closes.
 
 **Admission control.**  CPU-bound work never runs on the event loop; it
-is shipped to a bounded worker pool (thread or process — the pass
-manager's backend vocabulary).  A request is *admitted* iff fewer than
+is shipped to a bounded worker pool (thread or process, chosen by
+``ServerConfig.parallel_backend``).  A request is *admitted* iff fewer than
 ``max_inflight + max_queue`` admitted requests exist; everything else is
 refused up front with ``503`` + ``Retry-After`` (backpressure, not
 buffering).  Admitted requests wait on a semaphore for one of the

@@ -7,8 +7,8 @@ know about an endpoint from its row, so adding an endpoint is one row.
 
 The event loop never runs a parser or a pass pipeline: a row's
 ``prepare`` validates the request on the loop, and its ``run`` body is
-shipped to the server's worker pool (thread or process — the same
-backend vocabulary as ``passes.manager``) through :func:`execute`, which
+shipped to the server's worker pool (thread or process, chosen by
+``ServerConfig.parallel_backend``) through :func:`execute`, which
 keeps the ``repro.batch`` worker contract in one place:
 
 * **never raise** — a raised exception inside ``run_in_executor`` would

@@ -22,10 +22,9 @@ scheduling.  Three mechanisms keep it cheap:
   content-addressed :class:`~repro.batch.cache.ArtifactCache` under
   exactly the batch engine's key — ``sha256(salt || sha256(source) ||
   encode_pass_spec(prefix))`` — which is sound because a per-pass text
-  round trip is byte-identical to a one-shot pipeline (the process pass
-  backend already relies on this).  A warm re-tune therefore replays
-  every prefix and executes **zero** pass runs, and a later batch run of
-  the winning spec replays the tuner's artifact.
+  round trip is byte-identical to a one-shot pipeline.  A warm re-tune
+  therefore replays every prefix and executes **zero** pass runs, and a
+  later batch run of the winning spec replays the tuner's artifact.
 
 * **Beam search.**  After the seed paths (peephole-first,
   alignment-first, combined — each evaluated as a ladder of its own
@@ -40,10 +39,9 @@ scheduling.  Three mechanisms keep it cheap:
   built from these passes can beat it, so further search is waste.
 
 Determinism: candidate generation, admission, scoring, and every merge
-happen in a fixed order on the coordinator; worker pools only execute
-independent prefix materializations, so ``TuneResult.to_dict()`` is
-byte-identical across ``jobs=1`` / ``jobs=4`` and the thread / process
-backends (pinned by tests).
+happen in a fixed order on the coordinator; worker processes only
+execute independent prefix materializations, so ``TuneResult.to_dict()``
+is byte-identical across ``jobs=1`` / ``jobs=4`` (pinned by tests).
 
 Entry points: :func:`repro.api.tune` (the facade), ``mao tune`` (CLI),
 ``POST /v1/tune`` (service + fleet, routed by input digest so tuner
@@ -119,10 +117,10 @@ def _step_worker(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Materialize one prefix-trie node: run a single pass over the
     parent's emitted assembly.
 
-    Top-level and picklable (the process backend ships it across
+    Top-level and picklable (``jobs > 1`` ships it across a
     ``ProcessPoolExecutor``), never raises, plain dicts in and out —
     the same contract as the batch and server workers.  The text round
-    trip (parse parent asm, run, re-emit) makes thread and process
+    trip (parse parent asm, run, re-emit) makes in-process and worker
     results byte-identical by construction.
     """
     import repro.passes  # noqa: F401 — register built-ins in spawned children
@@ -173,15 +171,13 @@ class _PrefixEvaluator:
     of one trie depth fan out across the worker pool.
     """
 
-    def __init__(self, source: str, cache, jobs: int,
-                 parallel_backend: str) -> None:
+    def __init__(self, source: str, cache, jobs: int) -> None:
         from repro.batch.cache import source_sha256
 
         self.source = source
         self.source_sha = source_sha256(source)
         self.cache = cache
         self.jobs = max(1, int(jobs))
-        self.parallel_backend = parallel_backend
         self._pool = None
         root = _encode(())
         self._asm: Dict[str, str] = {root: source}
@@ -196,14 +192,9 @@ class _PrefixEvaluator:
         if self.jobs <= 1 or len(payloads) <= 1:
             return [_step_worker(p) for p in payloads]
         if self._pool is None:
-            import concurrent.futures as futures
+            from concurrent.futures import ProcessPoolExecutor
 
-            if self.parallel_backend == "process":
-                self._pool = futures.ProcessPoolExecutor(
-                    max_workers=self.jobs)
-            else:
-                self._pool = futures.ThreadPoolExecutor(
-                    max_workers=self.jobs)
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return list(self._pool.map(_step_worker, payloads))
 
     def close(self) -> None:
@@ -320,7 +311,7 @@ class TuneResult(ApiResult):
 
     ``to_dict()`` is the versioned ``pymao.tune/1`` document:
     deterministic for a given (source, core, search parameters, cache
-    state) regardless of ``jobs`` or backend; wall-clock timings only
+    state) regardless of ``jobs``; wall-clock timings only
     with ``timings=True``.  ``asm`` (the winning emitted assembly) rides
     as an attribute, not in the document — the server envelope carries
     it as its own field, like ``/v1/optimize`` does.
@@ -481,7 +472,6 @@ def tune(source: str, core, *,
          max_rounds: int = DEFAULT_MAX_ROUNDS,
          simulate_top: int = 0,
          jobs: int = 1,
-         parallel_backend: str = "thread",
          cache=None,
          default_spec: str = DEFAULT_SPEC,
          entry_symbol: str = "main",
@@ -506,10 +496,6 @@ def tune(source: str, core, *,
         raise TuneError("n_select must be >= 1")
     if max_rounds < 0:
         raise TuneError("max_rounds must be >= 0")
-    if parallel_backend not in ("thread", "process"):
-        raise TuneError("unknown parallel backend %r "
-                        "(expected 'thread' or 'process')"
-                        % (parallel_backend,))
     if not isinstance(source, str):
         raise TuneError("tune() needs source text (got %s)"
                         % type(source).__name__)
@@ -539,7 +525,7 @@ def tune(source: str, core, *,
         except (static_model.PredictError, ValueError) as exc:
             raise TuneError("cannot tune input: %s" % exc)
 
-        evaluator = _PrefixEvaluator(source, cache, jobs, parallel_backend)
+        evaluator = _PrefixEvaluator(source, cache, jobs)
         scored: List[_Candidate] = []
         failed: List[_Candidate] = []
         rounds_run = 0

@@ -1,6 +1,5 @@
 """The unified request surface: one source-resolution convention, one
-``core=`` convention, deprecation shims for the old keyword names, and
-the shared ApiResult schema registry."""
+``core=`` convention, and the shared ApiResult schema registry."""
 
 import warnings
 
@@ -79,33 +78,6 @@ class TestResolveSource:
 
 
 class TestDeprecatedKeywords:
-    def test_optimize_src_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="src="):
-            shimmed = api.optimize(src=SOURCE, spec="LOOP16")
-        assert shimmed.to_asm() == api.optimize(SOURCE, "LOOP16").to_asm()
-
-    def test_predict_src_or_unit_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="src_or_unit="):
-            shimmed = api.predict(src_or_unit=SOURCE, core="core2")
-        assert shimmed.cycles == api.predict(SOURCE, "core2").cycles
-
-    def test_simulate_src_or_unit_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="src_or_unit="):
-            shimmed = api.simulate(src_or_unit=SOURCE, core="core2")
-        assert shimmed.cycles == api.simulate(SOURCE, "core2").cycles
-
-    def test_verify_src_or_result_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="src_or_result="):
-            api.verify(src_or_result=SOURCE)
-
-    def test_both_new_and_old_keyword_is_an_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError):
-                api.optimize(SOURCE, src=SOURCE)
-            with pytest.raises(TypeError):
-                api.predict(SOURCE, "core2", src_or_unit=SOURCE)
-
     def test_new_spelling_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -2,8 +2,8 @@
 
 The acceptance bar for the corpus engine: ``jobs=1`` and ``jobs=4``
 produce byte-identical outputs and an identical ``pymao.batch/1``
-summary on both pool backends, warm runs replay byte-identical output,
-and one bad file never aborts the batch.
+summary, warm runs replay byte-identical output, and one bad file never
+aborts the batch.
 """
 
 import pytest
@@ -44,15 +44,19 @@ def small_corpus(count=6):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_jobs_1_vs_4_identical(self, backend):
+    @pytest.mark.parametrize("spec", [SPEC, SPEC + ":LOOP16"])
+    def test_jobs_1_vs_4_identical(self, spec):
         corpus = small_corpus()
-        serial = run_batch(corpus, SPEC, jobs=1, cache=None)
-        parallel = run_batch(corpus, SPEC, jobs=4,
-                             parallel_backend=backend, cache=None)
+        serial = run_batch(corpus, spec, jobs=1, cache=None)
+        parallel = run_batch(corpus, spec, jobs=4, cache=None)
         assert [item.asm for item in serial] \
             == [item.asm for item in parallel]
         assert serial.to_dict() == parallel.to_dict()
+        # LOOP16 depends on code addresses; on this corpus it aligns one
+        # loop, so the layout-dependent case really exercises it.
+        aligned = [item.name for item in parallel
+                   if item.pipeline.total("LOOP16", "aligned")]
+        assert aligned == (["tu_4.s"] if "LOOP16" in spec else [])
 
     def test_summary_schema_and_order(self):
         corpus = small_corpus(3)
@@ -91,10 +95,8 @@ class TestCacheReplay:
     def test_warm_hits_across_process_backend(self, tmp_path):
         cache = ArtifactCache(str(tmp_path / "c"), registry=Registry())
         corpus = small_corpus(4)
-        run_batch(corpus, SPEC, jobs=2, parallel_backend="process",
-                  cache=cache)
-        warm = run_batch(corpus, SPEC, jobs=2, parallel_backend="process",
-                         cache=cache)
+        run_batch(corpus, SPEC, jobs=2, cache=cache)
+        warm = run_batch(corpus, SPEC, jobs=2, cache=cache)
         assert warm.cache_hits == 4
 
     def test_source_change_misses(self, tmp_path):
@@ -143,8 +145,7 @@ class TestFailureIsolation:
 
     def test_bad_file_in_process_pool_does_not_poison_it(self):
         corpus = [("bad.s", BAD)] + small_corpus(3)
-        result = run_batch(corpus, SPEC, jobs=4,
-                           parallel_backend="process", cache=None)
+        result = run_batch(corpus, SPEC, jobs=4, cache=None)
         assert result.items[0].status == "error"
         assert all(item.ok for item in result.items[1:])
 
@@ -168,8 +169,7 @@ class TestObservability:
         corpus = small_corpus(3)
         obs.reset_tracer()
         with obs.tracing_enabled():
-            run_batch(corpus, SPEC, jobs=4, parallel_backend="thread",
-                      cache=None)
+            run_batch(corpus, SPEC, jobs=4, cache=None)
         (root,) = [span for span in obs.finish_spans()
                    if span.name == "batch"]
         file_spans = [child for child in root.children
@@ -184,8 +184,7 @@ class TestObservability:
         corpus = small_corpus(2)
         obs.reset_tracer()
         with obs.tracing_enabled():
-            run_batch(corpus, SPEC, jobs=2, parallel_backend="process",
-                      cache=None)
+            run_batch(corpus, SPEC, jobs=2, cache=None)
         (root,) = [span for span in obs.finish_spans()
                    if span.name == "batch"]
         assert [child.name for child in root.children

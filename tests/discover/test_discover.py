@@ -1,10 +1,10 @@
 """Tests for the parameter-discovery harness (``repro.discover``).
 
 The contract under test: ``discover(seed=S)`` is a pure function of the
-seed — byte-identical output at any ``--jobs`` count and on either pool
-backend — and it recovers **every drawn parameter** of the hidden
-``blinded_profile(S)`` exactly, with the assembled model cycle-exact
-against the oracle on the cross-check battery.
+seed — byte-identical output at any ``--jobs`` count — and it recovers
+**every drawn parameter** of the hidden ``blinded_profile(S)`` exactly,
+with the assembled model cycle-exact against the oracle on the
+cross-check battery.
 """
 
 import json
@@ -57,13 +57,8 @@ class TestDeterminism:
     def test_pure_in_seed(self, result):
         assert canonical(discover(seed=SEED)) == canonical(result)
 
-    def test_jobs_invariant_threads(self, result):
-        assert canonical(discover(seed=SEED, jobs=4)) == canonical(result)
-
     def test_jobs_invariant_processes(self, result):
-        assert canonical(discover(seed=SEED, jobs=4,
-                                  parallel_backend="process")) \
-            == canonical(result)
+        assert canonical(discover(seed=SEED, jobs=4)) == canonical(result)
 
 
 class TestResultSurface:

@@ -78,6 +78,19 @@ class TestDriver:
         with pytest.raises(SystemExit):
             main(["--mao=REDTEST"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--mao=REDTEST", "--jobs", "-2", "a.s"],
+        ["--mao=REDTEST", "--jobs", "0", "a.s", "b.s"],
+        ["tune", "--no-cache", "--jobs", "0", "fig4_loop"],
+        ["profile", "--jobs", "-1", "fig4_loop"],
+        ["discover", "--jobs", "0", "--seed", "1"],
+    ], ids=["single", "batch", "tune", "profile", "discover"])
+    def test_jobs_below_one_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "argument --jobs: must be >= 1" in capsys.readouterr().err
+
     def test_pass_order_from_spec(self):
         parser = build_arg_parser()
         args = parser.parse_args(["--mao=A:B", "--mao=C", "in.s"])
@@ -412,9 +425,8 @@ class TestObservabilityFlags:
     def test_trace_out_writes_valid_nested_jsonl(self, asm_file,
                                                  tmp_path):
         trace = tmp_path / "trace.jsonl"
-        assert main(["--mao=REDZEE:REDTEST", "--sim", "core2", "--jobs",
-                     "2", "--trace-out", str(trace),
-                     str(asm_file)]) == 0
+        assert main(["--mao=REDZEE:REDTEST", "--sim", "core2",
+                     "--trace-out", str(trace), str(asm_file)]) == 0
         events = [json.loads(line)
                   for line in trace.read_text().splitlines()]
         assert events[0]["type"] == "meta"

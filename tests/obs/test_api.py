@@ -1,6 +1,4 @@
-"""Tests for the repro.api facade and the kwarg deprecation shim."""
-
-import warnings
+"""Tests for the repro.api facade."""
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.passes.manager import (
     PIPELINE_SCHEMA,
     PassReport,
     PipelineResult,
-    run_passes,
 )
 from repro.uarch.profiles import core2
 
@@ -52,12 +49,6 @@ class TestOptimize:
         assert [r.to_dict() for r in as_string.reports] \
             == [r.to_dict() for r in as_items.reports]
         assert none_spec.reports == []
-
-    def test_parallel_kwargs(self):
-        serial = api.optimize(SOURCE, "REDTEST")
-        parallel = api.optimize(SOURCE, "REDTEST", jobs=2,
-                                parallel_backend="thread")
-        assert parallel.to_asm() == serial.to_asm()
 
 
 class TestSimulate:
@@ -141,27 +132,3 @@ class TestPipelineSerialization:
         assert result.reports[0].pass_name == "REDTEST"
         assert result.reports[0].scope == "main"
         assert result.total("REDTEST", "removed") == 1
-
-
-class TestBackendKwargShim:
-    def test_canonical_name_no_warning(self):
-        unit = parse_unit(SOURCE)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_passes(unit, "REDTEST", jobs=2, parallel_backend="thread")
-
-    def test_legacy_backend_warns_and_works(self):
-        unit = parse_unit(SOURCE)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_passes(unit, "REDTEST", jobs=2, backend="thread")
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught)
-
-    def test_conflicting_spellings_rejected(self):
-        unit = parse_unit(SOURCE)
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                run_passes(unit, "REDTEST", jobs=2,
-                           parallel_backend="thread", backend="process")

@@ -1,9 +1,8 @@
-"""Span nesting and metrics through the parallel pass pipeline.
+"""Span nesting and metrics through the pass pipeline.
 
-The redesign's contract: the span tree and the registry values for
-``--jobs N`` are identical to serial — whatever the worker backend —
-because detached worker subtrees are adopted in function order
-(mirroring the deterministic report merge).
+Each function pass opens one ``pass:<NAME>`` span with one ``fn:<name>``
+child per function, in function order, and mirrors its report stats
+into the metrics registry.
 """
 
 import pytest
@@ -37,23 +36,17 @@ def clean_obs():
     obs.reset_tracer()
 
 
-def _skeleton(span):
-    """Structure + attrs, with timings stripped."""
-    return (span.name, tuple(sorted(span.attrs.items())),
-            tuple(_skeleton(c) for c in span.children))
-
-
-def _traced_run(jobs, backend):
+def _traced_run():
     obs.reset_tracer()
     obs.set_enabled(True)
     unit = parse_unit(SOURCE)
-    run_passes(unit, SPEC, jobs=jobs, parallel_backend=backend)
+    run_passes(unit, SPEC)
     return obs.finish_spans()
 
 
 class TestSpanNesting:
     def test_serial_tree_shape(self):
-        roots = _traced_run(jobs=1, backend="thread")
+        roots = _traced_run()
         assert [r.name for r in roots] \
             == ["pass:REDZEE", "pass:REDTEST", "pass:ADDADD"]
         for root in roots:
@@ -62,44 +55,18 @@ class TestSpanNesting:
             for child in root.children:
                 assert "stats" in child.attrs
 
-    @pytest.mark.parametrize("backend,jobs", [("thread", 4),
-                                              ("process", 2)])
-    def test_parallel_tree_matches_serial(self, backend, jobs):
-        serial = [_skeleton(r) for r in _traced_run(1, "thread")]
-        parallel = [_skeleton(r)
-                    for r in _traced_run(jobs, backend)]
-        # Identical shape, names, and per-function stats — only the
-        # parallel= attr on the pass spans legitimately differs.
-        def scrub(nodes):
-            return [(name,
-                     tuple(kv for kv in attrs if kv[0] != "parallel"),
-                     scrub(list(children)))
-                    for name, attrs, children in nodes]
-        assert scrub(parallel) == scrub(serial)
-
     def test_tracing_off_costs_no_spans(self):
         obs.set_enabled(False)
         unit = parse_unit(SOURCE)
-        run_passes(unit, SPEC, jobs=4, parallel_backend="thread")
+        run_passes(unit, SPEC)
         assert obs.finish_spans() == []
 
 
 class TestRegistryDeterminism:
-    def _counters(self, jobs, backend):
-        obs.REGISTRY.reset()
-        unit = parse_unit(SOURCE)
-        run_passes(unit, SPEC, jobs=jobs, parallel_backend=backend)
-        return obs.REGISTRY.snapshot(collectors=False)
-
     def test_pass_counters_published(self):
-        snap = self._counters(1, "thread")
+        obs.REGISTRY.reset()
+        run_passes(parse_unit(SOURCE), SPEC)
+        snap = obs.REGISTRY.snapshot(collectors=False)
         assert snap["pass.REDZEE.runs"] == 4
         assert snap["pass.REDZEE.removed"] == 4
         assert snap["pass.REDTEST.removed"] == 4
-
-    @pytest.mark.parametrize("backend,jobs", [("thread", 4),
-                                              ("process", 2)])
-    def test_registry_identical_serial_vs_parallel(self, backend, jobs):
-        serial = self._counters(1, "thread")
-        parallel = self._counters(jobs, backend)
-        assert parallel == serial

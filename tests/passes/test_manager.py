@@ -224,57 +224,3 @@ main:
 """)
         result = run_passes(unit, "LFIND")
         assert result.total("LFIND", "loops") == 1
-
-
-class TestParallelPipeline:
-    """jobs=N must be indistinguishable from serial — same IR, same
-    reports, in function order — whatever the backend."""
-
-    MULTI = "\n".join(
-        """
-.globl f{i}
-.type f{i}, @function
-f{i}:
-    andl $255, %eax
-    mov %eax, %eax
-    subl $16, %r15d
-    testl %r15d, %r15d
-    ret
-""".format(i=i) for i in range(4))
-    MULTI = ".text\n" + MULTI
-
-    SPEC = "REDZEE:REDTEST:ADDADD"
-
-    def _run(self, jobs, backend="thread"):
-        unit = parse_unit(self.MULTI)
-        result = run_passes(unit, self.SPEC, jobs=jobs,
-                            parallel_backend=backend)
-        return unit.to_asm(), [(r.pass_name, r.scope, r.stats)
-                               for r in result.reports]
-
-    def test_thread_backend_matches_serial(self):
-        serial_asm, serial_reports = self._run(jobs=1)
-        parallel_asm, parallel_reports = self._run(jobs=4)
-        assert parallel_asm == serial_asm
-        assert parallel_reports == serial_reports
-
-    def test_process_backend_matches_serial(self):
-        serial_asm, serial_reports = self._run(jobs=1)
-        parallel_asm, parallel_reports = self._run(jobs=2,
-                                                   backend="process")
-        assert parallel_asm == serial_asm
-        assert parallel_reports == serial_reports
-
-    def test_reports_in_function_order(self):
-        _, reports = self._run(jobs=4)
-        for name in ("REDZEE", "REDTEST", "ADDADD"):
-            scopes = [scope for pass_name, scope, _ in reports
-                      if pass_name == name]
-            assert scopes == ["f0", "f1", "f2", "f3"]
-
-    def test_invalid_jobs_rejected(self):
-        unit = parse_unit(self.MULTI)
-        with pytest.raises(ValueError):
-            run_passes(unit, self.SPEC, jobs=0)
-        with pytest.raises(ValueError):
-            run_passes(unit, self.SPEC, parallel_backend="fiber")

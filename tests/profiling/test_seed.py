@@ -58,14 +58,6 @@ class TestJobsDeterminism:
             == [name for name, _ in inputs]
         assert all(error == "" for _, _, error in serial)
 
-    def test_process_backend_matches_thread_backend(self):
-        inputs = [("fig4", fig4_loop()), ("eon", eon_loop())]
-        threads = profile_many(inputs, period=73, seed=5, jobs=2,
-                               parallel_backend="thread")
-        processes = profile_many(inputs, period=73, seed=5, jobs=2,
-                                 parallel_backend="process")
-        assert threads == processes
-
     def test_bad_input_reports_error_without_poisoning_the_rest(self):
         results = profile_many([("ok", fig4_loop()), ("bad", "not asm ((")],
                                period=73, jobs=2)
