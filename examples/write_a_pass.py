@@ -15,7 +15,7 @@ Run:  python examples/write_a_pass.py
 """
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import FLAG_PREFIX, Liveness
+from repro.analysis.dataflow import Liveness
 from repro.ir import parse_unit
 from repro.passes import MaoFunctionPass, run_passes
 from repro.passes.manager import register_func_pass
@@ -56,10 +56,7 @@ class ZeroIdiomPass(MaoFunctionPass):
                         and isinstance(dst, RegisterOperand)
                         and dst.reg.width in (32, 64)):
                     continue
-                live_flags = {
-                    loc for loc in liveness.live_after(block, entry)
-                    if loc.startswith(FLAG_PREFIX)}
-                if live_flags:
+                if liveness.flags_live_after(block, entry):
                     continue       # xor would clobber observed flags
                 self.bump("rewritten")
                 if not self.option("count_only"):

@@ -8,7 +8,8 @@ reason about problems."
 Locations are register *alias groups* (``eax`` and ``rax`` are one location)
 plus individual RFLAGS bits written ``F:ZF`` etc., so the same machinery
 serves register analyses and the precise condition-code reasoning behind
-redundant-test removal.
+redundant-test removal.  Each instruction's locations come from its
+side-effect record (:func:`repro.x86.sideeffects.effects`).
 """
 
 from __future__ import annotations
@@ -17,36 +18,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
 from repro.ir.entries import InstructionEntry
-from repro.x86 import sideeffects
-from repro.x86.instruction import Instruction
-
-FLAG_PREFIX = "F:"
-
-
-def flag_loc(flag: str) -> str:
-    return FLAG_PREFIX + flag
-
-
-def location_uses(insn: Instruction) -> Set[str]:
-    """Locations (register groups + flag bits) the instruction reads."""
-    try:
-        locs = set(sideeffects.reg_uses(insn))
-        locs |= {flag_loc(f) for f in sideeffects.flags_read(insn)}
-    except sideeffects.UnknownSideEffects:
-        # Conservative: reads everything it mentions.
-        locs = {r.group for r in insn.register_operands()}
-    return locs
-
-
-def location_defs(insn: Instruction) -> Set[str]:
-    """Locations the instruction writes (undefined flags count as writes)."""
-    try:
-        locs = set(sideeffects.reg_defs(insn))
-        locs |= {flag_loc(f) for f in (sideeffects.flags_written(insn)
-                                       | sideeffects.flags_undefined(insn))}
-    except sideeffects.UnknownSideEffects:
-        locs = {r.group for r in insn.register_operands()}
-    return locs
+from repro.x86.sideeffects import FLAG_PREFIX, effects
 
 
 class ReachingDefinitions:
@@ -108,7 +80,7 @@ def _last_def(entries: List[InstructionEntry],
               loc: str) -> Optional[InstructionEntry]:
     """The last of *entries* that defines *loc*, if any."""
     for entry in reversed(entries):
-        if loc in location_defs(entry.insn):
+        if loc in effects(entry.insn).loc_defs:
             return entry
     return None
 
@@ -138,10 +110,9 @@ class Liveness:
             block_use: Set[str] = set()
             block_def: Set[str] = set()
             for entry in block.entries:
-                for loc in location_uses(entry.insn):
-                    if loc not in block_def:
-                        block_use.add(loc)
-                block_def |= location_defs(entry.insn)
+                record = effects(entry.insn)
+                block_use |= record.loc_uses - block_def
+                block_def |= record.loc_defs
             use[block.index] = block_use
             defs[block.index] = block_def
 
@@ -185,11 +156,19 @@ class Liveness:
             if node is entry:
                 found = True
                 break
-            live -= location_defs(node.insn)
-            live |= location_uses(node.insn)
+            record = effects(node.insn)
+            live -= record.loc_defs
+            live |= record.loc_uses
         if not found:
             raise ValueError("entry not in block")
         return live
+
+    def flags_live_after(self, block: BasicBlock,
+                         entry: InstructionEntry) -> Set[str]:
+        """Flag bits (``ZF``, ...) live immediately after *entry*."""
+        return {loc[len(FLAG_PREFIX):]
+                for loc in self.live_after(block, entry)
+                if loc.startswith(FLAG_PREFIX)}
 
     def is_dead_after(self, block: BasicBlock, entry: InstructionEntry,
                       loc: str) -> bool:

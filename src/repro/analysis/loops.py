@@ -80,12 +80,6 @@ class LoopStructureGraph:
     def non_root_loops(self) -> List[Loop]:
         return [l for l in self.loops if not l.is_root]
 
-    def loop_of_block(self, block: BasicBlock) -> Optional[Loop]:
-        for loop in self.loops:
-            if block in loop.blocks:
-                return loop
-        return None
-
     def __len__(self) -> int:
         return len(self.loops) - 1   # exclude root
 

@@ -84,9 +84,6 @@ class SectionLayout:
     def address_of(self, entry: MaoEntry) -> int:
         return self.placement[entry].address
 
-    def size_of(self, entry: MaoEntry) -> int:
-        return self.placement[entry].size
-
     def code_image(self) -> bytes:
         """Flat byte image of the section.
 

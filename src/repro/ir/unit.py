@@ -153,10 +153,6 @@ class MaoUnit:
 
     # ---- convenience builders ----------------------------------------------
 
-    def insert_instruction_after(self, anchor: MaoEntry,
-                                 insn: Instruction) -> InstructionEntry:
-        return self.insert_after(anchor, InstructionEntry(insn))
-
     def insert_instruction_before(self, anchor: MaoEntry,
                                   insn: Instruction) -> InstructionEntry:
         return self.insert_before(anchor, InstructionEntry(insn))

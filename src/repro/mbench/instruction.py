@@ -57,15 +57,6 @@ class InstructionTemplate:
         info = split_mnemonic(self.mnemonic)
         self.width = info.width or 64
 
-    @property
-    def num_register_slots(self) -> int:
-        return sum(1 for p in self.placeholders if p in ("%r", "%x"))
-
-    @property
-    def has_destination(self) -> bool:
-        return bool(self.placeholders) \
-            and self.placeholders[-1] in ("%r", "%x", "%m")
-
     def instantiate(self, operands: List[str]) -> str:
         """Fill the placeholders with concrete operand strings."""
         parts = _PLACEHOLDER_RE.split(self.operand_text)

@@ -17,14 +17,14 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import FLAG_PREFIX, Liveness
+from repro.analysis.dataflow import Liveness
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction
 from repro.x86.operands import Immediate, RegisterOperand
 from repro.x86.registers import suffix_for_width
+from repro.x86.sideeffects import effects
 
 
 def _imm_addsub(insn: Instruction) -> Optional[Tuple[str, int, str, int]]:
@@ -73,10 +73,7 @@ class AddAddFoldPass(MaoFunctionPass):
                         # The folded add computes the same final value, so
                         # ZF/SF/PF agree; CF/OF/AF may differ and must be
                         # dead after the second instruction.
-                        live_flags = {
-                            loc[len(FLAG_PREFIX):]
-                            for loc in liveness.live_after(block, entry)
-                            if loc.startswith(FLAG_PREFIX)}
+                        live_flags = liveness.flags_live_after(block, entry)
                         if self._fits(combined, width) \
                                 and live_flags <= {"ZF", "SF", "PF"}:
                             self.bump("folded")
@@ -129,18 +126,12 @@ class AddAddFoldPass(MaoFunctionPass):
         """Drop pending adds invalidated by *insn*."""
         if not pending:
             return pending
-        try:
-            uses = sideeffects.reg_uses(insn)
-            defs = sideeffects.reg_defs(insn)
-            reads_flags = bool(sideeffects.flags_read(insn))
-            barrier = sideeffects.is_barrier(insn)
-        except sideeffects.UnknownSideEffects:
-            return []
-        if barrier or reads_flags:
+        record = effects(insn)
+        if record.barrier or record.flags_read:
             # A condition-code read kills every pending fold (the first
             # add's flags would be observed).
             return []
         return [p for p in pending
-                if p[2] not in uses and p[2] not in defs]
+                if p[2] not in record.uses and p[2] not in record.defs]
     # Note: the *final* add rewrites flags anyway, so flag reads after the
     # second add observe the same values post-fold.

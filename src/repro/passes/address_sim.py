@@ -22,9 +22,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.ir.entries import InstructionEntry, LabelEntry, MaoEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction
 from repro.x86.operands import Immediate, Memory, RegisterOperand
+from repro.x86.sideeffects import effects
 
 MASK64 = (1 << 64) - 1
 
@@ -62,11 +62,6 @@ def _forward_update(known: Dict[str, int], insn: Instruction) -> None:
     """Advance the known-value map across one executed instruction."""
     src = insn.operands[0] if insn.operands else None
     dst = insn.dest
-    try:
-        defs = sideeffects.reg_defs(insn)
-    except sideeffects.UnknownSideEffects:
-        known.clear()
-        return
 
     computed: Optional[Tuple[str, int]] = None
     if isinstance(dst, RegisterOperand) and dst.reg.width in (32, 64):
@@ -91,7 +86,7 @@ def _forward_update(known: Dict[str, int], insn: Instruction) -> None:
             if ea is not None:
                 computed = (group, ea & mask)
 
-    for group in defs:
+    for group in effects(insn).defs:
         known.pop(group, None)
     if computed is not None:
         known[computed[0]] = computed[1]
@@ -101,11 +96,6 @@ def _backward_update(known: Dict[str, int], insn: Instruction) -> None:
     """Rewind the known-value map across one instruction (inversion)."""
     src = insn.operands[0] if insn.operands else None
     dst = insn.dest
-    try:
-        defs = sideeffects.reg_defs(insn)
-    except sideeffects.UnknownSideEffects:
-        known.clear()
-        return
 
     inverted: Optional[Tuple[str, int]] = None
     if isinstance(dst, RegisterOperand) and dst.reg.width in (32, 64):
@@ -120,7 +110,7 @@ def _backward_update(known: Dict[str, int], insn: Instruction) -> None:
         elif insn.base == "dec" and group in known:
             inverted = (group, (known[group] + 1) & mask)
 
-    for group in defs:
+    for group in effects(insn).defs:
         known.pop(group, None)
     if inverted is not None:
         known[inverted[0]] = inverted[1]

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro import obs
+from repro.ir.entries import OpaqueEntry
 from repro.ir.unit import MaoUnit
 from repro.passes.base import MaoFunctionPass, MaoPass, MaoUnitPass
 from repro.result import register_schema
@@ -246,13 +247,24 @@ class PassPipeline:
 
     def run(self, unit: MaoUnit) -> PipelineResult:
         """Run the pipeline: each pass in spec order, each function pass
-        over the unit's functions in order."""
+        over the unit's functions in order, skipping any function that
+        holds an opaque (unparsed) entry."""
         result = PipelineResult()
+        opaque = {function for function in unit.functions
+                  if any(isinstance(entry, OpaqueEntry)
+                         for entry in function.entries())}
         for name, options in self.passes:
             cls = get_pass(name)
             if issubclass(cls, MaoFunctionPass):
                 with obs.span("pass:%s" % name, kind="function"):
                     for function in unit.functions:
+                        if function in opaque:
+                            # An unparsed statement may read or write
+                            # anything and sits in no CFG block: leave
+                            # the function as written.
+                            _record(result, PassReport(
+                                name, function.name, {"skipped_opaque": 1}))
+                            continue
                         with obs.span("fn:%s" % function.name) as span:
                             pass_obj = cls(options, unit, function)
                             pass_obj.dump_ir("before")

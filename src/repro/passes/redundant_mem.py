@@ -25,9 +25,9 @@ from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
 from repro.passes.util import memory_address_groups, same_memory_operand
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction
 from repro.x86.operands import Memory, RegisterOperand
+from repro.x86.sideeffects import effects
 
 
 def _is_plain_load(insn: Instruction) -> bool:
@@ -98,11 +98,7 @@ class RedundantMemAccessPass(MaoFunctionPass):
     def _invalidate(self, available, insn: Instruction,
                     skip_last: bool = False) -> None:
         """Drop window entries killed by *insn*'s register defs."""
-        try:
-            defs = sideeffects.reg_defs(insn)
-        except sideeffects.UnknownSideEffects:
-            available.clear()
-            return
+        defs = effects(insn).defs
         keep = []
         items = available[:-1] if skip_last else list(available)
         tail = available[-1:] if skip_last else []
@@ -117,11 +113,7 @@ class RedundantMemAccessPass(MaoFunctionPass):
 
     def _step(self, available, insn: Instruction) -> None:
         """Process a non-load instruction: stores/calls clear the window."""
-        try:
-            barrier = sideeffects.is_barrier(insn)
-        except sideeffects.UnknownSideEffects:
-            barrier = True
-        if barrier or insn.writes_memory:
+        if effects(insn).barrier or insn.writes_memory:
             available.clear()
             return
         self._invalidate(available, insn)

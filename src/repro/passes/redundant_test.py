@@ -27,12 +27,12 @@ from __future__ import annotations
 from typing import Optional, Set
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import FLAG_PREFIX, Liveness
+from repro.analysis.dataflow import Liveness
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction
 from repro.x86.operands import RegisterOperand
+from repro.x86.sideeffects import effects
 
 
 def is_self_test(insn: Instruction) -> bool:
@@ -49,13 +49,13 @@ def _equivalence_set(producer: Instruction,
     """Flags equal after `producer` vs after `test r, r`."""
     if not width_matches:
         return set()
-    equal = set(sideeffects.flags_result(producer))
+    record = effects(producer)
+    equal = set(record.flags_result)
     # test clears CF and OF; if the producer also guarantees zeros there,
     # those flags agree as well.
-    cleared = sideeffects.flags_cleared(producer)
-    equal |= cleared & {"CF", "OF"}
+    equal |= record.flags_cleared & {"CF", "OF"}
     # Flags the producer leaves undefined can't be relied on.
-    equal -= sideeffects.flags_undefined(producer)
+    equal -= record.flags_undefined
     return equal
 
 
@@ -82,10 +82,7 @@ class RedundantTestPass(MaoFunctionPass):
                         width_ok = (producer.effective_width()
                                     == insn.effective_width())
                         equal = _equivalence_set(producer, width_ok)
-                        live_flags = {
-                            loc[len(FLAG_PREFIX):]
-                            for loc in liveness.live_after(block, entry)
-                            if loc.startswith(FLAG_PREFIX)}
+                        live_flags = liveness.flags_live_after(block, entry)
                         if live_flags <= equal:
                             self.bump("removed")
                             self.Trace(2, "removing %s (after %s)",
@@ -94,27 +91,20 @@ class RedundantTestPass(MaoFunctionPass):
                                 block.entries.remove(entry)
                                 self.unit.remove(entry)
                             continue
-                try:
-                    wrote_flags = bool(sideeffects.flags_written(insn)
-                                       | sideeffects.flags_undefined(insn))
-                    defs = sideeffects.reg_defs(insn)
-                    barrier = sideeffects.is_barrier(insn)
-                except sideeffects.UnknownSideEffects:
+                record = effects(insn)
+                if record.barrier:
                     producer = None
                     producer_valid = False
                     continue
-                if barrier:
-                    producer = None
-                    producer_valid = False
-                    continue
-                if wrote_flags:
+                if record.flags_clobbered:
                     producer = insn
                     producer_valid = True
                 elif producer is not None and producer_valid:
                     # Redefining the tested register between the producer
                     # and the test invalidates the pattern.
                     producer_group = self._producer_group(producer)
-                    if producer_group is not None and producer_group in defs:
+                    if producer_group is not None \
+                            and producer_group in record.defs:
                         producer_valid = False
         return True
 
@@ -123,7 +113,7 @@ class RedundantTestPass(MaoFunctionPass):
         dst = insn.dest
         return (isinstance(dst, RegisterOperand)
                 and dst.reg.group == group
-                and bool(sideeffects.flags_result(insn)))
+                and bool(effects(insn).flags_result))
 
     @staticmethod
     def _producer_group(insn: Instruction) -> Optional[str]:

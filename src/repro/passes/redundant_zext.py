@@ -19,9 +19,9 @@ from typing import Dict, Optional
 from repro.analysis.cfg import build_cfg
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction
 from repro.x86.operands import RegisterOperand
+from repro.x86.sideeffects import effects
 
 
 def _is_self_mov32(insn: Instruction) -> bool:
@@ -66,16 +66,10 @@ class RedundantZeroExtensionPass(MaoFunctionPass):
                             block.entries.remove(entry)
                             self.unit.remove(entry)
                         continue
-                try:
-                    defs = sideeffects.reg_defs(insn)
-                except sideeffects.UnknownSideEffects:
-                    last_def_width.clear()
-                    continue
-                for group in defs:
-                    width = _def_width(insn, group)
-                    if width is not None:
-                        last_def_width[group] = width
-                    else:
-                        # Implicit or unknown-width write: be conservative.
-                        last_def_width[group] = 64
+                record = effects(insn)
+                for group in record.defs:
+                    # A barrier's writes, and implicit writes, have no
+                    # known width: be conservative.
+                    width = None if record.barrier else _def_width(insn, group)
+                    last_def_width[group] = 64 if width is None else width
         return True

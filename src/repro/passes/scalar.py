@@ -11,14 +11,14 @@ from __future__ import annotations
 from typing import Dict, Optional, Set
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import FLAG_PREFIX, Liveness
+from repro.analysis.dataflow import Liveness
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction
 from repro.x86.operands import Immediate, LabelRef, Memory, RegisterOperand
 from repro.x86.registers import suffix_for_width
+from repro.x86.sideeffects import effects
 
 
 def _referenced_labels(unit) -> Set[str]:
@@ -123,10 +123,7 @@ class ConstantFoldPass(MaoFunctionPass):
         width = insn.effective_width()
         if width is None or dst.reg.high8:
             return None
-        live_flags = {loc[len(FLAG_PREFIX):]
-                      for loc in liveness.live_after(block, entry)
-                      if loc.startswith(FLAG_PREFIX)}
-        if live_flags:
+        if liveness.flags_live_after(block, entry):
             return None
         mask = (1 << width) - 1
         count_mask = 63 if width == 64 else 31
@@ -165,22 +162,14 @@ class ConstantFoldPass(MaoFunctionPass):
 
     @staticmethod
     def _update(known: Dict[str, int], insn: Instruction) -> None:
-        try:
-            defs = sideeffects.reg_defs(insn)
-        except sideeffects.UnknownSideEffects:
-            known.clear()
-            return
+        for group in effects(insn).defs:
+            known.pop(group, None)
         src = insn.operands[0] if insn.operands else None
         dst = insn.dest
         if (insn.base in ("mov", "movabs")
                 and isinstance(src, Immediate) and src.symbol is None
                 and isinstance(dst, RegisterOperand)
                 and dst.reg.width in (32, 64)):
-            for group in defs:
-                known.pop(group, None)
             width = insn.effective_width() or 64
             known[dst.reg.group] = src.value & ((1 << width) - 1) \
                 if width == 32 else src.value
-        else:
-            for group in defs:
-                known.pop(group, None)

@@ -27,8 +27,7 @@ from repro.passes.manager import register_func_pass
 from repro.uarch.classify import compute_class
 from repro.uarch.model import ProcessorModel
 from repro.uarch.profiles import core2
-from repro.x86 import sideeffects
-from repro.x86.instruction import Instruction
+from repro.x86.sideeffects import effects
 
 
 class DependenceDAG:
@@ -42,18 +41,6 @@ class DependenceDAG:
         self.succs: List[Set[int]] = [set() for _ in range(size)]
         self.preds: List[Set[int]] = [set() for _ in range(size)]
         self._build()
-
-    def _locs(self, insn: Instruction):
-        try:
-            uses = set(sideeffects.reg_uses(insn))
-            defs = set(sideeffects.reg_defs(insn))
-            uses |= {"F:" + f for f in sideeffects.flags_read(insn)}
-            defs |= {"F:" + f for f in (sideeffects.flags_written(insn)
-                                        | sideeffects.flags_undefined(insn))}
-            barrier = sideeffects.is_barrier(insn)
-        except sideeffects.UnknownSideEffects:
-            return None
-        return uses, defs, barrier
 
     def _add_edge(self, earlier: int, later: int) -> None:
         if earlier != later:
@@ -69,14 +56,8 @@ class DependenceDAG:
 
         for i, entry in enumerate(self.entries):
             insn = entry.insn
-            info = self._locs(insn)
-            if info is None:
-                # Unknown side effects: order against everything.
-                for j in range(i):
-                    self._add_edge(j, i)
-                last_barrier = i
-                continue
-            uses, defs, barrier = info
+            record = effects(insn)
+            uses, defs = record.loc_uses, record.loc_defs
 
             if last_barrier is not None:
                 self._add_edge(last_barrier, i)
@@ -99,7 +80,7 @@ class DependenceDAG:
                     self._add_edge(reader, i)
                 last_mem_write = i
                 last_mem_reads = []
-            if barrier:
+            if record.barrier:
                 for j in range(i):
                     self._add_edge(j, i)
                 last_barrier = i

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List
 
-from repro.analysis.cfg import CFG, BasicBlock
-from repro.ir.entries import InstructionEntry
-from repro.ir.unit import Function
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction, make, mem
-from repro.x86.operands import Memory, RegisterOperand
+from repro.x86.operands import Memory
 
 
 def make_nop() -> Instruction:
@@ -23,11 +19,6 @@ def make_nop5() -> Instruction:
     (The encoder always picks the shortest displacement form, so a zero
     displacement would encode in 4 bytes; the disp8 form pins 5.)"""
     return make("nopl", mem(64, "rax", "rax", 1))
-
-
-def nop_run(count: int) -> List[Instruction]:
-    """*count* bytes worth of single-byte NOP instructions."""
-    return [make_nop() for _ in range(count)]
 
 
 def same_memory_operand(a: Memory, b: Memory) -> bool:
@@ -47,39 +38,3 @@ def memory_address_groups(mem_op: Memory) -> List[str]:
     if mem_op.index is not None:
         groups.append(mem_op.index.group)
     return groups
-
-
-def single_register_operand(insn: Instruction,
-                            index: int) -> Optional[RegisterOperand]:
-    if index < len(insn.operands):
-        op = insn.operands[index]
-        if isinstance(op, RegisterOperand):
-            return op
-    return None
-
-
-def block_windows(cfg: CFG) -> Iterator[Tuple[BasicBlock,
-                                              List[InstructionEntry]]]:
-    """(block, entries) pairs for pattern scanning."""
-    for block in cfg.blocks:
-        yield block, block.entries
-
-
-def kills_any(insn: Instruction, groups) -> bool:
-    try:
-        return bool(sideeffects.reg_defs(insn) & set(groups))
-    except sideeffects.UnknownSideEffects:
-        return True
-
-
-def uses_any(insn: Instruction, groups) -> bool:
-    try:
-        return bool(sideeffects.reg_uses(insn) & set(groups))
-    except sideeffects.UnknownSideEffects:
-        return True
-
-
-def function_size_and_addresses(function: Function):
-    """Relax the function's section; returns the SectionLayout."""
-    from repro.analysis.relax import relax_section
-    return relax_section(function.unit, function.section)

@@ -1443,6 +1443,8 @@ _DISPATCH: Dict[str, Callable] = {
     "cvttsd2si": _make_cvt_f2si(True, False),
     "cvttss2siq": _make_cvt_f2si(False, True),
     "cvttsd2siq": _make_cvt_f2si(True, True),
+    "cvtss2sd": _op_cvtss2sd,
+    "cvtsd2ss": _op_cvtsd2ss,
 }
 
 

@@ -31,10 +31,6 @@ STACK_TOP = 0x7FFF0000
 STACK_BOTTOM_SENTINEL = 0xDEADBEEF00
 
 
-class LoadError(Exception):
-    pass
-
-
 @dataclass
 class LoadedProgram:
     unit: MaoUnit

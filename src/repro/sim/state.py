@@ -82,11 +82,6 @@ class MachineState:
         else:
             self.gp[group] = (self.gp[group] & ~0xFF) | (value & 0xFF)
 
-    def read_group(self, group: str) -> int:
-        if group in self.gp:
-            return self.gp[group]
-        return self.xmm[group]
-
     def snapshot(self) -> Dict[str, int]:
         """Full register-file snapshot (the PMU-sample payload)."""
         snap = dict(self.gp)

@@ -44,10 +44,6 @@ class BranchPredictor:
         self._counters[index] = counter
         return mispredicted
 
-    def alias_count(self) -> int:
-        """Number of table buckets in use (diagnostic)."""
-        return len(self._counters)
-
     # ---- steady-state fast-forward support --------------------------------
 
     def ff_snapshot(self):

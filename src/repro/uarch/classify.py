@@ -9,7 +9,7 @@ decode lines, the effect the paper's alignment passes exploit.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.uarch import model as M
 from repro.x86.instruction import Instruction
@@ -101,8 +101,3 @@ def uops_of(insn: Instruction) -> List[Uop]:
     if not uops:
         uops.append((cls, False, False))
     return uops
-
-
-def is_backward_taken_branch(insn: Instruction, address: int,
-                             target: Optional[int]) -> bool:
-    return target is not None and target <= address

@@ -58,8 +58,8 @@ from repro.uarch.branch_predictor import BranchPredictor
 from repro.uarch.cache import DataCache
 from repro.uarch.classify import uops_of
 from repro.uarch.model import ProcessorModel
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction
+from repro.x86.sideeffects import effects
 
 
 @dataclass
@@ -295,47 +295,19 @@ class PipelineSimulator:
             self.last_completion = cycle
         return cycle
 
-    def _operand_ready(self, insn: Instruction) -> int:
-        ready = 0
-        try:
-            uses = sideeffects.reg_uses(insn)
-            reads_flags = bool(sideeffects.flags_read(insn))
-        except sideeffects.UnknownSideEffects:
-            uses = {r.group for r in insn.register_operands()}
-            reads_flags = True
-        for group in uses:
-            t = self.reg_ready.get(group, 0)
-            if t > ready:
-                ready = t
-        if reads_flags and self.flags_ready > ready:
-            ready = self.flags_ready
-        return ready
-
     def _insn_facts(self, insn: Instruction) -> tuple:
         """Resolve per-instruction static facts once, not once per record."""
         facts = self._facts.get(id(insn))
         if facts is not None:
             return facts
-        uop_list = uops_of(insn)
-        try:
-            uses = frozenset(sideeffects.reg_uses(insn))
-            reads_flags = bool(sideeffects.flags_read(insn))
-        except sideeffects.UnknownSideEffects:
-            uses = frozenset(r.group for r in insn.register_operands())
-            reads_flags = True
-        try:
-            defs = frozenset(sideeffects.reg_defs(insn))
-            wflags = bool(sideeffects.flags_written(insn)
-                          | sideeffects.flags_undefined(insn))
-        except sideeffects.UnknownSideEffects:
-            defs = frozenset(r.group for r in insn.register_operands())
-            wflags = True
+        fx = effects(insn)
         base = insn.base
         if base.startswith("prefetch"):
             prefetch = 1 if base == "prefetchnta" else 2
         else:
             prefetch = 0
-        facts = (insn, uop_list, uses, reads_flags, defs, wflags,
+        facts = (insn, uops_of(insn), fx.uses, bool(fx.flags_read),
+                 fx.defs, bool(fx.flags_clobbered),
                  base in ("j", "jmp", "call", "ret"), base == "j", prefetch)
         self._facts[id(insn)] = facts
         return facts

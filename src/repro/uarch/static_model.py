@@ -52,9 +52,9 @@ from repro.result import ApiResult, register_schema
 from repro.uarch import model as M
 from repro.uarch.classify import uops_of
 from repro.uarch.model import ProcessorModel
-from repro.x86 import sideeffects
 from repro.x86.instruction import Instruction
 from repro.x86.operands import Memory
+from repro.x86.sideeffects import effects
 
 #: Version tag of the serialized prediction document.
 PREDICT_SCHEMA = "pymao.predict/1"
@@ -348,10 +348,7 @@ def port_binding_bound(body: List[Instruction], model: ProcessorModel
     total_uops = 0
     results = 0
     for insn in body:
-        try:
-            has_result = bool(sideeffects.reg_defs(insn))
-        except sideeffects.UnknownSideEffects:
-            has_result = True
+        has_result = bool(effects(insn).defs)
         for uop_class, _is_load, _is_store in uops_of(insn):
             total_uops += 1
             ports = tuple(sorted(model.port_map.get(uop_class, ())))
@@ -444,23 +441,14 @@ def latency_critical_path(body: List[Instruction], model: ProcessorModel,
         nonlocal flags_ready
         top = 0.0
         for index, insn in enumerate(body):
-            try:
-                uses = sideeffects.reg_uses(insn)
-                reads_flags = bool(sideeffects.flags_read(insn))
-                defs = sideeffects.reg_defs(insn)
-                wflags = bool(sideeffects.flags_written(insn)
-                              | sideeffects.flags_undefined(insn))
-            except sideeffects.UnknownSideEffects:
-                regs = {r.group for r in insn.register_operands()}
-                uses, defs = regs, regs
-                reads_flags = wflags = True
+            fx = effects(insn)
             ready = 0.0
             source: Optional[Any] = None
-            for group in uses:
+            for group in fx.uses:
                 t = reg_ready.get(group, 0.0)
                 if t > ready:
                     ready, source = t, ("reg", group)
-            if reads_flags and flags_ready > ready:
+            if fx.flags_read and flags_ready > ready:
                 ready, source = flags_ready, ("flags",)
             mem = _memory_key(insn)
             completion = ready
@@ -504,10 +492,10 @@ def latency_critical_path(body: List[Instruction], model: ProcessorModel,
                                    "latency": latency, "done": done})
                 chain_parent.append(parent_row)
                 parent_row = row_id
-            for group in defs:
+            for group in fx.defs:
                 reg_ready[group] = completion
                 producer[("reg", group)] = parent_row
-            if wflags:
+            if fx.flags_clobbered:
                 flags_ready = completion
                 producer[("flags",)] = parent_row
             if completion > top:

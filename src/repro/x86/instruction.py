@@ -36,7 +36,8 @@ class Instruction:
     """
 
     __slots__ = ("mnemonic", "info", "operands", "prefixes",
-                 "encoding", "address", "_cached_encoding", "_symdep")
+                 "encoding", "address", "_cached_encoding", "_symdep",
+                 "_effects")
 
     def __init__(self, mnemonic: str, operands: Optional[List[Operand]] = None,
                  prefixes: Optional[List[str]] = None) -> None:
@@ -52,6 +53,8 @@ class Instruction:
         #: new Instructions rather than mutating operands in place.
         self._cached_encoding: Optional[bytes] = None
         self._symdep: Optional[bool] = None
+        #: The side-effect record (see repro.x86.sideeffects.effects).
+        self._effects = None
 
     # ---- structural accessors -------------------------------------------
 
@@ -70,10 +73,6 @@ class Instruction:
 
     def op(self, i: int) -> Operand:
         return self.operands[i]
-
-    @property
-    def num_operands(self) -> int:
-        return len(self.operands)
 
     @property
     def src(self) -> Optional[Operand]:
@@ -220,6 +219,7 @@ class Instruction:
         new.address = self.address
         new._cached_encoding = self._cached_encoding
         new._symdep = self._symdep
+        new._effects = self._effects
         return new
 
     def __str__(self) -> str:
@@ -230,9 +230,6 @@ class Instruction:
 
     def __repr__(self) -> str:
         return "Instruction(%s)" % str(self)
-
-    def same_text(self, other: "Instruction") -> bool:
-        return str(self) == str(other)
 
 
 def make(mnemonic: str, *operands: Operand) -> Instruction:

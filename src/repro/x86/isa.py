@@ -130,7 +130,3 @@ def split_mnemonic(mnemonic: str) -> MnemonicInfo:
 
 def is_control_transfer(info: MnemonicInfo) -> bool:
     return info.base in ("jmp", "j", "call", "ret")
-
-
-def is_conditional_branch(info: MnemonicInfo) -> bool:
-    return info.base == "j" and info.cond is not None

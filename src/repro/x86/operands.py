@@ -127,17 +127,5 @@ class LabelRef:
 Operand = Union[RegisterOperand, Immediate, Memory, LabelRef]
 
 
-def is_reg(op: object) -> bool:
-    return isinstance(op, RegisterOperand)
-
-
-def is_imm(op: object) -> bool:
-    return isinstance(op, Immediate)
-
-
-def is_mem(op: object) -> bool:
-    return isinstance(op, Memory)
-
-
 def is_label(op: object) -> bool:
     return isinstance(op, LabelRef)

@@ -33,11 +33,6 @@ class Register:
         return "%" + self.name
 
     @property
-    def needs_rex(self) -> bool:
-        """True if encoding this register requires a REX prefix bit."""
-        return self.number >= 8
-
-    @property
     def is_new_low8(self) -> bool:
         """True for spl/bpl/sil/dil, which need an empty REX to encode."""
         return self.name in ("spl", "bpl", "sil", "dil")
@@ -122,6 +117,10 @@ def widen(reg: Register, width: int) -> Register:
 
 #: Alias groups of all 16 GP registers, in hardware-number order.
 GP_GROUPS: Tuple[str, ...] = tuple(_BASE64) + tuple("r%d" % n for n in range(8, 16))
+
+#: Every alias group: GP, SSE, the instruction pointer and RFLAGS.
+ALL_GROUPS: Tuple[str, ...] = tuple(
+    dict.fromkeys(reg.group for reg in _REGISTERS.values()))
 
 #: Groups of registers that are callee-saved under the SysV ABI.
 CALLEE_SAVED: FrozenSet[str] = frozenset(

@@ -1,21 +1,26 @@
 """Query layer over the generated side-effect tables.
 
-This is the interface data-flow analysis and the optimization passes use:
-given an :class:`~repro.x86.instruction.Instruction`, report which register
-alias groups it reads and writes, and which RFLAGS bits it reads, writes,
-clears, or leaves undefined.  Registers are reported as *alias groups*
-(``eax`` -> ``rax``) so partial-register writes conservatively kill the
-whole register.
+:func:`effects` is the one question data-flow analysis, the passes and the
+timing models ask of an :class:`~repro.x86.instruction.Instruction`.  Its
+answer is an immutable :class:`Effects` record: which register alias groups
+the instruction reads and writes, which RFLAGS bits it reads, clobbers,
+clears, derives from its result or leaves undefined, and whether it is a
+barrier.  Registers are reported as *alias groups* (``eax`` -> ``rax``) so
+partial-register writes conservatively kill the whole register.
+
+An instruction with no table entry gets one answer everywhere: it reads and
+writes every register group and every flag, and it is a barrier.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Set, Tuple
 
 from repro.x86._sideeffects_tables import TABLES
-from repro.x86.flags import cc_flags_read
+from repro.x86.flags import ALL_FLAGS, cc_flags_read
 from repro.x86.instruction import Instruction
 from repro.x86.operands import Memory, Operand, RegisterOperand
+from repro.x86.registers import ALL_GROUPS
 
 #: Caller-saved groups clobbered by a call under the SysV ABI.
 CALL_CLOBBERED = frozenset(
@@ -27,20 +32,97 @@ CALL_USED = frozenset(
     ["rax", "rcx", "rdx", "rsi", "rdi", "r8", "r9", "rsp"]
     + ["xmm%d" % i for i in range(8)])
 
+#: Prefix of a flag bit's data-flow location name (``F:ZF``).
+FLAG_PREFIX = "F:"
 
-class UnknownSideEffects(KeyError):
-    """No side-effect table entry exists for the instruction."""
+
+def flag_loc(flag: str) -> str:
+    return FLAG_PREFIX + flag
 
 
-def _lookup(insn: Instruction):
-    base = insn.base
-    arity = len(insn.operands)
-    entry = TABLES.get((base, arity))
+class Effects(NamedTuple):
+    """What one instruction reads and writes.
+
+    ``loc_uses`` and ``loc_defs`` are ``uses`` and ``defs`` plus the flags
+    read and clobbered, as data-flow locations.  Every set is built from
+    sorted elements, so equal sets iterate in one order however the
+    instruction that first built the record spelled its operands.
+    """
+
+    uses: FrozenSet[str]
+    defs: FrozenSet[str]
+    flags_read: FrozenSet[str]
+    #: Flags written or left undefined.
+    flags_clobbered: FrozenSet[str]
+    #: Flags written with a known-zero value (CF/OF after logic ops).
+    flags_cleared: FrozenSet[str]
+    #: Flags whose post-state reflects the destination value.
+    flags_result: FrozenSet[str]
+    flags_undefined: FrozenSet[str]
+    #: Calls, returns and the like, which end an analysis scope.
+    barrier: bool
+    loc_uses: FrozenSet[str]
+    loc_defs: FrozenSet[str]
+
+
+#: One frozenset per distinct set, shared by every record that holds it.
+_SETS: Dict[FrozenSet[str], FrozenSet[str]] = {}
+
+
+def _sorted_set(items: Iterable[str]) -> FrozenSet[str]:
+    made = frozenset(sorted(items))
+    return _SETS.setdefault(made, made)
+
+
+def _record(uses: Iterable[str], defs: Iterable[str], read: Iterable[str],
+            clobbered: Iterable[str], cleared: Iterable[str],
+            result: Iterable[str], undefined: Iterable[str],
+            barrier: bool) -> Effects:
+    uses, defs, read, clobbered = (_sorted_set(uses), _sorted_set(defs),
+                                   _sorted_set(read), _sorted_set(clobbered))
+    return Effects(uses, defs, read, clobbered, _sorted_set(cleared),
+                   _sorted_set(result), _sorted_set(undefined), barrier,
+                   _sorted_set([*uses, *map(flag_loc, read)]),
+                   _sorted_set([*defs, *map(flag_loc, clobbered)]))
+
+
+_UNKNOWN = _record(ALL_GROUPS, ALL_GROUPS, ALL_FLAGS, ALL_FLAGS, (), (),
+                   ALL_FLAGS, True)
+
+#: One record per distinct answer, shared by every instruction that gets it.
+_SHARED: Dict[Effects, Effects] = {_UNKNOWN: _UNKNOWN}
+
+
+def effects(insn: Instruction) -> Effects:
+    """The instruction's side effects, computed on first use and kept on
+    the instruction (sound because passes replace instructions rather
+    than mutate them)."""
+    record = insn._effects
+    if record is None:
+        record = _compute(insn)
+        record = insn._effects = _SHARED.setdefault(record, record)
+    return record
+
+
+def _compute(insn: Instruction) -> Effects:
+    entry = TABLES.get((insn.base, len(insn.operands)))
     if entry is None:
-        entry = TABLES.get((base, None))
+        entry = TABLES.get((insn.base, None))
     if entry is None:
-        raise UnknownSideEffects(base)
-    return entry
+        return _UNKNOWN
+    uses, defs, written, read, cleared, result, undefined, barrier = entry
+    reg_uses = _resolve_items(insn, uses) | _address_uses(insn)
+    reg_defs = _resolve_items(insn, defs)
+    if barrier:
+        reg_uses |= CALL_USED
+        reg_defs |= CALL_CLOBBERED | {"rsp"}
+    flags_read = set(read)
+    if "cc" in flags_read:
+        flags_read.discard("cc")
+        if insn.cond is not None:
+            flags_read |= cc_flags_read(insn.cond)
+    return _record(reg_uses, reg_defs, flags_read, written + undefined,
+                   cleared, result, undefined, barrier)
 
 
 def _resolve_items(insn: Instruction, items: Tuple[str, ...]) -> Set[str]:
@@ -58,12 +140,14 @@ def _resolve_items(insn: Instruction, items: Tuple[str, ...]) -> Set[str]:
         else:  # opN
             idx = int(item[2:])
             selected = ops[idx] if idx < len(ops) else None
+        # A designated operand that is memory names no register.
         if isinstance(selected, RegisterOperand):
             groups.add(selected.reg.group)
     return groups
 
 
 def _address_uses(insn: Instruction) -> Set[str]:
+    """Address registers of memory operands, which are always read."""
     groups: Set[str] = set()
     for op in insn.operands:
         if isinstance(op, Memory):
@@ -72,74 +156,3 @@ def _address_uses(insn: Instruction) -> Set[str]:
             if op.index is not None:
                 groups.add(op.index.group)
     return groups
-
-
-def reg_uses(insn: Instruction) -> Set[str]:
-    """Alias groups of registers the instruction reads.
-
-    Address registers of memory operands are always uses.  Calls and other
-    barriers conservatively use the ABI argument registers.
-    """
-    entry = _lookup(insn)
-    uses, defs, _, _, _, _, _, barrier = entry
-    groups = _resolve_items(insn, uses) | _address_uses(insn)
-    if barrier:
-        groups |= set(CALL_USED)
-    return groups
-
-
-def reg_defs(insn: Instruction) -> Set[str]:
-    """Alias groups of registers the instruction writes."""
-    entry = _lookup(insn)
-    _, defs, _, _, _, _, _, barrier = entry
-    groups = _resolve_items(insn, defs)
-    # A designated "def" operand that is memory defines no register.
-    if barrier:
-        groups |= set(CALL_CLOBBERED) | {"rsp"}
-    return groups
-
-
-def flags_written(insn: Instruction) -> FrozenSet[str]:
-    entry = _lookup(insn)
-    return frozenset(entry[2])
-
-
-def flags_read(insn: Instruction) -> FrozenSet[str]:
-    """Flags read; resolves the ``cc`` marker via the condition suffix."""
-    entry = _lookup(insn)
-    flags = set(entry[3])
-    if "cc" in flags:
-        flags.discard("cc")
-        if insn.cond is not None:
-            flags |= cc_flags_read(insn.cond)
-    return frozenset(flags)
-
-
-def flags_cleared(insn: Instruction) -> FrozenSet[str]:
-    """Flags written with a known-zero value (e.g. CF/OF after logic ops)."""
-    return frozenset(_lookup(insn)[4])
-
-
-def flags_result(insn: Instruction) -> FrozenSet[str]:
-    """Flags whose post-state reflects the destination value."""
-    return frozenset(_lookup(insn)[5])
-
-
-def flags_undefined(insn: Instruction) -> FrozenSet[str]:
-    return frozenset(_lookup(insn)[6])
-
-
-def is_barrier(insn: Instruction) -> bool:
-    """True for call/ret/syscall-like instructions that end analysis scope."""
-    try:
-        return bool(_lookup(insn)[7])
-    except UnknownSideEffects:
-        return True
-
-
-def has_side_effect_entry(insn: Instruction) -> bool:
-    try:
-        _lookup(insn)
-        return True
-    except UnknownSideEffects:
-        return False

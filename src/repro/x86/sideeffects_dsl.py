@@ -10,7 +10,8 @@ The paper describes MAO's approach to modelling instruction side effects:
 This module defines that tiny language and its parser.  The specification
 itself lives in :data:`SPEC`; ``sideeffects_gen.py`` is the generator program
 that turns it into the checked-in ``_sideeffects_tables.py``, and
-``sideeffects.py`` is the query layer used by data-flow analysis and passes.
+``sideeffects.py`` turns an instruction's entry into the one record that
+data-flow analysis, the passes and the timing models read.
 
 Grammar (one instruction per line, ``#`` comments)::
 

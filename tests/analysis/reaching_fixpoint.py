@@ -13,8 +13,8 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
-from repro.analysis.dataflow import location_defs
 from repro.ir.entries import InstructionEntry
+from repro.x86.sideeffects import effects
 
 
 class FixpointReachingDefinitions:
@@ -49,7 +49,7 @@ class FixpointReachingDefinitions:
             locs_killed: Set[str] = set()
             for entry in block.entries:
                 self._entry_block[id(entry)] = block
-                for loc in location_defs(entry.insn):
+                for loc in effects(entry.insn).loc_defs:
                     block_gen[loc] = self._site(entry, loc)
                     locs_killed.add(loc)
             gen[block.index] = set(block_gen.values())
@@ -89,7 +89,7 @@ class FixpointReachingDefinitions:
         for entry in block.entries:
             if entry is at:
                 break
-            defs = location_defs(entry.insn)
+            defs = effects(entry.insn).loc_defs
             if loc in defs:
                 live = {self._site(entry, loc)}
         return [self._sites[s][0] for s in live]

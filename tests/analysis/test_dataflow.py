@@ -3,16 +3,10 @@
 import pytest
 
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import (
-    FLAG_PREFIX,
-    Liveness,
-    ReachingDefinitions,
-    flag_loc,
-    location_defs,
-    location_uses,
-)
+from repro.analysis.dataflow import Liveness, ReachingDefinitions
 from repro.ir import parse_unit
 from repro.x86.parser import parse_instruction
+from repro.x86.sideeffects import effects, flag_loc
 
 
 def analysis_of(source):
@@ -24,15 +18,15 @@ def analysis_of(source):
 class TestLocations:
     def test_uses_include_flags(self):
         insn = parse_instruction("je .L").insn
-        assert flag_loc("ZF") in location_uses(insn)
+        assert flag_loc("ZF") in effects(insn).loc_uses
 
     def test_defs_include_undefined_flags(self):
         insn = parse_instruction("imull %ecx, %eax").insn
-        assert flag_loc("ZF") in location_defs(insn)
+        assert flag_loc("ZF") in effects(insn).loc_defs
 
     def test_register_aliasing(self):
         insn = parse_instruction("movl $1, %eax").insn
-        assert "rax" in location_defs(insn)
+        assert "rax" in effects(insn).loc_defs
 
 
 class TestReachingDefinitions:

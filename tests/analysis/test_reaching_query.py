@@ -12,9 +12,10 @@ import pytest
 
 import repro.analysis.dataflow as dataflow
 from repro.analysis.cfg import build_cfg
-from repro.analysis.dataflow import ReachingDefinitions, flag_loc
+from repro.analysis.dataflow import ReachingDefinitions
 from repro.ir import parse_unit
 from repro.workloads.corpus import CorpusConfig, generate_corpus
+from repro.x86.sideeffects import flag_loc
 
 from tests.analysis.reaching_fixpoint import FixpointReachingDefinitions
 from tests.analysis.test_dataflow import analysis_of

@@ -258,6 +258,25 @@ class TestSse:
 """)
         assert r.state.gp["rbx"] == 14
 
+    def test_single_double_conversions(self):
+        r = run("""
+    movl $3, %eax
+    cvtsi2ss %eax, %xmm0
+    cvtss2sd %xmm0, %xmm1
+    addsd %xmm1, %xmm1
+    cvtsd2ss %xmm1, %xmm2
+    cvttss2si %xmm2, %ebx
+    cvtsd2ss .Lx(%rip), %xmm3
+    cvtss2sd %xmm3, %xmm4
+    cvttsd2si %xmm4, %ecx
+""", data=".section .rodata\n.Lx:\n    .quad 0x4004000000000000\n")
+        assert r.state.xmm["xmm1"] & 0xFFFFFFFFFFFFFFFF \
+            == 0x4018000000000000                       # 6.0 as a double
+        assert r.state.xmm["xmm2"] & 0xFFFFFFFF == 0x40C00000   # 6.0f
+        assert r.state.gp["rbx"] == 6
+        assert r.state.xmm["xmm3"] & 0xFFFFFFFF == 0x40200000   # 2.5f
+        assert r.state.gp["rcx"] == 2
+
     def test_xorps_zero_idiom(self):
         r = run("    xorps %xmm0, %xmm0\n    cvttsd2si %xmm0, %eax")
         assert r.state.gp["rax"] == 0
