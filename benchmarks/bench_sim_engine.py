@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Simulation-engine performance harness: block cache + streaming +
-loop fast-forward.
+"""Simulation-engine performance harness: block cache + per-block timing
++ loop fast-forward.
 
 Measures the execute→time path on steady-state loop workloads (the bulk
 of every micro-benchmark the detectors run) and records the numbers in
@@ -8,9 +8,10 @@ of every micro-benchmark the detectors run) and records the numbers in
 
 * **baseline** — the pre-trace-compiled configuration: per-instruction
   decode dispatch with the block cache disabled, a fully materialized
-  trace list, and the reference (no fast-forward) pipeline walk;
-* **fast** — trace-compiled basic blocks, records streamed straight into
-  the pipeline, steady-state iterations fast-forwarded algebraically.
+  trace list, and the per-record pipeline walk with no fast-forward
+  (``tests/uarch/record_walk.py``);
+* **fast** — trace-compiled basic blocks, each executed block timed in
+  one call, steady-state iterations fast-forwarded algebraically.
 
 The fast path must be *counter-identical* to the baseline: the harness
 diffs every ``SimStats`` counter (and the architectural run result) and
@@ -36,15 +37,16 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, _REPO_ROOT)   # the per-record oracle lives in tests/
 
 from repro import api  # noqa: E402
 from repro.ir import parse_unit  # noqa: E402
 from repro.sim import interp  # noqa: E402
 from repro.sim.interp import run_unit  # noqa: E402
 from repro.uarch import pipeline  # noqa: E402
-from repro.uarch.pipeline import simulate_reference  # noqa: E402
 from repro.uarch.profiles import core2, opteron  # noqa: E402
 from repro.workloads import kernels  # noqa: E402
+from tests.uarch.record_walk import simulate_reference  # noqa: E402
 
 
 def _run_state(result) -> tuple:
@@ -62,7 +64,7 @@ def bench_engine(name: str, source: str, model) -> dict:
     interp.reset_block_cache_stats()
     pipeline.reset_fast_forward_stats()
 
-    with interp.block_cache_disabled(), pipeline.fast_forward_disabled():
+    with interp.block_cache_disabled():
         start = time.perf_counter()
         result_base = run_unit(unit_base, collect_trace=True)
         stats_base = simulate_reference(result_base.trace, model)
@@ -115,8 +117,7 @@ def bench_differential(quick: bool) -> dict:
     mismatches = []
     for case_name, source in cases:
         for model in models:
-            with interp.block_cache_disabled(), \
-                    pipeline.fast_forward_disabled():
+            with interp.block_cache_disabled():
                 base = run_unit(parse_unit(source), collect_trace=True)
                 ref = simulate_reference(base.trace, model)
             sim = api.simulate(source, model)
@@ -135,7 +136,7 @@ def bench_differential(quick: bool) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="simulation-engine perf harness (block cache + "
-                    "streaming + loop fast-forward)")
+                    "per-block timing + loop fast-forward)")
     parser.add_argument("--quick", action="store_true",
                         help="small workload for CI smoke runs")
     parser.add_argument("--outer", type=int, default=None,
@@ -154,7 +155,8 @@ def main(argv=None) -> int:
     # placement.  Frontend-bound with an iteration-invariant record
     # signature, so the fast-forward engine validates and skips it; the
     # hash kernel is backend-bound (drifting completion clocks) so the
-    # engine soundly declines and only the block cache + streaming help.
+    # engine soundly declines and only the block cache + per-block timing
+    # help.
     steady_src = kernels.fig4_loop(shift_nops=0, iterations=outer)
     hash_src = kernels.hash_bench(trip=outer * 2)
     model = core2()

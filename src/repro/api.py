@@ -509,7 +509,7 @@ def simulate(source: Union[None, str, MaoUnit] = None,
              max_steps: int = 5_000_000,
              args: Optional[List[int]] = None,
              fast_forward: bool = True) -> SimResult:
-    """Execute + time a program on *core* in one streaming pass.
+    """Execute + time a program on *core*, one executed block at a time.
 
     *source* is assembly text, a parsed unit, or a workload kernel name;
     alternatively pass ``workload=`` (a kernel name from

@@ -6,10 +6,11 @@ flag, and memory semantics.  Produces:
 * final architectural state — used by tests to prove optimization passes
   preserve behaviour (our stand-in for the paper's disassemble-and-compare
   methodology, but stronger);
-* a dynamic execution trace — consumed by the ``repro.uarch`` timing model,
-  either materialized (``collect_trace=True``) or streamed record-by-record
-  through ``trace_callback`` so simulation and timing overlap without the
-  peak-memory cost of a full trace list;
+* executed blocks — each compiled block that ran, with its per-step
+  effective addresses and its exit's outcome, handed to an ``on_block``
+  consumer (the ``repro.uarch`` timing model) without building a record;
+* a dynamic execution trace of ``ExecRecord``s (``collect_trace=True``),
+  for tests and for timing a trace after the fact;
 * optional PMU-style samples (instruction address + register-file snapshot)
   — consumed by the instruction-simulation pass (paper §III.E.m).
 
@@ -137,11 +138,13 @@ class _Block:
     body before it executes normally, then the block raises — preserving
     the reference loop's partial-state-on-fault behaviour.  For blocks
     compiled at padding addresses, ``skip_to`` is the next real instruction
-    (or the block is a fall-off fault when ``fell_off`` is set).
+    (or the block is a fall-off fault when ``fell_off`` is set).  ``steps``
+    is ``body`` followed by ``last``: the order a consumer of executed
+    blocks sees them in.
     """
 
     __slots__ = ("body", "last", "fault_insn", "skip_to", "fell_off",
-                 "slow")
+                 "slow", "steps")
 
     def __init__(self, body: List[_CompiledStep],
                  last: Optional[_CompiledStep],
@@ -153,6 +156,7 @@ class _Block:
         self.fault_insn = fault_insn
         self.skip_to = skip_to
         self.fell_off = fell_off
+        self.steps = tuple(body) + ((last,) if last is not None else ())
         # rdtsc reads the per-step virtual TSC, so blocks containing it
         # must run the per-step bookkeeping path.
         self.slow = any(s.insn.base == "rdtsc" for s in body)
@@ -373,7 +377,7 @@ class Interpreter:
 
     def run(self, entry: Optional[int] = None,
             collect_trace: bool = False,
-            trace_callback: Optional[Callable[[ExecRecord], None]] = None,
+            on_block: Optional[BlockConsumer] = None,
             sample_period: Optional[int] = None,
             args: Optional[List[int]] = None,
             sample_phase: int = 0) -> RunResult:
@@ -381,6 +385,12 @@ class Interpreter:
 
         ``args`` seeds ``rdi``, ``rsi``, ``rdx``, ``rcx``, ``r8``, ``r9``
         (SysV integer argument order).
+
+        ``on_block(block, eas, taken)`` is called once per executed
+        compiled block with the effective address of each step that ran
+        (a run cut by ``max_steps`` hands over a prefix) and the outcome
+        of the block's exit.  It always runs on compiled blocks, whatever
+        ``block_cache_disabled()`` says.
 
         ``sample_phase`` offsets which step within each period is
         sampled (``steps % period == phase``); phase 0 reproduces the
@@ -405,21 +415,25 @@ class Interpreter:
         if sample_period:
             sample_phase = int(sample_phase) % int(sample_period)
 
-        if _BLOCK_CACHE_ENABLED:
-            if trace is not None or trace_callback is not None:
-                return self._run_blocks_traced(trace, trace_callback,
-                                               sample_period, samples,
-                                               sample_phase)
-            return self._run_blocks(sample_period, samples, sample_phase)
-        return self._run_interpreted(trace, trace_callback, sample_period,
-                                     samples, sample_phase)
+        if not _BLOCK_CACHE_ENABLED and on_block is None:
+            return self._run_interpreted(trace, sample_period, samples,
+                                         sample_phase)
+        if trace is not None:
+            on_block = _recording(trace, on_block)
+        if on_block is not None:
+            result = self._run_blocks_traced(on_block, sample_period,
+                                             samples, sample_phase)
+        else:
+            result = self._run_blocks(sample_period, samples, sample_phase)
+        result.trace = trace
+        return result
 
-    def _run_interpreted(self, trace, trace_callback, sample_period,
-                         samples, sample_phase=0) -> RunResult:
+    def _run_interpreted(self, trace, sample_period, samples,
+                         sample_phase=0) -> RunResult:
         """Reference loop: decode static facts on every dynamic step.
 
-        Kept verbatim from the pre-block-cache engine; differential tests
-        assert the compiled path reproduces its state, trace, and steps.
+        The pre-block-cache engine; differential tests assert the compiled
+        path reproduces its state, trace, and steps.
         """
         state = self.state
         code_index = self.program.code_index
@@ -449,7 +463,7 @@ class Interpreter:
             taken: Optional[bool] = None
             base = insn.base
             ea: Optional[int] = None
-            if trace is not None or trace_callback is not None:
+            if trace is not None:
                 mem_op = insn.memory_operand()
                 if mem_op is not None and base != "lea":
                     ea = self.effective_address(mem_op, insn)
@@ -471,32 +485,21 @@ class Interpreter:
                 elif kind == "ret":
                     if value == RETURN_SENTINEL:
                         reason = "ret"
-                        if trace is not None or trace_callback:
-                            record = ExecRecord(entry_node, None, address,
-                                                ea)
-                            if trace is not None:
-                                trace.append(record)
-                            if trace_callback:
-                                trace_callback(record)
+                        if trace is not None:
+                            trace.append(ExecRecord(entry_node, None,
+                                                    address, ea))
                         break
                     state.rip = value
                     taken = True
                 elif kind == "halt":
                     reason = "hlt"
-                    if trace is not None or trace_callback:
-                        record = ExecRecord(entry_node, None, address, ea)
-                        if trace is not None:
-                            trace.append(record)
-                        if trace_callback:
-                            trace_callback(record)
+                    if trace is not None:
+                        trace.append(ExecRecord(entry_node, None, address,
+                                                ea))
                     break
 
-            if trace is not None or trace_callback:
-                record = ExecRecord(entry_node, taken, address, ea)
-                if trace is not None:
-                    trace.append(record)
-                if trace_callback:
-                    trace_callback(record)
+            if trace is not None:
+                trace.append(ExecRecord(entry_node, taken, address, ea))
 
         self.instructions_executed = steps
         return RunResult(steps=steps, reason=reason, state=state,
@@ -597,14 +600,14 @@ class Interpreter:
                         if sample_period and steps % sample_period == sample_phase:
                             samples.append((step.address, state.snapshot()))
                         step.handler(self, step.insn)
-                    if steps >= max_steps:
-                        continue         # loop condition ends the run
                 else:
                     for step in body:
                         state.rip = step.next_rip
                         step.handler(self, step.insn)
                     steps += len(body)
                     self._tsc += len(body)
+                if steps >= max_steps:
+                    continue         # loop condition ends the run
             if block.fault_insn is not None:
                 raise SimError("no semantics for %s" % block.fault_insn)
             step = block.last
@@ -614,8 +617,6 @@ class Interpreter:
                 elif block.fell_off:
                     raise SimError("execution fell off code at %#x (step %d)"
                                    % (state.rip, steps))
-                continue
-            if steps >= max_steps:
                 continue
             state.rip = step.next_rip
             steps += 1
@@ -640,9 +641,10 @@ class Interpreter:
         return RunResult(steps=steps, reason=reason, state=state,
                          memory=self.memory, trace=None, samples=samples)
 
-    def _run_blocks_traced(self, trace, trace_callback, sample_period,
-                           samples, sample_phase=0) -> RunResult:
-        """Traced path: per-step records, ea derived from compiled facts."""
+    def _run_blocks_traced(self, on_block, sample_period, samples,
+                           sample_phase=0) -> RunResult:
+        """Traced path: each executed block goes to *on_block* with its
+        per-step effective addresses, derived from compiled facts."""
         state = self.state
         gp = state.gp
         blocks = self.program.block_cache
@@ -656,10 +658,10 @@ class Interpreter:
                 block = self._compile_block(state.rip)
             else:
                 stats["block_hits"] += 1
-            interrupted = False
-            for step in block.body:
+            eas: List[Optional[int]] = []
+            outcome = None
+            for step in block.steps:
                 if steps >= max_steps:
-                    interrupted = True
                     break
                 state.rip = step.next_rip
                 steps += 1
@@ -668,49 +670,30 @@ class Interpreter:
                     samples.append((step.address, state.snapshot()))
                 mode = step.ea_mode
                 if mode == _EA_NONE:
-                    ea = None
+                    eas.append(None)
                 elif mode == _EA_MEM:
-                    ea = self.effective_address(step.mem_op, step.insn)
+                    eas.append(self.effective_address(step.mem_op,
+                                                      step.insn))
                 elif mode == _EA_PUSH:
-                    ea = (gp["rsp"] - 8) & MASK64
+                    eas.append((gp["rsp"] - 8) & MASK64)
                 else:
-                    ea = gp["rsp"]
-                step.handler(self, step.insn)
-                record = ExecRecord(step.entry, None, step.address, ea)
-                if trace is not None:
-                    trace.append(record)
-                if trace_callback is not None:
-                    trace_callback(record)
-            if interrupted:
-                continue
-            if block.fault_insn is not None:
-                raise SimError("no semantics for %s" % block.fault_insn)
-            step = block.last
-            if step is None:
+                    eas.append(gp["rsp"])
+                outcome = step.handler(self, step.insn)
+            if len(eas) < len(block.steps) or block.last is None:
+                # The block ends before an exit: hand over what ran.
+                if eas:
+                    on_block(block, eas, None)
+                if steps >= max_steps:
+                    continue
+                if block.fault_insn is not None:
+                    raise SimError("no semantics for %s" % block.fault_insn)
                 if block.skip_to is not None:
                     state.rip = block.skip_to
                 elif block.fell_off:
                     raise SimError("execution fell off code at %#x (step %d)"
                                    % (state.rip, steps))
                 continue
-            if steps >= max_steps:
-                continue
-            state.rip = step.next_rip
-            steps += 1
-            self._tsc += 1
-            if sample_period and steps % sample_period == sample_phase:
-                samples.append((step.address, state.snapshot()))
-            mode = step.ea_mode
-            if mode == _EA_NONE:
-                ea = None
-            elif mode == _EA_MEM:
-                ea = self.effective_address(step.mem_op, step.insn)
-            elif mode == _EA_PUSH:
-                ea = (gp["rsp"] - 8) & MASK64
-            else:
-                ea = gp["rsp"]
             taken: Optional[bool] = None
-            outcome = step.handler(self, step.insn)
             if outcome is not None:
                 kind, value = outcome
                 if kind == "jump":
@@ -721,31 +704,41 @@ class Interpreter:
                 elif kind == "ret":
                     if value == RETURN_SENTINEL:
                         reason = "ret"
-                        record = ExecRecord(step.entry, None, step.address,
-                                            ea)
-                        if trace is not None:
-                            trace.append(record)
-                        if trace_callback is not None:
-                            trace_callback(record)
+                        on_block(block, eas, None)
                         break
                     state.rip = value
                     taken = True
                 elif kind == "halt":
                     reason = "hlt"
-                    record = ExecRecord(step.entry, None, step.address, ea)
-                    if trace is not None:
-                        trace.append(record)
-                    if trace_callback is not None:
-                        trace_callback(record)
+                    on_block(block, eas, None)
                     break
-            record = ExecRecord(step.entry, taken, step.address, ea)
-            if trace is not None:
-                trace.append(record)
-            if trace_callback is not None:
-                trace_callback(record)
+            on_block(block, eas, taken)
         self.instructions_executed = steps
         return RunResult(steps=steps, reason=reason, state=state,
-                         memory=self.memory, trace=trace, samples=samples)
+                         memory=self.memory, trace=None, samples=samples)
+
+
+#: ``on_block(block, eas, taken)``: one executed compiled block.
+BlockConsumer = Callable[[_Block, List[Optional[int]], Optional[bool]], None]
+
+
+def _recording(trace: List[ExecRecord],
+               then: Optional[BlockConsumer]) -> BlockConsumer:
+    """A block consumer that appends one ExecRecord per executed step to
+    *trace*, then hands the block on to *then*, if given."""
+    append = trace.append
+
+    def record(block: _Block, eas: List[Optional[int]],
+               taken: Optional[bool]) -> None:
+        last = len(eas) - 1
+        for step, ea in zip(block.steps[:last], eas):
+            append(ExecRecord(step.entry, None, step.address, ea))
+        step = block.steps[last]
+        append(ExecRecord(step.entry, taken, step.address, eas[last]))
+        if then is not None:
+            then(block, eas, taken)
+
+    return record
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ to an explicit mechanism:
 * a small set-associative data cache with non-temporal-hint support
   (§III.E.k — inverse prefetching).
 
-The model consumes the dynamic trace produced by ``repro.sim`` and reports
-PMU-style counters, including ``CPU_CYCLES``.
+The model times the basic blocks ``repro.sim`` executes (or a collected
+trace) and reports PMU-style counters, including ``CPU_CYCLES``.
 """
 
 from repro.uarch.model import ProcessorModel
@@ -24,7 +24,6 @@ from repro.uarch.pipeline import (
     SimStats,
     fast_forward_stats,
     simulate_program,
-    simulate_reference,
     simulate_trace,
     simulate_unit,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "PipelineSimulator",
     "FastForwardEngine",
     "simulate_trace",
-    "simulate_reference",
     "simulate_program",
     "simulate_unit",
     "fast_forward_stats",

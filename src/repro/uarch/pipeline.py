@@ -1,7 +1,7 @@
 """The trace-driven pipeline timing model.
 
-One pass over the dynamic trace assigns each uop an issue and completion
-cycle under these constraints:
+One walk over the executed instructions assigns each uop an issue and
+completion cycle under these constraints:
 
 * **Front end** — instructions arrive from 16-byte decode lines (one new
   line per cycle, ``decode_width`` instructions per cycle), unless the Loop
@@ -19,38 +19,45 @@ The absolute cycle counts are not meant to match real silicon; the *causal
 structure* matches the performance cliffs the paper documents, which is what
 the reproduction benches rely on.
 
-Two engine layers sit on top of the per-record walk:
+The walk times one executed basic block per call
+(:meth:`PipelineSimulator.time_block`): the block's static timing facts
+(decode lines, uops with their ports and latencies, register and flag
+uses and defs, the exit branch) are resolved once per pipeline into a
+:class:`_BlockFacts`, and each execution hands over only its per-step
+effective addresses and the exit's outcome.  Two feeds share it:
 
-* **Streaming** — ``simulate_unit``/``simulate_program`` couple the
-  interpreter's ``trace_callback`` straight into the pipeline so timing
-  overlaps execution and no trace list is ever materialized.
-* **Steady-state fast-forward** — :class:`FastForwardEngine` watches for a
-  loop (taken backward branch) whose iterations repeat the exact same
-  record signature (address, outcome, effective address).  After K
-  identical iterations it snapshots the pipeline, replays one period, and
-  checks the *soundness condition*: every piece of clock-typed state
-  advanced by exactly the same constant ``c`` (or is dead — at or below the
-  fetch horizon, where it can never again win a ``max`` against a ready
-  time), and every piece of pattern-typed state (predictor counters, cache
-  tags/LRU, LSD tracking) is a fixed point of the iteration.  Because the
-  pipeline transition combines clocks only through ``+const``/``max``
-  against values at or above the horizon, a validated iteration implies N
-  iterations advance every live clock by ``N*c`` and every counter by N
-  times its measured delta — so skipped iterations are *bit-identical* to
-  walking them, which differential tests against ``simulate_reference``
-  assert.
+* **Blocks** — ``simulate_program``/``simulate_unit`` receive each
+  executed block straight from the interpreter's traced block loop, so no
+  ``ExecRecord`` is built.
+* **Records** — ``simulate_trace`` cuts a collected trace into runs that
+  end at control transfers and times each run the same way.
+
+**Steady-state fast-forward** — :class:`FastForwardEngine` watches for a
+loop (a block whose exit is a taken backward branch) whose iterations
+repeat the exact same block executions (block, effective addresses,
+outcome).  After K identical iterations it snapshots the pipeline,
+replays one period, and checks the *soundness condition*: every piece of
+clock-typed state advanced by exactly the same constant ``c`` (or is dead
+— at or below the fetch horizon, where it can never again win a ``max``
+against a ready time), and every piece of pattern-typed state (predictor
+counters, cache tags/LRU, LSD tracking) is a fixed point of the iteration.
+Because the pipeline transition combines clocks only through
+``+const``/``max`` against values at or above the horizon, a validated
+iteration implies N iterations advance every live clock by ``N*c`` and
+every counter by N times its measured delta — so skipped iterations are
+*bit-identical* to walking them, which differential tests against the
+per-record oracle in ``tests/uarch/record_walk.py`` assert.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, \
-    Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.ir.unit import MaoUnit
-from repro.sim.interp import ExecRecord, Interpreter, RunResult
+from repro.sim.interp import _CT_BASES, ExecRecord, Interpreter, RunResult
 from repro.sim.loader import LoadedProgram, load_unit
 from repro.uarch import counters as C
 from repro.uarch import model as M
@@ -79,99 +86,19 @@ class SimStats:
         return self.counters.get(C.INSTRUCTIONS, 0) / cycles
 
 
-class _LsdTracker:
-    """Detects streamable loops from the dynamic branch behaviour."""
+# ---------------------------------------------------------------------------
+# Static timing facts of one straight-line run.
+# ---------------------------------------------------------------------------
 
-    def __init__(self, model: ProcessorModel) -> None:
-        self.model = model
-        self.branch_addr: Optional[int] = None
-        self.target: Optional[int] = None
-        self.iterations = 0
-        self.lines: Set[int] = set()
-        self.branches = 0
-        self.poisoned = False       # body contained a disallowed insn
-        self.active = False
-        self.activations = 0
-
-    def reset(self) -> None:
-        self.branch_addr = None
-        self.target = None
-        self.iterations = 0
-        self.lines = set()
-        self.branches = 0
-        self.poisoned = False
-        self.active = False
-
-    def observe(self, record: ExecRecord, is_branch: bool,
-                taken: Optional[bool]) -> None:
-        model = self.model
-        insn = record.insn
-        if not model.lsd_enabled:
-            return
-        if insn.is_call or insn.is_ret or insn.is_indirect_branch:
-            self.reset()
-            return
-
-        self.lines.add(model.line_of(record.address))
-        end_line = model.line_of(record.address + record.size - 1)
-        self.lines.add(end_line)
-        if is_branch:
-            self.branches += 1
-
-        if is_branch and taken:
-            target = _taken_target(record)
-            backward = target is not None and target <= record.address
-            if backward and record.address == self.branch_addr \
-                    and target == self.target:
-                # Completed another iteration of the tracked loop.
-                fits = (len(self.lines) <= model.lsd_max_lines
-                        and self.branches <= model.lsd_max_branches
-                        and not self.poisoned)
-                if fits:
-                    self.iterations += 1
-                    if self.iterations >= model.lsd_min_iterations \
-                            and not self.active:
-                        self.active = True
-                        self.activations += 1
-                else:
-                    self.iterations = 0
-                    self.active = False
-                self.lines = set()
-                self.branches = 0
-                self.poisoned = False
-            elif backward:
-                # New loop candidate.
-                self.branch_addr = record.address
-                self.target = target
-                self.iterations = 0
-                self.lines = set()
-                self.branches = 0
-                self.poisoned = False
-                self.active = False
-            else:
-                # Forward taken branch inside the body is allowed; a taken
-                # branch leaving the region kills streaming.
-                if self.target is not None and target is not None \
-                        and not (self.target <= target
-                                 <= (self.branch_addr or 0)):
-                    self.reset()
-        elif is_branch and taken is False \
-                and record.address == self.branch_addr:
-            # Loop exit.
-            self.reset()
+#: Uop kinds of a compiled step (NOP uops occupy no port and are dropped).
+_LOAD, _STORE, _COMPUTE = 0, 1, 2
 
 
-def _taken_target(record: ExecRecord) -> Optional[int]:
-    """Resolved target of a direct branch (from its final encoding)."""
-    if record.insn.branch_target_label() is None:
+def _decode_target(insn: Instruction, address: int) -> Optional[int]:
+    """Resolved target of a direct jump, from its final encoding."""
+    if insn.branch_target_label() is None:
         return None
-    return _decode_target(record)
-
-
-def _decode_target(record: ExecRecord) -> Optional[int]:
-    insn = record.insn
     encoding = insn.encoding or b""
-    address = record.address
     if not encoding:
         return None
     if insn.base == "jmp":
@@ -191,8 +118,153 @@ def _decode_target(record: ExecRecord) -> Optional[int]:
     return None
 
 
+class _BlockFacts:
+    """One straight-line run's timing facts, resolved for one model.
+
+    ``steps`` holds one tuple per instruction: its first and last decode
+    line, register uses, whether it reads flags, register defs, whether
+    it writes flags, its uops as ``(kind, ports, latency, forwards)``, its
+    prefetch hint (0 none, 1 non-temporal, 2 temporal) and whether the
+    next-line prefetcher may fire for its loads (the §III.C.h PC alias).
+    ``lines`` is the set of decode lines the LSD sees the run touch; the
+    remaining fields describe the run's last instruction.  A control
+    transfer can only be last, so only it has exit effects.
+    """
+
+    __slots__ = ("model", "run", "steps", "uops", "loads", "stores",
+                 "lines", "address", "branch", "cond", "lsd_reset", "target",
+                 "loop_key")
+
+    def __init__(self, model: ProcessorModel,
+                 run: List[Tuple[Instruction, int]]) -> None:
+        self.model, self.run = model, run
+        port_map, latency = model.port_map, model.latency
+        stride = model.prefetch_pc_alias_stride
+        steps = []
+        uops = loads = stores = 0
+        lines: Set[int] = set()
+        for insn, address in run:
+            fx = effects(insn)
+            size = len(insn.encoding or b"")
+            compiled = []
+            for uop_class, is_load, is_store in uops_of(insn):
+                if is_load:
+                    compiled.append((_LOAD, port_map.get(M.LOAD, ()),
+                                     latency[M.LOAD], True))
+                    loads += 1
+                elif is_store:
+                    compiled.append((_STORE, port_map.get(M.STORE, ()),
+                                     latency[M.STORE], False))
+                    stores += 1
+                elif uop_class != M.NOP:
+                    compiled.append((_COMPUTE, port_map.get(uop_class, ()),
+                                     latency.get(uop_class, 1),
+                                     bool(fx.defs)
+                                     and uop_class != M.BRANCH))
+                uops += 1
+            base = insn.base
+            if base.startswith("prefetch"):
+                prefetch = 1 if base == "prefetchnta" else 2
+            else:
+                prefetch = 0
+            steps.append((model.line_of(address),
+                          model.line_of(address + max(size, 1) - 1),
+                          fx.uses, bool(fx.flags_read), fx.defs,
+                          bool(fx.flags_clobbered), tuple(compiled),
+                          prefetch,
+                          model.prefetcher_enabled
+                          and not (stride and address % stride == 0)))
+            lines.add(model.line_of(address))
+            lines.add(model.line_of(address + size - 1))
+        self.steps = tuple(steps)
+        self.uops, self.loads, self.stores = uops, loads, stores
+        self.lines = frozenset(lines)
+        insn, address = run[-1]
+        base = insn.base
+        self.address = address
+        self.branch = base in ("j", "jmp", "call", "ret")
+        self.cond = base == "j"
+        self.lsd_reset = insn.is_call or insn.is_ret \
+            or insn.is_indirect_branch
+        self.target = _decode_target(insn, address)
+        self.loop_key = (address, self.target) \
+            if self.target is not None and self.target <= address else None
+
+    def cut(self, n: int) -> "_BlockFacts":
+        """Facts of the first *n* steps, for a run cut by ``max_steps``."""
+        return _BlockFacts(self.model, self.run[:n])
+
+
+class _LsdTracker:
+    """Detects streamable loops from the dynamic branch behaviour."""
+
+    def __init__(self, model: ProcessorModel) -> None:
+        self.model = model
+        self.branch_addr: Optional[int] = None
+        self.target: Optional[int] = None
+        self.iterations = 0
+        self.lines: Set[int] = set()
+        self.branches = 0
+        self.active = False
+        self.activations = 0
+
+    def reset(self) -> None:
+        self.branch_addr = None
+        self.target = None
+        self.iterations = 0
+        self.lines = set()
+        self.branches = 0
+        self.active = False
+
+    def exit(self, facts: _BlockFacts, taken: Optional[bool]) -> None:
+        """Account one whole run, ending at its last instruction."""
+        if facts.lsd_reset:
+            self.reset()
+            return
+        self.lines |= facts.lines
+        if not facts.branch:
+            return
+        self.branches += 1
+        address = facts.address
+        if taken:
+            target = facts.target
+            if facts.loop_key is not None and address == self.branch_addr \
+                    and target == self.target:
+                # Completed another iteration of the tracked loop.
+                model = self.model
+                if len(self.lines) <= model.lsd_max_lines \
+                        and self.branches <= model.lsd_max_branches:
+                    self.iterations += 1
+                    if self.iterations >= model.lsd_min_iterations \
+                            and not self.active:
+                        self.active = True
+                        self.activations += 1
+                else:
+                    self.iterations = 0
+                    self.active = False
+                self.lines = set()
+                self.branches = 0
+            elif facts.loop_key is not None:
+                # New loop candidate.
+                self.branch_addr = address
+                self.target = target
+                self.iterations = 0
+                self.lines = set()
+                self.branches = 0
+                self.active = False
+            elif self.target is not None and target is not None \
+                    and not (self.target <= target
+                             <= (self.branch_addr or 0)):
+                # Forward taken branch inside the body is allowed; a taken
+                # branch leaving the region kills streaming.
+                self.reset()
+        elif taken is False and address == self.branch_addr:
+            # Loop exit.
+            self.reset()
+
+
 class PipelineSimulator:
-    """Streaming consumer of ExecRecords; call feed() then finish()."""
+    """The timing walk: call ``time_block`` per executed run, then finish."""
 
     def __init__(self, model: ProcessorModel) -> None:
         self.model = model
@@ -215,227 +287,229 @@ class PipelineSimulator:
 
         self.counts: Dict[str, int] = {name: 0 for name in C.ALL}
 
-        # Static per-instruction facts (uops, side effects, branch-ness)
-        # memoized by identity; each value keeps a reference to its
-        # instruction so an id can never be recycled while cached.
-        self._facts: Dict[int, tuple] = {}
+        # Static facts per interpreter block (keyed by the block) or per
+        # record run (keyed by its entries); the keys pin the objects, so
+        # identities stay unique while cached.
+        self._facts: Dict[object, _BlockFacts] = {}
 
-    # ---- helpers ---------------------------------------------------------
-
-    def _frontend_advance(self, record: ExecRecord,
-                          streaming: bool) -> int:
-        """Account decode of one instruction; returns its fetch-ready cycle."""
-        model = self.model
-        if streaming:
-            width = model.lsd_stream_width
-            if self._decoded_this_cycle >= width:
-                self.frontend_cycle += 1
-                self._decoded_this_cycle = 0
-            self._decoded_this_cycle += 1
-            self.counts[C.LSD_UOPS] += 1
-            return self.frontend_cycle
-
-        line = model.line_of(record.address)
-        end_line = model.line_of(record.address + max(record.size, 1) - 1)
-        if self._current_line is None or line != self._current_line:
-            # Every fetched decode line costs one fetch slot (16 bytes per
-            # cycle on Core-2) — including the line a taken branch lands
-            # on.  This is the §III.C.e mechanism: a one-line loop fetches
-            # one line per iteration, a boundary-straddling one fetches
-            # two.
-            self.frontend_cycle += 1
-            self._decoded_this_cycle = 0
-            self.counts[C.DECODE_LINES] += 1
-            self._current_line = line
-        # An instruction spilling into the next line consumes it too.
-        while end_line > self._current_line:
-            self.frontend_cycle += 1
-            self._current_line += 1
-            self.counts[C.DECODE_LINES] += 1
-            self._decoded_this_cycle = 0
-        if self._decoded_this_cycle >= model.decode_width:
-            self.frontend_cycle += 1
-            self._decoded_this_cycle = 0
-        self._decoded_this_cycle += 1
-        return self.frontend_cycle
-
-    def _issue_port(self, uop_class: str, ready: int) -> int:
-        ports = self.model.port_map.get(uop_class, ())
-        if not ports:
-            return ready                      # NOPs use no port
-        best_port = min(ports, key=lambda p: max(self.port_free[p], ready))
-        issue = max(self.port_free[best_port], ready)
-        self.port_free[best_port] = issue + 1
-        return issue
-
-    def _complete(self, issue: int, latency: int,
-                  produces_result: bool = True) -> int:
-        """Completion cycle honouring the forwarding-bandwidth limit.
-
-        Only register results occupy forwarding slots (branches and
-        flag-only compares don't).  When sustained demand exceeds the
-        bandwidth, results back up; the watermark keeps the search for a
-        free slot O(1).
-        """
-        cycle = issue + latency
-        if not produces_result:
-            if cycle > self.last_completion:
-                self.last_completion = cycle
-            return cycle
-        if self._fw_watermark > cycle \
-                and self._forwards.get(cycle, 0) >= self.model.forwarding_bw:
-            cycle = self._fw_watermark
-        while self._forwards.get(cycle, 0) >= self.model.forwarding_bw:
-            cycle += 1
-            self.counts[C.RESOURCE_STALLS_RS_FULL] += 1
-        self._forwards[cycle] = self._forwards.get(cycle, 0) + 1
-        if cycle > self._fw_watermark:
-            self._fw_watermark = cycle
-        if cycle > self.last_completion:
-            self.last_completion = cycle
-        return cycle
-
-    def _insn_facts(self, insn: Instruction) -> tuple:
-        """Resolve per-instruction static facts once, not once per record."""
-        facts = self._facts.get(id(insn))
-        if facts is not None:
-            return facts
-        fx = effects(insn)
-        base = insn.base
-        if base.startswith("prefetch"):
-            prefetch = 1 if base == "prefetchnta" else 2
-        else:
-            prefetch = 0
-        facts = (insn, uops_of(insn), fx.uses, bool(fx.flags_read),
-                 fx.defs, bool(fx.flags_clobbered),
-                 base in ("j", "jmp", "call", "ret"), base == "j", prefetch)
-        self._facts[id(insn)] = facts
+    def block_facts(self, block) -> _BlockFacts:
+        """Timing facts of a compiled interpreter block."""
+        facts = self._facts.get(block)
+        if facts is None:
+            facts = _BlockFacts(self.model, [(step.insn, step.address)
+                                             for step in block.steps])
+            self._facts[block] = facts
         return facts
 
-    # ---- main ------------------------------------------------------------
+    def run_facts(self, records: List[ExecRecord]) -> _BlockFacts:
+        """Timing facts of a run of records that ends at a control
+        transfer or at the end of the trace."""
+        key = tuple([r.entry for r in records])
+        facts = self._facts.get(key)
+        if facts is None:
+            facts = _BlockFacts(self.model, [(r.insn, r.address)
+                                             for r in records])
+            self._facts[key] = facts
+        return facts
 
-    def feed(self, record: ExecRecord) -> None:
+    def time_block(self, facts: _BlockFacts, eas: List[Optional[int]],
+                   taken: Optional[bool]) -> None:
+        """Time one execution of the first ``len(eas)`` steps of a run.
+
+        *eas* holds each step's effective address (or None); *taken* is
+        the outcome of the run's last instruction.  A run cut short by
+        ``max_steps`` ends before its exit, so only a whole run has exit
+        effects.
+        """
         model = self.model
-        insn = record.insn
-        self.counts[C.INSTRUCTIONS] += 1
-
-        streaming = self.lsd.active
-        fetch_cycle = self._frontend_advance(record, streaming)
-
-        (_, uop_list, uses, reads_flags, defs, wflags, is_branch, is_cond,
-         prefetch) = self._insn_facts(insn)
-
-        operand_ready = fetch_cycle
-        for group in uses:
-            t = self.reg_ready.get(group, 0)
-            if t > operand_ready:
-                operand_ready = t
-        if reads_flags and self.flags_ready > operand_ready:
-            operand_ready = self.flags_ready
-        self.counts[C.UOPS] += len(uop_list)
-
-        has_reg_result = bool(defs)
-
-        # Prefetch hints touch the cache without port pressure.
-        if prefetch and self.cache is not None and record.ea is not None:
-            if prefetch == 1:
-                self.cache.hint_nta(record.ea)
+        n = len(eas)
+        if n != len(facts.steps):
+            facts = facts.cut(n)
+        lsd = self.lsd
+        streaming = lsd.active
+        width = model.lsd_stream_width if streaming else model.decode_width
+        frontend = self.frontend_cycle
+        decoded = self._decoded_this_cycle
+        cur_line = self._current_line
+        flags_ready = self.flags_ready
+        reg_ready = self.reg_ready
+        port_free = self.port_free
+        mem_ready = self.mem_ready
+        forwards = self._forwards
+        bandwidth = model.forwarding_bw
+        watermark = self._fw_watermark
+        last_completion = self.last_completion
+        cache = self.cache
+        memory_latency = model.memory_latency
+        line_bytes = model.cache_line_bytes
+        new_lines = misses = stalls = 0
+        completion = 0
+        for (line, end_line, uses, reads_flags, defs, writes_flags, uops,
+             prefetch, prefetcher), ea in zip(facts.steps, eas):
+            if streaming:
+                if decoded >= width:
+                    frontend += 1
+                    decoded = 0
             else:
-                self.cache.access(record.ea)
+                if line != cur_line:
+                    # Every fetched decode line costs one fetch slot (16
+                    # bytes per cycle on Core-2) — including the line a
+                    # taken branch lands on.  This is the §III.C.e
+                    # mechanism: a one-line loop fetches one line per
+                    # iteration, a boundary-straddling one fetches two.
+                    frontend += 1
+                    decoded = 0
+                    new_lines += 1
+                    cur_line = line
+                # An instruction spilling into the next line consumes it.
+                while end_line > cur_line:
+                    frontend += 1
+                    cur_line += 1
+                    new_lines += 1
+                    decoded = 0
+                if decoded >= width:
+                    frontend += 1
+                    decoded = 0
+            decoded += 1
 
-        load_done = None
-        completion = operand_ready
-        for uop_class, is_load, is_store in uop_list:
-            ready = operand_ready
-            if is_load:
-                self.counts[C.MEM_LOADS] += 1
-                latency = model.latency[M.LOAD]
-                if record.ea is not None:
-                    ready = max(ready,
-                                self.mem_ready.get(record.ea >> 3, 0))
-                    if self.cache is not None:
-                        if not self.cache.access(record.ea):
-                            latency += model.memory_latency
-                            self.counts[C.L1D_MISSES] += 1
-                        # Next-line prefetcher, indexed by load PC: a load
-                        # sitting at a stride multiple aliases a dead
-                        # table slot and gets no prefetch (§III.C.h);
-                        # non-temporal accesses suppress it too.
-                        if model.prefetcher_enabled \
-                                and not self.cache.last_access_nta \
-                                and not (
-                                model.prefetch_pc_alias_stride
-                                and record.address
-                                % model.prefetch_pc_alias_stride == 0):
-                            self.cache.access(
-                                record.ea + model.cache_line_bytes)
-                issue = self._issue_port(M.LOAD, ready)
-                load_done = self._complete(issue, latency)
-                completion = max(completion, load_done)
-                continue
-            if is_store:
-                self.counts[C.MEM_STORES] += 1
-                ready = max(ready, completion)
-                issue = self._issue_port(M.STORE, ready)
-                done = issue + model.latency[M.STORE]
-                if record.ea is not None:
-                    self.mem_ready[record.ea >> 3] = done
-                    if self.cache is not None:
-                        if not self.cache.access(record.ea, is_write=True):
-                            self.counts[C.L1D_MISSES] += 1
-                completion = max(completion, done)
-                continue
-            # compute uop
-            ready = max(ready, load_done or 0)
-            if uop_class == M.NOP:
-                continue
-            issue = self._issue_port(uop_class, ready)
-            done = self._complete(
-                issue, model.latency.get(uop_class, 1),
-                produces_result=(has_reg_result
-                                 and uop_class != M.BRANCH))
-            completion = max(completion, done)
+            operand_ready = frontend
+            for group in uses:
+                t = reg_ready.get(group, 0)
+                if t > operand_ready:
+                    operand_ready = t
+            if reads_flags and flags_ready > operand_ready:
+                operand_ready = flags_ready
+            # Prefetch hints touch the cache without port pressure.
+            if prefetch and cache is not None and ea is not None:
+                if prefetch == 1:
+                    cache.hint_nta(ea)
+                else:
+                    cache.access(ea)
 
-        # Write-backs.
-        for group in defs:
-            self.reg_ready[group] = completion
-        if wflags:
-            self.flags_ready = completion
+            load_done = 0
+            completion = operand_ready
+            for kind, ports, latency, forwarded in uops:
+                if kind == _LOAD:
+                    ready = operand_ready
+                    if ea is not None:
+                        t = mem_ready.get(ea >> 3, 0)
+                        if t > ready:
+                            ready = t
+                        if cache is not None:
+                            if not cache.access(ea):
+                                latency += memory_latency
+                                misses += 1
+                            # Next-line prefetcher, indexed by load PC: a
+                            # load at a stride multiple aliases a dead
+                            # table slot and gets no prefetch (§III.C.h);
+                            # non-temporal accesses suppress it too.
+                            if prefetcher and not cache.last_access_nta:
+                                cache.access(ea + line_bytes)
+                elif kind == _STORE:
+                    ready = completion if completion > operand_ready \
+                        else operand_ready
+                else:
+                    ready = load_done if load_done > operand_ready \
+                        else operand_ready
+                # Issue on the earliest-free allowed port; the first port
+                # in profile order wins ties.  NOP-like classes with no
+                # port issue at once.
+                issue = ready
+                if ports:
+                    best = -1
+                    for port in ports:
+                        t = port_free[port]
+                        if t <= ready:
+                            best = port
+                            issue = ready
+                            break
+                        if best < 0 or t < issue:
+                            best = port
+                            issue = t
+                    port_free[best] = issue + 1
+                cycle = issue + latency
+                if kind == _STORE:
+                    if ea is not None:
+                        mem_ready[ea >> 3] = cycle
+                        if cache is not None \
+                                and not cache.access(ea, is_write=True):
+                            misses += 1
+                    if cycle > completion:
+                        completion = cycle
+                    continue
+                if forwarded:
+                    # Only register results occupy forwarding slots; when
+                    # demand exceeds the bandwidth, results back up and
+                    # the watermark keeps the free-slot search O(1).
+                    if watermark > cycle \
+                            and forwards.get(cycle, 0) >= bandwidth:
+                        cycle = watermark
+                    while forwards.get(cycle, 0) >= bandwidth:
+                        cycle += 1
+                        stalls += 1
+                    forwards[cycle] = forwards.get(cycle, 0) + 1
+                    if cycle > watermark:
+                        watermark = cycle
+                if cycle > last_completion:
+                    last_completion = cycle
+                if kind == _LOAD:
+                    load_done = cycle
+                if cycle > completion:
+                    completion = cycle
 
-        # Branch handling.
-        taken = record.taken
-        if is_cond:
-            self.counts[C.BR_EXEC] += 1
-            mispredicted = self.predictor.update(record.address,
-                                                 bool(taken))
-            if mispredicted:
-                self.counts[C.BR_MISP] += 1
+            # Write-backs.
+            for group in defs:
+                reg_ready[group] = completion
+            if writes_flags:
+                flags_ready = completion
+
+        counts = self.counts
+        if facts.cond:
+            counts[C.BR_EXEC] += 1
+            if self.predictor.update(facts.address, bool(taken)):
+                counts[C.BR_MISP] += 1
                 resume = completion + model.bp_mispredict_penalty
-                if resume > self.frontend_cycle:
-                    self.frontend_cycle = resume
-                self._current_line = None
-                self._decoded_this_cycle = 0
-        if is_branch and taken and not streaming:
+                if resume > frontend:
+                    frontend = resume
+                cur_line = None
+                decoded = 0
+        if facts.branch and taken and not streaming:
             # Redirect: next fetch starts a new line.  While the LSD
             # streams, the loop-back branch costs nothing — replay
             # continues seamlessly.
-            self._current_line = None
-            self._decoded_this_cycle = 0
+            cur_line = None
+            decoded = 0
+        if model.lsd_enabled:
+            lsd.exit(facts, taken)
+            if streaming and not lsd.active:
+                # Fell out of the LSD: fetch restarts.
+                cur_line = None
 
-        self.lsd.observe(record, is_branch, taken)
-        was_active = self.lsd.active
-        if streaming and not was_active:
-            # Fell out of the LSD: fetch restarts.
-            self._current_line = None
+        counts[C.INSTRUCTIONS] += n
+        counts[C.UOPS] += facts.uops
+        counts[C.MEM_LOADS] += facts.loads
+        counts[C.MEM_STORES] += facts.stores
+        if streaming:
+            counts[C.LSD_UOPS] += n
+        else:
+            counts[C.DECODE_LINES] += new_lines
+        counts[C.L1D_MISSES] += misses
+        counts[C.RESOURCE_STALLS_RS_FULL] += stalls
+        self.frontend_cycle = frontend
+        self._decoded_this_cycle = decoded
+        self._current_line = cur_line
+        self.flags_ready = flags_ready
+        self._fw_watermark = watermark
+        self.last_completion = last_completion
 
-        # Garbage-collect the forwarding histogram occasionally.  On
+        # Garbage-collect the forwarding histogram occasionally: entries
+        # below the fetch horizon can never be indexed again.  On
         # backend-bound traces every entry can sit above the horizon; the
         # adaptive limit keeps a fruitless sweep from re-running per
-        # record (which made the walk quadratic in trace length).
-        if len(self._forwards) > self._fw_gc_limit:
-            horizon = self.frontend_cycle
-            self._forwards = {c: n for c, n in self._forwards.items()
-                              if c >= horizon}
+        # block (which made the walk quadratic in trace length).
+        if len(forwards) > self._fw_gc_limit:
+            self._forwards = {c: k for c, k in forwards.items()
+                              if c >= frontend}
             self._fw_gc_limit = max(65536, 2 * len(self._forwards))
 
     def finish(self) -> SimStats:
@@ -468,8 +542,8 @@ class PipelineSimulator:
             "cache": self.cache.ff_snapshot() if self.cache is not None
             else None,
             "lsd": (lsd.branch_addr, lsd.target, lsd.iterations,
-                    frozenset(lsd.lines), lsd.branches, lsd.poisoned,
-                    lsd.active, lsd.activations),
+                    frozenset(lsd.lines), lsd.branches, lsd.active,
+                    lsd.activations),
         }
 
 
@@ -566,14 +640,13 @@ def _ff_delta(s0: dict, s1: dict, expected_records: int) -> Optional[dict]:
     else:
         cache_delta = (0, 0, 0)
     l0, l1 = s0["lsd"], s1["lsd"]
-    if (l0[0], l0[1], l0[3], l0[4], l0[5], l0[6], l0[7]) \
-            != (l1[0], l1[1], l1[3], l1[4], l1[5], l1[6], l1[7]):
+    if l0[:2] != l1[:2] or l0[3:] != l1[3:]:
         return None
     lsd_iters = l1[2] - l0[2]
     # An LSD candidate still below its activation threshold would flip the
     # front end into streaming mode partway through the skipped region;
     # only fast-forward once it has activated (or will never track).
-    if lsd_iters != 0 and not l1[6]:
+    if lsd_iters != 0 and not l1[5]:
         return None
     counts_delta: Dict[str, int] = {}
     for name, after in s1["counts"].items():
@@ -611,17 +684,18 @@ def _ff_apply(pl: PipelineSimulator, delta: dict, repeats: int) -> None:
 
 
 class FastForwardEngine:
-    """Streaming wrapper around a PipelineSimulator that skips steady loops.
+    """Wrapper around a PipelineSimulator that skips steady loops.
 
-    Feed it ExecRecords like a pipeline.  It keys loops by their taken
-    backward branch, fingerprints each iteration as the tuple of
-    ``(address, taken, ea)`` records in its body, and once
-    ``min_repeats`` consecutive iterations fingerprint identically it
-    measures one period and validates the soundness condition (see
-    ``_ff_delta``).  While a validated loop keeps matching, whole
-    iterations are replaced by one ``_ff_apply`` per drained batch; the
-    first diverging record replays any buffered partial iteration through
-    the normal walk, so exits are exact.
+    Call ``time_block`` on it like on a pipeline.  It keys loops by the
+    block whose exit is a taken backward branch, fingerprints each
+    iteration as the tuple of ``(facts, eas, taken)`` block executions in
+    its body, and once ``min_repeats`` consecutive iterations fingerprint
+    identically it measures one period and validates the soundness
+    condition (see ``_ff_delta``).  While a validated loop keeps matching,
+    whole iterations are replaced by one ``_ff_apply`` per drained batch;
+    the first diverging block execution replays any buffered partial
+    iteration through the normal walk, so exits are exact.  The body
+    limit and every statistic count records (executed instructions).
     """
 
     def __init__(self, pipeline: PipelineSimulator, min_repeats: int = 8,
@@ -629,9 +703,9 @@ class FastForwardEngine:
         self.pl = pipeline
         self.min_repeats = min_repeats
         self.max_body = max_body
-        self._targets: Dict[int, tuple] = {}
 
-        self.cur: List[tuple] = []          # records since last boundary
+        self.cur: List[tuple] = []          # blocks since last boundary
+        self.cur_records = 0
         self.key: Optional[tuple] = None    # (branch addr, target)
         self.prev_sig: Optional[tuple] = None
         self.repeats = 0
@@ -645,19 +719,22 @@ class FastForwardEngine:
 
         self.skipping = False
         self.unit_sig: Tuple[tuple, ...] = ()
+        self.unit_records = 0
         self.pos = 0
-        self.buf: List[ExecRecord] = []
+        self.buf: List[tuple] = []
         self.pending = 0
         self.delta: Optional[dict] = None
         self._draining = False
 
     # -- skip state ---------------------------------------------------------
 
-    def feed(self, record: ExecRecord) -> None:
+    def time_block(self, facts: _BlockFacts, eas: List[Optional[int]],
+                   taken: Optional[bool]) -> None:
         if self.skipping:
-            if (record.address, record.taken, record.ea) \
-                    == self.unit_sig[self.pos]:
-                self.buf.append(record)
+            expected = self.unit_sig[self.pos]
+            if expected[0] is facts and expected[2] is taken \
+                    and expected[1] == eas:
+                self.buf.append(expected)
                 self.pos += 1
                 if self.pos == len(self.unit_sig):
                     self.pending += 1
@@ -665,7 +742,7 @@ class FastForwardEngine:
                     self.buf.clear()
                 return
             self._drain()
-        self._scan_feed(record)
+        self._scan(facts, eas, taken)
 
     def _drain(self) -> None:
         """Apply accumulated skips, then replay the buffered partial tail."""
@@ -678,56 +755,48 @@ class FastForwardEngine:
             _ff_apply(self.pl, self.delta, pending)
             _FF_STATS["iterations_fast_forwarded"] += pending * self.period
             _FF_STATS["records_fast_forwarded"] += \
-                pending * len(self.unit_sig)
+                pending * self.unit_records
         self._draining = True
         try:
-            for buffered_record in buffered:
-                self._scan_feed(buffered_record)
+            for execution in buffered:
+                self._scan(*execution)
         finally:
             self._draining = False
 
     # -- scan/measure state --------------------------------------------------
 
-    def _scan_feed(self, record: ExecRecord) -> None:
-        self.pl.feed(record)
-        self.cur.append((record.address, record.taken, record.ea))
-        if record.taken:
-            key = self._backward_key(record)
-            if key is not None:
-                self._boundary(key)
-                return
-        if len(self.cur) > self.max_body:
+    def _scan(self, facts: _BlockFacts, eas: List[Optional[int]],
+              taken: Optional[bool]) -> None:
+        self.pl.time_block(facts, eas, taken)
+        self.cur.append((facts, eas, taken))
+        self.cur_records += len(eas)
+        if taken and facts.loop_key is not None:
+            self._boundary(facts.loop_key)
+            return
+        if self.cur_records > self.max_body:
             self.cur = []
+            self.cur_records = 0
             self.prev_sig = None
             self.repeats = 0
             self.measuring = False
 
-    def _backward_key(self, record: ExecRecord) -> Optional[tuple]:
-        cached = self._targets.get(id(record.insn))
-        if cached is None:
-            # Pin the instruction in the cache value so its id stays unique
-            # for this engine's lifetime.
-            cached = (record.insn, _taken_target(record))
-            self._targets[id(record.insn)] = cached
-        target = cached[1]
-        if target is not None and target <= record.address:
-            return (record.address, target)
-        return None
-
     def _boundary(self, key: tuple) -> None:
         sig = tuple(self.cur)
+        records = self.cur_records
         self.cur = []
+        self.cur_records = 0
         if self.measuring:
             if key == self.key and sig == self.prev_sig:
                 self.measure_left -= 1
                 if self.measure_left > 0:
                     return
                 s1 = self.pl._ff_snapshot()
-                delta = _ff_delta(self.s0, s1, len(sig) * self.period)
+                delta = _ff_delta(self.s0, s1, records * self.period)
                 if delta is not None:
                     self.measuring = False
                     self.delta = delta
                     self.unit_sig = sig * self.period
+                    self.unit_records = records * self.period
                     self.skipping = True
                     self.pos = 0
                     self.pending = 0
@@ -775,31 +844,39 @@ class FastForwardEngine:
 # Entry points.
 # ---------------------------------------------------------------------------
 
+def _timer(pipeline: PipelineSimulator, fast_forward: bool):
+    """The pipeline, or a fast-forward engine around it."""
+    if fast_forward and _FF_ENABLED:
+        return FastForwardEngine(pipeline)
+    return pipeline
+
+
 def simulate_trace(trace: Iterable[ExecRecord], model: ProcessorModel,
                    fast_forward: bool = True) -> SimStats:
-    """Run the timing model over a complete trace."""
+    """Run the timing model over a complete trace.
+
+    The records are cut into runs that end at control transfers, and each
+    run is timed like an executed block.
+    """
     with obs.span("simulate", model=model.name, streaming=False,
                   fast_forward=bool(fast_forward and _FF_ENABLED)) as span:
         pipeline = PipelineSimulator(model)
-        if fast_forward and _FF_ENABLED:
-            engine = FastForwardEngine(pipeline)
-            for record in trace:
-                engine.feed(record)
-            stats = engine.finish()
-        else:
-            for record in trace:
-                pipeline.feed(record)
-            stats = pipeline.finish()
+        timer = _timer(pipeline, fast_forward)
+        run: List[ExecRecord] = []
+        for record in trace:
+            run.append(record)
+            if record.entry.insn.base in _CT_BASES:
+                timer.time_block(pipeline.run_facts(run),
+                                 [r.ea for r in run], record.taken)
+                run = []
+        if run:
+            timer.time_block(pipeline.run_facts(run), [r.ea for r in run],
+                             run[-1].taken)
+        stats = timer.finish()
         if span:
             span.attach(cycles=stats.cycles,
                         instructions=stats[C.INSTRUCTIONS])
     return stats
-
-
-def simulate_reference(trace: Iterable[ExecRecord],
-                       model: ProcessorModel) -> SimStats:
-    """The retained full walk: every record through the pipeline, no skips."""
-    return simulate_trace(trace, model, fast_forward=False)
 
 
 def simulate_program(program: LoadedProgram, model: ProcessorModel,
@@ -809,13 +886,13 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
                      fast_forward: bool = True,
                      private_memory: bool = False
                      ) -> Tuple[RunResult, SimStats]:
-    """Execute a loaded program and time it in one streaming pass.
+    """Execute a loaded program and time it, one executed block per call.
 
-    Records flow from the interpreter's ``trace_callback`` straight into
-    the pipeline (optionally through the fast-forward engine) — no trace
-    list is materialized.  ``private_memory`` runs against a clone of the
-    program's memory image so the same LoadedProgram can be reused across
-    sweeps.
+    The interpreter hands each executed block, its per-step effective
+    addresses and its exit's outcome to the pipeline (optionally through
+    the fast-forward engine); no ``ExecRecord`` is built.
+    ``private_memory`` runs against a clone of the program's memory image
+    so the same LoadedProgram can be reused across sweeps.
     """
     with obs.span("simulate", model=model.name,
                   fast_forward=bool(fast_forward and _FF_ENABLED)) as span:
@@ -824,17 +901,17 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
             ff_before = dict(_FF_STATS)
             blk_before = block_cache_stats()
         pipeline = PipelineSimulator(model)
-        consumer: Callable[[ExecRecord], None]
-        if fast_forward and _FF_ENABLED:
-            engine = FastForwardEngine(pipeline)
-            finisher = engine
-        else:
-            finisher = pipeline
+        timer = _timer(pipeline, fast_forward)
+        block_facts, time_block = pipeline.block_facts, timer.time_block
+
+        def on_block(block, eas: List[Optional[int]],
+                     taken: Optional[bool]) -> None:
+            time_block(block_facts(block), eas, taken)
+
         interp = Interpreter(program, max_steps=max_steps,
                              private_memory=private_memory)
-        result = interp.run(entry=entry, trace_callback=finisher.feed,
-                            args=args)
-        stats = finisher.finish()
+        result = interp.run(entry=entry, on_block=on_block, args=args)
+        stats = timer.finish()
         if span:
             blk_after = block_cache_stats()
             span.attach(
@@ -859,7 +936,7 @@ def simulate_unit(unit: MaoUnit, model: ProcessorModel,
                   max_steps: int = 5_000_000,
                   args: Optional[List[int]] = None,
                   fast_forward: bool = True) -> Tuple[RunResult, SimStats]:
-    """Load a unit and stream-simulate it (see ``simulate_program``)."""
+    """Load a unit and simulate it (see ``simulate_program``)."""
     with obs.span("load", entry=entry_symbol):
         program = load_unit(unit, entry_symbol)
     return simulate_program(program, model, max_steps=max_steps, args=args,

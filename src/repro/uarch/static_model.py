@@ -568,10 +568,10 @@ def frontend_bound(placed: List[Tuple[Instruction, int, int]],
     *placed* is (instruction, address, size) in address order — the real
     encoded bytes.  Returns (decode cycles per iteration, distinct lines
     spanned, LSD-streamable?, streaming cycles per iteration or None).
-    Mirrors ``PipelineSimulator._frontend_advance``: one cycle per line
-    fetched (instructions spilling into the next line consume it too),
-    ``decode_width`` instructions per cycle within a line, and — with a
-    taken loop-back branch — fetch restarting on a fresh line each
+    Mirrors the front end of ``PipelineSimulator.time_block``: one cycle
+    per line fetched (instructions spilling into the next line consume it
+    too), ``decode_width`` instructions per cycle within a line, and —
+    with a taken loop-back branch — fetch restarting on a fresh line each
     iteration.
     """
     cycles = 0

@@ -25,6 +25,17 @@ f%d:
 """
 
 
+def occupy(port, index):
+    """One request that holds a server slot; the client is closed after."""
+    with Client(port=port, retries=0) as client:
+        client.optimize(SOURCE_TMPL % (index, index), "REDTEST")
+
+
+def join(thread):
+    thread.join(timeout=10)
+    assert not thread.is_alive(), "blocking request never finished"
+
+
 def overload_config(**overrides):
     defaults = dict(port=0, cache=False, max_inflight=1, max_queue=1,
                     test_delay_s=0.5, retry_after_s=0.05)
@@ -71,9 +82,8 @@ class TestBackpressure:
 
     def test_503_carries_retry_after_header(self):
         with ServerThread(overload_config(max_queue=0)) as handle:
-            blocker = threading.Thread(
-                target=lambda: Client(port=handle.port, retries=0)
-                .optimize(SOURCE_TMPL % (0, 0), "REDTEST"))
+            blocker = threading.Thread(target=occupy,
+                                       args=(handle.port, 0))
             blocker.start()
             time.sleep(0.1)        # let the blocker occupy the only slot
             conn = http.client.HTTPConnection("127.0.0.1", handle.port,
@@ -90,15 +100,14 @@ class TestBackpressure:
                 assert json.loads(raw)["status"] == 503
             finally:
                 conn.close()
-                blocker.join()
+                join(blocker)
 
     def test_healthz_and_metrics_still_served_under_overload(self):
         """Observability must not sit behind the admission queue: a
         saturated worker pool cannot blind the operator."""
         with ServerThread(overload_config(max_queue=0)) as handle:
-            blocker = threading.Thread(
-                target=lambda: Client(port=handle.port, retries=0)
-                .optimize(SOURCE_TMPL % (7, 7), "REDTEST"))
+            blocker = threading.Thread(target=occupy,
+                                       args=(handle.port, 7))
             blocker.start()
             time.sleep(0.1)
             try:
@@ -114,7 +123,7 @@ class TestBackpressure:
                     assert metrics["values"]["server.inflight"] == 1
                     assert metrics["values"]["server.queue_depth"] == 0
             finally:
-                blocker.join()
+                join(blocker)
 
     def test_client_retry_rides_out_backpressure(self):
         """With a retry budget, a shed client eventually lands: the
@@ -165,9 +174,8 @@ class TestDrain:
     def test_draining_server_rejects_new_work_with_503(self):
         handle = ServerThread(overload_config(test_delay_s=0.8))
         with handle:
-            blocker = threading.Thread(
-                target=lambda: Client(port=handle.port, retries=0)
-                .optimize(SOURCE_TMPL % (5, 5), "REDTEST"))
+            blocker = threading.Thread(target=occupy,
+                                       args=(handle.port, 5))
             blocker.start()
             time.sleep(0.2)
             # Trigger the drain without waiting for it to finish, then
@@ -178,7 +186,7 @@ class TestDrain:
             with Client(port=handle.port, retries=0) as client:
                 with pytest.raises((ServerBusy, Exception)) as exc_info:
                     client.optimize(SOURCE_TMPL % (6, 6), "REDTEST")
-            blocker.join()
+            join(blocker)
         # Depending on timing the listener may already be closed
         # (connection refused) or the request is answered 503 draining;
         # both satisfy "stop accepting new work".

@@ -107,6 +107,20 @@ class TestDifferential:
             states.append(machine.state.gp["r10"])
         assert states[0] == states[1] == 5
 
+    def test_cut_before_fault_matches_reference(self, monkeypatch):
+        # A run that reaches max_steps just before an instruction with no
+        # semantics stops there on every path, like the reference loop.
+        monkeypatch.delitem(interp._DISPATCH, "bswap")
+        source = (".text\n.globl main\nmain:\n"
+                  "    movl $5, %r10d\n"
+                  "    bswap %rax\n"
+                  "    ret\n")
+        for collect_trace in (False, True):
+            ref, fast = run_both(source, collect_trace=collect_trace,
+                                 max_steps=1)
+            assert _fingerprint(ref) == _fingerprint(fast)
+            assert fast.reason == "max-steps"
+
     def test_fall_off_code_matches_reference(self):
         # A block that runs past the last encoded instruction must fault
         # exactly like the reference loop (after the same step count).

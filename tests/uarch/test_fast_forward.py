@@ -3,8 +3,8 @@
 Fast-forwarding replaces validated loop iterations with one algebraic
 state advance, so the only acceptable observable difference is wall
 clock: every counter the pipeline produces must be bit-identical to the
-retained full walk (``simulate_reference``), on every workload and both
-processor models — including loops the engine must *refuse* (LSD
+per-record oracle (``tests/uarch/record_walk.py``), on every workload and
+both processor models — including loops the engine must *refuse* (LSD
 candidates below their activation threshold, backend-bound bodies whose
 completion clocks drift).
 """
@@ -12,7 +12,8 @@ completion clocks drift).
 import pytest
 
 from repro.ir import parse_unit
-from repro.sim.interp import run_unit
+from repro.sim.interp import Interpreter, run_unit
+from repro.sim.loader import load_unit
 from repro.uarch import pipeline as pipeline_mod
 from repro.uarch.pipeline import (
     FastForwardEngine,
@@ -20,12 +21,12 @@ from repro.uarch.pipeline import (
     fast_forward_disabled,
     fast_forward_stats,
     reset_fast_forward_stats,
-    simulate_reference,
     simulate_trace,
     simulate_unit,
 )
 from repro.uarch.profiles import core2, opteron
 from repro.workloads import kernels
+from tests.uarch.record_walk import simulate_reference
 
 WORKLOADS = [
     ("fig1_nop", kernels.mcf_fig1(insert_nop=True, outer=12)),
@@ -122,13 +123,13 @@ class TestControls:
     def test_engine_finish_equals_pipeline_finish(self):
         # An engine that never engages must be a transparent wrapper.
         model = core2()
-        trace = run_unit(parse_unit(kernels.eon_loop(outer=4)),
-                         collect_trace=True).trace
-        pl = PipelineSimulator(model)
-        for record in trace:
-            pl.feed(record)
-        ref = pl.finish()
-        engine = FastForwardEngine(PipelineSimulator(model))
-        for record in trace:
-            engine.feed(record)
-        assert engine.finish().counters == ref.counters
+        program = load_unit(parse_unit(kernels.eon_loop(outer=4)), "main")
+        finished = []
+        for fast in (False, True):
+            pipeline = PipelineSimulator(model)
+            timer = FastForwardEngine(pipeline) if fast else pipeline
+            Interpreter(program, private_memory=True).run(
+                on_block=lambda block, eas, taken: timer.time_block(
+                    pipeline.block_facts(block), eas, taken))
+            finished.append(timer.finish().counters)
+        assert finished[0] == finished[1]
