@@ -22,10 +22,15 @@ bench:
 	$(PYTHON) benchmarks/bench_discover.py
 	$(PYTHON) scripts/perf_report.py --check
 
+# Quick runs write to /tmp so they never overwrite the tracked full-run
+# BENCH_hotpath.json and BENCH_sim.json.
 bench-quick:
-	$(PYTHON) benchmarks/bench_hotpath.py --quick
-	$(PYTHON) benchmarks/bench_sim_engine.py --quick
-	$(PYTHON) scripts/perf_report.py
+	$(PYTHON) benchmarks/bench_hotpath.py --quick \
+		-o /tmp/pymao_bench_hotpath.json
+	$(PYTHON) benchmarks/bench_sim_engine.py --quick \
+		-o /tmp/pymao_bench_sim.json
+	$(PYTHON) scripts/perf_report.py /tmp/pymao_bench_hotpath.json \
+		/tmp/pymao_bench_sim.json
 
 bench-suite:
 	PYTHONPATH=src $(PYTHON) scripts/bench_runner.py --quick

@@ -1,28 +1,34 @@
 #!/usr/bin/env python3
-"""Simulation-engine performance harness: block cache + per-block timing
-+ loop fast-forward.
+"""Simulation-engine performance harness: compiled blocks + per-block
+timing + loop fast-forward.
 
 Measures the execute→time path on steady-state loop workloads (the bulk
 of every micro-benchmark the detectors run) and records the numbers in
 ``BENCH_sim.json`` so the perf trajectory is tracked from PR to PR:
 
-* **baseline** — the pre-trace-compiled configuration: per-instruction
-  decode dispatch with the block cache disabled, a fully materialized
-  trace list, and the per-record pipeline walk with no fast-forward
+* **baseline** — the reference configuration: the per-step interpreter
+  that decodes every instruction on every step
+  (``tests/sim/reference_interp.py``), a fully materialized trace list,
+  and the per-record pipeline walk with no fast-forward
   (``tests/uarch/record_walk.py``);
-* **fast** — trace-compiled basic blocks, each executed block timed in
-  one call, steady-state iterations fast-forwarded algebraically.
+* **fast** — ``api.simulate``: basic blocks of compiled step functions,
+  each executed block timed in one call, steady-state iterations
+  fast-forwarded algebraically.
 
-The fast path must be *counter-identical* to the baseline: the harness
-diffs every ``SimStats`` counter (and the architectural run result) and
-refuses to report a speedup for wrong timing.  A differential section
-sweeps the paper's anecdote kernels on both processor models as an
-extra equality net.
+Each side runs once to warm up, then five timed samples alternate
+between the sides; the reported times are the medians and the
+samples are recorded beside them.  The fast path must be
+*counter-identical* to the baseline: the harness diffs every
+``SimStats`` counter (and the architectural run result) and refuses to
+report a speedup for wrong timing.  A differential section sweeps the
+paper's anecdote kernels on both processor models as an extra equality
+net.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim_engine.py            # full run
-    PYTHONPATH=src python benchmarks/bench_sim_engine.py --quick    # CI smoke
+    PYTHONPATH=src python benchmarks/bench_sim_engine.py --quick \
+        -o /tmp/pymao_bench_sim.json                                # CI smoke
     python scripts/perf_report.py BENCH_sim.json                    # pretty-print
 """
 
@@ -31,22 +37,26 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
-sys.path.insert(0, _REPO_ROOT)   # the per-record oracle lives in tests/
+sys.path.insert(0, _REPO_ROOT)   # the reference engines live in tests/
 
 from repro import api  # noqa: E402
 from repro.ir import parse_unit  # noqa: E402
 from repro.sim import interp  # noqa: E402
-from repro.sim.interp import run_unit  # noqa: E402
 from repro.uarch import pipeline  # noqa: E402
 from repro.uarch.profiles import core2, opteron  # noqa: E402
 from repro.workloads import kernels  # noqa: E402
+from tests.sim import reference_interp  # noqa: E402
 from tests.uarch.record_walk import simulate_reference  # noqa: E402
+
+#: Timed samples per side (after one warm-up run each).
+REPEATS = 5
 
 
 def _run_state(result) -> tuple:
@@ -56,27 +66,44 @@ def _run_state(result) -> tuple:
             tuple(sorted(state.flags.snapshot().items())), state.rip)
 
 
-def bench_engine(name: str, source: str, model) -> dict:
-    """One steady-state workload: baseline walk vs. the full fast path."""
-    unit_base = parse_unit(source)
-    unit_fast = parse_unit(source)
+def _baseline(unit, model):
+    """The reference interpreter's trace, walked per record."""
+    result = reference_interp.run_unit(unit, collect_trace=True)
+    return result, simulate_reference(result.trace, model)
 
-    interp.reset_block_cache_stats()
-    pipeline.reset_fast_forward_stats()
 
-    with interp.block_cache_disabled():
-        start = time.perf_counter()
-        result_base = run_unit(unit_base, collect_trace=True)
-        stats_base = simulate_reference(result_base.trace, model)
-        baseline_s = time.perf_counter() - start
-
+def _timed(fn, *args):
     start = time.perf_counter()
-    sim = api.simulate(unit_fast, model)
-    result_fast, stats_fast = sim.result, sim.stats
-    fast_s = time.perf_counter() - start
+    value = fn(*args)
+    return time.perf_counter() - start, value
 
+
+def bench_engine(name: str, source: str, model) -> dict:
+    """One steady-state workload: baseline walk vs. the full fast path,
+    as the medians of REPEATS alternating samples after a warm-up."""
+    unit = parse_unit(source)
+    sides = {"baseline": lambda: _baseline(unit, model),
+             "fast": lambda: api.simulate(unit, model)}
+    samples = {"baseline": [], "fast": []}
+    runs = {side: run() for side, run in sides.items()}      # warm-up
+    for index in range(REPEATS):
+        order = ("baseline", "fast") if index % 2 == 0 \
+            else ("fast", "baseline")
+        for side in order:
+            if side == "fast":
+                # Block-cache and fast-forward stats of the last fast run.
+                interp.reset_block_cache_stats()
+                pipeline.reset_fast_forward_stats()
+            seconds, runs[side] = _timed(sides[side])
+            samples[side].append(round(seconds, 6))
     blk = interp.block_cache_stats()
     ff = pipeline.fast_forward_stats()
+
+    result_base, stats_base = runs["baseline"]
+    sim = runs["fast"]
+    result_fast, stats_fast = sim.result, sim.stats
+    baseline_s = statistics.median(samples["baseline"])
+    fast_s = statistics.median(samples["fast"])
     identical = (stats_base.counters == stats_fast.counters
                  and _run_state(result_base) == _run_state(result_fast))
     return {
@@ -86,6 +113,8 @@ def bench_engine(name: str, source: str, model) -> dict:
         "cycles": stats_fast.cycles,
         "baseline_s": round(baseline_s, 6),
         "fast_s": round(fast_s, 6),
+        "baseline_samples_s": samples["baseline"],
+        "fast_samples_s": samples["fast"],
         "speedup": round(baseline_s / fast_s, 3) if fast_s else None,
         "counter_identical": identical,
         "block_cache_hits": int(blk["block_hits"]),
@@ -117,9 +146,7 @@ def bench_differential(quick: bool) -> dict:
     mismatches = []
     for case_name, source in cases:
         for model in models:
-            with interp.block_cache_disabled():
-                base = run_unit(parse_unit(source), collect_trace=True)
-                ref = simulate_reference(base.trace, model)
+            base, ref = _baseline(parse_unit(source), model)
             sim = api.simulate(source, model)
             run, fast = sim.result, sim.stats
             checked += 1
@@ -135,13 +162,13 @@ def bench_differential(quick: bool) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="simulation-engine perf harness (block cache + "
+        description="simulation-engine perf harness (compiled blocks + "
                     "per-block timing + loop fast-forward)")
     parser.add_argument("--quick", action="store_true",
                         help="small workload for CI smoke runs")
     parser.add_argument("--outer", type=int, default=None,
                         help="outer trip count of the steady-loop "
-                             "workload (default 2500, quick 600)")
+                             "workload (default 8000, quick 1500)")
     parser.add_argument("-o", "--output", default=None,
                         help="JSON output path (default: BENCH_sim.json "
                              "next to the repo root)")
@@ -173,6 +200,7 @@ def main(argv=None) -> int:
         "config": {
             "quick": args.quick,
             "outer": outer,
+            "repeats": REPEATS,
         },
         "sim_steady_loop": steady,
         "sim_hash_kernel": hashed,
@@ -187,7 +215,7 @@ def main(argv=None) -> int:
     ok = True
     for key in ("sim_steady_loop", "sim_hash_kernel"):
         r = results[key]
-        print("%-16s %6.1fx speedup  (%.4fs -> %.4fs)  "
+        print("%-16s %6.1fx speedup  (median %.4fs -> %.4fs)  "
               "block-hit-rate %.1f%%  ff-records=%d  identical=%s"
               % (key, r["speedup"], r["baseline_s"], r["fast_s"],
                  100.0 * r["block_cache_hit_rate"], r["ff_records"],

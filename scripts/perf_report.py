@@ -197,8 +197,9 @@ class SimReport:
             _row("workload / model", "%s / %s"
                  % (section["workload"], section["model"]))
             _row("instructions", str(section["instructions"]))
-            _row("baseline (interp + walk)", "%.4fs" % section["baseline_s"])
-            _row("fast (blocks + ff)", "%.4fs" % section["fast_s"])
+            _row("baseline (interp + walk)", "%.4fs median"
+                 % section["baseline_s"])
+            _row("fast (blocks + ff)", "%.4fs median" % section["fast_s"])
             _row("speedup", "%.2fx" % section["speedup"])
             _row("block-cache hit rate",
                  "%.1f%%" % (100 * section["block_cache_hit_rate"]))

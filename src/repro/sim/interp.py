@@ -14,31 +14,40 @@ flag, and memory semantics.  Produces:
 * optional PMU-style samples (instruction address + register-file snapshot)
   — consumed by the instruction-simulation pass (paper §III.E.m).
 
-The hot execution path is *trace-compiled*: the first time an address is
-executed, the straight-line run up to the next control transfer is decoded
-into a basic block of ``_CompiledStep`` thunks with every static fact —
-semantics handler, encoding length, memory-operand shape, branch-ness —
-resolved once per static instruction instead of once per dynamic step.
-Blocks are cached on the :class:`LoadedProgram` keyed by start address,
-which is sound because the code image (addresses and encodings) is
-immutable after load.  The original one-instruction-at-a-time loop is kept
-as the reference path (``block_cache_disabled()``) and differential tests
-assert both produce identical state, traces, and step counts.
+Execution is *block-compiled*.  The first time an address is executed,
+the straight-line run up to the next control transfer becomes a basic
+block of compiled steps.  Each ``_DISPATCH`` entry is a compiler: it runs
+once per static instruction and returns a step function with every static
+fact resolved — the register group and width mask of each register
+operand, pre-masked immediates, one effective-address function per memory
+operand (which the traced loop also uses for the step's ``ea``), the
+branch target and the condition test.  A dynamic step examines no operand
+kind, width or condition code, and stores each flag it writes once, as a
+plain attribute of :class:`~repro.sim.state.Flags`.
+
+A step captures only static facts and reads ``interp.state`` and
+``interp.memory`` when it runs, so blocks are cached on the
+:class:`LoadedProgram`, keyed by start address, and shared by every
+Interpreter over it (sound because the code image is immutable after
+load).  A step that faults raises :class:`SimError` when it runs, after
+the earlier steps of its block committed.  The per-step interpreter that
+decodes operands on every step is kept in ``tests/sim/reference_interp.py``
+as the differential oracle.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.ir.entries import InstructionEntry
 from repro.ir.unit import MaoUnit
 from repro.sim.loader import LoadedProgram, STACK_TOP, load_unit
 from repro.sim.memory import SparseMemory
 from repro.sim.state import MASK64, MachineState
-from repro.x86.flags import parity
+from repro.x86.flags import cc_encoding, parity
 from repro.x86.instruction import Instruction
 from repro.x86.operands import (
     Immediate,
@@ -47,8 +56,10 @@ from repro.x86.operands import (
     Operand,
     RegisterOperand,
 )
+from repro.x86.registers import Register
 
 RETURN_SENTINEL = 0xDEAD0000
+MASK128 = (1 << 128) - 1
 
 
 class SimError(Exception):
@@ -63,7 +74,6 @@ class SimError(Exception):
 # aggregates across all programs, like encoding_cache_stats().
 # ---------------------------------------------------------------------------
 
-_BLOCK_CACHE_ENABLED = True
 _BLOCK_STATS = {
     "blocks_compiled": 0,
     "block_hits": 0,
@@ -77,7 +87,6 @@ def block_cache_stats() -> Dict[str, object]:
     lookups = _BLOCK_STATS["block_hits"] + _BLOCK_STATS["blocks_compiled"]
     stats["hit_rate"] = (_BLOCK_STATS["block_hits"] / lookups) if lookups \
         else 0.0
-    stats["enabled"] = _BLOCK_CACHE_ENABLED
     return stats
 
 
@@ -86,84 +95,77 @@ def reset_block_cache_stats() -> None:
         _BLOCK_STATS[key] = 0
 
 
-def set_block_cache_enabled(enabled: bool) -> bool:
-    """Globally enable/disable block compilation; returns previous value."""
-    global _BLOCK_CACHE_ENABLED
-    previous = _BLOCK_CACHE_ENABLED
-    _BLOCK_CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def block_cache_disabled() -> Iterator[None]:
-    """Run the interpreter through the reference per-step loop."""
-    previous = set_block_cache_enabled(False)
-    try:
-        yield
-    finally:
-        set_block_cache_enabled(previous)
-
-
-# How the ``ea`` field of an ExecRecord is derived for one static
-# instruction: not at all, from its memory operand, from the stack slot a
-# push/call will write, or from the stack slot a pop/ret will read.
-_EA_NONE, _EA_MEM, _EA_PUSH, _EA_POP = 0, 1, 2, 3
+#: A compiled step: ``run(interp)``.  A block's body steps return None; its
+#: exit step returns ``(rip, taken)`` — the next rip and the branch outcome
+#: — or ``(None, reason)`` when the run stops there.
+Step = Callable[["Interpreter"], object]
 
 
 class _CompiledStep:
-    """One static instruction with every per-step-invariant fact resolved."""
+    """One static instruction compiled.
 
-    __slots__ = ("entry", "insn", "handler", "address", "next_rip",
-                 "ea_mode", "mem_op")
+    ``run`` executes it.  ``ea`` gives the ``ea`` of its ExecRecord (the
+    address of its memory operand, or the stack slot a push/call writes or
+    a pop/ret reads), or is None.  ``traced`` is the body form the traced
+    loop calls: it runs the step and returns that ``ea``, computed first.
+    """
 
-    def __init__(self, entry: InstructionEntry, handler: Callable,
-                 address: int, next_rip: int, ea_mode: int,
-                 mem_op: Optional[Memory]) -> None:
+    __slots__ = ("entry", "insn", "address", "next_rip", "run", "ea",
+                 "traced")
+
+    def __init__(self, entry: InstructionEntry, address: int, next_rip: int,
+                 run: Step, ea: Optional[Callable[["Interpreter"], int]]
+                 ) -> None:
         self.entry = entry
         self.insn = entry.insn
-        self.handler = handler
         self.address = address
         self.next_rip = next_rip
-        self.ea_mode = ea_mode
-        self.mem_op = mem_op
+        self.run = run
+        self.ea = ea
+        if ea is None:
+            self.traced = run
+        else:
+            def traced(interp: "Interpreter") -> int:
+                value = ea(interp)
+                run(interp)
+                return value
+            self.traced = traced
 
 
 class _Block:
     """A compiled straight-line run starting at one address.
 
-    ``body`` holds steps whose handlers never return an outcome (their base
-    is not a control transfer), so the hot loop can execute them without
-    inspecting return values.  ``last`` is the terminating control transfer,
-    if any.  ``fault_insn`` records an instruction with no semantics: the
-    body before it executes normally, then the block raises — preserving
-    the reference loop's partial-state-on-fault behaviour.  For blocks
-    compiled at padding addresses, ``skip_to`` is the next real instruction
-    (or the block is a fall-off fault when ``fell_off`` is set).  ``steps``
-    is ``body`` followed by ``last``: the order a consumer of executed
-    blocks sees them in.
+    ``body`` holds steps that are not control transfers (``runs`` and
+    ``traced`` are their step functions, for the hot loops); ``last`` is
+    the terminating control transfer, if any.  For blocks compiled at
+    padding addresses, ``skip_to`` is the next real instruction (or the
+    block is a fall-off fault when ``fell_off`` is set).  ``steps`` is
+    ``body`` followed by ``last``: the order a consumer of executed blocks
+    sees them in.  ``end`` is the rip after the body.
     """
 
-    __slots__ = ("body", "last", "fault_insn", "skip_to", "fell_off",
-                 "slow", "steps")
+    __slots__ = ("body", "last", "skip_to", "fell_off", "slow", "steps",
+                 "runs", "traced", "end")
 
     def __init__(self, body: List[_CompiledStep],
                  last: Optional[_CompiledStep],
-                 fault_insn: Optional[Instruction],
                  skip_to: Optional[int],
                  fell_off: bool) -> None:
-        self.body = body
+        self.body = tuple(body)
         self.last = last
-        self.fault_insn = fault_insn
         self.skip_to = skip_to
         self.fell_off = fell_off
-        self.steps = tuple(body) + ((last,) if last is not None else ())
+        self.steps = self.body + ((last,) if last is not None else ())
+        self.runs = tuple(step.run for step in body)
+        self.traced = tuple(step.traced for step in body)
+        self.end = body[-1].next_rip if body else None
         # rdtsc reads the per-step virtual TSC, so blocks containing it
         # must run the per-step bookkeeping path.
         self.slow = any(s.insn.base == "rdtsc" for s in body)
 
 
-#: Bases whose handlers may return an outcome tuple; a compiled block ends
-#: at (and includes) the first one of these.
+#: Bases whose steps end a block; a compiled block ends at (and includes)
+#: the first one of these.
 _CT_BASES = frozenset(("jmp", "j", "call", "ret", "hlt", "ud2", "int3"))
 
 #: Safety cap on block length so pathological straight-line code cannot
@@ -201,15 +203,6 @@ class RunResult:
     samples: Optional[List[Tuple[int, Dict[str, int]]]] = None
 
 
-def _signed(value: int, width: int) -> int:
-    sign_bit = 1 << (width - 1)
-    return (value & (sign_bit - 1)) - (value & sign_bit)
-
-
-def _msb(value: int, width: int) -> bool:
-    return bool(value & (1 << (width - 1)))
-
-
 class Interpreter:
     """Drives execution of one loaded program."""
 
@@ -226,154 +219,6 @@ class Interpreter:
         self.max_steps = max_steps
         self.instructions_executed = 0
         self._tsc = 0
-        self._dispatch = _DISPATCH
-
-    # ---- operand helpers ------------------------------------------------------
-
-    def effective_address(self, mem: Memory, insn: Instruction) -> int:
-        if mem.is_rip_relative:
-            if mem.symbol is not None:
-                # `sym(%rip)` addresses the symbol itself; the encoded
-                # disp32 is relative but the operand is absolute.
-                try:
-                    return (self.program.symtab[mem.symbol] + mem.disp) \
-                        & MASK64
-                except KeyError as exc:
-                    raise SimError("unresolved symbol %r"
-                                   % mem.symbol) from exc
-            base = insn.address + len(insn.encoding or b"")
-        elif mem.base is not None:
-            base = self.state.read_reg(mem.base)
-            if mem.base.width == 32:
-                base &= 0xFFFFFFFF
-        else:
-            base = 0
-        index = 0
-        if mem.index is not None:
-            index = self.state.read_reg(mem.index) * mem.scale
-        symbol = 0
-        if mem.symbol is not None:
-            try:
-                symbol = self.program.symtab[mem.symbol]
-            except KeyError as exc:
-                raise SimError("unresolved symbol %r" % mem.symbol) from exc
-        return (base + index + mem.disp + symbol) & MASK64
-
-    def read_operand(self, op: Operand, width: int,
-                     insn: Instruction) -> int:
-        if isinstance(op, Immediate):
-            value = op.value
-            if op.symbol is not None:
-                value += self.program.symtab.get(op.symbol, 0)
-            return value & ((1 << width) - 1)
-        if isinstance(op, RegisterOperand):
-            return self.state.read_reg(op.reg)
-        if isinstance(op, Memory):
-            return self.memory.read(self.effective_address(op, insn),
-                                    width // 8)
-        raise SimError("cannot read operand %r" % (op,))
-
-    def write_operand(self, op: Operand, value: int, width: int,
-                      insn: Instruction) -> None:
-        if isinstance(op, RegisterOperand):
-            self.state.write_reg(op.reg, value)
-            return
-        if isinstance(op, Memory):
-            self.memory.write(self.effective_address(op, insn), value,
-                              width // 8)
-            return
-        raise SimError("cannot write operand %r" % (op,))
-
-    # ---- flag helpers -----------------------------------------------------------
-
-    def _set_result_flags(self, result: int, width: int) -> None:
-        flags = self.state.flags
-        masked = result & ((1 << width) - 1)
-        flags.set("ZF", masked == 0)
-        flags.set("SF", _msb(masked, width))
-        flags.set("PF", parity(masked))
-
-    def _flags_add(self, a: int, b: int, result: int, width: int,
-                   carry_in: int = 0) -> None:
-        flags = self.state.flags
-        mask = (1 << width) - 1
-        flags.set("CF", (a & mask) + (b & mask) + carry_in > mask)
-        sa, sb = _msb(a, width), _msb(b, width)
-        sr = _msb(result, width)
-        flags.set("OF", sa == sb and sr != sa)
-        flags.set("AF", ((a & 0xF) + (b & 0xF) + carry_in) > 0xF)
-        self._set_result_flags(result, width)
-
-    def _flags_sub(self, a: int, b: int, result: int, width: int,
-                   borrow_in: int = 0) -> None:
-        flags = self.state.flags
-        mask = (1 << width) - 1
-        flags.set("CF", (b & mask) + borrow_in > (a & mask))
-        sa, sb = _msb(a, width), _msb(b, width)
-        sr = _msb(result, width)
-        flags.set("OF", sa != sb and sr != sa)
-        flags.set("AF", ((b & 0xF) + borrow_in) > (a & 0xF))
-        self._set_result_flags(result, width)
-
-    def _flags_logic(self, result: int, width: int) -> None:
-        flags = self.state.flags
-        flags.set("CF", False)
-        flags.set("OF", False)
-        flags.set("AF", False)
-        self._set_result_flags(result, width)
-
-    def condition(self, cond: str) -> bool:
-        from repro.x86.flags import cc_encoding
-        flags = self.state.flags
-        code = cc_encoding(cond)
-        base = code & ~1
-        if base == 0x0:
-            value = flags.get("OF")
-        elif base == 0x2:
-            value = flags.get("CF")
-        elif base == 0x4:
-            value = flags.get("ZF")
-        elif base == 0x6:
-            value = flags.get("CF") or flags.get("ZF")
-        elif base == 0x8:
-            value = flags.get("SF")
-        elif base == 0xA:
-            value = flags.get("PF")
-        elif base == 0xC:
-            value = flags.get("SF") != flags.get("OF")
-        else:  # 0xE
-            value = flags.get("ZF") or (flags.get("SF") != flags.get("OF"))
-        if code & 1:
-            value = not value
-        return value
-
-    # ---- control flow helpers ---------------------------------------------------
-
-    def _branch_target(self, insn: Instruction) -> int:
-        op = insn.branch_target_operand()
-        if isinstance(op, LabelRef):
-            try:
-                return self.program.symtab[op.name]
-            except KeyError as exc:
-                raise SimError("undefined branch target %r" % op.name) from exc
-        if isinstance(op, RegisterOperand):
-            return self.state.read_reg(op.reg)
-        if isinstance(op, Memory):
-            return self.memory.read(self.effective_address(op, insn), 8)
-        raise SimError("bad branch target in %s" % insn)
-
-    def _push(self, value: int, size: int = 8) -> None:
-        rsp = (self.state.gp["rsp"] - size) & MASK64
-        self.state.gp["rsp"] = rsp
-        self.memory.write(rsp, value, size)
-
-    def _pop(self, size: int = 8) -> int:
-        rsp = self.state.gp["rsp"]
-        value = self.memory.read(rsp, size)
-        self.state.gp["rsp"] = (rsp + size) & MASK64
-        return value
-
-    # ---- main loop ---------------------------------------------------------------
 
     def run(self, entry: Optional[int] = None,
             collect_trace: bool = False,
@@ -389,8 +234,7 @@ class Interpreter:
         ``on_block(block, eas, taken)`` is called once per executed
         compiled block with the effective address of each step that ran
         (a run cut by ``max_steps`` hands over a prefix) and the outcome
-        of the block's exit.  It always runs on compiled blocks, whatever
-        ``block_cache_disabled()`` says.
+        of the block's exit.
 
         ``sample_phase`` offsets which step within each period is
         sampled (``steps % period == phase``); phase 0 reproduces the
@@ -407,7 +251,7 @@ class Interpreter:
             for reg, value in zip(("rdi", "rsi", "rdx", "rcx", "r8", "r9"),
                                   args):
                 state.gp[reg] = value & MASK64
-        self._push(RETURN_SENTINEL)
+        _push(self, RETURN_SENTINEL)
 
         trace: Optional[List[ExecRecord]] = [] if collect_trace else None
         samples: Optional[List[Tuple[int, Dict[str, int]]]] = (
@@ -415,9 +259,6 @@ class Interpreter:
         if sample_period:
             sample_phase = int(sample_phase) % int(sample_period)
 
-        if not _BLOCK_CACHE_ENABLED and on_block is None:
-            return self._run_interpreted(trace, sample_period, samples,
-                                         sample_phase)
         if trace is not None:
             on_block = _recording(trace, on_block)
         if on_block is not None:
@@ -428,95 +269,15 @@ class Interpreter:
         result.trace = trace
         return result
 
-    def _run_interpreted(self, trace, sample_period, samples,
-                         sample_phase=0) -> RunResult:
-        """Reference loop: decode static facts on every dynamic step.
-
-        The pre-block-cache engine; differential tests assert the compiled
-        path reproduces its state, trace, and steps.
-        """
-        state = self.state
-        code_index = self.program.code_index
-        steps = 0
-        reason = "max-steps"
-        while steps < self.max_steps:
-            address = state.rip
-            entry_node = code_index.get(address)
-            if entry_node is None:
-                # Alignment padding between instructions is NOP fill in
-                # the code image; skip it to the next real instruction.
-                next_addr = self.program.next_instruction_address(address)
-                if next_addr is not None and next_addr - address <= 256:
-                    state.rip = next_addr
-                    continue
-                raise SimError("execution fell off code at %#x (step %d)"
-                               % (address, steps))
-            insn = entry_node.insn
-            next_rip = address + len(insn.encoding or b"")
-            state.rip = next_rip
-            steps += 1
-            self._tsc += 1
-
-            if sample_period and steps % sample_period == sample_phase:
-                samples.append((address, state.snapshot()))
-
-            taken: Optional[bool] = None
-            base = insn.base
-            ea: Optional[int] = None
-            if trace is not None:
-                mem_op = insn.memory_operand()
-                if mem_op is not None and base != "lea":
-                    ea = self.effective_address(mem_op, insn)
-                elif base in ("push", "call"):
-                    ea = (state.gp["rsp"] - 8) & MASK64
-                elif base in ("pop", "ret"):
-                    ea = state.gp["rsp"]
-            handler = self._dispatch.get(base)
-            if handler is None:
-                raise SimError("no semantics for %s" % insn)
-            outcome = handler(self, insn)
-            if outcome is not None:
-                kind, value = outcome
-                if kind == "jump":
-                    state.rip = value
-                    taken = True
-                elif kind == "nottaken":
-                    taken = False
-                elif kind == "ret":
-                    if value == RETURN_SENTINEL:
-                        reason = "ret"
-                        if trace is not None:
-                            trace.append(ExecRecord(entry_node, None,
-                                                    address, ea))
-                        break
-                    state.rip = value
-                    taken = True
-                elif kind == "halt":
-                    reason = "hlt"
-                    if trace is not None:
-                        trace.append(ExecRecord(entry_node, None, address,
-                                                ea))
-                    break
-
-            if trace is not None:
-                trace.append(ExecRecord(entry_node, taken, address, ea))
-
-        self.instructions_executed = steps
-        return RunResult(steps=steps, reason=reason, state=state,
-                         memory=self.memory, trace=trace, samples=samples)
-
-    # ---- trace-compiled path -------------------------------------------------
-
     def _compile_block(self, address: int) -> _Block:
-        """Decode the straight-line run starting at *address* into a block.
+        """Compile the straight-line run starting at *address* into a block.
 
-        Sound to cache on the program: addresses, encodings, and operands
-        are immutable once loaded, so every static fact resolved here holds
-        for all future executions of the block.
+        Sound to cache on the program: addresses, encodings, operands and
+        symbols are immutable once loaded, so every static fact resolved
+        here holds for all future executions of the block.
         """
         program = self.program
         code_index = program.code_index
-        dispatch = self._dispatch
 
         if code_index.get(address) is None:
             # Alignment padding between instructions is NOP fill in the
@@ -524,40 +285,24 @@ class Interpreter:
             # no steps) or records the fall-off fault.
             next_addr = program.next_instruction_address(address)
             if next_addr is not None and next_addr - address <= 256:
-                block = _Block([], None, None, next_addr, False)
+                block = _Block([], None, next_addr, False)
             else:
-                block = _Block([], None, None, None, True)
+                block = _Block([], None, None, True)
             program.block_cache[address] = block
             _BLOCK_STATS["blocks_compiled"] += 1
             return block
 
         body: List[_CompiledStep] = []
         last: Optional[_CompiledStep] = None
-        fault_insn: Optional[Instruction] = None
         addr = address
         while True:
             entry_node = code_index.get(addr)
             if entry_node is None:
                 break                    # padding: next lookup handles it
-            insn = entry_node.insn
-            base = insn.base
-            handler = dispatch.get(base)
-            if handler is None:
-                fault_insn = insn        # raise only once body has run
-                break
-            size = len(insn.encoding or b"")
-            mem_op = insn.memory_operand()
-            if mem_op is not None and base != "lea":
-                ea_mode = _EA_MEM
-            elif base in ("push", "call"):
-                ea_mode, mem_op = _EA_PUSH, None
-            elif base in ("pop", "ret"):
-                ea_mode, mem_op = _EA_POP, None
-            else:
-                ea_mode, mem_op = _EA_NONE, None
-            step = _CompiledStep(entry_node, handler, addr, addr + size,
-                                 ea_mode, mem_op)
-            if base in _CT_BASES:
+            size = len(entry_node.insn.encoding or b"")
+            step = _compile_step(entry_node, addr, addr + size,
+                                 program.symtab)
+            if entry_node.insn.base in _CT_BASES:
                 last = step
                 break
             body.append(step)
@@ -565,16 +310,20 @@ class Interpreter:
                 break                    # re-enter the outer loop at rip
             addr += size
 
-        block = _Block(body, last, fault_insn, None, False)
+        block = _Block(body, last, None, False)
         program.block_cache[address] = block
         _BLOCK_STATS["blocks_compiled"] += 1
-        _BLOCK_STATS["instructions_compiled"] += len(body) + (
-            1 if last is not None else 0)
+        _BLOCK_STATS["instructions_compiled"] += len(block.steps)
         return block
 
     def _run_blocks(self, sample_period, samples,
                     sample_phase=0) -> RunResult:
-        """Hot path: no trace, no ExecRecord allocation, no ea computation."""
+        """Hot path: no trace, no ExecRecord allocation, no ea computation.
+
+        A whole body runs without per-step bookkeeping unless the block
+        reads the TSC, the run is sampled, or ``max_steps`` falls inside
+        it; a step that faults sets rip past itself before raising.
+        """
         state = self.state
         blocks = self.program.block_cache
         max_steps = self.max_steps
@@ -587,11 +336,11 @@ class Interpreter:
                 block = self._compile_block(state.rip)
             else:
                 stats["block_hits"] += 1
-            body = block.body
-            if body:
+            runs = block.runs
+            if runs:
                 if block.slow or sample_period \
-                        or max_steps - steps < len(body):
-                    for step in body:
+                        or max_steps - steps < len(runs):
+                    for step in block.body:
                         if steps >= max_steps:
                             break
                         state.rip = step.next_rip
@@ -599,17 +348,15 @@ class Interpreter:
                         self._tsc += 1
                         if sample_period and steps % sample_period == sample_phase:
                             samples.append((step.address, state.snapshot()))
-                        step.handler(self, step.insn)
+                        step.run(self)
                 else:
-                    for step in body:
-                        state.rip = step.next_rip
-                        step.handler(self, step.insn)
-                    steps += len(body)
-                    self._tsc += len(body)
+                    for run in runs:
+                        run(self)
+                    steps += len(runs)
+                    self._tsc += len(runs)
+                    state.rip = block.end
                 if steps >= max_steps:
                     continue         # loop condition ends the run
-            if block.fault_insn is not None:
-                raise SimError("no semantics for %s" % block.fault_insn)
             step = block.last
             if step is None:
                 if block.skip_to is not None:
@@ -623,20 +370,11 @@ class Interpreter:
             self._tsc += 1
             if sample_period and steps % sample_period == sample_phase:
                 samples.append((step.address, state.snapshot()))
-            outcome = step.handler(self, step.insn)
-            if outcome is not None:
-                kind, value = outcome
-                if kind == "jump":
-                    state.rip = value
-                elif kind == "ret":
-                    if value == RETURN_SENTINEL:
-                        reason = "ret"
-                        break
-                    state.rip = value
-                elif kind == "halt":
-                    reason = "hlt"
-                    break
-                # "nottaken" falls through to next_rip.
+            rip, taken = step.run(self)
+            if rip is None:
+                reason = taken
+                break
+            state.rip = rip
         self.instructions_executed = steps
         return RunResult(steps=steps, reason=reason, state=state,
                          memory=self.memory, trace=None, samples=samples)
@@ -644,9 +382,8 @@ class Interpreter:
     def _run_blocks_traced(self, on_block, sample_period, samples,
                            sample_phase=0) -> RunResult:
         """Traced path: each executed block goes to *on_block* with its
-        per-step effective addresses, derived from compiled facts."""
+        per-step effective addresses, from the compiled ``ea`` functions."""
         state = self.state
-        gp = state.gp
         blocks = self.program.block_cache
         max_steps = self.max_steps
         stats = _BLOCK_STATS
@@ -658,60 +395,50 @@ class Interpreter:
                 block = self._compile_block(state.rip)
             else:
                 stats["block_hits"] += 1
-            eas: List[Optional[int]] = []
-            outcome = None
-            for step in block.steps:
-                if steps >= max_steps:
-                    break
-                state.rip = step.next_rip
-                steps += 1
-                self._tsc += 1
-                if sample_period and steps % sample_period == sample_phase:
-                    samples.append((step.address, state.snapshot()))
-                mode = step.ea_mode
-                if mode == _EA_NONE:
-                    eas.append(None)
-                elif mode == _EA_MEM:
-                    eas.append(self.effective_address(step.mem_op,
-                                                      step.insn))
-                elif mode == _EA_PUSH:
-                    eas.append((gp["rsp"] - 8) & MASK64)
-                else:
-                    eas.append(gp["rsp"])
-                outcome = step.handler(self, step.insn)
-            if len(eas) < len(block.steps) or block.last is None:
+            if block.slow or sample_period \
+                    or max_steps - steps < len(block.body):
+                eas: List[Optional[int]] = []
+                for step in block.body:
+                    if steps >= max_steps:
+                        break
+                    state.rip = step.next_rip
+                    steps += 1
+                    self._tsc += 1
+                    if sample_period and steps % sample_period == sample_phase:
+                        samples.append((step.address, state.snapshot()))
+                    eas.append(step.traced(self))
+            else:
+                eas = [traced(self) for traced in block.traced]
+                if eas:
+                    steps += len(eas)
+                    self._tsc += len(eas)
+                    state.rip = block.end
+            step = block.last
+            if step is None or steps >= max_steps:
                 # The block ends before an exit: hand over what ran.
                 if eas:
                     on_block(block, eas, None)
                 if steps >= max_steps:
                     continue
-                if block.fault_insn is not None:
-                    raise SimError("no semantics for %s" % block.fault_insn)
                 if block.skip_to is not None:
                     state.rip = block.skip_to
                 elif block.fell_off:
                     raise SimError("execution fell off code at %#x (step %d)"
                                    % (state.rip, steps))
                 continue
-            taken: Optional[bool] = None
-            if outcome is not None:
-                kind, value = outcome
-                if kind == "jump":
-                    state.rip = value
-                    taken = True
-                elif kind == "nottaken":
-                    taken = False
-                elif kind == "ret":
-                    if value == RETURN_SENTINEL:
-                        reason = "ret"
-                        on_block(block, eas, None)
-                        break
-                    state.rip = value
-                    taken = True
-                elif kind == "halt":
-                    reason = "hlt"
-                    on_block(block, eas, None)
-                    break
+            state.rip = step.next_rip
+            steps += 1
+            self._tsc += 1
+            if sample_period and steps % sample_period == sample_phase:
+                samples.append((step.address, state.snapshot()))
+            ea = step.ea
+            eas.append(ea(self) if ea is not None else None)
+            rip, taken = step.run(self)
+            if rip is None:
+                reason = taken
+                on_block(block, eas, None)
+                break
+            state.rip = rip
             on_block(block, eas, taken)
         self.instructions_executed = steps
         return RunResult(steps=steps, reason=reason, state=state,
@@ -742,9 +469,95 @@ def _recording(trace: List[ExecRecord],
 
 
 # ---------------------------------------------------------------------------
-# Instruction semantics.  Handlers return None (fall through), or a tuple
-# ("jump", target) / ("nottaken", None) / ("ret", target) / ("halt", None).
+# Compiling instruction semantics.  A compiler takes the instruction and
+# its _Site and returns a Step; it raises SimError for a shape the
+# semantics cannot take, and the step then raises that error when it runs.
 # ---------------------------------------------------------------------------
+
+#: Exit outcomes that end the run, as ``(None, reason)``.
+_RETURNED = (None, "ret")
+_HALTED = (None, "hlt")
+
+#: PF of every low byte: set when it has even parity.
+_PARITY = tuple(parity(byte) for byte in range(256))
+
+
+class _Site(NamedTuple):
+    """Static facts of the instruction being compiled, beyond itself."""
+
+    symtab: Dict[str, int]
+    #: The address after the instruction: rip once it has run, and the base
+    #: of a ``%rip``-relative operand.
+    next_rip: int
+    #: The address function of the instruction's memory operand (an
+    #: encodable instruction has at most one).
+    ea: Optional[Callable[["Interpreter"], int]]
+
+
+def _compile_step(entry: InstructionEntry, address: int, next_rip: int,
+                  symtab: Dict[str, int]) -> _CompiledStep:
+    insn = entry.insn
+    base = insn.base
+    mem = insn.memory_operand()
+    site = _Site(symtab, next_rip,
+                 _address(mem, symtab, next_rip) if mem is not None
+                 else None)
+    compiler = _DISPATCH.get(base)
+    if compiler is None:
+        run = _fault("no semantics for %s" % insn, next_rip)
+    else:
+        try:
+            run = compiler(insn, site)
+        except SimError as exc:
+            run = _fault(str(exc), next_rip)
+    if mem is not None and base != "lea":
+        ea = site.ea
+    elif base in ("push", "call"):
+        ea = _push_slot
+    elif base in ("pop", "ret"):
+        ea = _pop_slot
+    else:
+        ea = None
+    return _CompiledStep(entry, address, next_rip, run, ea)
+
+
+def _fault(message: str, next_rip: int) -> Callable[..., None]:
+    """A step (or operand access) that raises SimError when it runs, with
+    rip past the instruction, as when any step faults."""
+    def fault(interp: Interpreter, *_: object) -> None:
+        interp.state.rip = next_rip
+        raise SimError(message)
+    return fault
+
+
+def _push_slot(interp: Interpreter) -> int:
+    return (interp.state.gp["rsp"] - 8) & MASK64
+
+
+def _pop_slot(interp: Interpreter) -> int:
+    return interp.state.gp["rsp"]
+
+
+def _push(interp: Interpreter, value: int) -> None:
+    gp = interp.state.gp
+    rsp = (gp["rsp"] - 8) & MASK64
+    gp["rsp"] = rsp
+    interp.memory.write(rsp, value, 8)
+
+
+def _pop(interp: Interpreter) -> int:
+    gp = interp.state.gp
+    rsp = gp["rsp"]
+    value = interp.memory.read(rsp, 8)
+    gp["rsp"] = (rsp + 8) & MASK64
+    return value
+
+
+def _operands(insn: Instruction, count: int) -> List[Operand]:
+    if len(insn.operands) != count:
+        raise SimError("%s needs %d operands" % (insn, count))
+    return insn.operands
+
 
 def _width(insn: Instruction) -> int:
     width = insn.effective_width()
@@ -753,400 +566,991 @@ def _width(insn: Instruction) -> int:
     return width
 
 
-def _op_mov(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    if any(isinstance(o, RegisterOperand) and o.reg.reg_class == "xmm"
-           for o in (src, dst)):
-        return _op_sse_movq(interp, insn)
+def _signed(value: int, width: int) -> int:
+    sign_bit = 1 << (width - 1)
+    return (value & (sign_bit - 1)) - (value & sign_bit)
+
+
+# ---- operands --------------------------------------------------------------
+
+def _reg_reader(reg: Register) -> Callable[[Interpreter], int]:
+    """Unsigned value of *reg* at its own width."""
+    group = reg.group
+    if reg.reg_class == "xmm":
+        return lambda interp: interp.state.xmm[group] & MASK128
+    if reg.reg_class != "gp":
+        raise SimError("cannot read %s" % reg)
+    if reg.high8:
+        return lambda interp: (interp.state.gp[group] >> 8) & 0xFF
+    if reg.width == 64:
+        return lambda interp: interp.state.gp[group]
+    mask = (1 << reg.width) - 1
+    return lambda interp: interp.state.gp[group] & mask
+
+
+def _reg_writer(reg: Register) -> Callable[[Interpreter, int], None]:
+    """Store into *reg*: 32-bit writes zero-extend into the full register,
+    8- and 16-bit writes merge (``ah``-family registers hit bits 8..15)."""
+    group = reg.group
+    if reg.reg_class == "xmm":
+        def write(interp, value):
+            interp.state.xmm[group] = value & MASK128
+    elif reg.reg_class != "gp":
+        raise SimError("cannot write %s" % reg)
+    elif reg.width == 64:
+        def write(interp, value):
+            interp.state.gp[group] = value & MASK64
+    elif reg.width == 32:
+        def write(interp, value):
+            interp.state.gp[group] = value & 0xFFFFFFFF
+    elif reg.width == 16:
+        def write(interp, value):
+            gp = interp.state.gp
+            gp[group] = (gp[group] & ~0xFFFF) | (value & 0xFFFF)
+    elif reg.high8:
+        def write(interp, value):
+            gp = interp.state.gp
+            gp[group] = (gp[group] & ~0xFF00) | ((value & 0xFF) << 8)
+    else:
+        def write(interp, value):
+            gp = interp.state.gp
+            gp[group] = (gp[group] & ~0xFF) | (value & 0xFF)
+    return write
+
+
+def _is_gp64(reg: Optional[Register]) -> bool:
+    return reg is not None and reg.reg_class == "gp" and reg.width == 64
+
+
+def _address(mem: Memory, symtab: Dict[str, int],
+             next_rip: int) -> Callable[[Interpreter], int]:
+    """The effective-address function of one memory operand."""
+    disp = mem.disp
+    if mem.symbol is not None:
+        if mem.symbol not in symtab:
+            return _fault("unresolved symbol %r" % mem.symbol, next_rip)
+        disp += symtab[mem.symbol]
+        if mem.is_rip_relative:
+            # `sym(%rip)` addresses the symbol itself; the encoded disp32
+            # is relative but the operand is absolute.
+            fixed = disp & MASK64
+            return lambda interp: fixed
+    base, index, scale = mem.base, mem.index, mem.scale
+    if mem.is_rip_relative:
+        base = None
+        disp += next_rip
+    if base is None and index is None:
+        fixed = disp & MASK64
+        return lambda interp: fixed
+    if _is_gp64(base) and index is None:
+        group = base.group
+        if not disp:
+            return lambda interp: interp.state.gp[group]
+        return lambda interp: (interp.state.gp[group] + disp) & MASK64
+    if _is_gp64(base) and _is_gp64(index):
+        b, i = base.group, index.group
+
+        def base_index(interp):
+            gp = interp.state.gp
+            return (gp[b] + gp[i] * scale + disp) & MASK64
+        return base_index
+    if base is None and _is_gp64(index):
+        i = index.group
+        return lambda interp: (interp.state.gp[i] * scale + disp) & MASK64
+    try:
+        read_base = _reg_reader(base) if base is not None else None
+        read_index = _reg_reader(index) if index is not None else None
+    except SimError as exc:
+        return _fault(str(exc), next_rip)
+
+    def address(interp):
+        value = disp
+        if read_base is not None:
+            value += read_base(interp)
+        if read_index is not None:
+            value += read_index(interp) * scale
+        return value & MASK64
+    return address
+
+
+def _imm(op: Immediate, width: int, site: _Site) -> int:
+    value = op.value
+    if op.symbol is not None:
+        value += site.symtab.get(op.symbol, 0)
+    return value & ((1 << width) - 1)
+
+
+def _constant(value: int) -> Callable[[Interpreter], int]:
+    return lambda interp: value
+
+
+def _reader(op: Operand, width: int,
+            site: _Site) -> Callable[[Interpreter], int]:
+    """Read *op*: a register at its own width, an immediate masked to
+    *width*, or *width* bits of memory."""
+    if isinstance(op, Immediate):
+        return _constant(_imm(op, width, site))
+    if isinstance(op, RegisterOperand):
+        return _reg_reader(op.reg)
+    if isinstance(op, Memory):
+        address, size = site.ea, width // 8
+        return lambda interp: interp.memory.read(address(interp), size)
+    return _fault("cannot read operand %r" % (op,), site.next_rip)
+
+
+def _writer(op: Operand, width: int,
+            site: _Site) -> Callable[[Interpreter, int], None]:
+    if isinstance(op, RegisterOperand):
+        return _reg_writer(op.reg)
+    if isinstance(op, Memory):
+        address, size = site.ea, width // 8
+        return lambda interp, value: interp.memory.write(address(interp),
+                                                          value, size)
+    return _fault("cannot write operand %r" % (op,), site.next_rip)
+
+
+def _full(op: Operand, width: int) -> Optional[str]:
+    """The group of a 32- or 64-bit GP register operand of *width* bits —
+    one a result of that width can be stored into whole — else None."""
+    if isinstance(op, RegisterOperand):
+        reg = op.reg
+        if reg.reg_class == "gp" and reg.width == width and width >= 32:
+            return reg.group
+    return None
+
+
+def _is_xmm(op: Operand) -> bool:
+    return isinstance(op, RegisterOperand) and op.reg.reg_class == "xmm"
+
+
+def _xmm(op: Operand) -> str:
+    if not _is_xmm(op):
+        raise SimError("expected an xmm register, not %s" % (op,))
+    return op.reg.group
+
+
+def _xmm_or_mem(op: Operand, size: int,
+                site: _Site) -> Callable[[Interpreter], int]:
+    """The low *size* bits of an xmm register, or *size* bits of memory."""
+    if isinstance(op, RegisterOperand):
+        group, mask = _xmm(op), (1 << size) - 1
+        return lambda interp: interp.state.xmm[group] & mask
+    return _reader(op, size, site)
+
+
+# ---- conditions and branch targets ------------------------------------------
+
+#: The test of each condition-code encoding, on the flags.
+_CONDITIONS: Tuple[Callable, ...] = (
+    lambda f: f.OF,                             # o
+    lambda f: not f.OF,                         # no
+    lambda f: f.CF,                             # b
+    lambda f: not f.CF,                         # ae
+    lambda f: f.ZF,                             # e
+    lambda f: not f.ZF,                         # ne
+    lambda f: f.CF or f.ZF,                     # be
+    lambda f: not (f.CF or f.ZF),               # a
+    lambda f: f.SF,                             # s
+    lambda f: not f.SF,                         # ns
+    lambda f: f.PF,                             # p
+    lambda f: not f.PF,                         # np
+    lambda f: f.SF != f.OF,                     # l
+    lambda f: f.SF == f.OF,                     # ge
+    lambda f: f.ZF or f.SF != f.OF,             # le
+    lambda f: not (f.ZF or f.SF != f.OF),       # g
+)
+
+
+def _condition(insn: Instruction) -> Callable:
+    try:
+        return _CONDITIONS[cc_encoding(insn.cond)]
+    except KeyError:
+        raise SimError("bad condition in %s" % insn) from None
+
+
+def _target(insn: Instruction, site: _Site):
+    """The branch target: an address when it is static, else a function
+    of the machine that reads it."""
+    op = insn.branch_target_operand()
+    if isinstance(op, LabelRef):
+        if op.name in site.symtab:
+            return site.symtab[op.name]
+        return _fault("undefined branch target %r" % op.name, site.next_rip)
+    if isinstance(op, RegisterOperand):
+        return _reg_reader(op.reg)
+    if isinstance(op, Memory):
+        address = site.ea
+        return lambda interp: interp.memory.read(address(interp), 8)
+    return _fault("bad branch target in %s" % insn, site.next_rip)
+
+
+def _copy(get, put) -> Step:
+    """The step that stores what *get* reads with *put*."""
+    def copy(interp):
+        put(interp, get(interp))
+    return copy
+
+
+# ---- moves ------------------------------------------------------------------
+
+def _c_mov(insn: Instruction, site: _Site) -> Step:
+    src, dst = _operands(insn, 2)
+    if _is_xmm(src) or _is_xmm(dst):
+        return _c_sse_movq(insn, site)
     width = _width(insn)
-    interp.write_operand(dst, interp.read_operand(src, width, insn),
-                         width, insn)
-    return None
+    mask, size = (1 << width) - 1, width // 8
+    d, s = _full(dst, width), _full(src, width)
+    if d is not None and isinstance(src, Immediate):
+        value = _imm(src, width, site)
+
+        def mov_ri(interp):
+            interp.state.gp[d] = value
+        return mov_ri
+    if d is not None and s is not None:
+        def mov_rr(interp):
+            gp = interp.state.gp
+            gp[d] = gp[s] & mask
+        return mov_rr
+    if d is not None and isinstance(src, Memory):
+        load = site.ea
+
+        def mov_rm(interp):
+            interp.state.gp[d] = interp.memory.read(load(interp), size)
+        return mov_rm
+    if s is not None and isinstance(dst, Memory):
+        store = site.ea
+
+        def mov_mr(interp):
+            interp.memory.write(store(interp), interp.state.gp[s] & mask,
+                                size)
+        return mov_mr
+    return _copy(_reader(src, width, site), _writer(dst, width, site))
 
 
-def _op_movabs(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    interp.write_operand(dst, interp.read_operand(src, 64, insn), 64, insn)
-    return None
+def _c_movabs(insn: Instruction, site: _Site) -> Step:
+    src, dst = _operands(insn, 2)
+    return _copy(_reader(src, 64, site), _writer(dst, 64, site))
 
 
-def _op_movsx(interp: Interpreter, insn: Instruction):
-    src_w, dst_w = insn.info.extend
-    src, dst = insn.operands
-    value = interp.read_operand(src, src_w, insn)
-    interp.write_operand(dst, _signed(value, src_w) & ((1 << dst_w) - 1),
-                         dst_w, insn)
-    return None
+def _extend(insn: Instruction) -> Tuple[int, int]:
+    if insn.info.extend is None:
+        raise SimError("no extension widths for %s" % insn)
+    return insn.info.extend
 
 
-def _op_movzx(interp: Interpreter, insn: Instruction):
-    src_w, dst_w = insn.info.extend
-    src, dst = insn.operands
-    interp.write_operand(dst, interp.read_operand(src, src_w, insn),
-                         dst_w, insn)
-    return None
+def _c_movsx(insn: Instruction, site: _Site) -> Step:
+    src_w, dst_w = _extend(insn)
+    src, dst = _operands(insn, 2)
+    get = _reader(src, src_w, site)
+    sign = 1 << (src_w - 1)
+    low, mask = sign - 1, (1 << dst_w) - 1
+    d = _full(dst, dst_w)
+    if d is not None:
+        def movsx_r(interp):
+            value = get(interp)
+            interp.state.gp[d] = ((value & low) - (value & sign)) & mask
+        return movsx_r
+    put = _writer(dst, dst_w, site)
+
+    def movsx(interp):
+        value = get(interp)
+        put(interp, ((value & low) - (value & sign)) & mask)
+    return movsx
 
 
-def _op_lea(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
+def _c_movzx(insn: Instruction, site: _Site) -> Step:
+    src_w, dst_w = _extend(insn)
+    src, dst = _operands(insn, 2)
+    return _copy(_reader(src, src_w, site), _writer(dst, dst_w, site))
+
+
+def _c_lea(insn: Instruction, site: _Site) -> Step:
+    src, dst = _operands(insn, 2)
     if not isinstance(src, Memory):
         raise SimError("lea needs memory operand")
     width = _width(insn)
-    interp.write_operand(dst, interp.effective_address(src, insn)
-                         & ((1 << width) - 1), width, insn)
-    return None
+    mask = (1 << width) - 1
+    address = site.ea
+    d = _full(dst, width)
+    if d is not None:
+        def lea_r(interp):
+            interp.state.gp[d] = address(interp) & mask
+        return lea_r
+    put = _writer(dst, width, site)
+
+    def lea(interp):
+        put(interp, address(interp) & mask)
+    return lea
 
 
-def _make_alu(name: str):
-    def handler(interp: Interpreter, insn: Instruction):
+# ---- integer arithmetic -----------------------------------------------------
+#
+# Flag identities used throughout, for a result ``res`` masked to the
+# operand width: AF is bit 4 of ``a ^ b ^ res``; OF of an addition is the
+# sign bit of ``(a ^ res) & (b ^ res)``, of a subtraction the sign bit of
+# ``(a ^ b) & (a ^ res)``.
+
+def _add_flags(f, a, b, carry, mask, sign):
+    """Flags of ``a + b + carry``; returns the masked result."""
+    r = (a & mask) + (b & mask) + carry
+    res = r & mask
+    f.CF = r > mask
+    f.OF = ((a ^ res) & (b ^ res) & sign) != 0
+    f.AF = ((a ^ b ^ res) & 0x10) != 0
+    f.ZF = res == 0
+    f.SF = res >= sign
+    f.PF = _PARITY[res & 0xFF]
+    return res
+
+
+def _sub_flags(f, a, b, borrow, mask, sign):
+    """Flags of ``a - b - borrow``; returns the masked result."""
+    res = (a - b - borrow) & mask
+    f.CF = (b & mask) + borrow > (a & mask)
+    f.OF = ((a ^ b) & (a ^ res) & sign) != 0
+    f.AF = ((a ^ b ^ res) & 0x10) != 0
+    f.ZF = res == 0
+    f.SF = res >= sign
+    f.PF = _PARITY[res & 0xFF]
+    return res
+
+
+def _logic_flags(f, result, mask, sign):
+    """Flags of a logic result; returns it as computed."""
+    res = result & mask
+    f.CF = f.OF = f.AF = False
+    f.ZF = res == 0
+    f.SF = res >= sign
+    f.PF = _PARITY[res & 0xFF]
+    return result
+
+
+def _alu_add(a, b, f, mask, sign):
+    return _add_flags(f, a, b, 0, mask, sign)
+
+
+def _alu_adc(a, b, f, mask, sign):
+    return _add_flags(f, a, b, int(f.CF), mask, sign)
+
+
+def _alu_sub(a, b, f, mask, sign):
+    return _sub_flags(f, a, b, 0, mask, sign)
+
+
+def _alu_sbb(a, b, f, mask, sign):
+    return _sub_flags(f, a, b, int(f.CF), mask, sign)
+
+
+def _alu_and(a, b, f, mask, sign):
+    return _logic_flags(f, a & b, mask, sign)
+
+
+def _alu_or(a, b, f, mask, sign):
+    return _logic_flags(f, (a | b) & mask, mask, sign)
+
+
+def _alu_xor(a, b, f, mask, sign):
+    return _logic_flags(f, (a ^ b) & mask, mask, sign)
+
+
+# The hottest shapes — a full-width register destination with a register
+# (``s``) or immediate (``k``) source — inline their flags.
+
+def _add_fast(d, s, k, mask, sign, writes):
+    if s is None:
+        def add_ri(interp):
+            state = interp.state
+            gp = state.gp
+            a = gp[d] & mask
+            r = a + k
+            res = r & mask
+            gp[d] = res
+            f = state.flags
+            f.CF = r > mask
+            f.OF = ((a ^ res) & (k ^ res) & sign) != 0
+            f.AF = ((a ^ k ^ res) & 0x10) != 0
+            f.ZF = res == 0
+            f.SF = res >= sign
+            f.PF = _PARITY[res & 0xFF]
+        return add_ri
+
+    def add_rr(interp):
+        state = interp.state
+        gp = state.gp
+        a = gp[d] & mask
+        b = gp[s] & mask
+        r = a + b
+        res = r & mask
+        gp[d] = res
+        f = state.flags
+        f.CF = r > mask
+        f.OF = ((a ^ res) & (b ^ res) & sign) != 0
+        f.AF = ((a ^ b ^ res) & 0x10) != 0
+        f.ZF = res == 0
+        f.SF = res >= sign
+        f.PF = _PARITY[res & 0xFF]
+    return add_rr
+
+
+def _sub_fast(d, s, k, mask, sign, writes):
+    if s is None:
+        def sub_ri(interp):
+            state = interp.state
+            gp = state.gp
+            a = gp[d] & mask
+            res = (a - k) & mask
+            if writes:
+                gp[d] = res
+            f = state.flags
+            f.CF = k > a
+            f.OF = ((a ^ k) & (a ^ res) & sign) != 0
+            f.AF = ((a ^ k ^ res) & 0x10) != 0
+            f.ZF = res == 0
+            f.SF = res >= sign
+            f.PF = _PARITY[res & 0xFF]
+        return sub_ri
+
+    def sub_rr(interp):
+        state = interp.state
+        gp = state.gp
+        a = gp[d] & mask
+        b = gp[s] & mask
+        res = (a - b) & mask
+        if writes:
+            gp[d] = res
+        f = state.flags
+        f.CF = b > a
+        f.OF = ((a ^ b) & (a ^ res) & sign) != 0
+        f.AF = ((a ^ b ^ res) & 0x10) != 0
+        f.ZF = res == 0
+        f.SF = res >= sign
+        f.PF = _PARITY[res & 0xFF]
+    return sub_rr
+
+
+def _logic_fast(op):
+    """Fast-shape factory for one of ``and``, ``or`` and ``xor``."""
+    def factory(d, s, k, mask, sign, writes):
+        if s is None:
+            def logic_ri(interp):
+                state = interp.state
+                gp = state.gp
+                res = op(gp[d] & mask, k)
+                if writes:
+                    gp[d] = res
+                f = state.flags
+                f.CF = f.OF = f.AF = False
+                f.ZF = res == 0
+                f.SF = res >= sign
+                f.PF = _PARITY[res & 0xFF]
+            return logic_ri
+
+        def logic_rr(interp):
+            state = interp.state
+            gp = state.gp
+            res = op(gp[d] & mask, gp[s] & mask)
+            if writes:
+                gp[d] = res
+            f = state.flags
+            f.CF = f.OF = f.AF = False
+            f.ZF = res == 0
+            f.SF = res >= sign
+            f.PF = _PARITY[res & 0xFF]
+        return logic_rr
+    return factory
+
+
+#: ALU base -> (result-and-flags function, fast-shape factory or None).
+_ALU = {
+    "add": (_alu_add, _add_fast),
+    "adc": (_alu_adc, None),
+    "sub": (_alu_sub, _sub_fast),
+    "sbb": (_alu_sbb, None),
+    "and": (_alu_and, _logic_fast(operator.and_)),
+    "or": (_alu_or, _logic_fast(operator.or_)),
+    "xor": (_alu_xor, _logic_fast(operator.xor)),
+}
+
+
+def _c_alu(kind: str, writes: bool = True):
+    """Compiler of a two-operand ALU instruction; ``cmp`` and ``test`` are
+    ``sub`` and ``and`` that only write the flags."""
+    compute, fast = _ALU[kind]
+
+    def compile_alu(insn: Instruction, site: _Site) -> Step:
         width = _width(insn)
-        mask = (1 << width) - 1
-        src, dst = insn.operands
-        a = interp.read_operand(dst, width, insn)
-        b = interp.read_operand(src, width, insn)
-        if name == "add":
-            result = (a + b) & mask
-            interp._flags_add(a, b, result, width)
-        elif name in ("sub", "cmp"):
-            result = (a - b) & mask
-            interp._flags_sub(a, b, result, width)
-        elif name == "adc":
-            carry = int(interp.state.flags.get("CF"))
-            result = (a + b + carry) & mask
-            interp._flags_add(a, b, result, width, carry_in=carry)
-        elif name == "sbb":
-            borrow = int(interp.state.flags.get("CF"))
-            result = (a - b - borrow) & mask
-            interp._flags_sub(a, b, result, width, borrow_in=borrow)
-        elif name == "and" or name == "test":
-            result = a & b
-            interp._flags_logic(result, width)
-        elif name == "or":
-            result = (a | b) & mask
-            interp._flags_logic(result, width)
-        else:  # xor
-            result = (a ^ b) & mask
-            interp._flags_logic(result, width)
-        if name not in ("cmp", "test"):
-            interp.write_operand(dst, result, width, insn)
-        return None
-    return handler
+        src, dst = _operands(insn, 2)
+        mask, sign = (1 << width) - 1, 1 << (width - 1)
+        d = _full(dst, width)
+        if fast is not None and d is not None:
+            if isinstance(src, Immediate):
+                return fast(d, None, _imm(src, width, site), mask, sign,
+                            writes)
+            s = _full(src, width)
+            if s is not None:
+                return fast(d, s, None, mask, sign, writes)
+        get_a, get_b = _reader(dst, width, site), _reader(src, width, site)
+        if not writes:
+            def alu_flags(interp):
+                compute(get_a(interp), get_b(interp), interp.state.flags,
+                        mask, sign)
+            return alu_flags
+        put = _writer(dst, width, site)
+
+        def alu(interp):
+            a = get_a(interp)
+            b = get_b(interp)
+            put(interp, compute(a, b, interp.state.flags, mask, sign))
+        return alu
+    return compile_alu
 
 
-def _op_incdec(interp: Interpreter, insn: Instruction):
+def _c_incdec(insn: Instruction, site: _Site) -> Step:
     width = _width(insn)
+    (op,) = _operands(insn, 1)
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+    get, put = _reader(op, width, site), _writer(op, width, site)
+    flags_of = _add_flags if insn.base == "inc" else _sub_flags
+
+    def incdec(interp):
+        f = interp.state.flags
+        carry = f.CF                     # inc/dec preserve CF
+        result = flags_of(f, get(interp), 1, 0, mask, sign)
+        f.CF = carry
+        put(interp, result)
+    return incdec
+
+
+def _c_neg(insn: Instruction, site: _Site) -> Step:
+    width = _width(insn)
+    (op,) = _operands(insn, 1)
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+    get, put = _reader(op, width, site), _writer(op, width, site)
+
+    def neg(interp):
+        a = get(interp)
+        f = interp.state.flags
+        result = _sub_flags(f, 0, a, 0, mask, sign)
+        f.CF = a != 0
+        put(interp, result)
+    return neg
+
+
+def _c_not(insn: Instruction, site: _Site) -> Step:
+    width = _width(insn)
+    (op,) = _operands(insn, 1)
     mask = (1 << width) - 1
-    op = insn.op(0)
-    a = interp.read_operand(op, width, insn)
-    flags = interp.state.flags
-    carry = flags.get("CF")          # inc/dec preserve CF
-    if insn.base == "inc":
-        result = (a + 1) & mask
-        interp._flags_add(a, 1, result, width)
-    else:
-        result = (a - 1) & mask
-        interp._flags_sub(a, 1, result, width)
-    flags.set("CF", carry)
-    interp.write_operand(op, result, width, insn)
-    return None
+    get, put = _reader(op, width, site), _writer(op, width, site)
+
+    def not_(interp):
+        put(interp, (~get(interp)) & mask)
+    return not_
 
 
-def _op_neg(interp: Interpreter, insn: Instruction):
-    width = _width(insn)
-    mask = (1 << width) - 1
-    op = insn.op(0)
-    a = interp.read_operand(op, width, insn)
-    result = (-a) & mask
-    interp._flags_sub(0, a, result, width)
-    interp.state.flags.set("CF", a != 0)
-    interp.write_operand(op, result, width, insn)
-    return None
+def _shifts(width: int) -> Dict[str, Callable]:
+    """Shift results of *width* bits: ``(result, CF, OF)``."""
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
 
-
-def _op_not(interp: Interpreter, insn: Instruction):
-    width = _width(insn)
-    op = insn.op(0)
-    a = interp.read_operand(op, width, insn)
-    interp.write_operand(op, (~a) & ((1 << width) - 1), width, insn)
-    return None
-
-
-def _op_shift(interp: Interpreter, insn: Instruction):
-    width = _width(insn)
-    mask = (1 << width) - 1
-    if len(insn.operands) == 1:
-        count, dst = 1, insn.op(0)
-    else:
-        count_op, dst = insn.operands
-        if isinstance(count_op, Immediate):
-            count = count_op.value
-        else:
-            count = interp.state.read_reg(count_op.reg)
-    count &= 63 if width == 64 else 31
-    a = interp.read_operand(dst, width, insn)
-    flags = interp.state.flags
-    if count == 0:
-        return None
-    base = insn.base
-    if base == "shl":
+    def shl(a, count):
         result = (a << count) & mask
         carry = bool((a >> (width - count)) & 1) if count <= width else False
-        flags.set("OF", _msb(result, width) != carry)
-    elif base == "shr":
-        result = (a >> count) & mask
-        carry = bool((a >> (count - 1)) & 1)
-        flags.set("OF", _msb(a, width))
-    elif base == "sar":
+        return result, carry, (result >= sign) != carry
+
+    def shr(a, count):
+        return (a >> count) & mask, bool((a >> (count - 1)) & 1), \
+            bool(a & sign)
+
+    def sar(a, count):
         signed_a = _signed(a, width)
-        result = (signed_a >> count) & mask
-        carry = bool((signed_a >> (count - 1)) & 1)
-        flags.set("OF", False)
-    elif base == "rol":
+        return (signed_a >> count) & mask, \
+            bool((signed_a >> (count - 1)) & 1), False
+
+    return {"shl": shl, "shr": shr, "sar": sar}
+
+
+def _rotates(width: int) -> Dict[str, Callable]:
+    """Rotate results of *width* bits: ``(result, CF)``."""
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+
+    def rol(a, count):
         count %= width
         result = ((a << count) | (a >> (width - count))) & mask \
             if count else a
-        carry = bool(result & 1)
-        flags.set("CF", carry)
-        interp.write_operand(dst, result, width, insn)
-        return None
-    elif base == "ror":
+        return result, bool(result & 1)
+
+    def ror(a, count):
         count %= width
         result = ((a >> count) | (a << (width - count))) & mask \
             if count else a
-        carry = _msb(result, width)
-        flags.set("CF", carry)
-        interp.write_operand(dst, result, width, insn)
-        return None
-    else:
-        raise SimError("bad shift %s" % base)
-    flags.set("CF", carry)
-    flags.set("AF", False)
-    interp._set_result_flags(result, width)
-    interp.write_operand(dst, result, width, insn)
-    return None
+        return result, bool(result & sign)
+
+    return {"rol": rol, "ror": ror}
 
 
-def _op_imul(interp: Interpreter, insn: Instruction):
+def _c_shift(insn: Instruction, site: _Site) -> Step:
+    """Shifts and rotates; a zero count (after masking) changes nothing."""
     width = _width(insn)
-    mask = (1 << width) - 1
-    state = interp.state
     if len(insn.operands) == 1:
-        a = _signed(state.gp["rax"] & mask, width)
-        b = _signed(interp.read_operand(insn.op(0), width, insn), width)
-        product = a * b
-        low = product & mask
-        high = (product >> width) & mask
-        if width == 64:
-            state.gp["rax"] = low
-            state.gp["rdx"] = high
-        else:
-            state.write_reg(_gp(0, width), low)
-            state.write_reg(_gp(2, width), high)
-        overflow = product != _signed(low, width)
-        state.flags.set("CF", overflow)
-        state.flags.set("OF", overflow)
-        return None
-    if len(insn.operands) == 2:
+        count_op, dst = Immediate(1), insn.operands[0]
+    else:
+        count_op, dst = _operands(insn, 2)
+    limit = 63 if width == 64 else 31
+    if isinstance(count_op, Immediate):
+        read_count = _constant(count_op.value)
+    elif isinstance(count_op, RegisterOperand):
+        read_count = _reg_reader(count_op.reg)
+    else:
+        raise SimError("bad shift count in %s" % insn)
+    sign = 1 << (width - 1)
+    get, put = _reader(dst, width, site), _writer(dst, width, site)
+    if insn.base in ("rol", "ror"):
+        rotate = _rotates(width)[insn.base]
+
+        def rotate_step(interp):
+            count = read_count(interp) & limit
+            a = get(interp)
+            if count:
+                result, interp.state.flags.CF = rotate(a, count)
+                put(interp, result)
+        return rotate_step
+    try:
+        shift = _shifts(width)[insn.base]
+    except KeyError:
+        raise SimError("bad shift %s" % insn.base) from None
+
+    def shift_step(interp):
+        count = read_count(interp) & limit
+        a = get(interp)
+        if count:
+            result, carry, overflow = shift(a, count)
+            f = interp.state.flags
+            f.CF = carry
+            f.OF = overflow
+            f.AF = False
+            f.ZF = result == 0
+            f.SF = result >= sign
+            f.PF = _PARITY[result & 0xFF]
+            put(interp, result)
+    return shift_step
+
+
+def _c_imul(insn: Instruction, site: _Site) -> Step:
+    width = _width(insn)
+    count = len(insn.operands)
+    if count == 1:
+        return _c_wide_mul(insn, site)
+    if count == 2:
         src, dst = insn.operands
-        a = _signed(interp.read_operand(dst, width, insn), width)
-        b = _signed(interp.read_operand(src, width, insn), width)
+        a_op, b_op = dst, src
+    elif count == 3:
+        b_op, a_op, dst = insn.operands
     else:
-        immop, src, dst = insn.operands
-        a = _signed(interp.read_operand(src, width, insn), width)
-        b = _signed(interp.read_operand(immop, width, insn), width)
-    product = a * b
-    result = product & mask
-    interp.write_operand(dst, result, width, insn)
-    overflow = product != _signed(result, width)
-    interp.state.flags.set("CF", overflow)
-    interp.state.flags.set("OF", overflow)
-    interp._set_result_flags(result, width)   # architecturally undefined
-    return None
+        raise SimError("%s needs 1 to 3 operands" % insn)
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+    low = sign - 1
+    d, s = _full(dst, width), _full(a_op, width)
+    if d is not None and s is not None and isinstance(b_op, Immediate):
+        k = _signed(_imm(b_op, width, site), width)
+
+        def imul_rri(interp):
+            state = interp.state
+            gp = state.gp
+            a = gp[s] & mask
+            product = ((a & low) - (a & sign)) * k
+            res = product & mask
+            gp[d] = res
+            f = state.flags
+            f.CF = f.OF = product != (res & low) - (res & sign)
+            f.ZF = res == 0                  # architecturally undefined
+            f.SF = res >= sign
+            f.PF = _PARITY[res & 0xFF]
+        return imul_rri
+    get_a, get_b = _reader(a_op, width, site), _reader(b_op, width, site)
+    put = _writer(dst, width, site)
+
+    def imul(interp):
+        a = get_a(interp)
+        b = get_b(interp)
+        product = ((a & low) - (a & sign)) * ((b & low) - (b & sign))
+        res = product & mask
+        put(interp, res)
+        f = interp.state.flags
+        f.CF = f.OF = product != (res & low) - (res & sign)
+        f.ZF = res == 0                      # architecturally undefined
+        f.SF = res >= sign
+        f.PF = _PARITY[res & 0xFF]
+    return imul
 
 
-def _gp(number: int, width: int):
-    from repro.x86.registers import gp_register
-    return gp_register(number, width)
-
-
-def _op_mul(interp: Interpreter, insn: Instruction):
-    width = _width(insn)
+def _double_reader(width: int) -> Callable[[Dict[str, int]], int]:
+    """The double-width dividend: ``ax`` for 8-bit operands, else the
+    ``dx:ax`` pair of the operand width."""
+    if width == 8:
+        return lambda gp: gp["rax"] & 0xFFFF
     mask = (1 << width) - 1
-    state = interp.state
-    a = state.gp["rax"] & mask
-    b = interp.read_operand(insn.op(0), width, insn)
-    product = a * b
-    low = product & mask
-    high = (product >> width) & mask
-    if width == 64:
-        state.gp["rax"], state.gp["rdx"] = low, high
+    return lambda gp: ((gp["rdx"] & mask) << width) | (gp["rax"] & mask)
+
+
+def _double_writer(width: int) -> Callable[[Dict[str, int], int, int], None]:
+    """Store a double-width result's halves: ``ah:al`` for 8-bit operands,
+    else ``dx:ax`` of the operand width (32-bit halves zero-extend)."""
+    if width == 8:
+        def write(gp, low, high):
+            gp["rax"] = (gp["rax"] & ~0xFFFF) | (high << 8) | low
+    elif width == 16:
+        def write(gp, low, high):
+            gp["rax"] = (gp["rax"] & ~0xFFFF) | low
+            gp["rdx"] = (gp["rdx"] & ~0xFFFF) | high
     else:
-        state.write_reg(_gp(0, width), low)
-        state.write_reg(_gp(2, width), high)
-    overflow = high != 0
-    state.flags.set("CF", overflow)
-    state.flags.set("OF", overflow)
-    return None
+        def write(gp, low, high):
+            gp["rax"] = low
+            gp["rdx"] = high
+    return write
 
 
-def _op_div(interp: Interpreter, insn: Instruction):
+def _c_wide_mul(insn: Instruction, site: _Site) -> Step:
+    """One-operand ``mul``/``imul``: ``ax`` times the operand, into the
+    double-width destination."""
     width = _width(insn)
-    mask = (1 << width) - 1
-    state = interp.state
-    signed = insn.base == "idiv"
-    low = state.gp["rax"] & mask
-    high = state.gp["rdx"] & mask
-    dividend = (high << width) | low
-    divisor = interp.read_operand(insn.op(0), width, insn)
-    if signed:
-        dividend = _signed(dividend, 2 * width)
-        divisor = _signed(divisor, width)
-    if divisor == 0:
-        raise SimError("division by zero")
-    quotient = int(dividend / divisor) if signed else dividend // divisor
-    remainder = dividend - quotient * divisor
-    if signed and not (-(1 << (width - 1)) <= quotient
-                       < (1 << (width - 1))):
-        raise SimError("idiv overflow")
-    if width == 64:
-        state.gp["rax"] = quotient & mask
-        state.gp["rdx"] = remainder & mask
-    else:
-        state.write_reg(_gp(0, width), quotient & mask)
-        state.write_reg(_gp(2, width), remainder & mask)
-    return None
+    (op,) = _operands(insn, 1)
+    mask, sign = (1 << width) - 1, 1 << (width - 1)
+    low_bits = sign - 1
+    get, store = _reader(op, width, site), _double_writer(width)
+    if insn.base == "mul":
+        def mul(interp):
+            state = interp.state
+            product = (state.gp["rax"] & mask) * get(interp)
+            high = (product >> width) & mask
+            store(state.gp, product & mask, high)
+            state.flags.CF = state.flags.OF = high != 0
+        return mul
+
+    def imul1(interp):
+        state = interp.state
+        a = state.gp["rax"] & mask
+        b = get(interp)
+        product = ((a & low_bits) - (a & sign)) * ((b & low_bits) - (b & sign))
+        low = product & mask
+        store(state.gp, low, (product >> width) & mask)
+        state.flags.CF = state.flags.OF = \
+            product != (low & low_bits) - (low & sign)
+    return imul1
 
 
-def _op_push(interp: Interpreter, insn: Instruction):
-    value = interp.read_operand(insn.op(0), 64, insn)
-    interp._push(value)
-    return None
+def _c_div(insn: Instruction, site: _Site) -> Step:
+    width = _width(insn)
+    (op,) = _operands(insn, 1)
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    get = _reader(op, width, site)
+    fetch, store = _double_reader(width), _double_writer(width)
+    signed, next_rip = insn.base == "idiv", site.next_rip
+
+    def div(interp):
+        state = interp.state
+        dividend = fetch(state.gp)
+        divisor = get(interp)
+        if signed:
+            dividend = _signed(dividend, 2 * width)
+            divisor = _signed(divisor, width)
+        if divisor == 0:
+            state.rip = next_rip
+            raise SimError("division by zero")
+        quotient = abs(dividend) // abs(divisor)
+        if (dividend < 0) != (divisor < 0):
+            quotient = -quotient             # x86 truncates toward zero
+        remainder = dividend - quotient * divisor
+        if signed and not -half <= quotient < half:
+            state.rip = next_rip
+            raise SimError("idiv overflow")
+        store(state.gp, quotient & mask, remainder & mask)
+    return div
 
 
-def _op_pop(interp: Interpreter, insn: Instruction):
-    interp.write_operand(insn.op(0), interp._pop(), 64, insn)
-    return None
+# ---- stack and control flow -------------------------------------------------
+
+def _c_push(insn: Instruction, site: _Site) -> Step:
+    (op,) = _operands(insn, 1)
+    get = _reader(op, 64, site)
+
+    def push(interp):
+        _push(interp, get(interp))
+    return push
 
 
-def _op_jmp(interp: Interpreter, insn: Instruction):
-    return ("jump", interp._branch_target(insn))
+def _c_pop(insn: Instruction, site: _Site) -> Step:
+    (op,) = _operands(insn, 1)
+    put = _writer(op, 64, site)
+
+    def pop(interp):
+        put(interp, _pop(interp))
+    return pop
 
 
-def _op_jcc(interp: Interpreter, insn: Instruction):
-    if interp.condition(insn.cond):
-        return ("jump", interp._branch_target(insn))
-    return ("nottaken", None)
+def _c_leave(insn: Instruction, site: _Site) -> Step:
+    def leave(interp):
+        gp = interp.state.gp
+        gp["rsp"] = gp["rbp"]
+        gp["rbp"] = _pop(interp)
+    return leave
 
 
-def _op_call(interp: Interpreter, insn: Instruction):
-    interp._push(interp.state.rip)
-    return ("jump", interp._branch_target(insn))
+def _c_jmp(insn: Instruction, site: _Site) -> Step:
+    target = _target(insn, site)
+    if isinstance(target, int):
+        outcome = (target, True)
+        return lambda interp: outcome
+    return lambda interp: (target(interp), True)
 
 
-def _op_ret(interp: Interpreter, insn: Instruction):
-    target = interp._pop()
+def _c_jcc(insn: Instruction, site: _Site) -> Step:
+    test = _condition(insn)
+    target = _target(insn, site)
+    fallthrough = (site.next_rip, False)
+    if isinstance(target, int):
+        taken = (target, True)
+        return lambda interp: taken if test(interp.state.flags) \
+            else fallthrough
+    return lambda interp: (target(interp), True) \
+        if test(interp.state.flags) else fallthrough
+
+
+def _c_call(insn: Instruction, site: _Site) -> Step:
+    target = _target(insn, site)
+    return_to = site.next_rip
+    if isinstance(target, int):
+        outcome = (target, True)
+
+        def call(interp):
+            _push(interp, return_to)
+            return outcome
+        return call
+
+    def call_indirect(interp):
+        _push(interp, return_to)
+        return target(interp), True
+    return call_indirect
+
+
+def _c_ret(insn: Instruction, site: _Site) -> Step:
+    release = 0
     if insn.operands:
-        interp.state.gp["rsp"] = (interp.state.gp["rsp"]
-                                  + insn.op(0).value) & MASK64
-    return ("ret", target)
+        (op,) = _operands(insn, 1)
+        if not isinstance(op, Immediate):
+            raise SimError("bad operand in %s" % insn)
+        release = op.value
+
+    def ret(interp):
+        target = _pop(interp)
+        if release:
+            gp = interp.state.gp
+            gp["rsp"] = (gp["rsp"] + release) & MASK64
+        return _RETURNED if target == RETURN_SENTINEL else (target, True)
+    return ret
 
 
-def _op_leave(interp: Interpreter, insn: Instruction):
-    interp.state.gp["rsp"] = interp.state.gp["rbp"]
-    interp.state.gp["rbp"] = interp._pop()
+def _c_halt(insn: Instruction, site: _Site) -> Step:
+    return lambda interp: _HALTED
+
+
+def _nop(interp: Interpreter) -> None:
     return None
 
 
-def _op_halt(interp: Interpreter, insn: Instruction):
-    return ("halt", None)
+def _c_nop(insn: Instruction, site: _Site) -> Step:
+    return _nop
 
 
-def _op_nop(interp: Interpreter, insn: Instruction):
-    return None
+def _c_setcc(insn: Instruction, site: _Site) -> Step:
+    (op,) = _operands(insn, 1)
+    test, put = _condition(insn), _writer(op, 8, site)
+
+    def setcc(interp):
+        put(interp, 1 if test(interp.state.flags) else 0)
+    return setcc
 
 
-def _op_setcc(interp: Interpreter, insn: Instruction):
-    interp.write_operand(insn.op(0), int(interp.condition(insn.cond)),
-                         8, insn)
-    return None
-
-
-def _op_cmov(interp: Interpreter, insn: Instruction):
+def _c_cmov(insn: Instruction, site: _Site) -> Step:
     width = _width(insn)
-    src, dst = insn.operands
-    if interp.condition(insn.cond):
-        interp.write_operand(dst, interp.read_operand(src, width, insn),
-                             width, insn)
-    else:
-        # Even untaken cmov to 32-bit dst zero-extends (writes dst).
-        interp.write_operand(dst, interp.read_operand(dst, width, insn),
-                             width, insn)
-    return None
+    src, dst = _operands(insn, 2)
+    test = _condition(insn)
+    get_src, get_dst = _reader(src, width, site), _reader(dst, width, site)
+    put = _writer(dst, width, site)
+
+    def cmov(interp):
+        if test(interp.state.flags):
+            put(interp, get_src(interp))
+        else:
+            # Even untaken cmov to 32-bit dst zero-extends (writes dst).
+            put(interp, get_dst(interp))
+    return cmov
 
 
-def _op_xchg(interp: Interpreter, insn: Instruction):
+def _c_xchg(insn: Instruction, site: _Site) -> Step:
     width = _width(insn)
-    a, b = insn.operands
-    va = interp.read_operand(a, width, insn)
-    vb = interp.read_operand(b, width, insn)
-    interp.write_operand(a, vb, width, insn)
-    interp.write_operand(b, va, width, insn)
-    return None
+    a, b = _operands(insn, 2)
+    get_a, get_b = _reader(a, width, site), _reader(b, width, site)
+    put_a, put_b = _writer(a, width, site), _writer(b, width, site)
+
+    def xchg(interp):
+        va = get_a(interp)
+        vb = get_b(interp)
+        put_a(interp, vb)
+        put_b(interp, va)
+    return xchg
 
 
-def _op_bswap(interp: Interpreter, insn: Instruction):
+def _c_bswap(insn: Instruction, site: _Site) -> Step:
     width = _width(insn)
-    op = insn.op(0)
-    value = interp.read_operand(op, width, insn)
-    data = value.to_bytes(width // 8, "little")
-    interp.write_operand(op, int.from_bytes(data, "big"), width, insn)
-    return None
+    (op,) = _operands(insn, 1)
+    get, put = _reader(op, width, site), _writer(op, width, site)
+    size = width // 8
+
+    def bswap(interp):
+        data = get(interp).to_bytes(size, "little")
+        put(interp, int.from_bytes(data, "big"))
+    return bswap
 
 
-def _op_cltq(interp: Interpreter, insn: Instruction):
-    state = interp.state
-    state.gp["rax"] = _signed(state.gp["rax"] & 0xFFFFFFFF, 32) & MASK64
-    return None
+def _fixed(step: Step) -> Callable[[Instruction, _Site], Step]:
+    """The compiler of an instruction whose one step has no operands."""
+    return lambda insn, site: step
 
 
-def _op_cwtl(interp: Interpreter, insn: Instruction):
-    state = interp.state
-    state.gp["rax"] = (_signed(state.gp["rax"] & 0xFFFF, 16)
-                       & 0xFFFFFFFF)
-    return None
+def _cltq(interp):
+    gp = interp.state.gp
+    gp["rax"] = _signed(gp["rax"] & 0xFFFFFFFF, 32) & MASK64
 
 
-def _op_cqto(interp: Interpreter, insn: Instruction):
-    state = interp.state
-    sign = _msb(state.gp["rax"], 64)
-    state.gp["rdx"] = MASK64 if sign else 0
-    return None
+def _cwtl(interp):
+    gp = interp.state.gp
+    gp["rax"] = _signed(gp["rax"] & 0xFFFF, 16) & 0xFFFFFFFF
 
 
-def _op_cltd(interp: Interpreter, insn: Instruction):
-    state = interp.state
-    sign = _msb(state.gp["rax"] & 0xFFFFFFFF, 32)
-    state.gp["rdx"] = 0xFFFFFFFF if sign else 0
-    return None
+def _cqto(interp):
+    gp = interp.state.gp
+    gp["rdx"] = MASK64 if gp["rax"] >> 63 else 0
 
 
-def _op_rdtsc(interp: Interpreter, insn: Instruction):
-    state = interp.state
-    state.gp["rax"] = interp._tsc & 0xFFFFFFFF
-    state.gp["rdx"] = (interp._tsc >> 32) & 0xFFFFFFFF
-    return None
+def _cltd(interp):
+    gp = interp.state.gp
+    gp["rdx"] = 0xFFFFFFFF if gp["rax"] & 0x80000000 else 0
 
 
-def _op_cpuid(interp: Interpreter, insn: Instruction):
-    state = interp.state
-    state.gp["rax"] = 0
-    state.gp["rbx"] = 0x756E6547   # "Genu" — deterministic stub
-    state.gp["rcx"] = 0x6C65746E
-    state.gp["rdx"] = 0x49656E69
-    return None
+def _rdtsc(interp):
+    gp = interp.state.gp
+    gp["rax"] = interp._tsc & 0xFFFFFFFF
+    gp["rdx"] = (interp._tsc >> 32) & 0xFFFFFFFF
 
 
-# ---- SSE scalar ----------------------------------------------------------
+def _cpuid(interp):
+    gp = interp.state.gp
+    gp["rax"] = 0
+    gp["rbx"] = 0x756E6547   # "Genu" — deterministic stub
+    gp["rcx"] = 0x6C65746E
+    gp["rdx"] = 0x49656E69
+
+
+# ---- SSE scalar -------------------------------------------------------------
 
 def _f32(bits: int) -> float:
     return struct.unpack("<f", struct.pack("<I", bits & 0xFFFFFFFF))[0]
@@ -1167,277 +1571,268 @@ def _f64_bits(value: float) -> int:
     return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
-def _op_movss(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    if isinstance(dst, RegisterOperand):
-        if isinstance(src, Memory):
-            bits = interp.read_operand(src, 32, insn)
-            interp.state.xmm[dst.reg.group] = bits   # zero upper 96
-        else:
-            low = interp.state.xmm[src.reg.group] & 0xFFFFFFFF
-            old = interp.state.xmm[dst.reg.group]
-            interp.state.xmm[dst.reg.group] = (old & ~0xFFFFFFFF) | low
-    else:
-        bits = interp.state.xmm[src.reg.group] & 0xFFFFFFFF
-        interp.write_operand(dst, bits, 32, insn)
-    return None
+def _c_scalar_move(size: int):
+    """Compiler of ``movss`` (32) / ``movsd`` (64): a load zeroes the
+    register above the scalar, a register move merges into it."""
+    mask, nbytes = (1 << size) - 1, size // 8
+
+    def compile_move(insn: Instruction, site: _Site) -> Step:
+        src, dst = _operands(insn, 2)
+        if isinstance(dst, RegisterOperand):
+            d = _xmm(dst)
+            if isinstance(src, Memory):
+                load = site.ea
+
+                def move_load(interp):
+                    interp.state.xmm[d] = interp.memory.read(load(interp),
+                                                             nbytes)
+                return move_load
+            s = _xmm(src)
+
+            def move_merge(interp):
+                xmm = interp.state.xmm
+                xmm[d] = (xmm[d] & ~mask) | (xmm[s] & mask)
+            return move_merge
+        return _copy(_xmm_or_mem(src, size, site), _writer(dst, size, site))
+    return compile_move
 
 
-def _op_movsd_sse(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    if isinstance(dst, RegisterOperand):
-        if isinstance(src, Memory):
-            bits = interp.read_operand(src, 64, insn)
-            interp.state.xmm[dst.reg.group] = bits   # zero upper 64
-        else:
-            low = interp.state.xmm[src.reg.group] & MASK64
-            old = interp.state.xmm[dst.reg.group]
-            interp.state.xmm[dst.reg.group] = (old & ~MASK64) | low
-    else:
-        bits = interp.state.xmm[src.reg.group] & MASK64
-        interp.write_operand(dst, bits, 64, insn)
-    return None
+def _c_sse_arith(fn: Callable[[float, float], float], double: bool):
+    size = 64 if double else 32
+    mask = (1 << size) - 1
+    to_f = _f64 if double else _f32
+    to_bits = _f64_bits if double else _f32_bits
+
+    def compile_arith(insn: Instruction, site: _Site) -> Step:
+        src, dst = _operands(insn, 2)
+        d, get = _xmm(dst), _xmm_or_mem(src, size, site)
+
+        def arith(interp):
+            xmm = interp.state.xmm
+            a = to_f(xmm[d])
+            b = to_f(get(interp))
+            try:
+                result = fn(a, b)
+            except ZeroDivisionError:
+                result = float("inf") if a > 0 else float("-inf") if a < 0 \
+                    else float("nan")
+            xmm[d] = (xmm[d] & ~mask) | to_bits(result)
+        return arith
+    return compile_arith
 
 
-def _xmm_or_mem_bits(interp: Interpreter, op: Operand, size_bits: int,
-                     insn: Instruction) -> int:
-    if isinstance(op, RegisterOperand):
-        return interp.state.xmm[op.reg.group] & ((1 << size_bits) - 1)
-    return interp.read_operand(op, size_bits, insn)
+def _c_sse_xor(insn: Instruction, site: _Site) -> Step:
+    src, dst = _operands(insn, 2)
+    d = _xmm(dst)
+    get = _xmm_or_mem(src, 128, site)
+
+    def sse_xor(interp):
+        xmm = interp.state.xmm
+        a = xmm[d]
+        xmm[d] = a ^ get(interp)
+    return sse_xor
 
 
-def _make_sse_arith(opname: str, double: bool):
-    import operator
-    ops = {"add": operator.add, "sub": operator.sub,
-           "mul": operator.mul, "div": operator.truediv}
-    fn = ops[opname]
+def _c_ucomi(double: bool):
+    size = 64 if double else 32
+    to_f = _f64 if double else _f32
 
-    def handler(interp: Interpreter, insn: Instruction):
-        src, dst = insn.operands
-        size = 64 if double else 32
-        to_f = _f64 if double else _f32
-        to_bits = _f64_bits if double else _f32_bits
-        a = to_f(interp.state.xmm[dst.reg.group])
-        b = to_f(_xmm_or_mem_bits(interp, src, size, insn))
-        try:
-            result = fn(a, b)
-        except ZeroDivisionError:
-            result = float("inf") if a > 0 else float("-inf") if a < 0 \
-                else float("nan")
-        bits = to_bits(result)
-        old = interp.state.xmm[dst.reg.group]
-        mask = (1 << size) - 1
-        interp.state.xmm[dst.reg.group] = (old & ~mask) | bits
-        return None
-    return handler
+    def compile_ucomi(insn: Instruction, site: _Site) -> Step:
+        src, dst = _operands(insn, 2)
+        d, get = _xmm(dst), _xmm_or_mem(src, size, site)
+
+        def ucomi(interp):
+            state = interp.state
+            a = to_f(state.xmm[d])
+            b = to_f(get(interp))
+            f = state.flags
+            f.OF = f.AF = f.SF = False
+            if a != a or b != b:                  # unordered (NaN)
+                f.ZF = f.PF = f.CF = True
+            else:
+                f.ZF = a == b
+                f.PF = False
+                f.CF = a < b
+        return ucomi
+    return compile_ucomi
 
 
-def _op_sse_xor(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    a = interp.state.xmm[dst.reg.group]
-    if isinstance(src, RegisterOperand):
-        b = interp.state.xmm[src.reg.group]
-    else:
-        b = interp.read_operand(src, 128, insn)
-    interp.state.xmm[dst.reg.group] = a ^ b
-    return None
+def _c_low_move(size: int):
+    """Compiler of ``movq`` (64; ``mov`` with an xmm operand) and ``movd``
+    (32): the low *size* bits of an xmm register go out to a GP register,
+    memory or (for ``movq``) another xmm register, whose upper bits are
+    zeroed; a GP register or memory comes in the same way."""
+    def compile_move(insn: Instruction, site: _Site) -> Step:
+        src, dst = _operands(insn, 2)
+        get = _xmm_or_mem(src, size, site) if _is_xmm(src) \
+            else _reader(src, size, site)
+        return _copy(get, _writer(dst, size, site))
+    return compile_move
 
 
-def _make_ucomi(double: bool):
-    def handler(interp: Interpreter, insn: Instruction):
-        src, dst = insn.operands
-        size = 64 if double else 32
-        to_f = _f64 if double else _f32
-        a = to_f(interp.state.xmm[dst.reg.group])
-        b = to_f(_xmm_or_mem_bits(interp, src, size, insn))
-        flags = interp.state.flags
-        flags.set("OF", False)
-        flags.set("AF", False)
-        flags.set("SF", False)
-        if a != a or b != b:                      # unordered (NaN)
-            flags.set("ZF", True)
-            flags.set("PF", True)
-            flags.set("CF", True)
-        else:
-            flags.set("ZF", a == b)
-            flags.set("PF", False)
-            flags.set("CF", a < b)
-        return None
-    return handler
+_c_sse_movq = _c_low_move(64)
 
 
-def _op_sse_movq(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    src_xmm = isinstance(src, RegisterOperand) and src.reg.reg_class == "xmm"
-    dst_xmm = isinstance(dst, RegisterOperand) and dst.reg.reg_class == "xmm"
-    if src_xmm and dst_xmm:
-        interp.state.xmm[dst.reg.group] = \
-            interp.state.xmm[src.reg.group] & MASK64
-    elif src_xmm:
-        interp.write_operand(dst, interp.state.xmm[src.reg.group] & MASK64,
-                             64, insn)
-    else:
-        interp.state.xmm[dst.reg.group] = \
-            interp.read_operand(src, 64, insn)
-    return None
+def _c_cvt_si2f(double: bool, quad: bool):
+    width = 64 if quad else 32
+    size = 64 if double else 32
+    mask = (1 << size) - 1
+    to_bits = _f64_bits if double else _f32_bits
+
+    def compile_cvt(insn: Instruction, site: _Site) -> Step:
+        src, dst = _operands(insn, 2)
+        get, d = _reader(src, width, site), _xmm(dst)
+
+        def cvt_si2f(interp):
+            bits = to_bits(float(_signed(get(interp), width)))
+            xmm = interp.state.xmm
+            xmm[d] = (xmm[d] & ~mask) | bits
+        return cvt_si2f
+    return compile_cvt
 
 
-def _op_movd(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    if isinstance(dst, RegisterOperand) and dst.reg.reg_class == "xmm":
-        interp.state.xmm[dst.reg.group] = interp.read_operand(src, 32, insn)
-    else:
-        interp.write_operand(dst,
-                             interp.state.xmm[src.reg.group] & 0xFFFFFFFF,
-                             32, insn)
-    return None
+def _c_cvt_f2si(double: bool, quad: bool):
+    """Truncating float-to-integer conversion.  NaN, infinity and values
+    whose truncation does not fit give the integer-indefinite value (the
+    sign bit alone), as hardware does."""
+    to_f = _f64 if double else _f32
+    width = 64 if quad else 32
+    mask, indefinite = (1 << width) - 1, 1 << (width - 1)
+    infinities = (float("inf"), float("-inf"))
+
+    def compile_cvt(insn: Instruction, site: _Site) -> Step:
+        src, dst = _operands(insn, 2)
+        get = _xmm_or_mem(src, 64 if double else 32, site)
+        put = _writer(dst, width, site)
+
+        def cvt_f2si(interp):
+            value = to_f(get(interp))
+            if value != value or value in infinities:
+                truncated = indefinite
+            else:
+                truncated = int(value)
+                if not -indefinite <= truncated < indefinite:
+                    truncated = indefinite
+            put(interp, truncated & mask)
+        return cvt_f2si
+    return compile_cvt
 
 
-def _make_cvt_si2f(double: bool, quad: bool):
-    def handler(interp: Interpreter, insn: Instruction):
-        src, dst = insn.operands
-        width = 64 if quad else 32
-        value = _signed(interp.read_operand(src, width, insn), width)
-        bits = _f64_bits(float(value)) if double else _f32_bits(float(value))
-        size = 64 if double else 32
-        mask = (1 << size) - 1
-        old = interp.state.xmm[dst.reg.group]
-        interp.state.xmm[dst.reg.group] = (old & ~mask) | bits
-        return None
-    return handler
+def _c_cvtss2sd(insn: Instruction, site: _Site) -> Step:
+    src, dst = _operands(insn, 2)
+    get, d = _xmm_or_mem(src, 32, site), _xmm(dst)
+
+    def cvtss2sd(interp):
+        bits = _f64_bits(_f32(get(interp)))
+        xmm = interp.state.xmm
+        xmm[d] = (xmm[d] & ~MASK64) | bits
+    return cvtss2sd
 
 
-def _make_cvt_f2si(double: bool, quad: bool):
-    def handler(interp: Interpreter, insn: Instruction):
-        src, dst = insn.operands
-        to_f = _f64 if double else _f32
-        value = to_f(_xmm_or_mem_bits(interp, src, 64 if double else 32,
-                                      insn))
-        width = 64 if quad else 32
-        truncated = int(value)
-        interp.write_operand(dst, truncated & ((1 << width) - 1), width,
-                             insn)
-        return None
-    return handler
+def _c_cvtsd2ss(insn: Instruction, site: _Site) -> Step:
+    src, dst = _operands(insn, 2)
+    get, d = _xmm_or_mem(src, 64, site), _xmm(dst)
+
+    def cvtsd2ss(interp):
+        bits = _f32_bits(_f64(get(interp)))
+        xmm = interp.state.xmm
+        xmm[d] = (xmm[d] & ~0xFFFFFFFF) | bits
+    return cvtsd2ss
 
 
-def _op_cvtss2sd(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    value = _f32(_xmm_or_mem_bits(interp, src, 32, insn))
-    old = interp.state.xmm[dst.reg.group]
-    interp.state.xmm[dst.reg.group] = (old & ~MASK64) | _f64_bits(value)
-    return None
+def _c_movaps(insn: Instruction, site: _Site) -> Step:
+    src, dst = _operands(insn, 2)
+    return _copy(_xmm_or_mem(src, 128, site), _writer(dst, 128, site))
 
 
-def _op_cvtsd2ss(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    value = _f64(_xmm_or_mem_bits(interp, src, 64, insn))
-    old = interp.state.xmm[dst.reg.group]
-    interp.state.xmm[dst.reg.group] = (old & ~0xFFFFFFFF) \
-        | _f32_bits(value)
-    return None
-
-
-def _op_movaps(interp: Interpreter, insn: Instruction):
-    src, dst = insn.operands
-    if isinstance(dst, RegisterOperand):
-        if isinstance(src, RegisterOperand):
-            interp.state.xmm[dst.reg.group] = interp.state.xmm[src.reg.group]
-        else:
-            interp.state.xmm[dst.reg.group] = interp.read_operand(src, 128,
-                                                                  insn)
-    else:
-        interp.write_operand(dst, interp.state.xmm[src.reg.group], 128, insn)
-    return None
-
-
-_DISPATCH: Dict[str, Callable] = {
-    "mov": _op_mov,
-    "movabs": _op_movabs,
-    "movsx": _op_movsx,
-    "movzx": _op_movzx,
-    "lea": _op_lea,
-    "add": _make_alu("add"),
-    "sub": _make_alu("sub"),
-    "adc": _make_alu("adc"),
-    "sbb": _make_alu("sbb"),
-    "and": _make_alu("and"),
-    "or": _make_alu("or"),
-    "xor": _make_alu("xor"),
-    "cmp": _make_alu("cmp"),
-    "test": _make_alu("test"),
-    "inc": _op_incdec,
-    "dec": _op_incdec,
-    "neg": _op_neg,
-    "not": _op_not,
-    "shl": _op_shift,
-    "shr": _op_shift,
-    "sar": _op_shift,
-    "rol": _op_shift,
-    "ror": _op_shift,
-    "imul": _op_imul,
-    "mul": _op_mul,
-    "idiv": _op_div,
-    "div": _op_div,
-    "push": _op_push,
-    "pop": _op_pop,
-    "jmp": _op_jmp,
-    "j": _op_jcc,
-    "call": _op_call,
-    "ret": _op_ret,
-    "leave": _op_leave,
-    "hlt": _op_halt,
-    "ud2": _op_halt,
-    "int3": _op_halt,
-    "nop": _op_nop,
-    "pause": _op_nop,
-    "mfence": _op_nop,
-    "lfence": _op_nop,
-    "sfence": _op_nop,
-    "prefetchnta": _op_nop,
-    "prefetcht0": _op_nop,
-    "prefetcht1": _op_nop,
-    "prefetcht2": _op_nop,
-    "set": _op_setcc,
-    "cmov": _op_cmov,
-    "xchg": _op_xchg,
-    "bswap": _op_bswap,
-    "cltq": _op_cltq,
-    "cwtl": _op_cwtl,
-    "cqto": _op_cqto,
-    "cltd": _op_cltd,
-    "rdtsc": _op_rdtsc,
-    "cpuid": _op_cpuid,
-    "movss": _op_movss,
-    "movsd": _op_movsd_sse,
-    "movaps": _op_movaps,
-    "movups": _op_movaps,
-    "movd": _op_movd,
-    "addss": _make_sse_arith("add", False),
-    "addsd": _make_sse_arith("add", True),
-    "subss": _make_sse_arith("sub", False),
-    "subsd": _make_sse_arith("sub", True),
-    "mulss": _make_sse_arith("mul", False),
-    "mulsd": _make_sse_arith("mul", True),
-    "divss": _make_sse_arith("div", False),
-    "divsd": _make_sse_arith("div", True),
-    "xorps": _op_sse_xor,
-    "xorpd": _op_sse_xor,
-    "pxor": _op_sse_xor,
-    "ucomiss": _make_ucomi(False),
-    "ucomisd": _make_ucomi(True),
-    "comiss": _make_ucomi(False),
-    "comisd": _make_ucomi(True),
-    "cvtsi2ss": _make_cvt_si2f(False, False),
-    "cvtsi2sd": _make_cvt_si2f(True, False),
-    "cvtsi2ssq": _make_cvt_si2f(False, True),
-    "cvtsi2sdq": _make_cvt_si2f(True, True),
-    "cvttss2si": _make_cvt_f2si(False, False),
-    "cvttsd2si": _make_cvt_f2si(True, False),
-    "cvttss2siq": _make_cvt_f2si(False, True),
-    "cvttsd2siq": _make_cvt_f2si(True, True),
-    "cvtss2sd": _op_cvtss2sd,
-    "cvtsd2ss": _op_cvtsd2ss,
+#: Instruction base -> compiler of its step.
+_DISPATCH: Dict[str, Callable[[Instruction, _Site], Step]] = {
+    "mov": _c_mov,
+    "movabs": _c_movabs,
+    "movsx": _c_movsx,
+    "movzx": _c_movzx,
+    "lea": _c_lea,
+    "add": _c_alu("add"),
+    "sub": _c_alu("sub"),
+    "adc": _c_alu("adc"),
+    "sbb": _c_alu("sbb"),
+    "and": _c_alu("and"),
+    "or": _c_alu("or"),
+    "xor": _c_alu("xor"),
+    "cmp": _c_alu("sub", writes=False),
+    "test": _c_alu("and", writes=False),
+    "inc": _c_incdec,
+    "dec": _c_incdec,
+    "neg": _c_neg,
+    "not": _c_not,
+    "shl": _c_shift,
+    "shr": _c_shift,
+    "sar": _c_shift,
+    "rol": _c_shift,
+    "ror": _c_shift,
+    "imul": _c_imul,
+    "mul": _c_wide_mul,
+    "idiv": _c_div,
+    "div": _c_div,
+    "push": _c_push,
+    "pop": _c_pop,
+    "jmp": _c_jmp,
+    "j": _c_jcc,
+    "call": _c_call,
+    "ret": _c_ret,
+    "leave": _c_leave,
+    "hlt": _c_halt,
+    "ud2": _c_halt,
+    "int3": _c_halt,
+    "nop": _c_nop,
+    "pause": _c_nop,
+    "mfence": _c_nop,
+    "lfence": _c_nop,
+    "sfence": _c_nop,
+    "prefetchnta": _c_nop,
+    "prefetcht0": _c_nop,
+    "prefetcht1": _c_nop,
+    "prefetcht2": _c_nop,
+    "set": _c_setcc,
+    "cmov": _c_cmov,
+    "xchg": _c_xchg,
+    "bswap": _c_bswap,
+    "cltq": _fixed(_cltq),
+    "cwtl": _fixed(_cwtl),
+    "cqto": _fixed(_cqto),
+    "cltd": _fixed(_cltd),
+    "rdtsc": _fixed(_rdtsc),
+    "cpuid": _fixed(_cpuid),
+    "movss": _c_scalar_move(32),
+    "movsd": _c_scalar_move(64),
+    "movaps": _c_movaps,
+    "movups": _c_movaps,
+    "movd": _c_low_move(32),
+    "addss": _c_sse_arith(operator.add, False),
+    "addsd": _c_sse_arith(operator.add, True),
+    "subss": _c_sse_arith(operator.sub, False),
+    "subsd": _c_sse_arith(operator.sub, True),
+    "mulss": _c_sse_arith(operator.mul, False),
+    "mulsd": _c_sse_arith(operator.mul, True),
+    "divss": _c_sse_arith(operator.truediv, False),
+    "divsd": _c_sse_arith(operator.truediv, True),
+    "xorps": _c_sse_xor,
+    "xorpd": _c_sse_xor,
+    "pxor": _c_sse_xor,
+    "ucomiss": _c_ucomi(False),
+    "ucomisd": _c_ucomi(True),
+    "comiss": _c_ucomi(False),
+    "comisd": _c_ucomi(True),
+    "cvtsi2ss": _c_cvt_si2f(False, False),
+    "cvtsi2sd": _c_cvt_si2f(True, False),
+    "cvtsi2ssq": _c_cvt_si2f(False, True),
+    "cvtsi2sdq": _c_cvt_si2f(True, True),
+    "cvttss2si": _c_cvt_f2si(False, False),
+    "cvttsd2si": _c_cvt_f2si(True, False),
+    "cvttss2siq": _c_cvt_f2si(False, True),
+    "cvttsd2siq": _c_cvt_f2si(True, True),
+    "cvtss2sd": _c_cvtss2sd,
+    "cvtsd2ss": _c_cvtsd2ss,
 }
 
 

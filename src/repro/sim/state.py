@@ -21,24 +21,30 @@ def _mask(width: int) -> int:
 
 
 class Flags:
-    """The six arithmetic RFLAGS bits."""
+    """The six arithmetic RFLAGS bits, one attribute each.
 
-    __slots__ = ("bits",)
+    Compiled interpreter steps store each flag as a plain attribute
+    (``flags.ZF = ...``); ``get``, ``set`` and ``snapshot`` address them
+    by name.
+    """
+
+    __slots__ = tuple(sorted(ALL_FLAGS))
 
     def __init__(self) -> None:
-        self.bits: Dict[str, bool] = {f: False for f in ALL_FLAGS}
+        for flag in self.__slots__:
+            setattr(self, flag, False)
 
     def get(self, flag: str) -> bool:
-        return self.bits[flag]
+        return getattr(self, flag)
 
     def set(self, flag: str, value: bool) -> None:
-        self.bits[flag] = bool(value)
+        setattr(self, flag, bool(value))
 
     def snapshot(self) -> Dict[str, bool]:
-        return dict(self.bits)
+        return {flag: getattr(self, flag) for flag in self.__slots__}
 
     def __repr__(self) -> str:
-        on = [f for f, v in sorted(self.bits.items()) if v]
+        on = [f for f in self.__slots__ if getattr(self, f)]
         return "<flags %s>" % (" ".join(on) or "-")
 
 

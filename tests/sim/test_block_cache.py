@@ -1,11 +1,12 @@
-"""Differential tests for the trace-compiled basic-block engine.
+"""Differential tests for the block-compiled interpreter.
 
-The block cache may only change *speed*: every run must produce the same
-steps, reason, architectural state, memory image, and (when traced) the
-same ExecRecord stream as the per-instruction reference loop.  The cache
-is sound because the code image is immutable after load, so these tests
-pin that contract on the paper's kernels plus the awkward shapes —
-padding gaps, faults mid-block, max-steps cut-offs, rdtsc blocks.
+Compiling instructions into cached blocks of step functions may only change
+*speed*: every run must produce the same steps, reason, architectural
+state, memory image, samples and (when traced) the same ExecRecord stream
+as the per-step reference interpreter in ``tests/sim/reference_interp.py``.
+The cache is sound because the code image is immutable after load, so
+these tests pin that contract on the paper's kernels plus the awkward
+shapes — padding gaps, faults mid-block, max-steps cut-offs, rdtsc blocks.
 """
 
 import pytest
@@ -16,13 +17,14 @@ from repro.sim.interp import (
     ExecRecord,
     Interpreter,
     SimError,
-    block_cache_disabled,
     block_cache_stats,
     reset_block_cache_stats,
     run_unit,
 )
 from repro.sim.loader import load_unit
 from repro.workloads import kernels
+from tests.sim import reference_interp
+from tests.sim.reference_interp import ReferenceInterpreter
 
 
 def _fingerprint(result):
@@ -38,13 +40,19 @@ def _trace_sig(result):
 
 
 def run_both(source, collect_trace=True, max_steps=100_000, args=None):
-    """One reference (cache-disabled) run and one block-cached run."""
-    with block_cache_disabled():
-        ref = run_unit(parse_unit(source), collect_trace=collect_trace,
-                       max_steps=max_steps, args=args)
+    """One reference run and one block-compiled run."""
+    ref = reference_interp.run_unit(parse_unit(source),
+                                    collect_trace=collect_trace,
+                                    max_steps=max_steps, args=args)
     fast = run_unit(parse_unit(source), collect_trace=collect_trace,
                     max_steps=max_steps, args=args)
     return ref, fast
+
+
+def _without_bswap(monkeypatch):
+    """Take bswap's semantics out of both interpreters."""
+    monkeypatch.delitem(interp._DISPATCH, "bswap")
+    monkeypatch.delitem(reference_interp.DISPATCH, "bswap")
 
 
 class TestDifferential:
@@ -77,40 +85,36 @@ class TestDifferential:
                   "    divq %rcx\n"
                   "    ret\n")
         states = []
-        for disabled in (True, False):
-            interp_ctx = block_cache_disabled() if disabled else _null_ctx()
-            program = load_unit(parse_unit(source), "main")
-            machine = Interpreter(program)
-            with interp_ctx:
-                with pytest.raises(SimError, match="division"):
-                    machine.run()
-            states.append((machine.state.gp["r8"],
-                           machine.state.gp["r9"]))
-        assert states[0] == states[1] == (7, 9)
+        for engine in (ReferenceInterpreter, Interpreter):
+            machine = engine(load_unit(parse_unit(source), "main"))
+            with pytest.raises(SimError, match="division"):
+                machine.run()
+            states.append((machine.state.gp["r8"], machine.state.gp["r9"],
+                           machine.state.rip))
+        assert states[0] == states[1]
+        assert states[0][:2] == (7, 9)
 
     def test_no_semantics_fault_matches_reference(self, monkeypatch):
         # A decodable instruction without semantics faults after the
         # earlier block steps committed, same as the reference loop.
-        monkeypatch.delitem(interp._DISPATCH, "bswap")
+        _without_bswap(monkeypatch)
         source = (".text\n.globl main\nmain:\n"
                   "    movl $5, %r10d\n"
                   "    bswap %rax\n"
                   "    ret\n")
         states = []
-        for disabled in (True, False):
-            interp_ctx = block_cache_disabled() if disabled else _null_ctx()
-            program = load_unit(parse_unit(source), "main")
-            machine = Interpreter(program)
-            with interp_ctx:
-                with pytest.raises(SimError, match="no semantics"):
-                    machine.run()
-            states.append(machine.state.gp["r10"])
-        assert states[0] == states[1] == 5
+        for engine in (ReferenceInterpreter, Interpreter):
+            machine = engine(load_unit(parse_unit(source), "main"))
+            with pytest.raises(SimError, match="no semantics"):
+                machine.run()
+            states.append((machine.state.gp["r10"], machine.state.rip))
+        assert states[0] == states[1]
+        assert states[0][0] == 5
 
     def test_cut_before_fault_matches_reference(self, monkeypatch):
         # A run that reaches max_steps just before an instruction with no
         # semantics stops there on every path, like the reference loop.
-        monkeypatch.delitem(interp._DISPATCH, "bswap")
+        _without_bswap(monkeypatch)
         source = (".text\n.globl main\nmain:\n"
                   "    movl $5, %r10d\n"
                   "    bswap %rax\n"
@@ -129,12 +133,10 @@ class TestDifferential:
                   "    jmp done\n"
                   "done:\n"
                   "    nop\n")  # no ret: execution falls off after nop
-        for ctx in (block_cache_disabled(), _null_ctx()):
-            program = load_unit(parse_unit(source), "main")
-            machine = Interpreter(program)
-            with ctx:
-                with pytest.raises(SimError, match="fell off"):
-                    machine.run()
+        for engine in (ReferenceInterpreter, Interpreter):
+            machine = engine(load_unit(parse_unit(source), "main"))
+            with pytest.raises(SimError, match="fell off"):
+                machine.run()
 
     def test_rdtsc_block_identical(self):
         source = (".text\n.globl main\nmain:\n"
@@ -150,10 +152,16 @@ class TestDifferential:
 
     def test_sampled_run_identical(self):
         source = kernels.hash_bench(trip=50)
-        with block_cache_disabled():
-            ref = run_unit(parse_unit(source), sample_period=16)
-        fast = run_unit(parse_unit(source), sample_period=16)
-        assert ref.samples == fast.samples
+        for collect_trace in (False, True):
+            ref = reference_interp.run_unit(parse_unit(source),
+                                            sample_period=16, sample_phase=3,
+                                            collect_trace=collect_trace)
+            fast = run_unit(parse_unit(source), sample_period=16,
+                            sample_phase=3, collect_trace=collect_trace)
+            assert ref.samples == fast.samples
+            assert _fingerprint(ref) == _fingerprint(fast)
+            if collect_trace:
+                assert _trace_sig(ref) == _trace_sig(fast)
 
 
 class TestCacheBehaviour:
@@ -176,13 +184,6 @@ class TestCacheBehaviour:
         Interpreter(program, private_memory=True).run()
         assert block_cache_stats()["blocks_compiled"] == 0
         assert block_cache_stats()["block_hits"] > 0
-
-    def test_disabled_context_restores(self):
-        assert interp._BLOCK_CACHE_ENABLED
-        with block_cache_disabled():
-            assert not interp._BLOCK_CACHE_ENABLED
-            assert not block_cache_stats()["enabled"]
-        assert interp._BLOCK_CACHE_ENABLED
 
 
 class TestNoRecordsUntraced:
@@ -215,8 +216,3 @@ class TestNoRecordsUntraced:
         result = run_unit(parse_unit(kernels.hash_bench(trip=5)),
                           collect_trace=True)
         assert len(created) == len(result.trace) == result.steps
-
-
-def _null_ctx():
-    from contextlib import nullcontext
-    return nullcontext()

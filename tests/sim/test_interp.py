@@ -56,6 +56,26 @@ class TestArithmetic:
         assert r.state.gp["rax"] & 0xFFFFFFFF == (-3) & 0xFFFFFFFF
         assert r.state.gp["rdx"] & 0xFFFFFFFF == (-1) & 0xFFFFFFFF
 
+    def test_8bit_mul_writes_ax(self):
+        # The 16-bit product of an 8-bit multiply goes to ah:al, not dl.
+        r = run("    movl $0, %eax\n    movl $0, %edx\n    movb $200, %al\n"
+                "    movb $3, %cl\n    mulb %cl")
+        assert (r.state.gp["rax"], r.state.gp["rdx"]) == (0x258, 0)
+        r = run("    movl $0, %eax\n    movl $0, %edx\n    movb $-100, %al\n"
+                "    movb $3, %cl\n    imulb %cl")
+        assert (r.state.gp["rax"], r.state.gp["rdx"]) == (0xFED4, 0)
+
+    def test_8bit_div_reads_ax(self):
+        # An 8-bit divide takes its dividend from ax and leaves the
+        # quotient in al and the remainder in ah.
+        r = run("    movl $0, %edx\n    movl $600, %eax\n    movb $7, %cl\n"
+                "    divb %cl")
+        assert (r.state.gp["rax"], r.state.gp["rdx"]) == (0x555, 0)
+        r = run("    movl $0, %edx\n    movl $-600, %eax\n    movb $7, %cl\n"
+                "    idivb %cl")
+        assert r.state.gp["rax"] == 0xFFFFFBAB      # -85 rem -5
+        assert r.state.gp["rdx"] == 0
+
     def test_division_by_zero_raises(self):
         with pytest.raises(SimError):
             run("    xorl %ecx, %ecx\n    movl $1, %eax\n    divl %ecx")
@@ -276,6 +296,28 @@ class TestSse:
         assert r.state.gp["rbx"] == 6
         assert r.state.xmm["xmm3"] & 0xFFFFFFFF == 0x40200000   # 2.5f
         assert r.state.gp["rcx"] == 2
+
+    def test_truncation_out_of_range_is_indefinite(self):
+        # NaN, infinity and values whose truncation does not fit give the
+        # integer-indefinite value, as on hardware.
+        r = run("""
+    movsd .Lone(%rip), %xmm0
+    xorps %xmm1, %xmm1
+    divsd %xmm1, %xmm0
+    cvttsd2si %xmm0, %eax
+    cvttsd2siq %xmm0, %rbx
+    cvttsd2siq .Lnan(%rip), %rcx
+    cvttss2si .Lbig(%rip), %edx
+    cvttsd2si .Lneg(%rip), %esi
+""", data=".section .rodata\n.Lone:\n    .quad 0x3FF0000000000000\n"
+           ".Lnan:\n    .quad 0x7FF8000000000000\n"
+           ".Lbig:\n    .long 0x4F32D05E\n"               # 3.0e9f
+           ".Lneg:\n    .quad 0xC01F99999999999A\n")      # -7.9
+        assert r.state.gp["rax"] == 0x80000000
+        assert r.state.gp["rbx"] == 0x8000000000000000
+        assert r.state.gp["rcx"] == 0x8000000000000000
+        assert r.state.gp["rdx"] == 0x80000000
+        assert r.state.gp["rsi"] == (-7) & 0xFFFFFFFF
 
     def test_xorps_zero_idiom(self):
         r = run("    xorps %xmm0, %xmm0\n    cvttsd2si %xmm0, %eax")

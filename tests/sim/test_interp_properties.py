@@ -1,7 +1,7 @@
 """Property-based interpreter checks against a Python oracle."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ir import parse_unit
 from repro.sim import run_unit
@@ -112,21 +112,42 @@ main:
     assert result.state.gp["rbx"] == expected, (a, b, cond)
 
 
-@given(st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6))
+def truncated_division(dividend, divisor):
+    """x86 division: the quotient truncates toward zero."""
+    quotient = abs(dividend) // abs(divisor)
+    if (dividend < 0) != (divisor < 0):
+        quotient = -quotient
+    return quotient, dividend - quotient * divisor
+
+
+@st.composite
+def division_case(draw):
+    """``idivl`` on 32-bit operands, or ``idivq`` with dividends up to
+    2**62 — past 2**53, where a float quotient loses digits."""
+    if draw(st.booleans()):
+        return (32, draw(st.integers(-10 ** 9, 10 ** 9)),
+                draw(st.integers(1, 10 ** 6)))
+    dividend = draw(st.one_of(st.integers(-(1 << 62), 1 << 62),
+                              st.integers(1 << 53, 1 << 62),
+                              st.integers(-(1 << 62), -(1 << 53))))
+    divisor = draw(st.integers(-(1 << 31), (1 << 31) - 1).filter(bool))
+    return 64, dividend, divisor
+
+
+@given(division_case())
+@example((64, 4611686018427387905, 3))
 @settings(max_examples=80, deadline=None)
-def test_division_matches_oracle(dividend, divisor):
-    source = f"""
-.text
-.globl main
-main:
-    movl ${dividend}, %eax
-    cltd
-    movl ${divisor}, %ecx
-    idivl %ecx
-    ret
-"""
+def test_division_matches_oracle(case):
+    width, dividend, divisor = case
+    if width == 32:
+        body = (f"    movl ${dividend}, %eax\n    cltd\n"
+                f"    movl ${divisor}, %ecx\n    idivl %ecx\n")
+    else:
+        body = (f"    movabsq ${dividend}, %rax\n    cqto\n"
+                f"    movq ${divisor}, %rcx\n    idivq %rcx\n")
+    source = ".text\n.globl main\nmain:\n" + body + "    ret\n"
     result = run_unit(parse_unit(source))
-    quotient = int(dividend / divisor)      # x86 truncates toward zero
-    remainder = dividend - quotient * divisor
-    assert result.state.gp["rax"] & MASK32 == quotient & MASK32
-    assert result.state.gp["rdx"] & MASK32 == remainder & MASK32
+    quotient, remainder = truncated_division(dividend, divisor)
+    mask = (1 << width) - 1
+    assert result.state.gp["rax"] & mask == quotient & mask
+    assert result.state.gp["rdx"] & mask == remainder & mask

@@ -5,7 +5,8 @@ basic block per call, and ``simulate_trace`` times a collected trace cut
 into runs; both must give exactly the counters of the per-record walk
 kept in ``tests/uarch/record_walk.py``, fed the reference interpreter's
 trace.  ``api.simulate``'s steps, stop reason and general-purpose
-registers must equal the reference interpreter's (block cache off).
+registers must equal the reference interpreter's
+(``tests/sim/reference_interp.py``).
 
 Every built-in profile runs, including ``pentium4`` (no LSD) and the
 32-byte-line ``opteron`` and ``zen``.  Programs are the anecdote kernels
@@ -23,11 +24,12 @@ import pytest
 
 from repro import api
 from repro.ir import parse_unit
-from repro.sim.interp import _CT_BASES, block_cache_disabled, run_unit
+from repro.sim.interp import _CT_BASES, run_unit
 from repro.uarch.pipeline import simulate_trace
 from repro.uarch.tables import get_profile, profile_names
 from repro.workloads import kernels
 from repro.workloads.spec import build_benchmark
+from tests.sim import reference_interp
 from tests.uarch.record_walk import simulate_reference
 
 #: The ``simulate`` benchmark's pass spec.
@@ -125,10 +127,9 @@ def _source(name, optimized):
 @functools.lru_cache(maxsize=None)
 def _reference(source, max_steps, args=None):
     """The reference interpreter's run and trace of *source*."""
-    with block_cache_disabled():
-        return run_unit(parse_unit(source), collect_trace=True,
-                        max_steps=max_steps,
-                        args=list(args) if args else None)
+    return reference_interp.run_unit(parse_unit(source), collect_trace=True,
+                                     max_steps=max_steps,
+                                     args=list(args) if args else None)
 
 
 def _cut(source, near, args=None):
