@@ -12,27 +12,26 @@ content-addressed artifact cache —
 * **warm** — the same corpus and cache: every file must *hit* and replay
   its stored emitted assembly + ``pymao.pipeline/1`` report.
 
-The warm run must have a 100% hit rate and produce byte-identical
-assembly for every file, or the harness refuses to report a speedup.  A
-determinism section additionally re-runs the cold configuration with
-``jobs=1`` vs ``jobs=4`` and diffs outputs and ``pymao.batch/1``
-summaries.
+Gates: the warm run must have a 100% hit rate and produce
+byte-identical assembly for every file, neither run may report a
+per-file error, and a determinism section re-runs the cold
+configuration with ``jobs=1`` vs ``jobs=4`` and diffs outputs and
+``pymao.batch/1`` summaries.  The warm-over-cold speedup must reach
+``MIN_SPEEDUP`` (5x on the full 100-file corpus, 2x on quick runs).
 
-Results land in ``BENCH_batch.json`` (schema ``mao-bench-batch/1``),
-rendered and gated by ``scripts/perf_report.py`` (warm speedup >= 5x on
-the full 100-file corpus).
+Results land in ``BENCH_batch.json``, a ``mao-bench/2`` record.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_batch.py            # full run
-    PYTHONPATH=src python benchmarks/bench_batch.py --quick    # CI smoke
-    python scripts/perf_report.py BENCH_batch.json             # pretty-print
+    PYTHONPATH=src python benchmarks/bench_batch.py --quick \
+        -o /tmp/pymao_bench_batch.json                         # smoke
+    python scripts/perf_report.py BENCH_batch.json             # render
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -42,11 +41,16 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 
+from perf_report import finish, gate, prefixed  # noqa: E402
 from repro.batch import ArtifactCache, run_batch  # noqa: E402
 from repro.workloads.corpus import CorpusConfig, generate_corpus_text  # noqa: E402,E501
 
 SPEC = "REDZEE:REDTEST:REDMOV:ADDADD"
+
+#: Warm replay over cold optimization, by run kind.
+MIN_SPEEDUP = {"quick": 2.0, "full": 5.0}
 
 
 def build_corpus(directory: str, n_files: int, scale: float) -> list:
@@ -83,15 +87,14 @@ def summarize(batch, elapsed: float) -> dict:
     }
 
 
-def bench_determinism(paths: list) -> dict:
+def bench_determinism(paths: list) -> bool:
     """jobs=1 vs jobs=4: outputs and summaries must be identical (no
     cache, so both cases do the full work)."""
     fingerprints = []
     for jobs in (1, 4):
         batch, _elapsed = run_once(paths, jobs, cache_dir=None)
         fingerprints.append(([item.asm for item in batch], batch.to_dict()))
-    return {"cases": ["jobs1", "jobs4"],
-            "identical": fingerprints[0] == fingerprints[1]}
+    return fingerprints[0] == fingerprints[1]
 
 
 def main(argv=None) -> int:
@@ -130,51 +133,28 @@ def main(argv=None) -> int:
 
         cold_batch, cold_s = run_once(paths, args.jobs, cache_dir)
         warm_batch, warm_s = run_once(paths, args.jobs, cache_dir)
-        byte_identical = ([item.asm for item in cold_batch]
-                          == [item.asm for item in warm_batch])
-        determinism = bench_determinism(paths)
-
-        results = {
-            "schema": "mao-bench-batch/1",
-            "config": {
-                "quick": args.quick,
-                "files": n_files,
-                "jobs": args.jobs,
-                "spec": SPEC,
-                "corpus_bytes": total_bytes,
-            },
-            "batch_cold": summarize(cold_batch, cold_s),
-            "batch_warm": summarize(warm_batch, warm_s),
-            "speedup": round(cold_s / warm_s, 3) if warm_s else None,
-            "byte_identical": byte_identical,
-            "determinism": determinism,
+        metrics = {
+            "speedup": round(cold_s / warm_s, 3),
+            "byte_identical": [item.asm for item in cold_batch]
+            == [item.asm for item in warm_batch],
+            "jobs1_vs_jobs4_identical": bench_determinism(paths),
         }
+        metrics.update(prefixed("batch_cold", summarize(cold_batch, cold_s)))
+        metrics.update(prefixed("batch_warm", summarize(warm_batch, warm_s)))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % output)
-
-    warm = results["batch_warm"]
-    print("cold  %.4fs  (hits=%d misses=%d)"
-          % (cold_s, results["batch_cold"]["cache_hits"],
-             results["batch_cold"]["cache_misses"]))
-    print("warm  %.4fs  (hits=%d misses=%d hit-rate=%.1f%%)"
-          % (warm_s, warm["cache_hits"], warm["cache_misses"],
-             100.0 * warm["hit_rate"]))
-    print("speedup %.1fx  byte-identical=%s  deterministic=%s"
-          % (results["speedup"], byte_identical,
-             determinism["identical"]))
-
-    ok = (byte_identical and determinism["identical"]
-          and warm["hit_rate"] == 1.0 and warm["errors"] == 0)
-    if not ok:
-        print("FAIL: warm replay diverged from the cold run",
-              file=sys.stderr)
-        return 1
-    return 0
+    gates = [
+        gate("batch_warm.hit_rate", "==", 1.0),
+        gate("batch_cold.errors", "==", 0),
+        gate("batch_warm.errors", "==", 0),
+        gate("byte_identical", "==", True),
+        gate("jobs1_vs_jobs4_identical", "==", True),
+        gate("speedup", ">=", MIN_SPEEDUP["quick" if args.quick else "full"]),
+    ]
+    config = {"quick": args.quick, "files": n_files, "jobs": args.jobs,
+              "spec": SPEC, "corpus_bytes": total_bytes}
+    return finish("batch", config, metrics, gates, output)
 
 
 if __name__ == "__main__":

@@ -7,17 +7,17 @@ parameters of ``data/blinded.ranges.json`` (line size, decode width,
 LSD capacity and threshold, predictor shift and penalty, five
 latencies, forwarding bandwidth, two port sets) — for multiple distinct
 seeds, with the assembled model cycle-exact against the oracle on the
-cross-check battery, and byte-identical output at any ``--jobs`` count.
+cross-check battery, and (on full runs) byte-identical output at any
+``--jobs`` count.
 
-Results land in ``BENCH_discover.json`` (schema
-``mao-bench-discover/1``), rendered and gated by
-``scripts/perf_report.py``.
+Results land in ``BENCH_discover.json``, a ``mao-bench/2`` record.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_discover.py          # full run
-    PYTHONPATH=src python benchmarks/bench_discover.py --quick  # CI smoke
-    python scripts/perf_report.py BENCH_discover.json           # pretty-print
+    PYTHONPATH=src python benchmarks/bench_discover.py --quick \
+        -o /tmp/pymao_bench_discover.json                       # smoke
+    python scripts/perf_report.py BENCH_discover.json           # render
 """
 
 from __future__ import annotations
@@ -31,9 +31,10 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 
+from perf_report import finish, gate  # noqa: E402
 from repro import api  # noqa: E402
-from repro.discover import DISCOVER_BENCH_SCHEMA  # noqa: E402
 from repro.uarch import profiles, tables  # noqa: E402
 
 FULL_SEEDS = (3, 9, 11)
@@ -43,35 +44,37 @@ QUICK_SEEDS = (3, 9)
 DETERMINISM_SEED = 3
 
 
-def run_seed(seed: int, paths) -> dict:
-    """Discover one blinded profile and compare against the hidden model."""
+def run_seed(seed: int, paths, metrics: dict, gates: list):
+    """Discover one blinded profile, compare it against the hidden
+    model into *metrics* and *gates*, and return the result."""
     start = time.perf_counter()
     result = api.discover(seed=seed)
     wall = time.perf_counter() - start
     hidden = profiles.blinded_profile(seed)
-    params = []
-    for path in paths:
-        want = tables.param_value(hidden, path)
-        got = result.params.get(path)
-        params.append({"path": path, "hidden": want, "inferred": got,
-                       "match": got == want})
+    mismatched = [path for path in paths
+                  if result.params.get(path)
+                  != tables.param_value(hidden, path)]
     crosscheck = result.crosscheck
-    row = {
-        "seed": seed,
-        "params": params,
-        "all_match": all(p["match"] for p in params),
-        "crosscheck": {"matched": crosscheck.get("matched"),
-                       "total": crosscheck.get("total")},
-        "wall_s": round(wall, 3),
-    }
     print("seed %2d: %d/%d parameters exact, crosscheck %s/%s (%.1fs)"
-          % (seed, sum(p["match"] for p in params), len(params),
+          % (seed, len(paths) - len(mismatched), len(paths),
              crosscheck.get("matched"), crosscheck.get("total"), wall))
-    for p in params:
-        if not p["match"]:
-            print("   MISMATCH %-42s hidden %r inferred %r"
-                  % (p["path"], p["hidden"], p["inferred"]))
-    return row, result
+    for path in mismatched:
+        print("   MISMATCH %-42s hidden %r inferred %r"
+              % (path, tables.param_value(hidden, path),
+                 result.params.get(path)))
+    name = "seed%d" % seed
+    metrics.update({
+        name + ".params_exact": len(paths) - len(mismatched),
+        name + ".mismatched": ", ".join(mismatched),
+        name + ".crosscheck_matched": crosscheck.get("matched"),
+        name + ".crosscheck_total": crosscheck.get("total"),
+        name + ".crosscheck_missed":
+            crosscheck.get("total") - crosscheck.get("matched"),
+        name + ".wall_s": round(wall, 3),
+    })
+    gates += [gate(name + ".params_exact", "==", len(paths)),
+              gate(name + ".crosscheck_missed", "==", 0)]
+    return result
 
 
 def main(argv=None) -> int:
@@ -89,53 +92,22 @@ def main(argv=None) -> int:
 
     seeds = QUICK_SEEDS if args.quick else FULL_SEEDS
     paths = tables.drawn_paths(tables.load_ranges())
-    rows = []
-    results = {}
-    for seed in seeds:
-        row, result = run_seed(seed, paths)
-        rows.append(row)
-        results[seed] = result
+    metrics = {"seeds": len(set(seeds)), "params": len(paths)}
+    gates = [gate("seeds", ">=", 2), gate("params", ">=", 1)]
+    results = {seed: run_seed(seed, paths, metrics, gates)
+               for seed in seeds}
 
-    determinism = None
     if not args.quick:
         reference = json.dumps(results[DETERMINISM_SEED].to_dict(),
                                sort_keys=True)
         rerun = api.discover(seed=DETERMINISM_SEED, jobs=4)
-        identical = json.dumps(rerun.to_dict(), sort_keys=True) == reference
-        determinism = {"seed": DETERMINISM_SEED, "jobs": [1, 4],
-                       "byte_identical": identical}
-        print("determinism seed %d jobs 1 vs 4: %s"
-              % (DETERMINISM_SEED,
-                 "byte-identical" if identical else "DIFFERS"))
+        metrics["jobs1_vs_jobs4_identical"] = \
+            json.dumps(rerun.to_dict(), sort_keys=True) == reference
+        gates.append(gate("jobs1_vs_jobs4_identical", "==", True))
 
-    doc = {
-        "schema": DISCOVER_BENCH_SCHEMA,
-        "config": {"quick": bool(args.quick), "seeds": list(seeds),
-                   "paths": list(paths)},
-        "rows": rows,
-        "determinism": determinism,
-        "totals": {
-            "seeds": len(rows),
-            "params_checked": sum(len(r["params"]) for r in rows),
-            "params_matched": sum(sum(p["match"] for p in r["params"])
-                                  for r in rows),
-        },
-    }
-    with open(args.output, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.output)
-
-    exact = all(r["all_match"] for r in rows)
-    checked = all(r["crosscheck"]["matched"] == r["crosscheck"]["total"]
-                  for r in rows)
-    deterministic = determinism is None or determinism["byte_identical"]
-    if not (exact and checked and deterministic and len(rows) >= 2):
-        print("FAIL: exact=%s crosscheck=%s deterministic=%s seeds=%d"
-              % (exact, checked, deterministic, len(rows)),
-              file=sys.stderr)
-        return 1
-    return 0
+    config = {"quick": bool(args.quick), "seeds": list(seeds),
+              "paths": list(paths), "determinism_seed": DETERMINISM_SEED}
+    return finish("discover", config, metrics, gates, args.output)
 
 
 if __name__ == "__main__":

@@ -6,25 +6,26 @@ Measures the optimize→assemble hot path on a repeated-relaxation workload
 every compile) and records the numbers in ``BENCH_hotpath.json`` so the
 perf trajectory is tracked from PR to PR:
 
-* **baseline** — the pre-fast-path configuration: reference full-re-walk
-  relaxation with the encoding cache disabled;
+* **baseline** — the pre-fast-path configuration: the full re-walk
+  relaxation oracle (``tests/analysis/relax_reference.py``) with the
+  encoding cache disabled;
 * **fast** — incremental relaxation with a warm encoding cache.
 
 The fast path must be *bit-identical* to the baseline: the harness
-diffs section images and symbol tables and refuses to report a speedup
-for wrong output.
+diffs section images and symbol tables, and a gate fails on wrong
+output.  Full runs also gate the corpus speedup at ``MIN_SPEEDUP``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py            # full run
-    PYTHONPATH=src python benchmarks/bench_hotpath.py --quick    # CI smoke
-    python scripts/perf_report.py BENCH_hotpath.json             # pretty-print
+    PYTHONPATH=src python benchmarks/bench_hotpath.py --quick \
+        -o /tmp/pymao_bench_hotpath.json                         # smoke
+    python scripts/perf_report.py BENCH_hotpath.json             # render
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -32,14 +33,19 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
+sys.path.insert(0, _REPO_ROOT)   # the reference engine lives in tests/
 
-from repro.analysis.relax import (  # noqa: E402
-    relax_section,
-    relax_section_reference,
-)
+from perf_report import finish, gate, prefixed  # noqa: E402
+from repro.analysis.relax import relax_section  # noqa: E402
 from repro.ir import parse_unit  # noqa: E402
 from repro.workloads.corpus import CorpusConfig, generate_corpus_text  # noqa: E402
 from repro.x86 import encoder  # noqa: E402
+from tests.analysis.relax_reference import relax_section_reference  # noqa: E402
+
+#: Full runs only: incremental + warm cache over the reference re-walk
+#: on the corpus workload.
+MIN_SPEEDUP = 2.0
 
 #: A relaxation-heavy kernel: chained branch spans sized so promotions
 #: ripple backward one per sweep — the worst case that motivated repeated
@@ -90,10 +96,9 @@ def bench_relax(text: str, repeats: int) -> dict:
     identical = (_layout_fingerprint(layout_base)
                  == _layout_fingerprint(layout_fast))
     return {
-        "repeats": repeats,
         "baseline_s": round(baseline_s, 6),
         "fast_s": round(fast_s, 6),
-        "speedup": round(baseline_s / fast_s, 3) if fast_s else None,
+        "speedup": round(baseline_s / fast_s, 3),
         "relax_iterations": layout_fast.iterations,
         "byte_identical": identical,
         "cache_hits": int(cache["hits"]),
@@ -130,40 +135,17 @@ def main(argv=None) -> int:
     print("workload: corpus scale=%s (%d bytes of asm), %d relax repeats"
           % (scale, len(corpus_text), repeats))
 
-    corpus = bench_relax(corpus_text, repeats)
-    cascade = bench_relax(cascade_text, repeats)
-
-    results = {
-        "schema": "mao-bench-hotpath/1",
-        "config": {
-            "quick": args.quick,
-            "scale": scale,
-            "repeats": repeats,
-        },
-        "relax_corpus": corpus,
-        "relax_cascade": cascade,
-    }
-
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % output)
-
-    ok = True
-    for key in ("relax_corpus", "relax_cascade"):
-        r = results[key]
-        print("%-14s %6.1fx speedup  (%.4fs -> %.4fs)  "
-              "hit-rate %.1f%%  iters=%d  identical=%s"
-              % (key, r["speedup"], r["baseline_s"], r["fast_s"],
-                 100.0 * r["cache_hit_rate"], r["relax_iterations"],
-                 r["byte_identical"]))
-        ok = ok and r["byte_identical"]
-
-    if not ok:
-        print("FAIL: fast path output diverged from baseline",
-              file=sys.stderr)
-        return 1
-    return 0
+    metrics = {}
+    metrics.update(prefixed("relax_corpus",
+                            bench_relax(corpus_text, repeats)))
+    metrics.update(prefixed("relax_cascade",
+                            bench_relax(cascade_text, repeats)))
+    gates = [gate("relax_corpus.byte_identical", "==", True),
+             gate("relax_cascade.byte_identical", "==", True)]
+    if not args.quick:
+        gates.append(gate("relax_corpus.speedup", ">=", MIN_SPEEDUP))
+    config = {"quick": args.quick, "scale": scale, "repeats": repeats}
+    return finish("hotpath", config, metrics, gates, output)
 
 
 if __name__ == "__main__":

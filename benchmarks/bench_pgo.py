@@ -11,29 +11,29 @@ spec (warm) or passing it through untouched (cold).
 
 Two claims, one tracked file:
 
-* **Cheaper than tuning everything** — profile-guided mode must execute
-  <= 1/3 of the pass runs a full autotune of every corpus input costs
-  (``pgo_pass_runs * 3 <= tune_all_pass_runs``).
+* **Cheaper than tuning everything** — a full autotune of every corpus
+  input must cost at least ``MIN_PASS_RUN_FACTOR`` (3x) the pass runs
+  of profile-guided mode (``pass_run_factor``).
 * **Better than the static default** — the request-weighted total of
   *simulated* cycles under profile-guided specs must be strictly below
-  optimizing every input with the static default spec.  The win comes
-  from the hot tier riding the tuner's winner; warm inputs tie the
-  static default by construction.
+  optimizing every input with the static default spec
+  (``cycles_saved >= 1``).  The win comes from the hot tier riding the
+  tuner's winner; warm inputs tie the static default by construction.
 
-Results land in ``BENCH_pgo.json`` (schema ``mao-bench-pgo/1``),
-rendered and gated by ``scripts/perf_report.py``.
+At least one input must land in the hot tier, or the mix exercises
+nothing.  Results land in ``BENCH_pgo.json``, a ``mao-bench/2`` record.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_pgo.py          # full run
-    PYTHONPATH=src python benchmarks/bench_pgo.py --quick  # CI smoke
-    python scripts/perf_report.py BENCH_pgo.json           # pretty-print
+    PYTHONPATH=src python benchmarks/bench_pgo.py --quick \
+        -o /tmp/pymao_bench_pgo.json                       # smoke
+    python scripts/perf_report.py BENCH_pgo.json           # render
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -42,15 +42,12 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 
+from perf_report import finish, gate, prefixed  # noqa: E402
 from repro import api  # noqa: E402
 from repro.batch.cache import ArtifactCache  # noqa: E402
-from repro.pgo import (  # noqa: E402
-    PGO_BENCH_SCHEMA,
-    PgoPolicy,
-    ProfileStore,
-    build_profile,
-)
+from repro.pgo import PgoPolicy, ProfileStore, build_profile  # noqa: E402
 from repro.tune import DEFAULT_SPEC  # noqa: E402
 from repro.workloads import kernels  # noqa: E402
 
@@ -97,8 +94,8 @@ TUNE_BUDGET_PER_INPUT = 24
 #: hot tier for both mixes above.
 HOT_FRACTION = 0.55
 
-#: The cost gate: PGO may spend at most 1/(this factor) of the pass
-#: executions a full autotune of the corpus costs.
+#: The cost gate: a full autotune of the corpus must cost at least this
+#: factor of PGO's pass executions.
 MIN_PASS_RUN_FACTOR = 3.0
 
 
@@ -134,8 +131,7 @@ def main(argv=None) -> int:
             getattr(kernels, kernel)(**kwargs), count)
            for kernel, kwargs, count in (QUICK_MIX if args.quick else MIX)]
 
-    rows = {name: {"kernel": name, "requests": count}
-            for name, _, count in mix}
+    rows = {name: {"requests": count} for name, _, count in mix}
 
     with tempfile.TemporaryDirectory(prefix="pymao-bench-pgo-") as root:
         # -- Mode A: static default spec on every input -------------------
@@ -176,71 +172,54 @@ def main(argv=None) -> int:
         pgo_runs = 0
         for item in guided:
             if not item.ok:
-                print("FATAL: guided optimize failed for %s: %s"
-                      % (item.name, item.error))
-                return 1
+                raise SystemExit("guided optimize failed for %s: %s"
+                                 % (item.name, item.error))
             row = rows[item.name]
             row["tier"] = item.pgo["tier"]
             row["origin"] = item.pgo["origin"]
-            row["spec"] = item.pgo["spec"]
+            row["spec"] = item.pgo["spec"] or ""
             row["pgo_cycles"] = simulated_cycles(item.asm)
             row["pgo_pass_runs"] = item.pgo.get("pass_runs", 0)
             pgo_runs += row["pgo_pass_runs"]
 
-    ordered = [rows[name] for name, _, _ in mix]
-    for row in ordered:
-        row["weighted_static_cycles"] = \
-            row["static_cycles"] * row["requests"]
-        row["weighted_pgo_cycles"] = row["pgo_cycles"] * row["requests"]
+    metrics = {}
+    for name, _, _ in mix:
+        row = rows[name]
         print("%-20s req %3d tier %-4s %-32s static %7d pgo %7d runs %3d"
-              % (row["kernel"], row["requests"], row["tier"],
+              % (name, row["requests"], row["tier"],
                  row["spec"] or "<passthrough>", row["static_cycles"],
                  row["pgo_cycles"], row["pgo_pass_runs"]))
+        metrics.update(prefixed(name, row))
 
-    static_total = sum(row["weighted_static_cycles"] for row in ordered)
-    pgo_total = sum(row["weighted_pgo_cycles"] for row in ordered)
-    totals = {
+    static_total = sum(rows[name]["static_cycles"] * count
+                       for name, _, count in mix)
+    pgo_total = sum(rows[name]["pgo_cycles"] * count
+                    for name, _, count in mix)
+    metrics.update({
         "static_cycles": static_total,
         "pgo_cycles": pgo_total,
         "cycles_saved": static_total - pgo_total,
         "pgo_pass_runs": pgo_runs,
         "tune_all_pass_runs": tune_all_runs,
-        "min_pass_run_factor": MIN_PASS_RUN_FACTOR,
-        "hot_inputs": sum(1 for row in ordered if row["tier"] == "hot"),
-        "pgo_beats_static": bool(pgo_total < static_total),
-        "pgo_within_budget": bool(
-            pgo_runs * MIN_PASS_RUN_FACTOR <= tune_all_runs),
+        "pass_run_factor": tune_all_runs / float(max(pgo_runs, 1)),
+        "hot_inputs": sum(1 for row in rows.values()
+                          if row["tier"] == "hot"),
         "tune_all_seconds": round(tune_all_s, 4),
         "pgo_seconds": round(pgo_s, 4),
+    })
+    gates = [gate("cycles_saved", ">=", 1),
+             gate("pass_run_factor", ">=", MIN_PASS_RUN_FACTOR),
+             gate("hot_inputs", ">=", 1)]
+    config = {
+        "quick": bool(args.quick),
+        "core": CORE,
+        "default_spec": DEFAULT_SPEC,
+        "period": PERIOD,
+        "seed": SEED,
+        "hot_fraction": HOT_FRACTION,
+        "tune_budget_per_input": TUNE_BUDGET_PER_INPUT,
     }
-
-    results = {
-        "schema": PGO_BENCH_SCHEMA,
-        "config": {
-            "quick": bool(args.quick),
-            "core": CORE,
-            "mix": [[name, count] for name, _, count in mix],
-            "default_spec": DEFAULT_SPEC,
-            "period": PERIOD,
-            "seed": SEED,
-            "hot_fraction": HOT_FRACTION,
-            "tune_budget_per_input": TUNE_BUDGET_PER_INPUT,
-        },
-        "rows": ordered,
-        "totals": totals,
-    }
-    with open(args.output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.output)
-    print("cycles: static %d -> pgo %d (saved %d); pass runs: pgo %d vs "
-          "tune-all %d (<= 1/%.0f required)"
-          % (static_total, pgo_total, totals["cycles_saved"], pgo_runs,
-             tune_all_runs, MIN_PASS_RUN_FACTOR))
-
-    ok = totals["pgo_beats_static"] and totals["pgo_within_budget"]
-    print("gates: %s" % ("ok" if ok else "FAILED"))
-    return 0 if ok else 1
+    return finish("pgo", config, metrics, gates, args.output)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ Three claims, one tracked file:
   state* (two runs at different outer counts; delta-cycles over
   delta-iterations, which cancels startup and warmup).  Each
   configuration carries a pinned ``[lo, hi]`` band for the
-  predicted/simulated ratio; drifting outside the band fails the gate.
+  predicted/simulated ratio: two gates, one per edge.
   The bands encode the model's documented divergences: the
   branch-prediction-dominated nest (``nested_short_loops``) sits far
   below 1.0 by design — a static model cannot see §III.C.g aliasing —
@@ -21,24 +21,24 @@ Three claims, one tracked file:
   candidate wins, with agreement >= the pinned threshold.  Candidates
   compare by :meth:`Prediction.ranking_score` — headline cycles first,
   the LSD-engaged rate as the tiebreak.
-* **Speed** — total prediction wall time must be >= 100x cheaper than
-  the simulation wall time it replaces, quick runs included: the two
-  orders of magnitude are the reason the predictor exists.
+* **Speed** — total prediction wall time must be ``MIN_SPEEDUP``
+  (100x) cheaper than the simulation wall time it replaces, quick runs
+  included: the two orders of magnitude are the reason the predictor
+  exists.
 
-Results land in ``BENCH_predict.json`` (schema ``mao-bench-predict/1``),
-rendered and gated by ``scripts/perf_report.py``.
+Results land in ``BENCH_predict.json``, a ``mao-bench/2`` record.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_predict.py          # full run
-    PYTHONPATH=src python benchmarks/bench_predict.py --quick  # CI smoke
-    python scripts/perf_report.py BENCH_predict.json           # pretty-print
+    PYTHONPATH=src python benchmarks/bench_predict.py --quick \
+        -o /tmp/pymao_bench_predict.json                       # smoke
+    python scripts/perf_report.py BENCH_predict.json           # render
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -46,9 +46,10 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 
+from perf_report import finish, gate  # noqa: E402
 from repro import api  # noqa: E402
-from repro.uarch.static_model import PREDICT_BENCH_SCHEMA  # noqa: E402
 from repro.workloads import kernels  # noqa: E402
 
 CORES = ("core2", "opteron")
@@ -58,6 +59,9 @@ CORES = ("core2", "opteron")
 #: never LSD-streamable, so the model ties the shifted/unshifted
 #: variants that the simulator separates by one fetch line.
 MIN_AGREEMENT = 0.75
+
+#: Simulation wall time over prediction wall time, quick runs included.
+MIN_SPEEDUP = 100.0
 
 #: Kernel configurations.  ``factory(outer)`` builds the source at an
 #: outer scale; ``iters(outer)`` is how many times the measured loop
@@ -181,15 +185,20 @@ def steady_state_cycles(config, core, quick):
     return steady, sim_s
 
 
-def run_matrix(quick):
-    """Cross-validate every configuration x core; returns the
-    ``kernels`` rows, the prediction table (for ranking), and timing."""
-    rows = []
+def band_gates(name, band):
+    """The two edges of a pinned ratio band as gate rows."""
+    lo, hi = band
+    return [gate(name, ">=", lo), gate(name, "<=", hi)]
+
+
+def run_matrix(quick, metrics, gates):
+    """Cross-validate every configuration x core into *metrics* and
+    *gates*; returns the prediction table and the steady simulated
+    cycles (for ranking)."""
     predictions = {}
+    steady_cycles = {}
     simulate_s = 0.0
     predict_s = 0.0
-    simulate_runs = 0
-    predict_calls = 0
     for config in CONFIGS:
         for core in CORES:
             _lo, hi = (config["quick_scales"] if quick
@@ -198,53 +207,41 @@ def run_matrix(quick):
             start = time.perf_counter()
             prediction = api.predict(source, core, loop=config["loop"])
             predict_s += time.perf_counter() - start
-            predict_calls += 1
 
             steady, sim_s = steady_state_cycles(config, core, quick)
             simulate_s += sim_s
-            simulate_runs += 2
 
-            ratio = prediction.cycles / steady if steady else 0.0
-            lo_band, hi_band = config["band"]
-            predictions[(config["name"], core)] = prediction
-            rows.append({
-                "kernel": config["name"],
-                "core": core,
-                "loop": prediction.loop_label,
-                "bottleneck": prediction.bottleneck,
-                "predicted_cycles": round(prediction.cycles, 4),
-                "simulated_cycles": round(steady, 4),
-                "ratio": round(ratio, 4),
-                "band": [lo_band, hi_band],
-                "within_band": bool(lo_band <= ratio <= hi_band),
-                "diverges": config["diverges"],
-            })
-            print("%-22s %-8s pred %6.2f  sim %6.2f  ratio %.2f %s"
-                  % (config["name"], core, prediction.cycles, steady,
-                     ratio,
-                     "ok" if rows[-1]["within_band"] else "OUT OF BAND"))
-    timing = {
-        "simulate_s": round(simulate_s, 4),
-        "simulate_runs": simulate_runs,
-        "predict_s": round(predict_s, 4),
-        "predict_calls": predict_calls,
-        "speedup": round(simulate_s / predict_s, 1) if predict_s else None,
-    }
-    return rows, predictions, timing
+            key = (config["name"], core)
+            predictions[key] = prediction
+            steady_cycles[key] = round(steady, 4)
+            name = "%s.%s" % key
+            metrics[name + ".bottleneck"] = prediction.bottleneck
+            metrics[name + ".predicted_cycles"] = round(prediction.cycles, 4)
+            metrics[name + ".simulated_cycles"] = steady_cycles[key]
+            metrics[name + ".ratio"] = \
+                prediction.cycles / steady if steady else 0.0
+            gates += band_gates(name + ".ratio", config["band"])
+    runs = len(CONFIGS) * len(CORES)
+    metrics.update({
+        "timing.simulate_s": round(simulate_s, 4),
+        "timing.simulate_runs": 2 * runs,
+        "timing.predict_s": round(predict_s, 4),
+        "timing.predict_calls": runs,
+        "speedup": round(simulate_s / predict_s, 1),
+    })
+    gates.append(gate("speedup", ">=", MIN_SPEEDUP))
+    return predictions, steady_cycles
 
 
-def rank_candidates(rows, predictions):
+def rank_candidates(predictions, steady_cycles, metrics, gates):
     """Score each candidate pair: does the model pick the simulator's
     winner?  Ties in the model's ranking score count as a miss (the
     model failed to separate candidates the simulator separates)."""
-    sim_cycles = {(r["kernel"], r["core"]): r["simulated_cycles"]
-                  for r in rows}
-    pairs = []
     agreements = []
     for base, candidate, transform in CANDIDATE_PAIRS:
         for core in CORES:
-            sim_base = sim_cycles[(base, core)]
-            sim_cand = sim_cycles[(candidate, core)]
+            sim_base = steady_cycles[(base, core)]
+            sim_cand = steady_cycles[(candidate, core)]
             delta = abs(sim_base - sim_cand) / max(sim_base, sim_cand)
             scored = delta >= MIN_SIM_DELTA
             sim_winner = "base" if sim_base <= sim_cand else "candidate"
@@ -259,30 +256,15 @@ def rank_candidates(rows, predictions):
             agree = scored and model_winner == sim_winner
             if scored:
                 agreements.append(agree)
-            pairs.append({
-                "kernel": base,
-                "candidate": candidate,
-                "transform": transform,
-                "core": core,
-                "simulated_cycles": [sim_base, sim_cand],
-                "predicted_scores": [list(score_base), list(score_cand)],
-                "simulated_winner": sim_winner,
-                "predicted_winner": model_winner,
-                "scored": scored,
-                "agree": agree,
-            })
-            print("rank %-12s %-8s (%s): sim %s, model %s -> %s"
-                  % (base, core, transform, sim_winner, model_winner,
-                     "agree" if agree else
-                     ("skipped" if not scored else "DISAGREE")))
-    agreement = (sum(agreements) / float(len(agreements))
-                 if agreements else None)
-    return {
-        "pairs": pairs,
-        "scored_pairs": len(agreements),
-        "agreement": round(agreement, 4) if agreement is not None else None,
-        "min_agreement": MIN_AGREEMENT,
-    }
+            name = "rank.%s.%s" % (transform.replace(" ", "_"), core)
+            metrics[name + ".simulated_winner"] = sim_winner
+            metrics[name + ".predicted_winner"] = model_winner
+            metrics[name + ".scored"] = scored
+    metrics["ranking.scored_pairs"] = len(agreements)
+    if agreements:
+        metrics["ranking.agreement"] = round(
+            sum(agreements) / float(len(agreements)), 4)
+    gates.append(gate("ranking.agreement", ">=", MIN_AGREEMENT))
 
 
 #: Kernels the ``--profile-matrix`` mode cross-validates on every
@@ -293,7 +275,7 @@ MATRIX_KERNELS = ("fig4_loop", "hash_bench", "hash_bench+sched")
 MATRIX_BAND = (0.05, 3.0)
 
 
-def run_profile_matrix(quick):
+def run_profile_matrix(quick, metrics, gates):
     """Every registry profile x MATRIX_KERNELS, broad-band validated.
 
     This is the payoff of data-driven profiles: ``skylake``/``zen``
@@ -302,33 +284,21 @@ def run_profile_matrix(quick):
     """
     from repro.uarch import tables
 
-    profiles = tables.profile_names()
-    configs = [c for c in CONFIGS if c["name"] in MATRIX_KERNELS]
-    rows = []
-    for config in configs:
-        for core in profiles:
+    for config in CONFIGS:
+        if config["name"] not in MATRIX_KERNELS:
+            continue
+        for core in tables.profile_names():
             _lo, hi = (config["quick_scales"] if quick
                        else config["scales"])
             source = config["factory"](hi)
             prediction = api.predict(source, core, loop=config["loop"])
             steady, _sim_s = steady_state_cycles(config, core, quick)
-            ratio = prediction.cycles / steady if steady else 0.0
-            lo_band, hi_band = MATRIX_BAND
-            rows.append({
-                "kernel": config["name"],
-                "core": core,
-                "predicted_cycles": round(prediction.cycles, 4),
-                "simulated_cycles": round(steady, 4),
-                "ratio": round(ratio, 4),
-                "band": [lo_band, hi_band],
-                "within_band": bool(lo_band <= ratio <= hi_band),
-            })
-            print("%-22s %-10s pred %6.2f  sim %6.2f  ratio %.2f %s"
-                  % (config["name"], core, prediction.cycles, steady,
-                     ratio,
-                     "ok" if rows[-1]["within_band"] else "OUT OF BAND"))
-    return {"profiles": profiles, "kernels": list(MATRIX_KERNELS),
-            "band": list(MATRIX_BAND), "rows": rows}
+            name = "%s.%s" % (config["name"], core)
+            metrics[name + ".predicted_cycles"] = round(prediction.cycles, 4)
+            metrics[name + ".simulated_cycles"] = round(steady, 4)
+            metrics[name + ".ratio"] = \
+                prediction.cycles / steady if steady else 0.0
+            gates += band_gates(name + ".ratio", MATRIX_BAND)
 
 
 def main(argv=None) -> int:
@@ -348,65 +318,24 @@ def main(argv=None) -> int:
                         help="output JSON path (default: repo root)")
     args = parser.parse_args(argv)
 
+    metrics = {}
+    gates = []
+    config = {"quick": bool(args.quick)}
     if args.profile_matrix:
-        matrix = run_profile_matrix(args.quick)
-        results = {
-            "schema": PREDICT_BENCH_SCHEMA,
-            "config": {"quick": bool(args.quick), "mode": "profile-matrix"},
-            "profile_matrix": matrix,
-        }
+        run_profile_matrix(args.quick, metrics, gates)
         output = args.output
         if output.endswith("BENCH_predict.json"):
             output = output.replace("BENCH_predict.json",
                                     "BENCH_predict_matrix.json")
-        with open(output, "w") as handle:
-            json.dump(results, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print("wrote %s" % output)
-        in_band = all(row["within_band"] for row in matrix["rows"])
-        if not in_band:
-            print("FAIL: profile-matrix rows out of band", file=sys.stderr)
-            return 1
-        return 0
+        config["kernels"] = list(MATRIX_KERNELS)
+        return finish("predict-matrix", config, metrics, gates, output)
 
-    rows, predictions, timing = run_matrix(args.quick)
-    ranking = rank_candidates(rows, predictions)
-
-    results = {
-        "schema": PREDICT_BENCH_SCHEMA,
-        "config": {
-            "quick": bool(args.quick),
-            "cores": list(CORES),
-            "configs": [c["name"] for c in CONFIGS],
-            "min_sim_delta": MIN_SIM_DELTA,
-        },
-        "kernels": rows,
-        "ranking": ranking,
-        "timing": timing,
-    }
-    with open(args.output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.output)
-
-    print("simulate %.3fs over %d runs; predict %.3fs over %d calls; "
-          "speedup %.0fx"
-          % (timing["simulate_s"], timing["simulate_runs"],
-             timing["predict_s"], timing["predict_calls"],
-             timing["speedup"] or 0))
-    if ranking["agreement"] is not None:
-        print("ranking agreement %.2f over %d scored pairs"
-              % (ranking["agreement"], ranking["scored_pairs"]))
-
-    in_band = all(row["within_band"] for row in rows)
-    agreed = (ranking["agreement"] is not None
-              and ranking["agreement"] >= MIN_AGREEMENT)
-    fast = (timing["speedup"] or 0) >= 100.0
-    if not (in_band and agreed and fast):
-        print("FAIL: bands=%s agreement=%s speedup>=100x=%s"
-              % (in_band, agreed, fast), file=sys.stderr)
-        return 1
-    return 0
+    predictions, steady_cycles = run_matrix(args.quick, metrics, gates)
+    rank_candidates(predictions, steady_cycles, metrics, gates)
+    config.update({"cores": list(CORES),
+                   "configs": [c["name"] for c in CONFIGS],
+                   "min_sim_delta": MIN_SIM_DELTA})
+    return finish("predict", config, metrics, gates, args.output)
 
 
 if __name__ == "__main__":

@@ -16,36 +16,36 @@ translation units plus a slice of simulate requests — through
 
 Recorded per round: throughput (requests/s), p50/p99 latency, optimize
 cache hit rate, errors.  The server is then SIGTERMed and must drain to
-exit code 0.  Results land in ``BENCH_server.json`` (schema
-``mao-bench-server/1``), rendered and gated by
-``scripts/perf_report.py`` — warm throughput >= 3x cold on full runs,
-100% warm hit rate, byte-identical asm across rounds, graceful exit.
+exit code 0.  Results land in ``BENCH_server.json``, a ``mao-bench/2``
+record whose gates require warm throughput >= ``MIN_SPEEDUP`` times
+cold (3x on full runs, 2x on quick runs), a 100% warm hit rate, no
+failed requests, byte-identical asm across rounds and a graceful exit.
 
 **Fleet mode** (``--fleet 1,2,4``) sweeps the same closed-loop workload
 over ``mao fleet`` at increasing worker counts and records throughput
-scaling into ``BENCH_fleet.json`` (schema ``mao-bench-fleet/1``).  The
-sweep measures *capacity* scaling: each worker runs one execution slot
+scaling into ``BENCH_fleet.json``.  The sweep measures *capacity*
+scaling: each worker runs one execution slot
 with a pinned per-request service floor (the server's ``test_delay_s``
 hook) on top of the real optimize/simulate CPU work.  The floor models
 the I/O-wait share of real traffic, and it is what makes the sweep
 honest on small hosts: sleeps overlap across worker processes, so
 adding workers multiplies capacity even on one core — on a multicore
-host the CPU share parallelizes on top.  The gate
-(``scripts/perf_report.py``) requires >= 1.8x throughput at 4 workers
-vs 1, zero errors, and graceful drains.
+host the CPU share parallelizes on top.  Its gates require zero errors
+and a graceful drain at every width, and ``MIN_FLEET_SCALING`` at 4
+workers vs 1 whenever 4 workers were measured (always on full runs).
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_server.py            # full run
-    PYTHONPATH=src python benchmarks/bench_server.py --quick    # CI smoke
+    PYTHONPATH=src python benchmarks/bench_server.py --quick \
+        -o /tmp/pymao_bench_server.json                         # smoke
     PYTHONPATH=src python benchmarks/bench_server.py --fleet 1,2,4
-    python scripts/perf_report.py BENCH_server.json             # pretty-print
+    python scripts/perf_report.py BENCH_server.json             # render
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import queue
 import random
@@ -60,7 +60,9 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 
+from perf_report import finish, gate, prefixed  # noqa: E402
 from repro.server.client import Client  # noqa: E402
 from repro.workloads.corpus import CorpusConfig, generate_corpus_text  # noqa: E402,E501
 
@@ -69,6 +71,12 @@ SIM_MAX_STEPS = 60_000
 
 #: Pinned per-request service floor for the fleet sweep (seconds).
 FLEET_FLOOR_S = 0.25
+
+#: Warm over cold throughput on one server, by run kind.
+MIN_SPEEDUP = {"quick": 2.0, "full": 3.0}
+
+#: Throughput at 4 fleet workers over 1.
+MIN_FLEET_SCALING = 1.8
 
 
 def build_workload(n_requests: int, sim_share: float,
@@ -242,7 +250,8 @@ def run_fleet_sweep(worker_counts: list, n_requests: int, clients: int,
              ",".join(str(n) for n in worker_counts), floor_s,
              os.cpu_count()))
 
-    rounds = []
+    metrics = {}
+    gates = []
     workdir = tempfile.mkdtemp(prefix="pymao-bench-fleet-")
     try:
         for workers in worker_counts:
@@ -255,53 +264,34 @@ def run_fleet_sweep(worker_counts: list, n_requests: int, clients: int,
             finally:
                 exit_code = fleet.shutdown()
             row.pop("_asm")
-            row["workers"] = workers
             row["graceful_exit"] = exit_code == 0
-            rounds.append(row)
-            print("workers=%-2d %7.2f req/s  p50=%.0fms p99=%.0fms  "
-                  "errors=%d graceful-exit=%s"
-                  % (workers, row["throughput_rps"], row["p50_ms"],
-                     row["p99_ms"], row["errors"], row["graceful_exit"]))
+            name = "workers%d" % workers
+            metrics.update(prefixed(name, row))
+            gates += [gate(name + ".errors", "==", 0),
+                      gate(name + ".graceful_exit", "==", True)]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    base = next((r for r in rounds if r["workers"] == 1), rounds[0])
-    scaling = {}
-    for row in rounds:
-        if row is not base and base["throughput_rps"]:
-            scaling["%dv%d" % (row["workers"], base["workers"])] = round(
-                row["throughput_rps"] / base["throughput_rps"], 3)
+    base = 1 if 1 in worker_counts else worker_counts[0]
+    base_rps = metrics["workers%d.throughput_rps" % base]
+    for workers in worker_counts:
+        if workers != base and base_rps:
+            metrics["scaling_%dv%d" % (workers, base)] = round(
+                metrics["workers%d.throughput_rps" % workers] / base_rps, 3)
+    if not quick or 4 in worker_counts:
+        gates.append(gate("scaling_4v1", ">=", MIN_FLEET_SCALING))
 
-    results = {
-        "schema": "mao-bench-fleet/1",
-        "config": {
-            "quick": quick,
-            "requests": n_requests,
-            "clients": clients,
-            "worker_counts": worker_counts,
-            "per_worker_inflight": 1,
-            "service_floor_s": floor_s,
-            "host_cpus": os.cpu_count(),
-            "spec": SPEC,
-        },
-        "rounds": rounds,
-        "scaling": scaling,
-        "scaling_4v1": scaling.get("4v1"),
+    config = {
+        "quick": quick,
+        "requests": n_requests,
+        "clients": clients,
+        "worker_counts": worker_counts,
+        "per_worker_inflight": 1,
+        "service_floor_s": floor_s,
+        "host_cpus": os.cpu_count(),
+        "spec": SPEC,
     }
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % output)
-    if scaling:
-        print("scaling: %s" % "  ".join(
-            "%s=%.2fx" % pair for pair in sorted(scaling.items())))
-
-    ok = all(r["errors"] == 0 and r["graceful_exit"] for r in rounds)
-    if not ok:
-        print("FAIL: a fleet round dropped requests or did not drain "
-              "gracefully", file=sys.stderr)
-        return 1
-    return 0
+    return finish("fleet", config, metrics, gates, output)
 
 
 def main(argv=None) -> int:
@@ -359,52 +349,36 @@ def main(argv=None) -> int:
             exit_code = server.shutdown()
         cold_asm = cold.pop("_asm")
         warm_asm = warm.pop("_asm")
-        byte_identical = cold_asm == warm_asm and len(cold_asm) == n_opt
-        speedup = round(warm["throughput_rps"] / cold["throughput_rps"], 3) \
-            if cold["throughput_rps"] else None
-
-        results = {
-            "schema": "mao-bench-server/1",
-            "config": {
-                "quick": args.quick,
-                "requests": n_requests,
-                "optimize_requests": n_opt,
-                "simulate_requests": n_requests - n_opt,
-                "clients": args.clients,
-                "max_inflight": args.max_inflight,
-                "spec": SPEC,
-            },
-            "server_cold": cold,
-            "server_warm": warm,
-            "speedup": speedup,
-            "byte_identical": byte_identical,
+        metrics = {
+            "speedup": round(warm["throughput_rps"]
+                             / cold["throughput_rps"], 3),
+            "byte_identical": cold_asm == warm_asm
+            and len(cold_asm) == n_opt,
             "graceful_exit": exit_code == 0,
         }
+        metrics.update(prefixed("server_cold", cold))
+        metrics.update(prefixed("server_warm", warm))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % output)
-
-    for name in ("server_cold", "server_warm"):
-        row = results[name]
-        print("%-12s %7.2f req/s  p50=%.1fms p99=%.1fms  "
-              "hits=%d misses=%d errors=%d"
-              % (name, row["throughput_rps"], row["p50_ms"], row["p99_ms"],
-                 row["cache_hits"], row["cache_misses"], row["errors"]))
-    print("speedup %.1fx  byte-identical=%s  graceful-exit=%s"
-          % (speedup, byte_identical, results["graceful_exit"]))
-
-    ok = (byte_identical and results["graceful_exit"]
-          and warm["hit_rate"] == 1.0
-          and warm["errors"] == 0 and cold["errors"] == 0)
-    if not ok:
-        print("FAIL: warm round diverged from cold, dropped requests, "
-              "or the drain was not graceful", file=sys.stderr)
-        return 1
-    return 0
+    gates = [
+        gate("server_warm.hit_rate", "==", 1.0),
+        gate("server_cold.errors", "==", 0),
+        gate("server_warm.errors", "==", 0),
+        gate("byte_identical", "==", True),
+        gate("graceful_exit", "==", True),
+        gate("speedup", ">=", MIN_SPEEDUP["quick" if args.quick else "full"]),
+    ]
+    config = {
+        "quick": args.quick,
+        "requests": n_requests,
+        "optimize_requests": n_opt,
+        "simulate_requests": n_requests - n_opt,
+        "clients": args.clients,
+        "max_inflight": args.max_inflight,
+        "spec": SPEC,
+    }
+    return finish("server", config, metrics, gates, output)
 
 
 if __name__ == "__main__":

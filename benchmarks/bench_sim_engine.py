@@ -19,23 +19,23 @@ Each side runs once to warm up, then five timed samples alternate
 between the sides; the reported times are the medians and the
 samples are recorded beside them.  The fast path must be
 *counter-identical* to the baseline: the harness diffs every
-``SimStats`` counter (and the architectural run result) and refuses to
-report a speedup for wrong timing.  A differential section sweeps the
-paper's anecdote kernels on both processor models as an extra equality
-net.
+``SimStats`` counter (and the architectural run result), and a gate
+fails on wrong timing.  A differential section sweeps the paper's
+anecdote kernels on both processor models as an extra equality net.
+Quick and full runs hold the steady loop to ``MIN_STEADY_SPEEDUP`` and
+the hash kernel, where fast-forward declines, to ``MIN_HASH_SPEEDUP``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_sim_engine.py            # full run
     PYTHONPATH=src python benchmarks/bench_sim_engine.py --quick \
-        -o /tmp/pymao_bench_sim.json                                # CI smoke
-    python scripts/perf_report.py BENCH_sim.json                    # pretty-print
+        -o /tmp/pymao_bench_sim_engine.json                         # smoke
+    python scripts/perf_report.py BENCH_sim.json                    # render
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import statistics
 import sys
@@ -44,8 +44,10 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 sys.path.insert(0, _REPO_ROOT)   # the reference engines live in tests/
 
+from perf_report import finish, gate, prefixed  # noqa: E402
 from repro import api  # noqa: E402
 from repro.ir import parse_unit  # noqa: E402
 from repro.sim import interp  # noqa: E402
@@ -57,6 +59,13 @@ from tests.uarch.record_walk import simulate_reference  # noqa: E402
 
 #: Timed samples per side (after one warm-up run each).
 REPEATS = 5
+
+#: Fast over baseline on the steady loop, quick and full runs.
+MIN_STEADY_SPEEDUP = 2.0
+
+#: Fast over baseline on the hash kernel, where fast-forward declines:
+#: the fast path must never be slower than the baseline it replaced.
+MIN_HASH_SPEEDUP = 1.0
 
 
 def _run_state(result) -> tuple:
@@ -115,7 +124,7 @@ def bench_engine(name: str, source: str, model) -> dict:
         "fast_s": round(fast_s, 6),
         "baseline_samples_s": samples["baseline"],
         "fast_samples_s": samples["fast"],
-        "speedup": round(baseline_s / fast_s, 3) if fast_s else None,
+        "speedup": round(baseline_s / fast_s, 3),
         "counter_identical": identical,
         "block_cache_hits": int(blk["block_hits"]),
         "block_cache_compiled": int(blk["blocks_compiled"]),
@@ -155,7 +164,7 @@ def bench_differential(quick: bool) -> dict:
                 mismatches.append("%s/%s" % (case_name, model.name))
     return {
         "cases_checked": checked,
-        "mismatches": mismatches,
+        "mismatches": ", ".join(mismatches),
         "counter_identical": not mismatches,
     }
 
@@ -191,46 +200,21 @@ def main(argv=None) -> int:
     print("workload: fig4 steady loop x%d + hash kernel x%d (core2)"
           % (outer, outer * 2))
 
-    steady = bench_engine("fig4_steady", steady_src, model)
-    hashed = bench_engine("hash_fwd", hash_src, model)
-    differential = bench_differential(args.quick)
-
-    results = {
-        "schema": "mao-bench-sim/1",
-        "config": {
-            "quick": args.quick,
-            "outer": outer,
-            "repeats": REPEATS,
-        },
-        "sim_steady_loop": steady,
-        "sim_hash_kernel": hashed,
-        "differential": differential,
-    }
-
-    with open(output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % output)
-
-    ok = True
-    for key in ("sim_steady_loop", "sim_hash_kernel"):
-        r = results[key]
-        print("%-16s %6.1fx speedup  (median %.4fs -> %.4fs)  "
-              "block-hit-rate %.1f%%  ff-records=%d  identical=%s"
-              % (key, r["speedup"], r["baseline_s"], r["fast_s"],
-                 100.0 * r["block_cache_hit_rate"], r["ff_records"],
-                 r["counter_identical"]))
-        ok = ok and r["counter_identical"]
-    d = results["differential"]
-    print("differential     %d kernel/model cases  identical=%s"
-          % (d["cases_checked"], d["counter_identical"]))
-    ok = ok and d["counter_identical"]
-
-    if not ok:
-        print("FAIL: fast engine diverged from the reference walk",
-              file=sys.stderr)
-        return 1
-    return 0
+    metrics = {}
+    metrics.update(prefixed("sim_steady_loop",
+                            bench_engine("fig4_steady", steady_src, model)))
+    metrics.update(prefixed("sim_hash_kernel",
+                            bench_engine("hash_fwd", hash_src, model)))
+    metrics.update(prefixed("differential", bench_differential(args.quick)))
+    gates = [
+        gate("sim_steady_loop.counter_identical", "==", True),
+        gate("sim_steady_loop.speedup", ">=", MIN_STEADY_SPEEDUP),
+        gate("sim_hash_kernel.counter_identical", "==", True),
+        gate("sim_hash_kernel.speedup", ">=", MIN_HASH_SPEEDUP),
+        gate("differential.counter_identical", "==", True),
+    ]
+    config = {"quick": args.quick, "outer": outer, "repeats": REPEATS}
+    return finish("sim", config, metrics, gates, output)
 
 
 if __name__ == "__main__":

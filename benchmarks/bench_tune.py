@@ -11,7 +11,8 @@ Three claims, one tracked file:
   covers the early-stop path (where the baseline already sits on the
   static lower bound and nothing is scored at all).
 * **Search efficiency** — prefix-artifact sharing + early stopping must
-  execute >= 3x fewer pass runs than exhaustively materializing every
+  execute ``MIN_EFFICIENCY`` (3x) fewer pass runs than exhaustively
+  materializing every
   generated candidate from scratch (``total_steps`` in the tune
   accounting: sum of spec lengths over all candidates the search
   created, including ones never admitted).
@@ -20,20 +21,20 @@ Three claims, one tracked file:
   return the identical winner: the search is fully replayed from the
   shared artifact store.
 
-Results land in ``BENCH_tune.json`` (schema ``mao-bench-tune/1``),
-rendered and gated by ``scripts/perf_report.py``.
+Results land in ``BENCH_tune.json``, a ``mao-bench/2`` record with
+one never-worse, zero-run and same-winner gate per kernel x core.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_tune.py          # full run
-    PYTHONPATH=src python benchmarks/bench_tune.py --quick  # CI smoke
-    python scripts/perf_report.py BENCH_tune.json           # pretty-print
+    PYTHONPATH=src python benchmarks/bench_tune.py --quick \
+        -o /tmp/pymao_bench_tune.json                       # smoke
+    python scripts/perf_report.py BENCH_tune.json           # render
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -42,10 +43,12 @@ import time
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
     sys.path.insert(0, os.path.join(_REPO_ROOT, "src"))
+sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 
+from perf_report import finish, gate, prefixed  # noqa: E402
 from repro import api  # noqa: E402
 from repro.batch.cache import ArtifactCache  # noqa: E402
-from repro.tune import DEFAULT_SPEC, TUNE_BENCH_SCHEMA  # noqa: E402
+from repro.tune import DEFAULT_SPEC  # noqa: E402
 from repro.workloads import kernels  # noqa: E402
 
 CORES = ("core2", "opteron")
@@ -83,37 +86,25 @@ def tune_row(name: str, core: str, cache_root: str) -> dict:
     warm_s = time.perf_counter() - start
 
     row = {
-        "kernel": name,
-        "core": core,
-        "default_spec": DEFAULT_SPEC,
         "default_cycles": round(base_cycles, 4),
         "tuned_cycles": round(cold.winner_cycles, 4),
-        "winner_spec": cold.winner_spec,
-        "winner_origin": cold.winner.get("origin"),
-        "stop": cold.early_stop.get("reason"),
-        "lower_bound": cold.early_stop.get("lower_bound"),
+        "winner_spec": cold.winner_spec or "",
+        "stop": str(cold.early_stop.get("reason")),
         "never_worse": bool(cold.winner_cycles <= base_cycles + 1e-9),
-        "cold": {
-            "executed": cold.pass_runs.get("executed", 0),
-            "cache_hits": cold.pass_runs.get("cache_hits", 0),
-            "naive_steps": cold.pass_runs.get("total_steps", 0),
-            "saved": cold.pass_runs.get("saved", 0),
-            "seconds": round(cold_s, 4),
-        },
-        "warm": {
-            "executed": warm.pass_runs.get("executed", 0),
-            "cache_hits": warm.pass_runs.get("cache_hits", 0),
-            "seconds": round(warm_s, 4),
-        },
+        "cold.executed": cold.pass_runs.get("executed", 0),
+        "cold.cache_hits": cold.pass_runs.get("cache_hits", 0),
+        "cold.naive_steps": cold.pass_runs.get("total_steps", 0),
+        "cold.seconds": round(cold_s, 4),
+        "warm.executed": warm.pass_runs.get("executed", 0),
+        "warm.cache_hits": warm.pass_runs.get("cache_hits", 0),
+        "warm.seconds": round(warm_s, 4),
         "warm_winner_identical": bool(warm.winner == cold.winner),
     }
     print("%-20s %-8s default %6.2f tuned %6.2f %-28s runs %3d/%3d "
-          "warm %d stop=%s%s"
+          "warm %d stop=%s"
           % (name, core, base_cycles, cold.winner_cycles,
-             cold.winner_spec or "<none>",
-             row["cold"]["executed"], row["cold"]["naive_steps"],
-             row["warm"]["executed"], row["stop"],
-             "" if row["never_worse"] else "  WORSE THAN DEFAULT"))
+             cold.winner_spec or "<none>", row["cold.executed"],
+             row["cold.naive_steps"], row["warm.executed"], row["stop"]))
     return row
 
 
@@ -131,52 +122,32 @@ def main(argv=None) -> int:
     names = QUICK_KERNELS if args.quick else KERNELS
     cores = ("core2",) if args.quick else CORES
 
-    rows = []
+    metrics = {}
+    gates = []
+    naive = executed = 0
     with tempfile.TemporaryDirectory(prefix="pymao-bench-tune-") as root:
         for name in names:
             for core in cores:
-                rows.append(tune_row(name, core, root))
+                row = tune_row(name, core, root)
+                naive += row["cold.naive_steps"]
+                executed += row["cold.executed"]
+                prefix = "%s.%s" % (name, core)
+                metrics.update(prefixed(prefix, row))
+                gates += [gate(prefix + ".never_worse", "==", True),
+                          gate(prefix + ".warm.executed", "==", 0),
+                          gate(prefix + ".warm_winner_identical", "==",
+                               True)]
 
-    naive = sum(row["cold"]["naive_steps"] for row in rows)
-    executed = sum(row["cold"]["executed"] for row in rows)
-    efficiency = naive / float(executed) if executed else float(naive or 1)
-    totals = {
+    metrics.update({
         "naive_steps": naive,
         "executed": executed,
-        "efficiency": round(efficiency, 2),
-        "min_efficiency": MIN_EFFICIENCY,
-        "all_never_worse": all(row["never_worse"] for row in rows),
-        "warm_zero_runs": all(row["warm"]["executed"] == 0
-                              for row in rows),
-        "warm_winners_identical": all(row["warm_winner_identical"]
-                                      for row in rows),
-    }
-
-    results = {
-        "schema": TUNE_BENCH_SCHEMA,
-        "config": {
-            "quick": bool(args.quick),
-            "cores": list(cores),
-            "kernels": list(names),
-            "default_spec": DEFAULT_SPEC,
-        },
-        "rows": rows,
-        "totals": totals,
-    }
-    with open(args.output, "w") as handle:
-        json.dump(results, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print("wrote %s" % args.output)
-    print("pass runs: %d executed for %d naive steps -> %.2fx efficiency "
-          "(>= %.1fx required)"
-          % (executed, naive, efficiency, MIN_EFFICIENCY))
-
-    ok = (totals["all_never_worse"]
-          and totals["warm_zero_runs"]
-          and totals["warm_winners_identical"]
-          and efficiency >= MIN_EFFICIENCY)
-    print("gates: %s" % ("ok" if ok else "FAILED"))
-    return 0 if ok else 1
+        "efficiency": naive / float(executed) if executed
+        else float(naive or 1),
+    })
+    gates.append(gate("efficiency", ">=", MIN_EFFICIENCY))
+    config = {"quick": bool(args.quick), "cores": list(cores),
+              "kernels": list(names), "default_spec": DEFAULT_SPEC}
+    return finish("tune", config, metrics, gates, args.output)
 
 
 if __name__ == "__main__":

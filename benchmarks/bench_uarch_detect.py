@@ -81,13 +81,20 @@ def test_known_profile_structure_detection(once):
     def run():
         c2 = Processor(core2())
         amd = Processor(opteron())
+        c2_line = detect.DetectDecodeLineSize(c2)
+        amd_line = detect.DetectDecodeLineSize(amd)
         return {
-            "core2 line": (detect.DetectDecodeLineSize(c2), 16),
+            "core2 line": (c2_line, 16),
             "core2 bp shift": (detect.DetectBranchPredictorShift(c2), 5),
-            "core2 lsd lines": (detect.DetectLsdLineBudget(c2), 4),
-            "core2 fw bw": (detect.DetectForwardingBandwidth(c2), 3),
-            "opteron line": (detect.DetectDecodeLineSize(amd), 32),
-            "opteron lsd lines": (detect.DetectLsdLineBudget(amd), 1),
+            "core2 lsd lines": (detect.DetectLsdLineBudgetByCounter(
+                c2, c2_line, c2.model.lsd_min_iterations), 4),
+            "core2 fw bw": (detect.DetectForwardingBandwidthMatch(
+                c2, c2.model), 3),
+            "opteron line": (amd_line, 32),
+            "opteron lsd lines": (detect.DetectLsdLineBudgetByCounter(
+                amd, amd_line, amd.model.lsd_min_iterations), 1),
+            "opteron fw bw": (detect.DetectForwardingBandwidthMatch(
+                amd, amd.model), 3),
         }
 
     results = once(run)

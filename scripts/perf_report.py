@@ -1,794 +1,163 @@
 #!/usr/bin/env python3
-"""Render (and optionally gate on) the perf benchmark results.
+"""The one record format of the script benches, and its checker.
 
-Understands the tracked benchmark files, dispatching on their ``schema``
-field:
+Every script bench under ``benchmarks/`` ends by calling :func:`finish`,
+which writes one ``mao-bench/2`` record::
 
-* ``BENCH_hotpath.json`` (``mao-bench-hotpath/1``) from
-  ``benchmarks/bench_hotpath.py`` — encoding cache + incremental
-  relaxation;
-* ``BENCH_sim.json`` (``mao-bench-sim/1``) from
-  ``benchmarks/bench_sim_engine.py`` or ``scripts/bench_runner.py`` —
-  block cache + per-block timing + loop fast-forward, with the hash
-  kernel (where fast-forward declines) held to at least 1.0x (plus,
-  when produced by the runner, the sharded suite results);
-* ``BENCH_batch.json`` (``mao-bench-batch/1``) from
-  ``benchmarks/bench_batch.py`` — corpus batch engine: warm
-  artifact-cache replay vs cold optimization (gated at >= 5x on full
-  runs), 100% warm hit rate, byte-identical outputs, and jobs-1-vs-4
-  determinism;
-* ``BENCH_server.json`` (``mao-bench-server/1``) from
-  ``benchmarks/bench_server.py`` — the asyncio optimization service
-  under a closed-loop mixed workload: warm shared-cache throughput vs
-  cold (gated at >= 3x on full runs), 100% warm hit rate,
-  byte-identical responses, and a graceful SIGTERM drain;
-* ``BENCH_fleet.json`` (``mao-bench-fleet/1``) from
-  ``benchmarks/bench_server.py --fleet 1,2,4`` — the sharded fleet's
-  capacity-scaling sweep: throughput at N workers vs 1 under a pinned
-  per-request service floor (gated at >= 1.8x for 4 workers on full
-  runs), zero errors, graceful drains at every width;
-* ``BENCH_predict.json`` (``mao-bench-predict/1``) from
-  ``benchmarks/bench_predict.py`` — the static throughput predictor
-  cross-validated against trace simulation on every kernel x {core2,
-  opteron}: per-config predicted-over-simulated ratios inside pinned
-  bands, candidate-ranking agreement >= the pinned threshold, and
-  prediction >= 100x faster than simulation;
-* ``BENCH_tune.json`` (``mao-bench-tune/1``) from
-  ``benchmarks/bench_tune.py`` — the pass-pipeline autotuner vs the
-  hand-written default spec on the kernel corpus x {core2, opteron}:
-  the tuned spec never predicted worse than ``REDTEST:LOOP16``,
-  prefix-artifact caching + early stopping >= 3x fewer pass executions
-  than exhaustive enumeration of the generated candidate set, and warm
-  re-tunes replaying entirely from the shared store (zero executions,
-  identical winner);
-* ``BENCH_pgo.json`` (``mao-bench-pgo/1``) from
-  ``benchmarks/bench_pgo.py`` — continuous profile-guided
-  re-optimization on a Zipf-skewed request mix over the kernel corpus:
-  the hot tier rides the tuner's winner while warm inputs take the
-  default spec, so the request-weighted simulated-cycle total must
-  strictly beat optimizing everything with the static default, at
-  <= 1/3 of the pass executions a full autotune of the corpus costs.
+    {"schema": "mao-bench/2", "bench": "sim", "config": {...},
+     "metrics": {"sim_steady_loop.speedup": 2.9, ...},
+     "gates": [{"metric": "sim_steady_loop.speedup", "op": ">=",
+                "value": 2.0}, ...]}
 
-Handlers self-register: decorating a class with
-``@register("mao-bench-X/1")`` adds its ``render(results)`` /
-``check(results, min_speedup)`` staticmethods to the dispatch table, so
-a new benchmark schema plugs in with one class instead of another
-if/elif arm.
+``metrics`` maps a dotted name to a number, a bool, a string or a list
+of numbers.  A gate compares one metric against a constant with ``==``,
+``>=`` or ``<=``; a gate whose metric is missing fails.  Each bench
+states its own thresholds as gate rows, so this module knows no bench
+by name.
 
-``.jsonl`` paths are treated as ``pymao.trace/1`` event logs (the
-``--trace-out`` / bench-runner format): validated with
-``scripts/validate_trace.py`` and summarized.
-
-With ``--check`` it exits non-zero when a fast path regresses: output
-not identical to the reference, or the gated speedup below
-``--min-speedup`` (default 2.0) — CI uses this to keep the perf
-trajectory honest.  With no paths given, every tracked file that exists
-is rendered/checked.
+As a command line it renders records and lists every failed gate row;
+with ``--check`` it also exits non-zero when there is one.  With no
+paths it reads every tracked ``BENCH_*.json`` at the repo root.
 
 Usage::
 
-    python scripts/perf_report.py [BENCH_hotpath.json BENCH_sim.json ...]
-    python scripts/perf_report.py --check --min-speedup 2.0
+    python scripts/perf_report.py [BENCH_sim.json ...]
+    python scripts/perf_report.py --check [/tmp/pymao_bench_*.json]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
+from typing import Dict, List
+
+SCHEMA = "mao-bench/2"
+
+#: The gate operators.
+OPS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_DEFAULT_FILES = ("BENCH_hotpath.json", "BENCH_sim.json",
-                  "BENCH_batch.json", "BENCH_server.json",
-                  "BENCH_fleet.json", "BENCH_predict.json",
-                  "BENCH_tune.json", "BENCH_pgo.json",
-                  "BENCH_discover.json")
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-
-import validate_trace  # noqa: E402  (sibling script)
-
-#: Required warm-over-cold speedup on a full (non --quick) corpus run.
-BATCH_FULL_MIN_SPEEDUP = 5.0
-
-#: Floor for the simulation engine on the backend-bound hash kernel, where
-#: fast-forward declines — quick AND full runs: the fast path must never
-#: be slower than the baseline it replaced.
-SIM_HASH_MIN_SPEEDUP = 1.0
-
-#: Required warm-over-cold throughput ratio on a full (non --quick) run.
-SERVER_FULL_MIN_SPEEDUP = 3.0
-
-#: Required 4-workers-over-1 throughput scaling on a full fleet sweep.
-FLEET_FULL_MIN_SCALING = 1.8
-
-#: Required prediction-over-simulation speedup — quick AND full runs:
-#: the whole value proposition of the static model is the two orders of
-#: magnitude, so the smoke gate is not relaxed.
-PREDICT_MIN_SPEEDUP = 100.0
-
-#: Required candidate-ranking agreement between the static model and
-#: the trace simulator over the bench's optimization-candidate pairs.
-PREDICT_MIN_AGREEMENT = 0.75
-
-
-def _row(label: str, value: str) -> None:
-    print("  %-26s %s" % (label, value))
-
-
-# ---------------------------------------------------------------------------
-# The schema registry.
-# ---------------------------------------------------------------------------
-
-#: schema string -> handler class (filled by :func:`register`).
-_SCHEMAS: dict = {}
-
-
-def register(schema: str):
-    """Class decorator: route benchmark files with this ``schema`` field
-    to the decorated class's ``render(results)`` and
-    ``check(results, min_speedup)`` staticmethods."""
-    def wrap(cls):
-        cls.schema = schema
-        _SCHEMAS[schema] = cls
-        return cls
-    return wrap
-
-
-@register("mao-bench-hotpath/1")
-class HotpathReport:
-    """Encoding cache + incremental relaxation."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("hot-path benchmark (%s)" % results.get("schema", "?"))
-        _row("corpus scale", str(config.get("scale")))
-        _row("relax repeats", str(config.get("repeats")))
-        for key in ("relax_corpus", "relax_cascade"):
-            section = results.get(key)
-            if not section:
-                continue
-            print("%s:" % key)
-            _row("baseline (reference, cold)",
-                 "%.4fs" % section["baseline_s"])
-            _row("fast (incremental, warm)", "%.4fs" % section["fast_s"])
-            _row("speedup", "%.2fx" % section["speedup"])
-            _row("relax iterations", str(section["relax_iterations"]))
-            _row("cache hit rate",
-                 "%.1f%%" % (100 * section["cache_hit_rate"]))
-            _row("byte-identical", str(section["byte_identical"]))
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        for key in ("relax_corpus", "relax_cascade"):
-            section = results.get(key)
-            if not section:
-                failures.append("missing section %r" % key)
-                continue
-            if not section["byte_identical"]:
-                failures.append("%s: fast path output is NOT "
-                                "byte-identical" % key)
-        corpus = results.get("relax_corpus") or {}
-        if corpus and corpus["speedup"] < min_speedup:
-            failures.append("relax_corpus speedup %.2fx < required %.2fx"
-                            % (corpus["speedup"], min_speedup))
-        return failures
-
-
-@register("mao-bench-sim/1")
-class SimReport:
-    """Block cache + per-block timing + loop fast-forward (+ runner
-    suite)."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("simulation-engine benchmark (%s)"
-              % results.get("schema", "?"))
-        _row("steady-loop trip count", str(config.get("outer")))
-        for key in ("sim_steady_loop", "sim_hash_kernel"):
-            section = results.get(key)
-            if not section:
-                continue
-            print("%s:" % key)
-            _row("workload / model", "%s / %s"
-                 % (section["workload"], section["model"]))
-            _row("instructions", str(section["instructions"]))
-            _row("baseline (interp + walk)", "%.4fs median"
-                 % section["baseline_s"])
-            _row("fast (blocks + ff)", "%.4fs median" % section["fast_s"])
-            _row("speedup", "%.2fx" % section["speedup"])
-            _row("block-cache hit rate",
-                 "%.1f%%" % (100 * section["block_cache_hit_rate"]))
-            _row("ff iterations / records", "%d / %d"
-                 % (section["ff_iterations"], section["ff_records"]))
-            _row("counter-identical", str(section["counter_identical"]))
-        diff = results.get("differential")
-        if diff:
-            print("differential:")
-            _row("kernel/model cases", str(diff["cases_checked"]))
-            _row("counter-identical", str(diff["counter_identical"]))
-            if diff.get("mismatches"):
-                _row("mismatches", ", ".join(diff["mismatches"]))
-        suite = results.get("suite")
-        if suite:
-            print("suite (%d shards):" % len(suite))
-            for name in sorted(suite):
-                shard = suite[name]
-                _row(name, "%-7s %7.2fs"
-                     % (shard["status"], shard["elapsed_s"]))
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        steady = results.get("sim_steady_loop")
-        if not steady:
-            # A filtered runner merge legitimately omits the engine shard;
-            # only a direct bench_sim_engine.py output must carry it.
-            if "suite" not in results:
-                failures.append("missing section 'sim_steady_loop'")
-        else:
-            if not steady["counter_identical"]:
-                failures.append("sim_steady_loop: fast engine counters are "
-                                "NOT identical to the reference walk")
-            if steady["speedup"] < min_speedup:
-                failures.append("sim_steady_loop speedup %.2fx < required "
-                                "%.2fx" % (steady["speedup"], min_speedup))
-        hashed = results.get("sim_hash_kernel")
-        if hashed:
-            if not hashed["counter_identical"]:
-                failures.append("sim_hash_kernel: fast engine counters are "
-                                "NOT identical to the reference walk")
-            if hashed["speedup"] < SIM_HASH_MIN_SPEEDUP:
-                failures.append("sim_hash_kernel speedup %.3fx < required "
-                                "%.2fx" % (hashed["speedup"],
-                                           SIM_HASH_MIN_SPEEDUP))
-        diff = results.get("differential")
-        if diff and not diff["counter_identical"]:
-            failures.append("differential: mismatches on %s"
-                            % ", ".join(diff.get("mismatches", ["?"])))
-        for name, shard in sorted((results.get("suite") or {}).items()):
-            if shard["status"] != "ok":
-                failures.append("suite shard %s: %s"
-                                % (name, shard["status"]))
-        return failures
-
-
-@register("mao-bench-batch/1")
-class BatchReport:
-    """Corpus batch engine: warm artifact-cache replay vs cold."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("batch-engine benchmark (%s)" % results.get("schema", "?"))
-        _row("corpus files", str(config.get("files")))
-        _row("jobs", str(config.get("jobs")))
-        _row("spec", str(config.get("spec")))
-        for key in ("batch_cold", "batch_warm"):
-            section = results.get(key)
-            if not section:
-                continue
-            print("%s:" % key)
-            _row("elapsed", "%.4fs" % section["elapsed_s"])
-            _row("ok / errors", "%d / %d"
-                 % (section["ok"], section["errors"]))
-            _row("cache hits / misses", "%d / %d"
-                 % (section["cache_hits"], section["cache_misses"]))
-            _row("hit rate", "%.1f%%" % (100 * section["hit_rate"]))
-        if results.get("speedup") is not None:
-            _row("warm-over-cold speedup", "%.1fx" % results["speedup"])
-        _row("byte-identical", str(results.get("byte_identical")))
-        determinism = results.get("determinism")
-        if determinism:
-            _row("determinism (%s)"
-                 % ", ".join(determinism.get("cases", ())),
-                 str(determinism.get("identical")))
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        warm = results.get("batch_warm")
-        if not results.get("batch_cold") or not warm:
-            failures.append("missing batch_cold/batch_warm section")
-            return failures
-        if warm["hit_rate"] != 1.0:
-            failures.append("warm hit rate %.1f%% < 100%%"
-                            % (100 * warm["hit_rate"]))
-        if warm["errors"] or results["batch_cold"]["errors"]:
-            failures.append("batch run reported per-file errors")
-        if not results.get("byte_identical"):
-            failures.append("warm batch output is NOT byte-identical to "
-                            "cold")
-        determinism = results.get("determinism") or {}
-        if not determinism.get("identical"):
-            failures.append("jobs=1 vs jobs=4 outputs/summaries diverged")
-        # The 5x warm-replay claim is about a real corpus; --quick smoke
-        # corpora only need the generic gate.
-        required = min_speedup if results.get("config", {}).get("quick") \
-            else max(min_speedup, BATCH_FULL_MIN_SPEEDUP)
-        speedup = results.get("speedup")
-        if speedup is None or speedup < required:
-            failures.append("warm speedup %sx < required %.1fx"
-                            % (speedup, required))
-        return failures
-
-
-@register("mao-bench-server/1")
-class ServerReport:
-    """The asyncio optimization service under a mixed workload."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("optimization-service benchmark (%s)"
-              % results.get("schema", "?"))
-        _row("requests (opt + sim)", "%s (%s + %s)"
-             % (config.get("requests"), config.get("optimize_requests"),
-                config.get("simulate_requests")))
-        _row("clients / max-inflight", "%s / %s"
-             % (config.get("clients"), config.get("max_inflight")))
-        _row("spec", str(config.get("spec")))
-        for key in ("server_cold", "server_warm"):
-            section = results.get(key)
-            if not section:
-                continue
-            print("%s:" % key)
-            _row("throughput", "%.2f req/s" % section["throughput_rps"])
-            _row("latency p50 / p99", "%.1fms / %.1fms"
-                 % (section["p50_ms"], section["p99_ms"]))
-            _row("cache hits / misses", "%d / %d"
-                 % (section["cache_hits"], section["cache_misses"]))
-            _row("hit rate", "%.1f%%" % (100 * section["hit_rate"]))
-            _row("errors", str(section["errors"]))
-        if results.get("speedup") is not None:
-            _row("warm-over-cold speedup", "%.1fx" % results["speedup"])
-        _row("byte-identical", str(results.get("byte_identical")))
-        _row("graceful exit", str(results.get("graceful_exit")))
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        warm = results.get("server_warm")
-        cold = results.get("server_cold")
-        if not cold or not warm:
-            failures.append("missing server_cold/server_warm section")
-            return failures
-        if warm["hit_rate"] != 1.0:
-            failures.append("warm hit rate %.1f%% < 100%%"
-                            % (100 * warm["hit_rate"]))
-        if warm["errors"] or cold["errors"]:
-            failures.append("load generator reported failed requests")
-        if not results.get("byte_identical"):
-            failures.append("warm responses NOT byte-identical to cold")
-        if not results.get("graceful_exit"):
-            failures.append("server did not drain to exit code 0 on "
-                            "SIGTERM")
-        # The 3x warm-replay claim is about the full 100-request
-        # workload; --quick smoke runs only need the generic gate.
-        required = min_speedup if results.get("config", {}).get("quick") \
-            else max(min_speedup, SERVER_FULL_MIN_SPEEDUP)
-        speedup = results.get("speedup")
-        if speedup is None or speedup < required:
-            failures.append("warm throughput speedup %sx < required %.1fx"
-                            % (speedup, required))
-        return failures
-
-
-@register("mao-bench-fleet/1")
-class FleetReport:
-    """The sharded fleet's capacity-scaling sweep."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("optimization-fleet benchmark (%s)"
-              % results.get("schema", "?"))
-        _row("requests / clients", "%s / %s"
-             % (config.get("requests"), config.get("clients")))
-        _row("per-worker inflight", str(config.get("per_worker_inflight")))
-        _row("service floor", "%ss" % config.get("service_floor_s"))
-        _row("host cpus", str(config.get("host_cpus")))
-        for row in results.get("rounds", ()):
-            _row("workers=%d" % row["workers"],
-                 "%7.2f req/s  p50=%.0fms p99=%.0fms  errors=%d  "
-                 "graceful=%s"
-                 % (row["throughput_rps"], row["p50_ms"], row["p99_ms"],
-                    row["errors"], row["graceful_exit"]))
-        for label, value in sorted((results.get("scaling") or {}).items()):
-            _row("scaling %s" % label, "%.2fx" % value)
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        rounds = results.get("rounds") or []
-        if not rounds:
-            failures.append("missing fleet rounds")
-            return failures
-        for row in rounds:
-            if row["errors"]:
-                failures.append("workers=%d round reported %d failed "
-                                "requests" % (row["workers"],
-                                              row["errors"]))
-            if not row["graceful_exit"]:
-                failures.append("workers=%d fleet did not drain to exit "
-                                "code 0 on SIGTERM" % row["workers"])
-        # The capacity-scaling claim is pinned at 4 workers vs 1; a
-        # sweep that measured that pair must clear the fleet gate
-        # (--quick sweeps may legitimately stop at 2 workers).
-        scaling = results.get("scaling_4v1")
-        if not results.get("config", {}).get("quick"):
-            if scaling is None:
-                failures.append("full fleet sweep is missing the 4v1 "
-                                "scaling measurement")
-            elif scaling < FLEET_FULL_MIN_SCALING:
-                failures.append("fleet scaling 4v1 %.2fx < required %.2fx"
-                                % (scaling, FLEET_FULL_MIN_SCALING))
-        elif scaling is not None and scaling < FLEET_FULL_MIN_SCALING:
-            failures.append("fleet scaling 4v1 %.2fx < required %.2fx"
-                            % (scaling, FLEET_FULL_MIN_SCALING))
-        return failures
-
-
-@register("mao-bench-predict/1")
-class PredictReport:
-    """Static throughput predictor vs trace simulation."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("throughput-predictor benchmark (%s)"
-              % results.get("schema", "?"))
-        _row("cores", ", ".join(config.get("cores", ())))
-        _row("configs x cores", str(len(results.get("kernels", ()))))
-        print("cross-validation (predicted vs simulated cycles/iter):")
-        for entry in results.get("kernels", ()):
-            band = entry.get("band", (0, 0))
-            note = " [%s]" % entry["diverges"] if entry.get("diverges") \
-                else ""
-            _row("%s/%s" % (entry["kernel"], entry["core"]),
-                 "pred %6.2f sim %6.2f ratio %.2f in [%.2f, %.2f] %s%s"
-                 % (entry["predicted_cycles"], entry["simulated_cycles"],
-                    entry["ratio"], band[0], band[1],
-                    "ok" if entry["within_band"] else "OUT", note))
-        ranking = results.get("ranking", {})
-        print("candidate ranking:")
-        for pair in ranking.get("pairs", ()):
-            _row("%s/%s" % (pair["kernel"], pair["core"]),
-                 "sim says %-9s model says %-9s %s"
-                 % (pair["simulated_winner"], pair["predicted_winner"],
-                    "agree" if pair["agree"] else "DISAGREE"))
-        if ranking.get("agreement") is not None:
-            _row("ranking agreement", "%.2f (>= %.2f required)"
-                 % (ranking["agreement"],
-                    ranking.get("min_agreement", PREDICT_MIN_AGREEMENT)))
-        timing = results.get("timing", {})
-        if timing:
-            _row("simulation total", "%.3fs (%d runs)"
-                 % (timing["simulate_s"], timing["simulate_runs"]))
-            _row("prediction total", "%.3fs (%d calls)"
-                 % (timing["predict_s"], timing["predict_calls"]))
-            _row("prediction speedup", "%.0fx" % timing["speedup"])
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        kernels = results.get("kernels") or []
-        if not kernels:
-            failures.append("missing per-kernel cross-validation entries")
-        for entry in kernels:
-            if not entry.get("within_band"):
-                failures.append(
-                    "%s/%s: ratio %.2f outside pinned band [%.2f, %.2f]"
-                    % (entry["kernel"], entry["core"], entry["ratio"],
-                       entry["band"][0], entry["band"][1]))
-        ranking = results.get("ranking") or {}
-        agreement = ranking.get("agreement")
-        min_agreement = ranking.get("min_agreement",
-                                    PREDICT_MIN_AGREEMENT)
-        if agreement is None:
-            failures.append("missing ranking agreement")
-        elif agreement < min_agreement:
-            failures.append("ranking agreement %.2f < required %.2f"
-                            % (agreement, min_agreement))
-        # The >=100x claim IS the feature; quick runs are gated too.
-        required = max(min_speedup, PREDICT_MIN_SPEEDUP)
-        speedup = (results.get("timing") or {}).get("speedup")
-        if speedup is None or speedup < required:
-            failures.append("prediction speedup %sx < required %.0fx"
-                            % (speedup, required))
-        return failures
-
-
-TUNE_MIN_EFFICIENCY = 3.0
-
-
-@register("mao-bench-tune/1")
-class TuneReport:
-    """Pass-pipeline autotuner vs the hand-written default spec."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("autotuner benchmark (%s)" % results.get("schema", "?"))
-        _row("cores", ", ".join(config.get("cores", ())))
-        _row("default spec", config.get("default_spec", "?"))
-        print("tuned vs default (predicted cycles/iteration):")
-        for entry in results.get("rows", ()):
-            cold = entry.get("cold", {})
-            warm = entry.get("warm", {})
-            _row("%s/%s" % (entry["kernel"], entry["core"]),
-                 "default %6.2f tuned %6.2f %-28s runs %d/%d warm %d "
-                 "stop=%s %s"
-                 % (entry["default_cycles"], entry["tuned_cycles"],
-                    entry.get("winner_spec") or "<none>",
-                    cold.get("executed", 0), cold.get("naive_steps", 0),
-                    warm.get("executed", 0), entry.get("stop"),
-                    "ok" if entry.get("never_worse") else "WORSE"))
-        totals = results.get("totals", {})
-        if totals:
-            _row("pass executions", "%d for %d naive steps"
-                 % (totals.get("executed", 0),
-                    totals.get("naive_steps", 0)))
-            _row("search efficiency", "%.2fx (>= %.1fx required)"
-                 % (totals.get("efficiency", 0.0),
-                    totals.get("min_efficiency", TUNE_MIN_EFFICIENCY)))
-            _row("warm replay", "zero runs: %s, identical winners: %s"
-                 % (totals.get("warm_zero_runs"),
-                    totals.get("warm_winners_identical")))
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        rows = results.get("rows") or []
-        if not rows:
-            failures.append("missing per-kernel tune rows")
-        for entry in rows:
-            if not entry.get("never_worse"):
-                failures.append(
-                    "%s/%s: tuned %.2f cycles worse than default %.2f"
-                    % (entry["kernel"], entry["core"],
-                       entry["tuned_cycles"], entry["default_cycles"]))
-            if (entry.get("warm") or {}).get("executed", 1) != 0:
-                failures.append(
-                    "%s/%s: warm re-tune executed %d pass runs "
-                    "(expected 0)"
-                    % (entry["kernel"], entry["core"],
-                       entry["warm"]["executed"]))
-            if not entry.get("warm_winner_identical"):
-                failures.append("%s/%s: warm re-tune changed the winner"
-                                % (entry["kernel"], entry["core"]))
-        totals = results.get("totals") or {}
-        required = max(min_speedup,
-                       totals.get("min_efficiency", TUNE_MIN_EFFICIENCY))
-        efficiency = totals.get("efficiency")
-        if efficiency is None or efficiency < required:
-            failures.append("search efficiency %sx < required %.1fx"
-                            % (efficiency, required))
-        return failures
-
-
-#: Required tune-all-over-PGO pass-execution factor: profile guidance
-#: must spend at most 1/3 of what tuning every corpus input costs.
-PGO_MIN_PASS_RUN_FACTOR = 3.0
-
-
-@register("mao-bench-pgo/1")
-class PgoReport:
-    """Profile-guided re-optimization vs the static default spec."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("profile-guided benchmark (%s)" % results.get("schema", "?"))
-        _row("core", config.get("core", "?"))
-        _row("default spec", config.get("default_spec", "?"))
-        _row("hot fraction / tune budget", "%s / %s per input"
-             % (config.get("hot_fraction"),
-                config.get("tune_budget_per_input")))
-        print("per input (simulated cycles, request-weighted mix):")
-        for entry in results.get("rows", ()):
-            _row("%s" % entry["kernel"],
-                 "req %3d %-4s %-30s static %7d pgo %7d runs %d"
-                 % (entry["requests"], entry.get("tier", "?"),
-                    entry.get("spec") or "<passthrough>",
-                    entry["static_cycles"], entry["pgo_cycles"],
-                    entry.get("pgo_pass_runs", 0)))
-        totals = results.get("totals", {})
-        if totals:
-            _row("weighted cycles", "static %d -> pgo %d (saved %d)"
-                 % (totals.get("static_cycles", 0),
-                    totals.get("pgo_cycles", 0),
-                    totals.get("cycles_saved", 0)))
-            _row("pass executions", "pgo %d vs tune-all %d "
-                 "(<= 1/%.0f required)"
-                 % (totals.get("pgo_pass_runs", 0),
-                    totals.get("tune_all_pass_runs", 0),
-                    totals.get("min_pass_run_factor",
-                               PGO_MIN_PASS_RUN_FACTOR)))
-            _row("hot inputs", str(totals.get("hot_inputs")))
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        totals = results.get("totals") or {}
-        if not results.get("rows"):
-            failures.append("missing per-input pgo rows")
-            return failures
-        static = totals.get("static_cycles")
-        pgo = totals.get("pgo_cycles")
-        if static is None or pgo is None:
-            failures.append("missing weighted cycle totals")
-        elif not pgo < static:
-            failures.append("pgo weighted cycles %s not strictly below "
-                            "static default %s" % (pgo, static))
-        factor = totals.get("min_pass_run_factor",
-                            PGO_MIN_PASS_RUN_FACTOR)
-        pgo_runs = totals.get("pgo_pass_runs")
-        tune_all = totals.get("tune_all_pass_runs")
-        if pgo_runs is None or tune_all is None:
-            failures.append("missing pass-execution totals")
-        elif pgo_runs * factor > tune_all:
-            failures.append("pgo executed %s pass runs > 1/%.0f of the "
-                            "%s a full autotune costs"
-                            % (pgo_runs, factor, tune_all))
-        if not totals.get("hot_inputs"):
-            failures.append("no input classified hot — the mix exercises "
-                            "nothing")
-        return failures
-
-
-@register("mao-bench-discover/1")
-class DiscoverReport:
-    """Discovery-harness exactness: inferred vs hidden blinded models."""
-
-    @staticmethod
-    def render(results: dict) -> None:
-        config = results.get("config", {})
-        print("discovery benchmark (%s)" % results.get("schema", "?"))
-        _row("seeds", ", ".join(str(s) for s in config.get("seeds", ())))
-        _row("parameters per seed", str(len(config.get("paths", ()))))
-        for row in results.get("rows", ()):
-            params = row.get("params", ())
-            matched = sum(1 for p in params if p.get("match"))
-            check = row.get("crosscheck", {})
-            _row("seed %s" % row.get("seed"),
-                 "%d/%d exact, crosscheck %s/%s, %.1fs"
-                 % (matched, len(params), check.get("matched"),
-                    check.get("total"), row.get("wall_s", 0.0)))
-            for p in params:
-                if not p.get("match"):
-                    _row("  MISMATCH %s" % p.get("path"),
-                         "hidden %r inferred %r"
-                         % (p.get("hidden"), p.get("inferred")))
-        determinism = results.get("determinism")
-        if determinism:
-            _row("jobs determinism",
-                 "seed %s jobs %s: %s"
-                 % (determinism.get("seed"), determinism.get("jobs"),
-                    "byte-identical" if determinism.get("byte_identical")
-                    else "DIFFERS"))
-
-    @staticmethod
-    def check(results: dict, min_speedup: float) -> list:
-        failures = []
-        rows = results.get("rows") or []
-        seeds = {row.get("seed") for row in rows}
-        if len(seeds) < 2:
-            failures.append("needs >= 2 distinct blinded seeds, got %d"
-                            % len(seeds))
-        for row in rows:
-            params = row.get("params") or []
-            if not params:
-                failures.append("seed %s carries no parameter rows"
-                                % row.get("seed"))
-                continue
-            for p in params:
-                if not p.get("match"):
-                    failures.append(
-                        "seed %s: %s inferred %r != hidden %r"
-                        % (row.get("seed"), p.get("path"),
-                           p.get("inferred"), p.get("hidden")))
-            check = row.get("crosscheck") or {}
-            if check.get("matched") != check.get("total"):
-                failures.append("seed %s: crosscheck %s/%s not cycle-exact"
-                                % (row.get("seed"), check.get("matched"),
-                                   check.get("total")))
-        determinism = results.get("determinism")
-        if determinism is not None and not determinism.get("byte_identical"):
-            failures.append("discovery output differs across jobs counts")
-        return failures
-
-
-# ---------------------------------------------------------------------------
-# pymao.trace/1 event logs (.jsonl)
-# ---------------------------------------------------------------------------
-
-def _span_count(span: dict) -> int:
-    return 1 + sum(_span_count(c) for c in span.get("children", ()))
-
-
-def render_trace(path: str, events: list) -> None:
-    spans = [e for e in events if e.get("type") == "span"]
-    metrics = [e for e in events if e.get("type") == "metrics"]
-    print("trace event log (%s)" % validate_trace.SCHEMA)
-    _row("file", os.path.basename(path))
-    _row("events", str(len(events)))
-    _row("root spans", str(len(spans)))
-    _row("total spans", str(sum(_span_count(s) for s in spans)))
-    for span in spans:
-        _row("span %s" % span["name"], "%.4fs" % span["dur_s"])
-    for event in metrics:
-        values = event.get("values", {})
-        _row("metrics series", str(len(values)))
-
-
-def check_trace(events: list) -> list:
-    errors = validate_trace.validate_events(events, [])
-    if errors:
-        return errors
-    if not any(e.get("type") == "span" for e in events):
-        return ["trace log carries no spans"]
-    return []
-
-
-# ---------------------------------------------------------------------------
-# Dispatch.
-# ---------------------------------------------------------------------------
-
-def process(path: str, do_check: bool, min_speedup: float) -> list:
-    if path.endswith(".jsonl"):
-        parse_errors: list = []
-        events = validate_trace.read_events(path, parse_errors)
-        render_trace(path, events)
-        if not do_check:
-            return []
-        return ["%s: %s" % (os.path.basename(path), f)
-                for f in parse_errors + check_trace(events)]
-    with open(path) as handle:
-        results = json.load(handle)
-    schema = results.get("schema")
-    handler = _SCHEMAS.get(schema)
-    if handler is None:
-        return ["%s: unknown schema %r (known: %s)"
-                % (path, schema, ", ".join(sorted(_SCHEMAS)))]
-    handler.render(results)
-    if not do_check:
-        return []
-    return ["%s: %s" % (os.path.basename(path), f)
-            for f in handler.check(results, min_speedup)]
+_TRACKED = ("BENCH_hotpath.json", "BENCH_sim.json", "BENCH_batch.json",
+            "BENCH_server.json", "BENCH_fleet.json", "BENCH_predict.json",
+            "BENCH_tune.json", "BENCH_pgo.json", "BENCH_discover.json")
+
+
+def gate(metric: str, op: str, value) -> dict:
+    """One gate row: ``metrics[metric] <op> value`` must hold."""
+    return {"metric": metric, "op": op, "value": value}
+
+
+def prefixed(prefix: str, values: dict) -> dict:
+    """``values`` as metrics named ``prefix.key``."""
+    return {"%s.%s" % (prefix, key): value for key, value in values.items()}
+
+
+def holds(row: dict, metrics: Dict[str, object]) -> bool:
+    """Whether one gate row passes; a missing metric or an unknown
+    operator fails it."""
+    compare = OPS.get(row.get("op"))
+    if compare is None or row.get("metric") not in metrics:
+        return False
+    try:
+        return bool(compare(metrics[row["metric"]], row["value"]))
+    except TypeError:
+        return False
+
+
+def failed_gates(record: dict) -> List[dict]:
+    """The gate rows of *record* that fail, in record order."""
+    metrics = record.get("metrics", {})
+    return [row for row in record.get("gates", ())
+            if not holds(row, metrics)]
+
+
+def describe(row: dict, metrics: Dict[str, object]) -> str:
+    actual = metrics.get(row.get("metric"), "<missing>")
+    return "%s %s %s (got %s)" % (row.get("metric"), row.get("op"),
+                                  _show(row.get("value")), _show(actual))
+
+
+def _show(value) -> str:
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, float):
+        return "%.6g" % value
+    if isinstance(value, list):
+        return "[%s]" % ", ".join(_show(v) for v in value)
+    return str(value)
+
+
+def render(record: dict) -> None:
+    """Print a record's config, every metric and every gate verdict."""
+    metrics = record.get("metrics", {})
+    print("%s (%s)" % (record.get("bench", "?"), record.get("schema", "?")))
+    for key, value in sorted(record.get("config", {}).items()):
+        print("  config  %-44s %s" % (key, _show(value)))
+    for name, value in sorted(metrics.items()):
+        print("  metric  %-44s %s" % (name, _show(value)))
+    for row in record.get("gates", ()):
+        print("  gate    %-4s %s" % ("ok" if holds(row, metrics) else "FAIL",
+                                     describe(row, metrics)))
+
+
+def finish(bench: str, config: dict, metrics: dict, gates: List[dict],
+           output: str) -> int:
+    """Write the bench's record to *output*, print it, and return the
+    exit code: 0 when every gate holds, else 1."""
+    record = {"schema": SCHEMA, "bench": bench, "config": config,
+              "metrics": metrics, "gates": gates}
+    with open(output, "w") as handle:
+        json.dump(record, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print("wrote %s" % output)
+    render(record)
+    failed = failed_gates(record)
+    for row in failed:
+        print("GATE FAILED: %s: %s" % (bench, describe(row, metrics)),
+              file=sys.stderr)
+    return 1 if failed else 0
+
+
+def check_file(path: str) -> List[str]:
+    """Render one record file; return its failures as messages."""
+    name = os.path.basename(path)
+    try:
+        with open(path) as handle:
+            record = json.load(handle)
+    except (OSError, ValueError) as exc:
+        return ["%s: unreadable (%s)" % (name, exc)]
+    if record.get("schema") != SCHEMA:
+        return ["%s: schema %r, expected %r"
+                % (name, record.get("schema"), SCHEMA)]
+    render(record)
+    metrics = record.get("metrics", {})
+    return ["%s: %s" % (name, describe(row, metrics))
+            for row in failed_gates(record)]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="render/check the tracked BENCH_*.json results")
+        description="render (and check) mao-bench/2 records")
     parser.add_argument("paths", nargs="*",
-                        help="benchmark JSON files (default: every "
-                             "tracked BENCH_*.json that exists)")
+                        help="record files (default: the tracked "
+                             "BENCH_*.json)")
     parser.add_argument("--check", action="store_true",
-                        help="exit non-zero on regression")
-    parser.add_argument("--min-speedup", type=float, default=2.0,
-                        help="required gated speedup (default 2.0)")
+                        help="exit non-zero when any gate fails")
     args = parser.parse_args(argv)
 
-    paths = args.paths or [
-        os.path.join(_REPO_ROOT, name) for name in _DEFAULT_FILES
-        if os.path.exists(os.path.join(_REPO_ROOT, name))]
-    if not paths:
-        print("no benchmark files found", file=sys.stderr)
-        return 2
-
+    paths = args.paths or [os.path.join(_REPO_ROOT, name)
+                           for name in _TRACKED]
     failures = []
-    for i, path in enumerate(paths):
-        if i:
+    for index, path in enumerate(paths):
+        if index:
             print()
-        failures.extend(process(path, args.check, args.min_speedup))
+        failures.extend(check_file(path))
     for failure in failures:
         print("CHECK FAILED: %s" % failure, file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if failures and args.check else 0
 
 
 if __name__ == "__main__":

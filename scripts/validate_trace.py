@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Validate a ``pymao.trace/1`` JSONL event log against the schema.
 
-Used by CI's trace-enabled smoke (``make trace-smoke``) and by the bench
-runner's event logs: every line must be a JSON object carrying
+Every line of a ``mao --trace-out`` log must be a JSON object carrying
 ``"schema": "pymao.trace/1"`` and a known ``type`` (``meta``, ``span``,
 ``metrics``); span events are checked recursively (name, non-negative
 duration, JSON-object attrs, child spans); metrics values must be

@@ -178,14 +178,14 @@ def print_version(stream) -> None:
     import repro.api            # noqa: F401  optimize / sim
     import repro.batch.cache    # noqa: F401  artifact
     import repro.batch.engine   # noqa: F401  batch
-    import repro.discover       # noqa: F401  discover / bench-discover
+    import repro.discover       # noqa: F401  discover
     import repro.obs.span       # noqa: F401  trace
     import repro.passes.manager  # noqa: F401  pipeline
     import repro.pgo.store      # noqa: F401  profile
     import repro.server.app     # noqa: F401  server
     import repro.server.fleet   # noqa: F401  fleet
-    import repro.tune           # noqa: F401  tune / bench-tune
-    import repro.uarch.static_model  # noqa: F401  predict / bench-predict
+    import repro.tune           # noqa: F401  tune
+    import repro.uarch.static_model  # noqa: F401  predict
     import repro.uarch.tables   # noqa: F401  uarch / uarch-ranges
 
     stream.write("mao (PyMAO) %s\n" % __version__)

@@ -13,9 +13,8 @@ it in a file and every ``core=`` surface accepts it.
 Determinism: for a fixed oracle the result document is byte-identical
 at any ``jobs`` count; the discovery determinism tests pin this.
 
-Surfaces: ``mao discover`` / :func:`repro.api.discover` (this module),
-``benchmarks/bench_discover.py`` emits ``mao-bench-discover/1``
-documents gated by ``DiscoverReport`` in ``scripts/perf_report.py``.
+Surfaces: ``mao discover`` / :func:`repro.api.discover` (this module);
+``benchmarks/bench_discover.py`` gates its exactness.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Optional
 
-from repro.result import ApiResult, register_schema
+from repro.result import ApiResult
 from repro.uarch import tables
 from repro.uarch.model import ProcessorModel
 from repro.discover.engine import (  # noqa: F401  (re-exported)
@@ -32,11 +31,6 @@ from repro.discover.engine import (  # noqa: F401  (re-exported)
     PORT_CLASSES,
     run_discovery,
 )
-
-#: Schema tag of the discovery benchmark document
-#: (``benchmarks/bench_discover.py`` -> ``BENCH_discover.json``).
-DISCOVER_BENCH_SCHEMA = register_schema("bench-discover",
-                                        "mao-bench-discover/1")
 
 DISCOVER_SCHEMA = "pymao.discover/1"
 
@@ -172,7 +166,6 @@ def discover(core: Any = None, *, seed: Optional[int] = None,
 
 
 __all__ = [
-    "DISCOVER_BENCH_SCHEMA",
     "DISCOVER_SCHEMA",
     "DiscoverResult",
     "DiscoveryError",

@@ -214,8 +214,8 @@ class PipelineResult:
         return seen
 
     def to_dict(self) -> Dict[str, Any]:
-        """Stable, versioned wire format — consumed by
-        ``scripts/perf_report.py`` and the bench JSON files."""
+        """Stable, versioned wire format — stored in every artifact-cache
+        entry and rebuilt by :meth:`from_dict` on replay."""
         return {"schema": PIPELINE_SCHEMA,
                 "reports": [r.to_dict() for r in self.reports]}
 

@@ -31,7 +31,6 @@ from repro.pgo.engine import (
     run_guided_batch,
 )
 from repro.pgo.store import (
-    PGO_BENCH_SCHEMA,
     PROFILE_DIR_ENV,
     PROFILE_SCHEMA,
     ProfileEntry,
@@ -47,7 +46,6 @@ __all__ = [
     "Decision",
     "PgoDecision",
     "PgoPolicy",
-    "PGO_BENCH_SCHEMA",
     "PROFILE_DIR_ENV",
     "PROFILE_SCHEMA",
     "ProfileEntry",

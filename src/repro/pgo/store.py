@@ -28,9 +28,6 @@ from repro.result import register_schema
 
 PROFILE_SCHEMA = register_schema("profile", "pymao.profile/1")
 
-#: Schema of ``benchmarks/bench_pgo.py`` documents (BENCH_pgo.json).
-PGO_BENCH_SCHEMA = register_schema("bench-pgo", "mao-bench-pgo/1")
-
 PROFILE_DIR_ENV = "PYMAO_PROFILE_DIR"
 
 _HEX = set("0123456789abcdef")

@@ -19,7 +19,7 @@ Subclassing :class:`ApiResult` with a ``SCHEMA`` registers the type in a
 process-wide registry, so generic consumers (``mao --version``, the
 server envelope, :func:`load_result`) enumerate or dispatch on schemas
 without special-casing each shape.  Non-result schemas (trace, artifact,
-server envelope, bench documents) register via :func:`register_schema`
+server envelope, profiles) register via :func:`register_schema`
 from the module that owns them.
 
 This module deliberately imports nothing from the rest of ``repro`` so
@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, ClassVar, Dict, Iterator, Optional, Tuple, Type
 
 #: label -> schema string, insertion-ordered.
-_SCHEMAS: Dict[str, str] = {}
+_LABELS: Dict[str, str] = {}
 
 #: schema string -> ApiResult subclass (only result-object schemas).
 _RESULT_TYPES: Dict[str, Type["ApiResult"]] = {}
@@ -45,11 +45,11 @@ def register_schema(label: str, schema: str,
     error — two modules claiming one name would make ``mao --version``
     ambiguous — and raises ``ValueError``.
     """
-    existing = _SCHEMAS.get(label)
+    existing = _LABELS.get(label)
     if existing is not None and existing != schema:
         raise ValueError("schema label %r already registered as %r"
                          % (label, existing))
-    _SCHEMAS[label] = schema
+    _LABELS[label] = schema
     if result_type is not None:
         _RESULT_TYPES[schema] = result_type
     return schema
@@ -62,14 +62,14 @@ def schema_registry() -> Dict[str, str]:
     ``mao --version`` imports the full surface first so the listing is
     complete there.
     """
-    return dict(_SCHEMAS)
+    return dict(_LABELS)
 
 
 def iter_schemas() -> Iterator[Tuple[str, str]]:
     """``(label, schema)`` pairs sorted by label — the ``--version``
     rendering order."""
-    for label in sorted(_SCHEMAS):
-        yield label, _SCHEMAS[label]
+    for label in sorted(_LABELS):
+        yield label, _LABELS[label]
 
 
 def result_type_for(schema: str) -> Optional[Type["ApiResult"]]:

@@ -6,8 +6,8 @@ startup it prints one machine-parseable line::
 
     pymao-server listening on 127.0.0.1:8423
 
-which is how scripts discover an ephemeral ``--port 0`` binding (the CI
-smoke and the bench harness both parse it).
+which is how scripts discover an ephemeral ``--port 0`` binding (the
+lifecycle tests and the bench harness both parse it).
 
 ``mao remote`` is the thin client-side mirror of the single-file driver:
 ``mao remote --port P --mao=SPEC in.s -o out.s`` optimizes over the wire

@@ -1344,6 +1344,7 @@ def _c_div(insn: Instruction, site: _Site) -> Step:
     get = _reader(op, width, site)
     fetch, store = _double_reader(width), _double_writer(width)
     signed, next_rip = insn.base == "idiv", site.next_rip
+    overflow = "%s overflow" % insn.base
 
     def div(interp):
         state = interp.state
@@ -1359,9 +1360,9 @@ def _c_div(insn: Instruction, site: _Site) -> Step:
         if (dividend < 0) != (divisor < 0):
             quotient = -quotient             # x86 truncates toward zero
         remainder = dividend - quotient * divisor
-        if signed and not -half <= quotient < half:
-            state.rip = next_rip
-            raise SimError("idiv overflow")
+        if not (-half <= quotient < half if signed else quotient <= mask):
+            state.rip = next_rip             # #DE: quotient does not fit
+            raise SimError(overflow)
         store(state.gp, quotient & mask, remainder & mask)
     return div
 

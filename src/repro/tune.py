@@ -56,13 +56,10 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.result import ApiResult, register_schema
+from repro.result import ApiResult
 
 #: Schema of :meth:`TuneResult.to_dict`.
 TUNE_SCHEMA = "pymao.tune/1"
-
-#: Schema of the tuner benchmark document (BENCH_tune.json).
-TUNE_BENCH_SCHEMA = register_schema("bench-tune", "mao-bench-tune/1")
 
 #: The hand-written spec `mao` applies when nobody tunes — the
 #: leaderboard always contains it, so the winner is never worse.

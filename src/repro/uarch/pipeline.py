@@ -51,9 +51,8 @@ per-record oracle in ``tests/uarch/record_walk.py`` assert.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import obs
 from repro.ir.unit import MaoUnit
@@ -551,7 +550,6 @@ class PipelineSimulator:
 # Steady-state loop fast-forward.
 # ---------------------------------------------------------------------------
 
-_FF_ENABLED = True
 _FF_STATS = {
     "loops_entered": 0,
     "iterations_fast_forwarded": 0,
@@ -561,30 +559,12 @@ _FF_STATS = {
 
 
 def fast_forward_stats() -> Dict[str, object]:
-    stats: Dict[str, object] = dict(_FF_STATS)
-    stats["enabled"] = _FF_ENABLED
-    return stats
+    return dict(_FF_STATS)
 
 
 def reset_fast_forward_stats() -> None:
     for key in _FF_STATS:
         _FF_STATS[key] = 0
-
-
-def set_fast_forward_enabled(enabled: bool) -> bool:
-    global _FF_ENABLED
-    previous = _FF_ENABLED
-    _FF_ENABLED = bool(enabled)
-    return previous
-
-
-@contextmanager
-def fast_forward_disabled() -> Iterator[None]:
-    previous = set_fast_forward_enabled(False)
-    try:
-        yield
-    finally:
-        set_fast_forward_enabled(previous)
 
 
 def _clock_ok(v0: int, v1: int, c: int, h0: int, h1: int) -> bool:
@@ -846,7 +826,7 @@ class FastForwardEngine:
 
 def _timer(pipeline: PipelineSimulator, fast_forward: bool):
     """The pipeline, or a fast-forward engine around it."""
-    if fast_forward and _FF_ENABLED:
+    if fast_forward:
         return FastForwardEngine(pipeline)
     return pipeline
 
@@ -859,7 +839,7 @@ def simulate_trace(trace: Iterable[ExecRecord], model: ProcessorModel,
     run is timed like an executed block.
     """
     with obs.span("simulate", model=model.name, streaming=False,
-                  fast_forward=bool(fast_forward and _FF_ENABLED)) as span:
+                  fast_forward=bool(fast_forward)) as span:
         pipeline = PipelineSimulator(model)
         timer = _timer(pipeline, fast_forward)
         run: List[ExecRecord] = []
@@ -895,7 +875,7 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
     so the same LoadedProgram can be reused across sweeps.
     """
     with obs.span("simulate", model=model.name,
-                  fast_forward=bool(fast_forward and _FF_ENABLED)) as span:
+                  fast_forward=bool(fast_forward)) as span:
         if span:
             from repro.sim.interp import block_cache_stats
             ff_before = dict(_FF_STATS)

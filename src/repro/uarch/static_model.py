@@ -48,7 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.analysis.relax import relax_unit
 from repro.ir.entries import InstructionEntry, LabelEntry
 from repro.ir.unit import Function, MaoUnit
-from repro.result import ApiResult, register_schema
+from repro.result import ApiResult
 from repro.uarch import model as M
 from repro.uarch.classify import uops_of
 from repro.uarch.model import ProcessorModel
@@ -58,10 +58,6 @@ from repro.x86.sideeffects import effects
 
 #: Version tag of the serialized prediction document.
 PREDICT_SCHEMA = "pymao.predict/1"
-
-#: Schema of the cross-validation benchmark (BENCH_predict.json).
-PREDICT_BENCH_SCHEMA = register_schema("bench-predict",
-                                       "mao-bench-predict/1")
 
 
 class PredictError(ValueError):

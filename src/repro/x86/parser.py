@@ -184,6 +184,11 @@ class _OperandParser:
                 self.next()
                 sign = -sign
                 continue
+            elif kind == "NUMBER" and text[0] == "-":
+                # The lexer reads "buf-8" as IDENT "buf", NUMBER "-8".
+                self.next()
+                value += lexer.parse_integer(text)
+                continue
             elif kind == "PLUS":
                 self.next()
                 sign = 1

@@ -1,9 +1,9 @@
 """Differential tests: incremental relaxation vs. the reference re-walk.
 
 ``relax_section`` (size-vector + prefix-sum, recompute from the first
-promoted branch) must reach the *same fixpoint* as the retained
-``relax_section_reference`` full re-walk — same iteration count, symbol
-table, section size, byte image, and per-entry placements.  The argument
+promoted branch) must reach the *same fixpoint* as the full re-walk
+oracle in ``relax_reference.py`` — same iteration count, symbol table,
+section size, byte image, and per-entry placements.  The argument
 is monotonicity: promotions only grow sizes, so entries before the first
 promoted branch keep their addresses; these tests check it holds on
 every interesting entry mix.
@@ -13,12 +13,12 @@ import pytest
 
 from repro.analysis.relax import (
     relax_section,
-    relax_section_reference,
     relax_unit,
     section_entry_map,
 )
 from repro.ir import parse_unit
 from repro.workloads.corpus import CorpusConfig, generate_corpus_text
+from tests.analysis.relax_reference import relax_section_reference
 
 FILLER = "\n".join("    addl $1, %eax" for _ in range(42))
 

@@ -108,9 +108,7 @@ class TestSchemaRegistry:
                 ("artifact", "pymao.artifact/1"),
                 ("trace", "pymao.trace/1"),
                 ("server", "pymao.server/1"),
-                ("fleet", "pymao.fleet/1"),
-                ("bench-tune", "mao-bench-tune/1"),
-                ("bench-predict", "mao-bench-predict/1")):
+                ("fleet", "pymao.fleet/1")):
             assert registry.get(label) == schema
 
     def test_iter_schemas_sorted_by_label(self):

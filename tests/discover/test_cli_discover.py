@@ -109,5 +109,4 @@ class TestGoodProfilePaths:
         main(["--version"])
         out = capsys.readouterr().out
         assert "pymao.uarch/1" in out
-        assert "mao-bench-discover/1" in out
         assert "pymao.discover/1" in out

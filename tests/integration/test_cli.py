@@ -467,7 +467,6 @@ class TestVersion:
         assert "schema trace         pymao.trace/1" in out
         assert "schema artifact      pymao.artifact/1" in out
         assert "schema predict       pymao.predict/1" in out
-        assert "schema bench-predict mao-bench-predict/1" in out
 
     def test_version_lists_the_full_registry_sorted(self, capsys):
         """Every result/report schema the binary can emit appears, from
@@ -478,8 +477,7 @@ class TestVersion:
                               ("sim", "pymao.sim/1"),
                               ("tune", "pymao.tune/1"),
                               ("server", "pymao.server/1"),
-                              ("fleet", "pymao.fleet/1"),
-                              ("bench-tune", "mao-bench-tune/1")):
+                              ("fleet", "pymao.fleet/1")):
             assert "schema %-13s %s" % (label, schema) in out
         labels = [line.split()[1] for line in out.splitlines()
                   if line.startswith("schema ")]

@@ -65,10 +65,21 @@ class TestStructuralDetection:
             assert detected == model.decode_line_bytes, seed
 
     def test_lsd_budget_core2(self):
-        assert detect.DetectLsdLineBudget(Processor(core2())) == 4
+        model = core2()
+        assert detect.DetectLsdLineBudgetByCounter(
+            Processor(model), model.decode_line_bytes,
+            model.lsd_min_iterations) == 4
 
     def test_forwarding_bandwidth_core2(self):
-        assert detect.DetectForwardingBandwidth(Processor(core2())) == 3
+        model = core2()
+        assert detect.DetectForwardingBandwidthMatch(
+            Processor(model), model) == 3
+
+    def test_forwarding_bandwidth_opteron(self):
+        # A stall-threshold reading gives 4 here; the fit gives the true 3.
+        model = opteron()
+        assert detect.DetectForwardingBandwidthMatch(
+            Processor(model), model) == model.forwarding_bw == 3
 
 
 class TestSequencesWithCandidateSets:

@@ -584,6 +584,8 @@ def _op_div(interp: ReferenceInterpreter, insn: Instruction):
     if signed and not (-(1 << (width - 1)) <= quotient
                        < (1 << (width - 1))):
         raise SimError("idiv overflow")
+    if not signed and quotient > mask:
+        raise SimError("div overflow")
     _write_double(state, width, quotient & mask, remainder & mask)
     return None
 

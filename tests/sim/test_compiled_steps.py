@@ -414,11 +414,14 @@ def conditions(draw, n):
 @st.composite
 def fault(draw, n):
     """An instruction that faults when it runs: division by zero, a
-    quotient that overflows idiv, an unresolved symbol or branch target."""
+    quotient that overflows idiv or div, an unresolved symbol or branch
+    target."""
     return Piece([draw(st.sampled_from([
         "xorl %ecx, %ecx\n    divl %ecx",
         "movl $0x80000000, %eax\n    cltd\n    movl $-1, %ecx\n"
         "    idivl %ecx",
+        "movl $5, %edx\n    movl $0, %eax\n    movl $2, %ecx\n"
+        "    divl %ecx",
         "movl missing(%rip), %eax",
         "addq %rax, missing+8(,%rdi,4)",
         "jmp missing_label",

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import api
 from repro.ir import parse_unit
 from repro.sim import SimError, run_unit
 from repro.sim.loader import load_unit
+from tests.sim import reference_interp
 
 
 def run(body, args=None, data="", max_steps=100_000, collect_trace=False):
@@ -79,6 +81,17 @@ class TestArithmetic:
     def test_division_by_zero_raises(self):
         with pytest.raises(SimError):
             run("    xorl %ecx, %ecx\n    movl $1, %eax\n    divl %ecx")
+
+    def test_div_quotient_overflow_raises(self):
+        # edx:eax = 5 * 2**32; the quotient 0x280000000 does not fit in
+        # 32 bits, which is #DE on hardware, as for idiv.
+        source = (".text\n.globl main\nmain:\n    movl $5, %edx\n"
+                  "    movl $0, %eax\n    movl $2, %ecx\n    divl %ecx\n"
+                  "    ret\n")
+        with pytest.raises(SimError, match="div overflow"):
+            api.simulate(source, "core2")
+        with pytest.raises(SimError, match="div overflow"):
+            reference_interp.run_unit(parse_unit(source))
 
     def test_shifts(self):
         r = run("    movl $1, %eax\n    shll $4, %eax")

@@ -14,11 +14,9 @@ import pytest
 from repro.ir import parse_unit
 from repro.sim.interp import Interpreter, run_unit
 from repro.sim.loader import load_unit
-from repro.uarch import pipeline as pipeline_mod
 from repro.uarch.pipeline import (
     FastForwardEngine,
     PipelineSimulator,
-    fast_forward_disabled,
     fast_forward_stats,
     reset_fast_forward_stats,
     simulate_trace,
@@ -106,18 +104,10 @@ class TestEngagement:
 
 
 class TestControls:
-    def test_disabled_context_restores(self):
-        assert pipeline_mod._FF_ENABLED
-        with fast_forward_disabled():
-            assert not pipeline_mod._FF_ENABLED
-            assert not fast_forward_stats()["enabled"]
-        assert pipeline_mod._FF_ENABLED
-
     def test_disabled_means_no_skipping(self):
         reset_fast_forward_stats()
         source = kernels.fig4_loop(shift_nops=0, iterations=300)
-        with fast_forward_disabled():
-            simulate_unit(parse_unit(source), core2())
+        simulate_unit(parse_unit(source), core2(), fast_forward=False)
         assert fast_forward_stats()["records_fast_forwarded"] == 0
 
     def test_engine_finish_equals_pipeline_finish(self):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.ir import parse_unit
+from repro.ir.entries import InstructionEntry
 from repro.x86.operands import Immediate, LabelRef, Memory, RegisterOperand
 from repro.x86.parser import (
     ParseError,
@@ -105,6 +107,31 @@ class TestOperands:
     def test_unknown_register_rejected(self):
         with pytest.raises(ParseError):
             parse_operand("%qax")
+
+
+#: Symbol-minus-offset operands, which gas accepts; the IR prints
+#: ``-8+buf(%rip)`` back as ``buf-8(%rip)``.
+SYMBOL_OFFSETS = ["buf-8(%rip)", "-8+buf(%rip)", "buf-1(,%rdi,1)",
+                  "buf-8", "$buf-8", "buf+8(%rip)"]
+
+
+class TestSymbolOffsets:
+    def test_minus_offset_equals_offset_first_form(self):
+        assert parse_operand("buf-8(%rip)") == parse_operand("-8+buf(%rip)")
+        assert parse_operand("buf-1(,%rdi,1)") \
+            == parse_operand("-1+buf(,%rdi,1)")
+        assert parse_operand("buf-8") == Memory(disp=-8, symbol="buf")
+        assert parse_operand("$buf-8") == Immediate(-8, symbol="buf")
+
+    @pytest.mark.parametrize("text", SYMBOL_OFFSETS)
+    def test_emitted_text_parses_back_to_the_same_operands(self, text):
+        def operands(unit):
+            return [entry.insn.operands for entry in unit.entries()
+                    if isinstance(entry, InstructionEntry)]
+
+        first = parse_unit(".text\nf:\n    movl %s, %%eax\n    ret\n"
+                           % text)
+        assert operands(parse_unit(first.to_asm())) == operands(first)
 
 
 class TestInstructions:
