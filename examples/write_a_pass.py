@@ -14,7 +14,6 @@ the shorter `xorl %reg, %reg` when flags are dead.
 Run:  python examples/write_a_pass.py
 """
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import Liveness
 from repro.ir import parse_unit
 from repro.passes import MaoFunctionPass, run_passes
@@ -38,12 +37,15 @@ class ZeroIdiomPass(MaoFunctionPass):
 
     xor writes flags while mov does not, so the rewrite needs flag
     liveness — the same data-flow apparatus the built-in passes use.
+    ``self.cfg()`` is the function's CFG: the one an earlier pass handed
+    on, else a fresh build.  This pass leaves ``KEEPS_CFG`` unset, so the
+    pipeline does not hand the CFG on after it (see ``MaoFunctionPass``).
     """
 
     OPTIONS = {"count_only": False}
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.cfg()
         liveness = Liveness(cfg)
         for block in cfg.blocks:
             for entry in block.entries:

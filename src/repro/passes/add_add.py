@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import Liveness
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
@@ -47,10 +46,11 @@ class AddAddFoldPass(MaoFunctionPass):
     """Fold consecutive immediate add/sub to the same register."""
 
     OPTIONS = {"count_only": False, "window": 6}
+    KEEPS_CFG = True
 
     def Go(self) -> bool:
         window = int(self.option("window"))
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.cfg()
         liveness = Liveness(cfg)
         for block in cfg.blocks:
             # pending: (entry, delta, group, width, reg_operand)

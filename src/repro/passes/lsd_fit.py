@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.loops import build_lsg
 from repro.analysis.relax import relax_section
 from repro.ir.entries import InstructionEntry, LabelEntry
@@ -40,7 +39,7 @@ class LsdFitPass(MaoFunctionPass):
     def Go(self) -> bool:
         line_bytes = int(self.option("line"))
         max_lines = int(self.option("max_lines"))
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.cfg()
         lsg = build_lsg(cfg)
         if not lsg.non_root_loops():
             return True

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.analysis.cfg import build_cfg
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
@@ -42,10 +41,11 @@ class RedundantMemAccessPass(MaoFunctionPass):
     """Rewrite repeated loads of the same address to register moves."""
 
     OPTIONS = {"count_only": False, "window": 8}
+    KEEPS_CFG = True
 
     def Go(self) -> bool:
         window: int = int(self.option("window"))
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.cfg()
         for block in cfg.blocks:
             # (entry, mem, dest_group) of loads still valid for reuse.
             available: List[Tuple[InstructionEntry, Memory, str]] = []

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import Liveness
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
@@ -64,9 +63,10 @@ class RedundantTestPass(MaoFunctionPass):
     """Remove ``test r, r`` made redundant by a preceding flag setter."""
 
     OPTIONS = {"count_only": False}
+    KEEPS_CFG = True
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.cfg()
         liveness = Liveness(cfg)
 
         for block in cfg.blocks:
@@ -88,6 +88,8 @@ class RedundantTestPass(MaoFunctionPass):
                             self.Trace(2, "removing %s (after %s)",
                                        insn, producer)
                             if not self.option("count_only"):
+                                # The producer stays: the block never
+                                # empties.
                                 block.entries.remove(entry)
                                 self.unit.remove(entry)
                             continue

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.analysis.cfg import build_cfg
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
 from repro.x86.instruction import Instruction
@@ -49,9 +48,10 @@ class RedundantZeroExtensionPass(MaoFunctionPass):
     """Delete ``mov %eXX, %eXX`` whose zero-extension already happened."""
 
     OPTIONS = {"count_only": False}
+    KEEPS_CFG = True
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.cfg()
         for block in cfg.blocks:
             last_def_width: Dict[str, int] = {}
             for entry in list(block.entries):
@@ -63,6 +63,8 @@ class RedundantZeroExtensionPass(MaoFunctionPass):
                         self.bump("removed")
                         self.Trace(2, "removing %s", insn)
                         if not self.option("count_only"):
+                            # The 32-bit write stays: the block never
+                            # empties.
                             block.entries.remove(entry)
                             self.unit.remove(entry)
                         continue

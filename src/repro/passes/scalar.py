@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set
 
-from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import Liveness
 from repro.ir.entries import InstructionEntry
 from repro.passes.base import MaoFunctionPass
@@ -46,7 +45,7 @@ class UnreachableCodeEliminationPass(MaoFunctionPass):
     OPTIONS = {"count_only": False}
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.cfg()
         if cfg.entry is None:
             return True
         if not cfg.is_well_formed:
@@ -96,7 +95,7 @@ class ConstantFoldPass(MaoFunctionPass):
     _FOLDABLE = {"add", "sub", "and", "or", "xor", "shl", "shr", "sar"}
 
     def Go(self) -> bool:
-        cfg = build_cfg(self.function, self.unit)
+        cfg = self.cfg()
         liveness = Liveness(cfg)
         for block in cfg.blocks:
             known: Dict[str, int] = {}

@@ -432,12 +432,15 @@ def latency_critical_path(body: List[Instruction], model: ProcessorModel,
     producer: Dict[Any, Optional[int]] = {}
     chain_parent: List[Optional[int]] = []
     chain_rows: List[Dict[str, Any]] = []
+    #: Each body instruction's facts, resolved once for all iterations.
+    facts = [(effects(insn), _memory_key(insn),
+              _insn_latency_profile(insn, model), str(insn))
+             for insn in body]
 
     def run_iteration() -> float:
         nonlocal flags_ready
         top = 0.0
-        for index, insn in enumerate(body):
-            fx = effects(insn)
+        for fx, mem, profile, text in facts:
             ready = 0.0
             source: Optional[Any] = None
             for group in fx.uses:
@@ -446,13 +449,11 @@ def latency_critical_path(body: List[Instruction], model: ProcessorModel,
                     ready, source = t, ("reg", group)
             if fx.flags_read and flags_ready > ready:
                 ready, source = flags_ready, ("flags",)
-            mem = _memory_key(insn)
             completion = ready
             load_done = None
             parent_row = producer.get(source) if source is not None else None
             row_id: Optional[int] = None
-            for uop_class, latency, is_load, is_store in \
-                    _insn_latency_profile(insn, model):
+            for uop_class, latency, is_load, is_store in profile:
                 if is_load:
                     start = ready
                     if mem is not None:
@@ -463,7 +464,7 @@ def latency_critical_path(body: List[Instruction], model: ProcessorModel,
                     load_done = start + latency
                     completion = max(completion, load_done)
                     row_id = len(chain_rows)
-                    chain_rows.append({"insn": str(insn),
+                    chain_rows.append({"insn": text,
                                        "class": uop_class,
                                        "latency": latency,
                                        "done": load_done})
@@ -484,7 +485,7 @@ def latency_critical_path(body: List[Instruction], model: ProcessorModel,
                 done = start + latency
                 completion = max(completion, done)
                 row_id = len(chain_rows)
-                chain_rows.append({"insn": str(insn), "class": uop_class,
+                chain_rows.append({"insn": text, "class": uop_class,
                                    "latency": latency, "done": done})
                 chain_parent.append(parent_row)
                 parent_row = row_id

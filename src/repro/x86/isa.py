@@ -15,6 +15,7 @@ simulated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, Optional
 
 from repro.x86.flags import is_cc_suffix, split_cc_mnemonic
@@ -85,10 +86,13 @@ class UnknownMnemonic(KeyError):
     """Raised when a mnemonic is not in the supported subset."""
 
 
+@lru_cache(maxsize=None)
 def split_mnemonic(mnemonic: str) -> MnemonicInfo:
     """Decompose an AT&T mnemonic into a :class:`MnemonicInfo`.
 
     Raises :class:`UnknownMnemonic` for mnemonics outside the subset.
+    Memoized: the info is frozen, and the subset spells a few hundred
+    mnemonics (one that raises is not kept).
     """
     m = ALIASES.get(mnemonic, mnemonic)
 

@@ -21,50 +21,50 @@ class SourceLine:
     lineno: int
 
 
-def _strip_comment(line: str) -> str:
-    """Remove a ``#`` comment, respecting double-quoted strings."""
-    out = []
+def _statements(line: str) -> List[str]:
+    r"""Cut *line* at a ``#`` comment and split it on ``;``, both outside
+    double-quoted strings.  Inside a string a backslash escapes the
+    character after it, as in gas: ``"a\\"`` ends after its escaped
+    backslash, and ``"a\"b"`` goes on past its escaped quote."""
+    parts = []
+    start = 0
     in_string = False
     i = 0
-    while i < len(line):
+    end = len(line)
+    while i < end:
         ch = line[i]
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_string = not in_string
-        elif ch == "#" and not in_string:
+        if in_string:
+            if ch == "\\":
+                i += 1
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == ";":
+            parts.append(line[start:i])
+            start = i + 1
+        elif ch == "#":
+            end = i
             break
-        out.append(ch)
         i += 1
-    return "".join(out)
-
-
-def _split_statements(line: str) -> List[str]:
-    """Split on ``;`` outside of string literals."""
-    parts = []
-    current = []
-    in_string = False
-    for i, ch in enumerate(line):
-        if ch == '"' and (i == 0 or line[i - 1] != "\\"):
-            in_string = not in_string
-        if ch == ";" and not in_string:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
+    parts.append(line[start:end])
     return parts
 
 
 _BLOCK_COMMENT = re.compile(r"/\*.*?\*/", re.DOTALL)
+#: A line without these characters is one statement with no comment.
+_NEEDS_SCAN = re.compile(r'[#;"]')
 
 
 def logical_lines(source: str) -> Iterator[SourceLine]:
     """Yield trimmed, comment-free statements from assembly source."""
     # Preserve line structure (and numbering) when removing /* */ blocks.
-    source = _BLOCK_COMMENT.sub(
-        lambda match: "\n" * match.group().count("\n"), source)
+    if "/*" in source:
+        source = _BLOCK_COMMENT.sub(
+            lambda match: "\n" * match.group().count("\n"), source)
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = _strip_comment(raw)
-        for stmt in _split_statements(line):
+        for stmt in (_statements(raw) if _NEEDS_SCAN.search(raw)
+                     else (raw,)):
             stmt = stmt.strip()
             if stmt:
                 yield SourceLine(stmt, lineno)

@@ -93,15 +93,39 @@ _UNKNOWN = _record(ALL_GROUPS, ALL_GROUPS, ALL_FLAGS, ALL_FLAGS, (), (),
 _SHARED: Dict[Effects, Effects] = {_UNKNOWN: _UNKNOWN}
 
 
+#: Form -> record, for every form seen (see :func:`_form`).
+_BY_FORM: Dict[tuple, Effects] = {}
+
+
 def effects(insn: Instruction) -> Effects:
-    """The instruction's side effects, computed on first use and kept on
-    the instruction (sound because passes replace instructions rather
-    than mutate them)."""
+    """The instruction's side effects, looked up by form on first use and
+    kept on the instruction (sound because passes replace instructions
+    rather than mutate them)."""
     record = insn._effects
     if record is None:
-        record = _compute(insn)
-        record = insn._effects = _SHARED.setdefault(record, record)
+        form = _form(insn)
+        record = _BY_FORM.get(form)
+        if record is None:
+            record = _compute(insn)
+            record = _BY_FORM[form] = _SHARED.setdefault(record, record)
+        insn._effects = record
     return record
+
+
+def _form(insn: Instruction) -> tuple:
+    """Everything :func:`_compute` reads: the mnemonic, and per operand
+    its register's alias group, its memory base and index groups, or its
+    kind."""
+    form = [insn.mnemonic]
+    for op in insn.operands:
+        if isinstance(op, RegisterOperand):
+            form.append(op.reg.group)
+        elif isinstance(op, Memory):
+            form.append((None if op.base is None else op.base.group,
+                         None if op.index is None else op.index.group))
+        else:
+            form.append(type(op))
+    return tuple(form)
 
 
 def _compute(insn: Instruction) -> Effects:

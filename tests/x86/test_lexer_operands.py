@@ -42,6 +42,30 @@ class TestLogicalLines:
         assert [(l.text, l.lineno) for l in lines] \
             == [("nop", 1), ("ret", 3)]
 
+    # In a string, a backslash escapes the character after it, so in
+    # "a\\" the backslash is escaped and the quote ends the string.
+    def test_escaped_backslash_ends_string_before_comment(self):
+        lines = list(logical_lines(r'.ascii "a\\"  # c' + "\n"))
+        assert [l.text for l in lines] == [r'.ascii "a\\"']
+
+    def test_escaped_backslash_ends_string_before_separator(self):
+        lines = list(logical_lines(r'msg: .ascii "a\\" ; .byte 7' + "\n"))
+        assert [l.text for l in lines] == [r'msg: .ascii "a\\"', ".byte 7"]
+
+    def test_escaped_quote_keeps_string_open(self):
+        lines = list(logical_lines(r'.ascii "a\"#;b" ; nop # c' + "\n"))
+        assert [l.text for l in lines] == [r'.ascii "a\"#;b"', "nop"]
+
+    def test_escaped_backslash_layout_matches_gas(self):
+        """gas places ``next`` at ``.data+3`` (bytes 61 5c 07 01)."""
+        from repro.ir import parse_unit
+        from repro.sim.loader import load_unit
+
+        source = ('.data\nmsg: .ascii "a\\\\" ; .byte 7\n'
+                  "next: .byte 1\n")
+        symtab = load_unit(parse_unit(source)).symtab
+        assert symtab["next"] - symtab["msg"] == 3
+
 
 class TestTokenizer:
     def test_register_token(self):

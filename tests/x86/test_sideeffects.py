@@ -1,17 +1,58 @@
 """Tests for the side-effect DSL, generator, and query layer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.x86.flags import ALL_FLAGS
 from repro.x86.instruction import Instruction
+from repro.x86.operands import Immediate, LabelRef, Memory, RegisterOperand
 from repro.x86.parser import parse_instruction
-from repro.x86.sideeffects import effects
+from repro.x86.registers import ALL_GROUPS, GP_GROUPS, registers_in_group
+from repro.x86.sideeffects import _compute, effects
 from repro.x86.sideeffects_dsl import SpecError, parse_builtin_spec, parse_spec
 from repro.x86.sideeffects_gen import render_tables
 
 
 def insn(text):
     return parse_instruction(text).insn
+
+
+#: Mnemonics across the side-effect tables: plain, suffixed, condition
+#: codes, implicit operands, barriers, SSE, and one with no table entry.
+MNEMONICS = [
+    "movl", "movq", "movb", "movzbl", "movslq", "leaq", "addl", "subq",
+    "andw", "orb", "xorl", "cmpq", "testl", "adcl", "sbbq", "incl", "decq",
+    "negl", "notq", "imull", "mull", "idivl", "divq", "shll", "sarq",
+    "shrl", "roll", "pushq", "popq", "xchgl", "bswapl", "cltq", "cqto",
+    "jmp", "jne", "jg", "call", "ret", "sete", "setb", "cmovgl", "cmovneq",
+    "nop", "leave", "movss", "addsd", "xorps", "ucomisd", "cvtsi2sd", "rep",
+]
+
+
+def _in_group(group):
+    """A register of *group* at any of its widths; None for no group."""
+    if group is None:
+        return st.none()
+    return st.sampled_from(registers_in_group(group))
+
+
+#: Each element draws operands of one shape, so drawing it twice gives
+#: two operands of one form: the same kind and alias groups, with other
+#: registers of those groups, displacements and values.  ``rsp`` is no
+#: index register.
+OPERAND_SHAPES = st.one_of(
+    st.sampled_from(ALL_GROUPS).map(
+        lambda group: _in_group(group).map(RegisterOperand)),
+    st.tuples(st.none() | st.sampled_from(GP_GROUPS + ("rip",)),
+              st.none() | st.sampled_from(GP_GROUPS[:4] + GP_GROUPS[5:])).map(
+        lambda groups: st.builds(
+            Memory, disp=st.integers(-4096, 4096),
+            base=_in_group(groups[0]), index=_in_group(groups[1]),
+            scale=st.sampled_from([1, 2, 4, 8]))),
+    st.just(st.builds(Immediate, st.integers(-1 << 31, (1 << 31) - 1))),
+    st.just(st.builds(LabelRef, st.sampled_from([".L1", "f", "main"]))),
+)
 
 
 class TestDsl:
@@ -169,3 +210,62 @@ class TestRecord:
             one = effects(insn("addq %%%s, %%%s" % (a, b))).uses
             other = effects(insn("addq %%%s, %%%s" % (b, a))).uses
             assert list(one) == list(other) == list(frozenset(sorted(one)))
+
+
+def _input_instructions():
+    """Every instruction of the corpus, SPEC and kernel inputs."""
+    from repro.ir import InstructionEntry, parse_unit
+    from repro.workloads import kernels
+    from repro.workloads.corpus import CorpusConfig, generate_corpus_text
+    from repro.workloads.spec import build_benchmark
+
+    sources = [generate_corpus_text(CorpusConfig(seed=seed, scale=0.001,
+                                                 functions=2))
+               for seed in range(3)]
+    sources += [build_benchmark(name).source for name in
+                ("252.eon", "181.mcf", "464.h264ref", "197.parser")]
+    sources += [getattr(kernels, name)() for name in
+                ("fig4_loop", "hash_bench", "eon_loop",
+                 "nested_short_loops", "mcf_fig1")]
+    for source in sources:
+        for entry in parse_unit(source).entries():
+            if isinstance(entry, InstructionEntry):
+                yield entry.insn
+
+
+def _fresh(instruction):
+    return Instruction(instruction.mnemonic, instruction.operands,
+                       instruction.prefixes)
+
+
+class TestRecordsByForm:
+    """``effects`` finds a record by the instruction's form; the record
+    must be what ``_compute`` derives for the instruction itself."""
+
+    def test_every_input_instruction(self):
+        count = 0
+        for instruction in _input_instructions():
+            assert effects(instruction) == _compute(_fresh(instruction)), \
+                str(instruction)
+            count += 1
+        assert count > 3000
+
+    def test_one_record_per_form(self):
+        first = insn("addl 8(%rax,%rcx,4), %edx")
+        same_form = insn("addl -16(%rax,%rcx,8), %edx")
+        other_group = insn("addl 8(%rax,%rsi,4), %edx")
+        assert effects(first) is effects(same_form)
+        assert effects(other_group).uses == {"rax", "rsi", "rdx"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_drawn_operand_shapes(self, data):
+        """Two instructions of one form, with different registers of each
+        alias group, get one record, and it is right for both."""
+        mnemonic = data.draw(st.sampled_from(MNEMONICS))
+        shapes = data.draw(st.lists(OPERAND_SHAPES, max_size=3))
+        one = Instruction(mnemonic, [data.draw(s) for s in shapes])
+        two = Instruction(mnemonic, [data.draw(s) for s in shapes])
+        assert effects(one) is effects(two)
+        assert effects(one) == _compute(_fresh(one))
+        assert effects(two) == _compute(_fresh(two))
