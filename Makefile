@@ -3,7 +3,7 @@ PYTHON ?= python
 .PHONY: test bench bench-quick perf-report check-tracked-artifacts clean
 
 # The script benches; each writes one mao-bench/2 record and prints its
-# gate verdicts.  bench_server.py runs twice: one server, then the fleet.
+# gate verdicts.
 BENCHES = hotpath sim_engine batch server predict tune pgo discover
 
 test:
@@ -17,7 +17,6 @@ bench:
 	for b in $(BENCHES); do \
 		$(PYTHON) benchmarks/bench_$$b.py || status=1; \
 	done; \
-	$(PYTHON) benchmarks/bench_server.py --fleet 1,2,4 || status=1; \
 	$(PYTHON) scripts/perf_report.py --check > /dev/null || status=1; \
 	exit $$status
 
@@ -29,11 +28,8 @@ bench-quick:
 		$(PYTHON) benchmarks/bench_$$b.py --quick \
 			-o /tmp/pymao_bench_$$b.json || status=1; \
 	done; \
-	$(PYTHON) benchmarks/bench_server.py --quick --fleet 1,2 \
-		-o /tmp/pymao_bench_fleet.json || status=1; \
 	$(PYTHON) scripts/perf_report.py --check \
-		$(BENCHES:%=/tmp/pymao_bench_%.json) /tmp/pymao_bench_fleet.json \
-		> /dev/null || status=1; \
+		$(BENCHES:%=/tmp/pymao_bench_%.json) > /dev/null || status=1; \
 	exit $$status
 
 perf-report:

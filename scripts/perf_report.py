@@ -41,8 +41,8 @@ OPS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _TRACKED = ("BENCH_hotpath.json", "BENCH_sim.json", "BENCH_batch.json",
-            "BENCH_server.json", "BENCH_fleet.json", "BENCH_predict.json",
-            "BENCH_tune.json", "BENCH_pgo.json", "BENCH_discover.json")
+            "BENCH_server.json", "BENCH_predict.json", "BENCH_tune.json",
+            "BENCH_pgo.json", "BENCH_discover.json")
 
 
 def gate(metric: str, op: str, value) -> dict:

@@ -58,10 +58,10 @@ contract — a versioned, deterministic ``to_dict(timings=False)`` plus
 ``from_dict`` — and registers its schema so ``mao --version`` can list
 the full wire surface.
 
-The network entry point is :mod:`repro.server` (``mao serve`` /
-``mao fleet``), which exposes ``optimize``/``optimize_many``/
-``simulate``/``predict``/``tune`` as ``/v1/*`` endpoints behind
-admission control and the shared artifact cache.
+The network entry point is :mod:`repro.server` (``mao serve``), which
+exposes ``optimize``/``optimize_many``/``simulate``/``predict``/``tune``
+as ``/v1/*`` endpoints behind admission control and the shared artifact
+cache.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """``repro.batch`` — corpus-scale optimization with a persistent cache.
 
-Two coupled pieces turn the per-file fast paths into fleet throughput:
+Two coupled pieces turn the per-file fast paths into corpus throughput:
 
 * :mod:`repro.batch.cache` — the persistent content-addressed
   :class:`ArtifactCache` (``sha256(source) + canonical pass spec +

@@ -183,7 +183,6 @@ def print_version(stream) -> None:
     import repro.passes.manager  # noqa: F401  pipeline
     import repro.pgo.store      # noqa: F401  profile
     import repro.server.app     # noqa: F401  server
-    import repro.server.fleet   # noqa: F401  fleet
     import repro.tune           # noqa: F401  tune
     import repro.uarch.static_model  # noqa: F401  predict
     import repro.uarch.tables   # noqa: F401  uarch / uarch-ranges
@@ -585,9 +584,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv and argv[0] == "serve":
         from repro.server.cli import serve_main
         return serve_main(argv[1:])
-    if argv and argv[0] == "fleet":
-        from repro.server.cli import fleet_main
-        return fleet_main(argv[1:])
     if argv and argv[0] == "remote":
         from repro.server.cli import remote_main
         return remote_main(argv[1:])

@@ -93,6 +93,11 @@ class Registry:
     def counter_value(self, name: str) -> int:
         return self._counters.get(name, 0)
 
+    def counters(self) -> Dict[str, int]:
+        """A copy of every counter, without gauges or collectors."""
+        with self._lock:
+            return dict(self._counters)
+
     def snapshot(self, collectors: bool = True) -> Dict[str, Number]:
         """One flat, sorted ``metric name -> value`` mapping."""
         with self._lock:

@@ -6,7 +6,7 @@ Closes the loop the paper leaves open between its sampling machinery
 :class:`~repro.pgo.store.ProfileStore`, a hotness classifier maps each
 input's sample weight to a spec tier, and the optimization surfaces
 (``api.optimize(profile_guided=True)``, ``api.optimize_many``,
-``POST /v1/profile`` on ``mao serve`` / ``mao fleet``) consult that
+``POST /v1/profile`` on ``mao serve``) consult that
 state so tuning spend concentrates where the cycles are:
 
 * **hot** — the top :attr:`~repro.pgo.classify.PgoPolicy.hot_fraction`

@@ -6,16 +6,14 @@ The network layer over :mod:`repro.api`: a long-lived HTTP server
 behind bounded admission control on one worker pool, plus ``/healthz``
 and ``/metrics`` views over :mod:`repro.obs`.  Optimize, batch and tune
 share one persistent artifact cache.  :data:`repro.server.work.ENDPOINTS`
-is the one list of the ``/v1`` endpoints; the server, the fleet and the
-pool read each endpoint's row from it.  The blocking
+is the one list of the ``/v1`` endpoints; the server and its pool read
+each endpoint's row from it.  The blocking
 :class:`~repro.server.client.Client` (and the ``mao remote`` verb) is
 the supported way to talk to it.
 
-``mao fleet`` (:mod:`repro.server.fleet`) scales the same service
-horizontally: a front-door process routes to N ``mao serve`` worker
-subprocesses over a consistent-hash ring (:mod:`repro.server.ring`)
-keyed by the artifact cache key, with aggregated health/metrics and
-rolling restarts.
+On N cores, run ``mao serve --parallel-backend process --max-inflight
+N``: N worker processes behind one front process that keeps one
+admission queue, one singleflight table and one artifact cache.
 
 In-process use::
 
@@ -41,13 +39,6 @@ from repro.server.client import (
     ServerError,
     ServerUnavailable,
 )
-from repro.server.fleet import (
-    FLEET_SCHEMA,
-    FleetConfig,
-    FleetServer,
-    FleetThread,
-)
-from repro.server.ring import HashRing
 
 __all__ = [
     "MaoServer",
@@ -59,9 +50,4 @@ __all__ = [
     "ServerError",
     "ServerBusy",
     "ServerUnavailable",
-    "FleetConfig",
-    "FleetServer",
-    "FleetThread",
-    "FLEET_SCHEMA",
-    "HashRing",
 ]

@@ -15,12 +15,11 @@ discipline the server's backpressure contract calls for:
 
 One :class:`Client` keeps **one keep-alive connection** and reuses it
 across sequential requests — reconnecting per call would multiply
-connection churn by the request count, and a fleet front door funnelling
-N workers' traffic multiplies it again (``client.connects`` counts real
+connection churn by the request count (``client.connects`` counts real
 connections; the scripted-fake test pins it at one per client).  A
 reused connection can go *stale*: a server is allowed to close an idle
-keep-alive socket at any time (a draining fleet worker always does), and
-the client only discovers that when the next send fails.  That failure
+keep-alive socket at any time (a draining server always does), and the
+client only discovers that when the next send fails.  That failure
 says nothing about server health, so it is **replayed once on a fresh
 connection without consuming the retry budget or sleeping** — only a
 failure on a never-used connection counts against ``retries``.
@@ -204,9 +203,7 @@ class Client:
 
     def _post(self, path: str, request_id: Optional[str],
               **fields: Any) -> Dict[str, Any]:
-        """POST the non-``None`` *fields*, in argument order (the fleet
-        routes some endpoints by a hash of the raw body, so the bytes
-        must not depend on anything else)."""
+        """POST the non-``None`` *fields*, in argument order."""
         payload = {name: value for name, value in fields.items()
                    if value is not None}
         return self.request("POST", path, payload, request_id=request_id)

@@ -142,94 +142,6 @@ async def read_request(reader: asyncio.StreamReader, *,
                    headers=headers, body=body)
 
 
-@dataclass
-class Response:
-    """One parsed upstream response (the front door reading a worker).
-    Header names are lower-cased."""
-
-    status: int
-    headers: Dict[str, str] = field(default_factory=dict)
-    body: bytes = b""
-
-    @property
-    def keep_alive(self) -> bool:
-        return "close" not in self.headers.get("connection", "").lower()
-
-
-async def read_response(reader: asyncio.StreamReader, *,
-                        max_body_bytes: int) -> Response:
-    """Parse one HTTP/1.1 response off *reader* — the front door's half
-    of the loopback transport to a worker.  Only what our own
-    :func:`render_response` emits is in scope (status line, headers,
-    ``Content-Length`` body); anything else raises
-    :class:`ProtocolError` (502 — the *upstream* broke the contract).
-    """
-    budget = MAX_HEADER_BYTES
-    try:
-        start = await _read_line(reader, budget)
-    except ProtocolError:
-        raise ProtocolError(502, "malformed response head from worker")
-    if not start:
-        raise ProtocolError(502, "worker closed the connection mid-request")
-    budget -= len(start)
-    parts = start.decode("latin-1").strip().split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-        raise ProtocolError(502, "malformed response line from worker")
-    try:
-        status = int(parts[1])
-    except ValueError:
-        raise ProtocolError(502, "malformed response status from worker")
-
-    headers: Dict[str, str] = {}
-    while True:
-        try:
-            line = await _read_line(reader, budget)
-        except ProtocolError:
-            raise ProtocolError(502, "oversized response headers from "
-                                     "worker")
-        if not line:
-            raise ProtocolError(502, "truncated response headers from "
-                                     "worker")
-        budget -= len(line)
-        text = line.decode("latin-1").strip()
-        if not text:
-            break
-        name, sep, value = text.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-
-    body = b""
-    length_text = headers.get("content-length")
-    if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise ProtocolError(502, "malformed Content-Length from worker")
-        if length < 0 or length > max_body_bytes:
-            raise ProtocolError(502, "worker response body out of bounds")
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise ProtocolError(502, "truncated response body from worker")
-    return Response(status=status, headers=headers, body=body)
-
-
-def render_request(method: str, path: str, body: bytes = b"", *,
-                   headers: Optional[Dict[str, str]] = None,
-                   keep_alive: bool = True) -> bytes:
-    """The full request byte string (head + body) — what the front door
-    writes to a worker when forwarding.  ``Content-Length`` and
-    ``Connection`` are owned here; *headers* carries everything else
-    (``Content-Type``, ``X-Request-Id``, ...)."""
-    lines = ["%s %s HTTP/1.1" % (method, path),
-             "Content-Length: %d" % len(body),
-             "Connection: %s" % ("keep-alive" if keep_alive else "close")]
-    for name, value in (headers or {}).items():
-        lines.append("%s: %s" % (name, value))
-    head = "\r\n".join(lines) + "\r\n\r\n"
-    return head.encode("latin-1") + body
-
-
 def render_response(status: int, body: bytes, *,
                     content_type: str = "application/json",
                     keep_alive: bool = True,

@@ -1,9 +1,9 @@
 """The ``/v1`` endpoint table and the request bodies it runs.
 
 :data:`ENDPOINTS` is the one list of ``POST /v1/*`` endpoints: the
-server (:mod:`repro.server.app`), the fleet front door
-(:mod:`repro.server.fleet`) and the worker pool read everything they
-know about an endpoint from its row, so adding an endpoint is one row.
+server (:mod:`repro.server.app`) and its worker pool read everything
+they know about an endpoint from its row, so adding an endpoint is one
+row.
 
 The event loop never runs a parser or a pass pipeline: a row's
 ``prepare`` validates the request on the loop, and its ``run`` body is
@@ -23,12 +23,15 @@ keeps the ``repro.batch`` worker contract in one place:
   the payload carries ``(root, salt, max_bytes)`` and each worker opens
   its own handle onto the same store.  That is safe because the store's
   publication is atomic (tmp + ``os.replace``) and reads treat anything
-  torn as a miss.
+  torn as a miss;
+* **counters ride back** — a process worker's metrics registry is its
+  own, so a payload with ``want_counters`` gets the counter deltas its
+  run made (``batch.cache.*``, ``pass.*``, ...) in the outcome's
+  ``"counters"``, for the server to add to its registry.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -66,11 +69,9 @@ class Endpoint(NamedTuple):
     span: Callable[[Dict[str, Any], Dict[str, Any]], Dict[str, Any]]
     #: Counter bumped per success, formatted over the reply.
     counter: Optional[str] = None
-    #: ``(request JSON, salt) -> key`` the fleet routes by; without one,
-    #: or when it returns None, the fleet hashes the raw body.
-    route_key: Optional[Callable[[Any, bytes], Optional[str]]] = None
-    #: Identical concurrent requests (same route key) share one run.
-    coalesce: bool = False
+    #: ``payload -> key``: identical concurrent requests (same key)
+    #: share one run.
+    coalesce: Optional[Callable[[Dict[str, Any]], str]] = None
 
 
 def execute(path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -81,12 +82,19 @@ def execute(path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     from repro import obs
 
     obs.set_enabled(payload.get("want_spans", False))
+    before = obs.REGISTRY.counters() if payload.get("want_counters") \
+        else None
     try:
         outcome = ENDPOINTS[path].run(payload)
+        outcome["status"] = "ok"
     except Exception as exc:  # parse errors, bad specs, pass failures
-        return {"status": "error", "kind": type(exc).__name__,
-                "error": "%s: %s" % (type(exc).__name__, exc)}
-    outcome["status"] = "ok"
+        outcome = {"status": "error", "kind": type(exc).__name__,
+                   "error": "%s: %s" % (type(exc).__name__, exc)}
+    if before is not None:
+        outcome["counters"] = {
+            name: value - before.get(name, 0)
+            for name, value in obs.REGISTRY.counters().items()
+            if value != before.get(name, 0)}
     return outcome
 
 
@@ -232,63 +240,19 @@ def _profile_payload(data, config):
             "profile_dir": config.profile_dir}
 
 
-# -- fleet routing keys ----------------------------------------------------
-
-def _salted(salt: bytes, *parts: str) -> str:
-    digest = hashlib.sha256(salt)
-    for part in parts:
-        digest.update(b"\x00")
-        digest.update(part.encode("utf-8"))
-    return digest.hexdigest()
-
-
-def _artifact_key(data, salt: bytes) -> Optional[str]:
-    """The artifact cache key (salt + source sha + injective spec
-    encoding), byte-identical to the key the worker's cache lookup
-    computes, so routing affinity and cache affinity coincide."""
-    source = data.get("source")
-    if not isinstance(source, str):
-        return None
-    return "artifact\x00" + _salted(salt, source_sha256(source),
-                                    encode_pass_spec(_spec_items(data)))
-
-
-def _input_key(data, salt: bytes) -> Optional[str]:
-    """The input digest alone (salt + source sha): every prefix the
-    tuner materializes for one input lands on one worker, so a re-tune
-    replays that worker's warm prefixes."""
-    source = data.get("source")
-    if source is None and isinstance(data.get("workload"), str):
-        # Resolve kernel names here so tune-by-name and tune-by-text of
-        # the same kernel share a worker.
-        from repro.workloads import kernels
-        factory = getattr(kernels, data["workload"], None)
-        if (callable(factory) and getattr(
-                factory, "__module__", None) == kernels.__name__):
-            source = factory()
-    if not isinstance(source, str):
-        return None
-    return "input\x00" + _salted(salt, source_sha256(source))
-
-
-def _profile_key(data, salt: bytes) -> Optional[str]:
-    """The same input-digest key as tune (a profile's digest *is* the
-    source sha), so an input's profile lands on the worker holding its
-    warm tune prefixes."""
-    value = data.get("digest")
-    if value is None and isinstance(data.get("profile"), dict):
-        value = data["profile"].get("digest")
-    if not isinstance(value, str):
-        return None
-    return "input\x00" + _salted(salt, value)
+def _optimize_key(payload: Dict[str, Any]) -> str:
+    """Source sha + injective spec encoding: the content part of the
+    artifact cache key, so requests that would share an artifact share
+    one run."""
+    return source_sha256(payload["source"]) + "\x00" + payload["key_spec"]
 
 
 # -- worker bodies (pool) --------------------------------------------------
 
 #: One long-lived store handle per construction key per process.  A
 #: fresh :class:`~repro.batch.cache.ArtifactCache` seeds its running
-#: size estimate with a full store walk on its first ``put``; a fleet
-#: worker serving thousands of requests must pay that walk once per
+#: size estimate with a full store walk on its first ``put``; a server
+#: answering thousands of requests must pay that walk once per worker
 #: process, not once per request.  Sharing a handle across pool threads
 #: is safe: publication is atomic on disk, and the estimate is advisory
 #: (a race at worst triggers an early eviction sweep, which resyncs it).
@@ -453,8 +417,7 @@ ENDPOINTS: Dict[str, Endpoint] = {
         prepare=_optimize_payload, run=_optimize,
         reply=("cache", "asm", "pipeline"),
         span=lambda payload, reply: {"cache": reply["cache"]},
-        counter="server.optimize.{cache}", route_key=_artifact_key,
-        coalesce=True),
+        counter="server.optimize.{cache}", coalesce=_optimize_key),
     "/v1/batch": Endpoint(
         prepare=_batch_payload, run=_batch, reply=("summary", "asm"),
         span=lambda payload, reply: {"files": len(payload["inputs"])}),
@@ -468,8 +431,7 @@ ENDPOINTS: Dict[str, Endpoint] = {
         counter="server.predict.requests"),
     "/v1/tune": Endpoint(
         prepare=_tune_payload, run=_tune, reply=("core", "tune", "asm"),
-        span=_tune_span, counter="server.tune.requests",
-        route_key=_input_key),
+        span=_tune_span, counter="server.tune.requests"),
     "/v1/simulate": Endpoint(
         prepare=_simulate_payload, run=_simulate,
         reply=("core", "cycles", "steps", "ipc", "counters"),
@@ -482,5 +444,5 @@ ENDPOINTS: Dict[str, Endpoint] = {
             "found": reply["found"],
             "ingested": payload["profile"] is not None,
             "epoch": reply["profile"]["epoch"] if reply["profile"] else 0},
-        counter="server.profile.requests", route_key=_profile_key),
+        counter="server.profile.requests"),
 }

@@ -44,9 +44,8 @@ execute independent prefix materializations, so ``TuneResult.to_dict()``
 is byte-identical across ``jobs=1`` / ``jobs=4`` (pinned by tests).
 
 Entry points: :func:`repro.api.tune` (the facade), ``mao tune`` (CLI),
-``POST /v1/tune`` (service + fleet, routed by input digest so tuner
-traffic for one input lands on the worker whose cache holds its
-prefixes).
+``POST /v1/tune`` (the service; every pool worker replays the prefixes
+any of them stored in the shared artifact cache).
 """
 
 from __future__ import annotations

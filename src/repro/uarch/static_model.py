@@ -59,6 +59,9 @@ from repro.x86.sideeffects import effects
 #: Version tag of the serialized prediction document.
 PREDICT_SCHEMA = "pymao.predict/1"
 
+#: entry -> (address, size) in the relaxed layout.
+Placement = Dict[InstructionEntry, Tuple[int, int]]
+
 
 class PredictError(ValueError):
     """The requested function/loop cannot be analyzed."""
@@ -232,38 +235,34 @@ class Prediction(ApiResult):
 # Loop extraction.
 # ---------------------------------------------------------------------------
 
-def _function_layout(unit: MaoUnit, function: Function
-                     ) -> Tuple[Dict[InstructionEntry, Tuple[int, int]],
-                                Dict[str, int]]:
-    """(entry -> (address, size), label -> address) from a relaxation.
+def _function_placement(unit: MaoUnit, function: Function) -> Placement:
+    """*function*'s placement from one relaxation of *unit*.
 
     Reuses the repeated-relaxation machinery, so addresses, alignment
     padding, and instruction lengths are the same exact bytes the loader
     and the alignment passes see (section bases are congruent mod the
     decode-line size, so line math is identical to the loaded image).
     """
-    layouts = relax_unit(unit)
-    layout = layouts.get(function.section.name)
+    layout = relax_unit(unit).get(function.section.name)
     if layout is None:
         raise PredictError("function %r has no relaxed code section"
                            % function.name)
-    placement: Dict[InstructionEntry, Tuple[int, int]] = {}
+    placement: Placement = {}
     for entry in function.entries():
         if isinstance(entry, InstructionEntry):
             place = layout.placement.get(entry)
             if place is not None:
                 placement[entry] = (place.address, place.size)
-    return placement, dict(layout.symtab)
+    return placement
 
 
-def find_loops(unit: MaoUnit, function: Function) -> List[Loop]:
-    """All natural loops of *function*: backward label branches and the
-    entries from the target label through the branch, in address order."""
-    placement, symtab = _function_layout(unit, function)
+def _placed_loops(function: Function, placement: Placement) -> List[Loop]:
+    """:func:`find_loops` over an existing *placement*."""
     entries = [e for e in function.entries()
                if isinstance(e, (InstructionEntry, LabelEntry))]
     label_index = {e.name: i for i, e in enumerate(entries)
                    if isinstance(e, LabelEntry)}
+    entry_index = {e: j for j, e in enumerate(entries)}
     loops: List[Loop] = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, InstructionEntry):
@@ -285,7 +284,6 @@ def find_loops(unit: MaoUnit, function: Function) -> List[Loop]:
         end = max(placement[e][0] + placement[e][1] for e in body)
         # Another backward branch strictly inside the body means this
         # loop contains an inner loop (it is not innermost).
-        entry_index = {e: j for j, e in enumerate(entries)}
         contains = False
         for b in body:
             if b is entry or not b.insn.is_jump \
@@ -299,6 +297,12 @@ def find_loops(unit: MaoUnit, function: Function) -> List[Loop]:
         loops.append(Loop(label=target, body=body, start_address=start,
                           end_address=end, contains_loop=contains))
     return loops
+
+
+def find_loops(unit: MaoUnit, function: Function) -> List[Loop]:
+    """All natural loops of *function*: backward label branches and the
+    entries from the target label through the branch, in address order."""
+    return _placed_loops(function, _function_placement(unit, function))
 
 
 def select_loop(loops: List[Loop],
@@ -612,6 +616,33 @@ def frontend_bound(placed: List[Tuple[Instruction, int, int]],
 # The predictor.
 # ---------------------------------------------------------------------------
 
+def _analyzed_body(unit: MaoUnit, function: Optional[str],
+                   loop: Optional[str]
+                   ) -> Tuple[Function, Placement, Optional[Loop],
+                              List[InstructionEntry]]:
+    """The function, its placement from one relaxation, the selected
+    loop (None when it has none) and the body entries to analyze: the
+    loop's, or the function's straight-line instructions."""
+    if not unit.functions:
+        raise PredictError("unit has no functions")
+    if function is not None:
+        try:
+            func = unit.function_named(function)
+        except KeyError:
+            raise PredictError("no function named %r" % function)
+    else:
+        func = unit.functions[0]
+    placement = _function_placement(unit, func)
+    selected = select_loop(_placed_loops(func, placement), loop)
+    if selected is not None:
+        return func, placement, selected, selected.body
+    body_entries = [e for e in func.instructions() if e in placement]
+    if not body_entries:
+        raise PredictError("function %r has no encodable instructions"
+                           % func.name)
+    return func, placement, None, body_entries
+
+
 def predict_unit(unit: MaoUnit, model: ProcessorModel, *,
                  function: Optional[str] = None,
                  loop: Optional[str] = None,
@@ -624,28 +655,9 @@ def predict_unit(unit: MaoUnit, model: ProcessorModel, *,
     decode-line bound because the model cannot see trip counts (the
     LSD's engagement threshold is dynamic).
     """
-    if not unit.functions:
-        raise PredictError("unit has no functions")
-    if function is not None:
-        try:
-            func = unit.function_named(function)
-        except KeyError:
-            raise PredictError("no function named %r" % function)
-    else:
-        func = unit.functions[0]
-
-    placement, _symtab = _function_layout(unit, func)
-    loops = find_loops(unit, func)
-    selected = select_loop(loops, loop)
-    if selected is not None:
-        body_entries = selected.body
-        loop_label: Optional[str] = selected.label
-    else:
-        body_entries = [e for e in func.instructions() if e in placement]
-        loop_label = None
-        if not body_entries:
-            raise PredictError("function %r has no encodable instructions"
-                               % func.name)
+    func, placement, selected, body_entries = _analyzed_body(
+        unit, function, loop)
+    loop_label = selected.label if selected is not None else None
     body = [entry.insn for entry in body_entries]
     placed = sorted(((entry.insn,) + placement[entry]
                      for entry in body_entries), key=lambda row: row[1])
@@ -718,28 +730,9 @@ def static_lower_bound(unit: MaoUnit, model: ProcessorModel, *,
     can in principle land below it, which only makes the stop fire
     sooner.
     """
-    if not unit.functions:
-        raise PredictError("unit has no functions")
-    if function is not None:
-        try:
-            func = unit.function_named(function)
-        except KeyError:
-            raise PredictError("no function named %r" % function)
-    else:
-        func = unit.functions[0]
-
-    placement, _symtab = _function_layout(unit, func)
-    loops = find_loops(unit, func)
-    selected = select_loop(loops, loop)
-    if selected is not None:
-        body_entries = selected.body
-        loop_carried = True
-    else:
-        body_entries = [e for e in func.instructions() if e in placement]
-        loop_carried = False
-        if not body_entries:
-            raise PredictError("function %r has no encodable instructions"
-                               % func.name)
+    _func, _placement, selected, body_entries = _analyzed_body(
+        unit, function, loop)
+    loop_carried = selected is not None
     body = [entry.insn for entry in body_entries if not entry.insn.is_nop]
     if not body:
         return 1.0

@@ -93,7 +93,6 @@ class TestSchemaRegistry:
         import repro.obs.span        # noqa: F401
         import repro.passes.manager  # noqa: F401
         import repro.server.app      # noqa: F401
-        import repro.server.fleet    # noqa: F401
         import repro.tune            # noqa: F401
         import repro.uarch.static_model  # noqa: F401
 
@@ -107,9 +106,9 @@ class TestSchemaRegistry:
                 ("pipeline", "pymao.pipeline/1"),
                 ("artifact", "pymao.artifact/1"),
                 ("trace", "pymao.trace/1"),
-                ("server", "pymao.server/1"),
-                ("fleet", "pymao.fleet/1")):
+                ("server", "pymao.server/1")):
             assert registry.get(label) == schema
+        assert registry.get("fleet") is None
 
     def test_iter_schemas_sorted_by_label(self):
         labels = [label for label, _ in iter_schemas()]

@@ -476,9 +476,9 @@ class TestVersion:
         for label, schema in (("optimize", "pymao.optimize/1"),
                               ("sim", "pymao.sim/1"),
                               ("tune", "pymao.tune/1"),
-                              ("server", "pymao.server/1"),
-                              ("fleet", "pymao.fleet/1")):
+                              ("server", "pymao.server/1")):
             assert "schema %-13s %s" % (label, schema) in out
+        assert "pymao.fleet/1" not in out
         labels = [line.split()[1] for line in out.splitlines()
                   if line.startswith("schema ")]
         assert labels == sorted(labels)

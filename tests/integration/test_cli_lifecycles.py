@@ -4,8 +4,8 @@ The in-process tests call ``repro.cli.main`` or the APIs.  These start
 ``python -m repro.cli`` the way a user or a build does, and check what
 only a separate process shows:
 
-* ``mao serve`` and ``mao fleet`` answer requests, then drain to exit
-  code 0 on SIGTERM;
+* ``mao serve`` answers requests on either pool kind, then drains to
+  exit code 0 on SIGTERM;
 * a warm ``mao tune`` in a fresh process replays from the on-disk store;
 * two ``mao profile --ingest`` runs fill a store that drives
   profile-guided optimization;
@@ -65,8 +65,8 @@ def mao(*args: str) -> subprocess.CompletedProcess:
 
 @contextlib.contextmanager
 def mao_service(*args: str):
-    """Start ``mao serve`` or ``mao fleet`` on an ephemeral port and
-    yield the port; afterwards SIGTERM it and require exit code 0."""
+    """Start ``mao serve`` on an ephemeral port and yield the port;
+    afterwards SIGTERM it and require exit code 0."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", *args, "--port", "0"],
         stdout=subprocess.PIPE, text=True, env=_env())
@@ -94,8 +94,11 @@ def test_serve_answers_then_drains(tmp_path):
     assert "testl" not in result["asm"]
 
 
-def test_fleet_simulates_and_replays_a_tune_then_drains(tmp_path):
-    with mao_service("fleet", "--workers", "2", "--worker-inflight", "1",
+def test_process_pool_simulates_and_replays_a_tune_then_drains(tmp_path):
+    """The warm tune replays every prefix the cold one stored, whichever
+    pool process runs it."""
+    with mao_service("serve", "--parallel-backend", "process",
+                     "--max-inflight", "2",
                      "--cache-dir", str(tmp_path)) as port:
         with Client(port=port, retries=3) as client:
             sim = client.simulate(workload="hash_bench", core="core2",

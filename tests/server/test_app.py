@@ -4,6 +4,7 @@ import http.client
 import json
 import os
 import threading
+import uuid
 
 import pytest
 
@@ -135,10 +136,16 @@ class TestEndpoints:
         assert values["tune.requests"] >= 1
 
     def test_tune_warm_retune_replays_from_shared_cache(self, client):
+        from repro.workloads.kernels import mcf_fig1
+
         cold = client.tune(workload="mcf_fig1", core="opteron")
         warm = client.tune(workload="mcf_fig1", core="opteron")
         assert warm["tune"]["pass_runs"]["executed"] == 0
         assert warm["tune"]["winner"] == cold["tune"]["winner"]
+        # By text, the same kernel replays the prefixes stored by name.
+        by_text = client.tune(source=mcf_fig1(), core="opteron")
+        assert by_text["tune"]["pass_runs"]["executed"] == 0
+        assert by_text["tune"]["winner"] == cold["tune"]["winner"]
 
     def test_metrics_is_trace_event(self, client):
         client.optimize(SOURCE, "REDTEST")
@@ -341,6 +348,64 @@ class TestLimitsAndBackends:
         states = sorted(result["cache"] for result in results)
         assert states == ["coalesced", "miss"]
         assert results[0]["asm"] == results[1]["asm"]
+
+
+class TestCrossInstanceCoherence:
+    def test_two_servers_sharing_a_store_share_artifacts(self, tmp_path):
+        """A put by server A is a hit for server B over the same store,
+        so a restarted server replays what its predecessor stored."""
+        shared = dict(cache_dir=str(tmp_path / "store"),
+                      cache_salt="coherence-%s" % uuid.uuid4().hex)
+        with ServerThread(ServerConfig(port=0, **shared)) as a:
+            with Client(port=a.port) as client:
+                first = client.optimize(SOURCE, "LOOP16")
+        with ServerThread(ServerConfig(port=0, **shared)) as b:
+            with Client(port=b.port) as client:
+                second = client.optimize(SOURCE, "LOOP16")
+        assert first["cache"] == "miss"
+        assert second["cache"] == "hit"
+        assert second["asm"] == first["asm"]
+
+
+class TestWorkerCounters:
+    """Counters a worker moves reach the server's registry on both pool
+    kinds: a process-pool reply carries its worker's counter deltas."""
+
+    @staticmethod
+    def _worker_counters():
+        return {name: value for name, value
+                in obs.REGISTRY.snapshot(collectors=False).items()
+                if name.startswith(("batch.", "pass."))}
+
+    @classmethod
+    def _moved(cls, backend, cache_dir):
+        config = ServerConfig(port=0, parallel_backend=backend,
+                              max_inflight=2, cache_dir=cache_dir)
+        before = cls._worker_counters()
+        with ServerThread(config) as handle:
+            with Client(port=handle.port, retries=0) as client:
+                client.optimize(SOURCE, "REDTEST")
+                client.optimize(SOURCE, "REDTEST")
+                client.batch([("a.s", SOURCE), ("b.s", BAD_SOURCE)],
+                             "REDZEE:REDTEST")
+                with pytest.raises(ServerError):
+                    client.optimize(BAD_SOURCE, "REDTEST")
+        after = cls._worker_counters()
+        return {name: value - before.get(name, 0)
+                for name, value in after.items()
+                if value != before.get(name, 0)}
+
+    def test_both_pool_kinds_move_the_same_counters(self, tmp_path):
+        thread = self._moved("thread", str(tmp_path / "thread"))
+        process = self._moved("process", str(tmp_path / "process"))
+        assert process == thread
+        # Optimize miss, optimize hit, two batch misses (one stored, one
+        # unparsable) and an unparsable optimize.
+        assert thread["batch.cache.miss"] == 4
+        assert thread["batch.cache.hit"] == 1
+        assert thread["batch.cache.store"] == 2
+        assert thread["pass.REDTEST.runs"] == 2
+        assert thread["pass.REDZEE.runs"] == 1
 
 
 class TestTracing:

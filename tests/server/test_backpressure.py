@@ -119,7 +119,7 @@ class TestBackpressure:
                     metrics = client.metrics()
                     assert metrics["type"] == "metrics"
                     # The registry gauges mirror the live admission
-                    # numbers — the fleet's merged /metrics sums these.
+                    # numbers.
                     assert metrics["values"]["server.inflight"] == 1
                     assert metrics["values"]["server.queue_depth"] == 0
             finally:

@@ -164,7 +164,7 @@ class TestKeepAlive:
 
     def test_stale_keepalive_is_replayed_free_of_retry_budget(self):
         """The server closes each connection after one response (what a
-        draining fleet worker does to idle sockets).  With retries=0 the
+        draining server does to idle sockets).  With retries=0 the
         next request still succeeds: a failure on a reused connection is
         replayed once on a fresh one without touching the budget."""
         with KeepAliveServer(per_conn=1) as server:

@@ -90,3 +90,21 @@ class TestValidation:
             client.profile({"schema": PROFILE_SCHEMA, "digest": "nope",
                             "weight": 1})
         assert excinfo.value.status == 400
+
+
+class TestRestartPersistence:
+    def test_restart_preserves_the_profile_store(self, tmp_path):
+        """Ingest, drain, then read back from a fresh server (fresh pool
+        processes) over the same directory: a restart keeps the store."""
+        config = ServerConfig(port=0, cache=False, parallel_backend="process",
+                              max_inflight=1, profile_dir=str(tmp_path))
+        document = make_doc(weight=987.0)
+        with ServerThread(config) as first:
+            with Client(port=first.port) as handle:
+                stored = handle.profile(document)["profile"]
+        with ServerThread(config) as second:
+            with Client(port=second.port) as handle:
+                after = handle.profile(digest=document["digest"])
+        assert after["found"] is True
+        assert after["profile"]["weight"] == 987.0
+        assert after["profile"]["epoch"] == stored["epoch"]

@@ -86,6 +86,21 @@ class TestLoopExtraction:
         assert prediction.loop_label is None
         assert prediction.cycles > 0
 
+    def test_one_relaxation_per_call(self, monkeypatch):
+        """The placement and the loops come from one relaxation."""
+        from repro.ir import parse_unit
+
+        calls = []
+        relax = static_model.relax_unit
+        monkeypatch.setattr(static_model, "relax_unit",
+                            lambda unit: calls.append(1) or relax(unit))
+        api.predict(kernels.fig4_loop(iterations=3600), "core2",
+                    loop=".Ll0")
+        assert len(calls) == 1
+        static_model.static_lower_bound(parse_unit(kernels.fig4_loop()),
+                                        core2())
+        assert len(calls) == 2
+
 
 class TestBounds:
     CORES = [core2, opteron]
