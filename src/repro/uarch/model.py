@@ -64,6 +64,9 @@ class ProcessorModel:
     bp_mispredict_penalty: int = 15
 
     # ---- back end ---------------------------------------------------------------
+    #: Uops issued per cycle.  Profiles and discovery carry it and the
+    #: static predictor's throughput bound reads it; the timing pipeline
+    #: does not model it.
     issue_width: int = 4
     #: port -> description (informational); uop class -> usable ports below.
     num_ports: int = 6
@@ -71,7 +74,11 @@ class ProcessorModel:
     latency: Dict[str, int] = field(default_factory=dict)
     #: Results forwardable to dependents per cycle (§III.F bandwidth limit).
     forwarding_bw: int = 3
-    #: Reservation-station size; full RS stalls issue.
+    #: Reservation-station size.  Profiles and discovery carry it; the
+    #: timing pipeline does not model it, so nothing bounds how far the
+    #: front end runs ahead of a backend-bound loop.  Such a loop's
+    #: completion clocks fall further behind every iteration, which is why
+    #: loop fast-forward declines on it.
     rs_size: int = 32
 
     # ---- data cache -------------------------------------------------------------

@@ -35,12 +35,16 @@ effective addresses and the exit's outcome.  Two feeds share it:
 **Steady-state fast-forward** — :class:`FastForwardEngine` watches for a
 loop (a block whose exit is a taken backward branch) whose iterations
 repeat the exact same block executions (block, effective addresses,
-outcome).  After K identical iterations it snapshots the pipeline,
-replays one period, and checks the *soundness condition*: every piece of
-clock-typed state advanced by exactly the same constant ``c`` (or is dead
-— at or below the fetch horizon, where it can never again win a ``max``
-against a ready time), and every piece of pattern-typed state (predictor
-counters, cache tags/LRU, LSD tracking) is a fixed point of the iteration.
+outcome).  Each loop's iteration is everything executed between two of
+its back-edges, inner loops included, so a nest whose outer iterations
+repeat exactly is skipped whole even when its inner loops never repeat
+often enough on their own.  After K identical iterations it snapshots
+the pipeline, replays one period, and checks the *soundness condition*:
+every piece of clock-typed state advanced by exactly the same constant
+``c`` (or is dead — at or below the fetch horizon, where it can never
+again win a ``max`` against a ready time), and every piece of
+pattern-typed state (predictor counters, cache tags/LRU, LSD tracking)
+is a fixed point of the iteration.
 Because the pipeline transition combines clocks only through
 ``+const``/``max`` against values at or above the horizon, a validated
 iteration implies N iterations advance every live clock by ``N*c`` and
@@ -663,19 +667,60 @@ def _ff_apply(pl: PipelineSimulator, delta: dict, repeats: int) -> None:
     pl.lsd.iterations += delta["lsd_iters"] * repeats
 
 
+class _Loop:
+    """Fast-forward state of one loop key (a taken backward branch).
+
+    ``start`` is the log index where the loop's open iteration began (None
+    once that iteration outgrew ``max_body``), ``start_records`` the
+    engine's record count at that point, ``sig`` the fingerprint of its
+    last iteration and ``backlog`` how far the back end trailed the front
+    end at a recent back-edge.  Repeats, period, failures and the retry
+    point belong to the loop, so an inner loop never resets its outer one.
+    """
+
+    __slots__ = ("start", "start_records", "sig", "repeats", "period",
+                 "fails", "retry_at", "backlog")
+
+    def __init__(self, start: int, records: int, retry_at: int) -> None:
+        self.start: Optional[int] = start
+        self.start_records = records
+        self.sig: Optional[list] = None
+        self.repeats = 0
+        self.period = 1
+        self.fails = 0
+        self.retry_at = retry_at
+        self.backlog = 0
+
+
 class FastForwardEngine:
     """Wrapper around a PipelineSimulator that skips steady loops.
 
-    Call ``time_block`` on it like on a pipeline.  It keys loops by the
-    block whose exit is a taken backward branch, fingerprints each
-    iteration as the tuple of ``(facts, eas, taken)`` block executions in
-    its body, and once ``min_repeats`` consecutive iterations fingerprint
-    identically it measures one period and validates the soundness
-    condition (see ``_ff_delta``).  While a validated loop keeps matching,
-    whole iterations are replaced by one ``_ff_apply`` per drained batch;
-    the first diverging block execution replays any buffered partial
-    iteration through the normal walk, so exits are exact.  The body
-    limit and every statistic count records (executed instructions).
+    Call ``time_block`` on it like on a pipeline.  It logs every scanned
+    ``(facts, eas, taken)`` block execution in one list.  A loop is keyed
+    by the block whose exit is a taken backward branch; each loop
+    remembers where its open iteration began in the log, so when its
+    back-edge is taken again its fingerprint is the log since then,
+    inner-loop executions included, and a nest whose outer iterations
+    repeat exactly is skipped at the outer level.  Once ``min_repeats``
+    consecutive iterations of a loop fingerprint identically, the engine
+    measures one period of that loop and validates the soundness
+    condition (see ``_ff_delta``).  While the validated loop keeps
+    matching, whole iterations are replaced by one ``_ff_apply`` per
+    drained batch; the first diverging block execution replays any
+    buffered partial iteration through the normal walk, so exits are
+    exact.  One loop at a time is measured or skipped.
+
+    Skipped executions never enter the log, so the fingerprint of a loop
+    enclosing a skip lacks them: it never starts a measurement, and what
+    is skipped is always ``period`` copies of the iteration timed between
+    the two snapshots.  An iteration longer than ``max_body`` records
+    makes its loop no candidate, and the log keeps nothing older than the
+    oldest open iteration within that limit (trimmed once per
+    ``max_body`` records, never per back-edge).  A loop whose back end
+    fell further behind its front end in its last iteration is refused
+    without a snapshot.  The body limit and every statistic count records
+    (executed instructions); ``iterations`` count iterations of whichever
+    loop was skipped, outer loops included.
     """
 
     def __init__(self, pipeline: PipelineSimulator, min_repeats: int = 8,
@@ -684,22 +729,20 @@ class FastForwardEngine:
         self.min_repeats = min_repeats
         self.max_body = max_body
 
-        self.cur: List[tuple] = []          # blocks since last boundary
-        self.cur_records = 0
-        self.key: Optional[tuple] = None    # (branch addr, target)
-        self.prev_sig: Optional[tuple] = None
-        self.repeats = 0
-        self._retry_at: Dict[tuple, int] = {}
+        self.log: List[tuple] = []          # scanned block executions
+        self.records = 0                    # records scanned so far
+        self._trim_at = max_body
+        self.loops: Dict[tuple, _Loop] = {}  # by (branch addr, target)
+        self._gap = 0                       # log index of the last skip
 
-        self.measuring = False
+        self.measured: Optional[_Loop] = None
         self.measure_left = 0
         self.s0: Optional[dict] = None
-        self.period = 1
-        self.fails = 0
 
         self.skipping = False
-        self.unit_sig: Tuple[tuple, ...] = ()
+        self.unit_sig: List[tuple] = []
         self.unit_records = 0
+        self.unit_period = 1
         self.pos = 0
         self.buf: List[tuple] = []
         self.pending = 0
@@ -733,9 +776,11 @@ class FastForwardEngine:
         self.pos = 0
         if pending:
             _ff_apply(self.pl, self.delta, pending)
-            _FF_STATS["iterations_fast_forwarded"] += pending * self.period
+            _FF_STATS["iterations_fast_forwarded"] += \
+                pending * self.unit_period
             _FF_STATS["records_fast_forwarded"] += \
                 pending * self.unit_records
+            self._gap = len(self.log)
         self._draining = True
         try:
             for execution in buffered:
@@ -748,71 +793,136 @@ class FastForwardEngine:
     def _scan(self, facts: _BlockFacts, eas: List[Optional[int]],
               taken: Optional[bool]) -> None:
         self.pl.time_block(facts, eas, taken)
-        self.cur.append((facts, eas, taken))
-        self.cur_records += len(eas)
+        self.log.append((facts, eas, taken))
+        self.records += len(eas)
         if taken and facts.loop_key is not None:
             self._boundary(facts.loop_key)
-            return
-        if self.cur_records > self.max_body:
-            self.cur = []
-            self.cur_records = 0
-            self.prev_sig = None
-            self.repeats = 0
-            self.measuring = False
+        if self.records > self._trim_at:
+            self._trim()
+
+    def _trim(self) -> None:
+        """Close iterations over ``max_body`` and drop the log before the
+        oldest open one; runs once per ``max_body`` scanned records."""
+        oldest = self.records - self.max_body
+        keep = len(self.log)
+        for loop in self.loops.values():
+            if loop.start is None:
+                continue
+            if loop.start_records < oldest:
+                loop.start = loop.sig = None
+                loop.repeats = 0
+                if self.measured is loop:
+                    self.measured = None
+            elif loop.start < keep:
+                keep = loop.start
+        del self.log[:keep]
+        for loop in self.loops.values():
+            if loop.start is not None:
+                loop.start -= keep
+        self._gap -= keep
+        self._trim_at = self.records + self.max_body
 
     def _boundary(self, key: tuple) -> None:
-        sig = tuple(self.cur)
-        records = self.cur_records
-        self.cur = []
-        self.cur_records = 0
-        if self.measuring:
-            if key == self.key and sig == self.prev_sig:
-                self.measure_left -= 1
-                if self.measure_left > 0:
-                    return
-                s1 = self.pl._ff_snapshot()
-                delta = _ff_delta(self.s0, s1, records * self.period)
-                if delta is not None:
-                    self.measuring = False
-                    self.delta = delta
-                    self.unit_sig = sig * self.period
-                    self.unit_records = records * self.period
-                    self.skipping = True
-                    self.pos = 0
-                    self.pending = 0
-                    self.buf = []
-                    _FF_STATS["loops_entered"] += 1
-                    return
-                _FF_STATS["validation_failures"] += 1
-                self.fails += 1
-                if self.fails >= 6:
-                    # Not steady yet (warm-up, drifting clocks): back off
-                    # exponentially before re-arming this loop.
-                    self._retry_at[key] = self.repeats * 2 + 16
-                    self.measuring = False
-                    return
-                if self.fails in (2, 4):
-                    # A period-p pattern (e.g. decode slots realigning
-                    # every other iteration) validates at a multiple.
-                    self.period *= 2
-                self.s0 = s1
-                self.measure_left = self.period
-                return
-            self.measuring = False   # pattern broke mid-measurement
-        if key == self.key and sig == self.prev_sig:
-            self.repeats += 1
-            if not self._draining and not self.skipping \
-                    and self.repeats >= self._retry_at.get(
-                        key, self.min_repeats):
-                self.s0 = self.pl._ff_snapshot()
-                self.measure_left = self.period
-                self.measuring = True
-        else:
-            self.key = key
-            self.prev_sig = sig
-            self.repeats = 0
-            self.period = 1
-            self.fails = 0
+        loop = self.loops.get(key)
+        log = self.log
+        now = self.records
+        if loop is None:
+            self.loops[key] = _Loop(len(log), now, self.min_repeats)
+            return
+        start = loop.start
+        records = now - loop.start_records
+        loop.start = len(log)
+        loop.start_records = now
+        if start is None or records > self.max_body:
+            # An iteration over the body limit: no candidate.
+            if self.measured is loop:
+                self.measured = None
+            loop.sig = None
+            loop.repeats = 0
+            return
+        sig = log[start:]
+        if self.measured is not None and self._measure(loop, sig, records):
+            return
+        if sig != loop.sig:
+            loop.sig = sig
+            loop.repeats = 0
+            loop.period = 1
+            loop.fails = 0
+            return
+        loop.repeats += 1
+        # A fingerprint across a skip lacks the skipped executions, so it
+        # never starts a measurement.
+        if loop.repeats >= loop.retry_at - 1 and self.measured is None \
+                and not self._draining and start >= self._gap:
+            self._arm(loop)
+
+    def _arm(self, loop: _Loop) -> None:
+        """Start measuring *loop* at its ``retry_at``-th repeat.
+
+        A loop whose back end fell further behind its front end in its
+        last iteration (``last_completion - frontend_cycle`` grew) is not
+        steady: it counts as a validation failure and backs off without a
+        snapshot.  Backend-bound loops are refused this way every time.
+        """
+        pl = self.pl
+        backlog = pl.last_completion - pl.frontend_cycle
+        grew = backlog > 0 and backlog > loop.backlog
+        loop.backlog = backlog
+        if loop.repeats < loop.retry_at:
+            return
+        if grew:
+            _FF_STATS["validation_failures"] += 1
+            loop.retry_at = loop.repeats * 2 + 16
+            return
+        self.measured = loop
+        self.measure_left = loop.period
+        self.s0 = pl._ff_snapshot()
+
+    def _measure(self, loop: _Loop, sig: list, records: int) -> bool:
+        """Advance the measurement at a back-edge of *loop*; True when the
+        back-edge is accounted for, False when *loop* goes on as usual."""
+        measured = self.measured
+        if measured is not loop:
+            if len(self.log) - measured.start > len(measured.sig):
+                # The measured loop's open iteration outgrew its
+                # fingerprint, so it cannot match: the loop has exited.
+                self.measured = None
+            return False
+        if sig != loop.sig:
+            self.measured = None     # pattern broke mid-measurement
+            return False
+        self.measure_left -= 1
+        if self.measure_left > 0:
+            return True
+        s1 = self.pl._ff_snapshot()
+        delta = _ff_delta(self.s0, s1, records * loop.period)
+        if delta is not None:
+            self.measured = None
+            self.delta = delta
+            self.unit_sig = sig * loop.period
+            self.unit_records = records * loop.period
+            self.unit_period = loop.period
+            self.skipping = True
+            self.pos = 0
+            self.pending = 0
+            self.buf = []
+            _FF_STATS["loops_entered"] += 1
+            return True
+        _FF_STATS["validation_failures"] += 1
+        loop.fails += 1
+        if loop.fails >= 6:
+            # Not steady yet (warm-up, drifting clocks): back off
+            # exponentially before re-arming this loop.
+            loop.retry_at = loop.repeats * 2 + 16
+            self.measured = None
+            return True
+        if loop.fails in (2, 4):
+            # A period-p pattern (e.g. decode slots realigning every
+            # other iteration) validates at a multiple.
+            loop.period *= 2
+        self.s0 = s1
+        self.measure_left = loop.period
+        return True
 
     def finish(self) -> SimStats:
         if self.skipping:
