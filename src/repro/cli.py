@@ -54,6 +54,7 @@ from typing import List, Optional
 import repro.passes  # noqa: F401  (registers all built-in passes)
 from repro import api, obs
 from repro.passes.manager import parse_pass_spec, registered_passes
+from repro.x86.parser import ParseError
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -133,6 +134,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
     return value
+
+
+def _input_error(prog: str, path: str, exc: ParseError) -> int:
+    """Report malformed input on one line, as batch mode does."""
+    sys.stderr.write("%s: %s: %s: %s\n"
+                     % (prog, path, type(exc).__name__, exc))
+    return 1
 
 
 def expand_inputs(patterns: List[str]) -> List[str]:
@@ -250,6 +258,8 @@ def predict_main(argv: List[str]) -> int:
         prediction = api.predict(target, args.core,
                                  function=args.function, loop=args.loop,
                                  assume_lsd=args.assume_lsd)
+    except ParseError as exc:
+        return _input_error("mao predict", args.input, exc)
     except (PredictError, ValueError) as exc:
         sys.stderr.write("mao predict: %s\n" % exc)
         return 1
@@ -341,6 +351,8 @@ def tune_main(argv: List[str]) -> int:
                           cache=not args.no_cache,
                           cache_dir=args.cache_dir)
     except (TuneError, ValueError) as exc:
+        if isinstance(exc.__cause__, ParseError):
+            return _input_error("mao tune", args.input, exc.__cause__)
         sys.stderr.write("mao tune: %s\n" % exc)
         return 1
 
@@ -657,7 +669,10 @@ def _run_single(args, parser, input_path: str, spec_items) -> int:
     if args.output and not any(name == "ASM" for name, _ in spec_items):
         spec_items = spec_items + [("ASM", {"o": args.output})]
 
-    result = api.optimize(source, spec_items, filename=input_path)
+    try:
+        result = api.optimize(source, spec_items, filename=input_path)
+    except ParseError as exc:
+        return _input_error("mao", input_path, exc)
     sim = None
     if args.sim:
         names = [f.name for f in result.unit.functions]

@@ -36,7 +36,7 @@ _SECTION_DIRECTIVES = {"text", "data", "bss", "rodata"}
 
 
 def _section_from_directive(unit: MaoUnit,
-                            directive: ParsedDirective) -> Optional[Section]:
+                            directive: DirectiveEntry) -> Optional[Section]:
     name = directive.name
     if name in _SECTION_DIRECTIVES:
         return unit.get_section("." + name)
@@ -75,7 +75,7 @@ def build_unit(statements: List[Statement],
                 args = entry.str_args()
                 if len(args) >= 2 and args[1].lstrip("@%") == "function":
                     function_symbols.add(args[0])
-            new_section = _section_from_directive(unit, stmt)
+            new_section = _section_from_directive(unit, entry)
             if new_section is not None:
                 if stmt.name == "pushsection":
                     section_stack.append(current)

@@ -519,7 +519,7 @@ def tune(source: str, core, *,
             lower_bound = static_model.static_lower_bound(
                 unit, model, function=function)
         except (static_model.PredictError, ValueError) as exc:
-            raise TuneError("cannot tune input: %s" % exc)
+            raise TuneError("cannot tune input: %s" % exc) from exc
 
         evaluator = _PrefixEvaluator(source, cache, jobs)
         scored: List[_Candidate] = []

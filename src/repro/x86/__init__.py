@@ -1,9 +1,9 @@
 """x86-64 assembler substrate.
 
 This subpackage replaces the role GNU binutils/gas plays in the original MAO:
-it tokenizes and parses assembly text (AT&T and basic Intel syntax), models
-the register file and instruction set, and produces true x86-64 binary
-encodings so instruction lengths and addresses are exact.
+it parses assembly text (AT&T and basic Intel syntax), models the register
+file and instruction set, and produces true x86-64 binary encodings so
+instruction lengths and addresses are exact.
 """
 
 from repro.x86.registers import Register, get_register, alias_group

@@ -1,20 +1,19 @@
-"""Tokenization of assembly source text.
+"""Line-level scanning of assembly source text.
 
 The lexer is line-oriented, matching how gas treats assembly input.  It
 splits a source string into logical statements (handling ``;`` statement
-separators and ``#`` comments outside string literals) and provides a small
-regex tokenizer for operand expressions.
+separators and ``#`` comments outside string literals) and splits operand
+and argument lists on their top-level commas.  ``repro.x86.parser`` reads
+each operand.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLine:
+class SourceLine(NamedTuple):
     """One logical assembly statement with its source line number."""
 
     text: str
@@ -70,87 +69,25 @@ def logical_lines(source: str) -> Iterator[SourceLine]:
                 yield SourceLine(stmt, lineno)
 
 
-# ---------------------------------------------------------------------------
-# Operand-expression tokenizer.
-# ---------------------------------------------------------------------------
-
-TOKEN_RE = re.compile(r"""
-    (?P<REG>%[a-zA-Z][a-zA-Z0-9]*)
-  | (?P<NUMBER>-?0[xX][0-9a-fA-F]+|-?\d+)
-  | (?P<IDENT>[.@_a-zA-Z][.@_$a-zA-Z0-9]*)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<COMMA>,)
-  | (?P<PLUS>\+)
-  | (?P<MINUS>-)
-  | (?P<STAR>\*)
-  | (?P<DOLLAR>\$)
-  | (?P<WS>\s+)
-""", re.VERBOSE)
-
-
-Token = Tuple[str, str]
-
-# Token interning: corpus-scale parsing sees the same registers, opcodes,
-# and punctuation on nearly every line, and allocating a fresh tuple per
-# occurrence duplicates them millions of times.  Tokens are immutable, so
-# one shared tuple per distinct (kind, text) is safe; the table is bounded
-# because IDENT/NUMBER texts (labels, displacements) are open-ended —
-# once full, rare tokens simply stop being shared.
-_INTERN_MAX = 65536
-_TOKEN_INTERN: dict = {}
-
-
-def _intern_token(kind: str, text: str) -> Token:
-    key = (kind, text)
-    token = _TOKEN_INTERN.get(key)
-    if token is None:
-        if len(_TOKEN_INTERN) >= _INTERN_MAX:
-            return key
-        _TOKEN_INTERN[key] = token = key
-    return token
-
-
-class LexError(Exception):
-    pass
-
-
-def tokenize_operand(text: str) -> List[Token]:
-    """Tokenize an operand string into (kind, text) pairs (whitespace
-    dropped).  Tokens are interned: two parses of the same text yield the
-    *same* tuple objects."""
-    tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        match = TOKEN_RE.match(text, pos)
-        if match is None:
-            raise LexError("cannot tokenize operand %r at %r"
-                           % (text, text[pos:]))
-        kind = match.lastgroup
-        if kind != "WS":
-            tokens.append(_intern_token(kind, match.group()))
-        pos = match.end()
-    return tokens
-
-
 def split_operands(text: str) -> List[str]:
-    """Split an operand list on top-level commas (not inside parentheses)."""
-    parts: List[str] = []
-    depth = 0
-    current: List[str] = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        parts.append(tail)
+    """Split an operand list on top-level commas (not inside parentheses).
+
+    Each part is stripped; an empty last part is dropped."""
+    pieces = text.split(",")
+    if "(" in text or ")" in text:
+        # A comma splits only where the parentheses before it balance.
+        joined: List[str] = []
+        depth = 0
+        for piece in pieces:
+            if depth:
+                joined[-1] += "," + piece
+            else:
+                joined.append(piece)
+            depth += piece.count("(") - piece.count(")")
+        pieces = joined
+    parts = [piece.strip() for piece in pieces]
+    if not parts[-1]:
+        parts.pop()
     return parts
 
 

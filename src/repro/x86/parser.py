@@ -8,18 +8,25 @@ the first "pass" and produces the raw entry stream.
 Unknown mnemonics do not abort parsing; they become :class:`ParsedOpaque`
 statements that are carried through the IR and re-emitted verbatim (they
 just cannot be encoded or simulated).
+
+Each operand is read with one structural scan: its first character picks
+the form, a memory operand is cut at ``(`` and its commas, and a
+displacement or immediate is one compiled scan of signed terms.  Every
+mention of a register shares one :class:`Register`, and every bare
+register operand one :class:`RegisterOperand`.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.x86 import lexer
 from repro.x86.instruction import Instruction
 from repro.x86.isa import UnknownMnemonic
-from repro.x86.lexer import Token, split_operands, tokenize_operand
+from repro.x86.lexer import split_operands
 from repro.x86.operands import (
     Immediate,
     LabelRef,
@@ -27,10 +34,10 @@ from repro.x86.operands import (
     Operand,
     RegisterOperand,
 )
-from repro.x86.registers import get_register, is_register_name
+from repro.x86.registers import ALL_GROUPS, Register, registers_in_group
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     """Malformed assembly input."""
 
     def __init__(self, message: str, lineno: Optional[int] = None) -> None:
@@ -51,21 +58,6 @@ class ParsedDirective:
     name: str               # without the leading dot, e.g. "p2align"
     args: str               # raw argument string
     lineno: int = 0
-
-    def int_args(self) -> List[int]:
-        """Comma-separated integer arguments (missing entries skipped)."""
-        values = []
-        for part in split_operands(self.args):
-            part = part.strip()
-            if part:
-                try:
-                    values.append(lexer.parse_integer(part))
-                except ValueError:
-                    pass
-        return values
-
-    def str_args(self) -> List[str]:
-        return [p.strip() for p in split_operands(self.args) if p.strip()]
 
 
 @dataclass
@@ -88,164 +80,144 @@ Statement = Union[ParsedLabel, ParsedDirective, ParsedInstruction,
 _PREFIX_MNEMONICS = ("lock", "rep", "repz", "repnz", "repe", "repne")
 
 
-class _OperandParser:
-    """Recursive-descent parser over operand tokens."""
+#: Each register by its AT&T spelling (``%rax``), and the one immutable
+#: operand handed out for every bare mention of it.
+_REGISTERS: Dict[str, Register] = {
+    "%" + reg.name: reg
+    for group in ALL_GROUPS for reg in registers_in_group(group)}
+_REGISTER_OPERANDS: Dict[str, RegisterOperand] = {
+    text: RegisterOperand(reg) for text, reg in _REGISTERS.items()}
 
-    def __init__(self, tokens: List[Token], is_branch: bool,
-                 lineno: int) -> None:
-        self.tokens = tokens
-        self.pos = 0
-        self.is_branch = is_branch
-        self.lineno = lineno
+#: One signed term of an expression: a run of signs and whitespace, then
+#: a hex or decimal number or a symbol.
+_TERM = re.compile(r"([-+\s]*)(?:(0[xX][0-9a-fA-F]+|\d+)"
+                   r"|([.@_a-zA-Z][.@_$a-zA-Z0-9]*))")
+#: What may follow an expression's last term.
+_SIGNS = re.compile(r"[-+\s]*")
+#: A scale: a signed hex or decimal number.
+_NUMBER = re.compile(r"-?(?:0[xX][0-9a-fA-F]+|\d+)")
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of operand", self.lineno)
-        self.pos += 1
-        return token
+def _integer(text: str, lineno: int) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ParseError("bad number %r" % text, lineno) from None
 
-    def expect(self, kind: str) -> Token:
-        token = self.next()
-        if token[0] != kind:
-            raise ParseError("expected %s, got %r" % (kind, token[1]),
-                             self.lineno)
-        return token
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+def _expression(text: str, lineno: int) -> Tuple[int, Optional[str]]:
+    """Read ``text`` as signed terms into ``(value, symbol)``.
 
-    # -- grammar ------------------------------------------------------------
-
-    def parse(self) -> Operand:
-        token = self.peek()
-        if token is None:
-            raise ParseError("empty operand", self.lineno)
-        kind = token[0]
-        if kind == "DOLLAR":
-            self.next()
-            return self._immediate()
-        if kind == "STAR":
-            self.next()
-            return self._indirect()
-        if kind == "REG":
-            self.next()
-            return RegisterOperand(self._register(token[1]))
-        return self._memory_or_label(indirect=False)
-
-    def _register(self, text: str):
-        name = text[1:]
-        if not is_register_name(name):
-            raise ParseError("unknown register %r" % text, self.lineno)
-        return get_register(name)
-
-    def _immediate(self) -> Immediate:
-        value, symbol = self._expr()
-        return Immediate(value, symbol=symbol)
-
-    def _indirect(self) -> Operand:
-        token = self.peek()
-        if token is not None and token[0] == "REG":
-            self.next()
-            return RegisterOperand(self._register(token[1]), indirect=True)
-        mem = self._memory_or_label(indirect=True)
-        if isinstance(mem, LabelRef):
-            # "*symbol" is a memory-indirect jump through `symbol`.
-            return Memory(symbol=mem.name, indirect=True)
-        return mem
-
-    def _expr(self) -> Tuple[int, Optional[str]]:
-        """Parse ``[sym|num] ([+-] [sym|num])*`` into (value, symbol)."""
-        value = 0
-        symbol: Optional[str] = None
-        sign = 1
-        expect_term = True
-        while True:
-            token = self.peek()
-            if token is None:
+    Each term after the first needs a sign before it.  In a run of
+    signs a ``+`` sets the sign to plus and each ``-`` flips it, so
+    ``--8`` and ``-+8`` are 8 and ``buf-8`` is ``-8+buf``.  At most one
+    term is a symbol, never negated.  Signs may trail the last term.
+    """
+    value = 0
+    symbol = None
+    pos = 0
+    end = len(text)
+    while pos < end:
+        match = _TERM.match(text, pos)
+        if match is None:
+            break
+        signs, number, name = match.groups()
+        negative = False
+        if signs:
+            if pos and not signs.strip():
                 break
-            kind, text = token
-            if expect_term and kind == "NUMBER":
-                self.next()
-                value += sign * lexer.parse_integer(text)
-            elif expect_term and kind == "IDENT":
-                self.next()
-                if symbol is not None:
-                    raise ParseError("two symbols in one expression",
-                                     self.lineno)
-                if sign < 0:
-                    raise ParseError("negated symbol in expression",
-                                     self.lineno)
-                symbol = text
-            elif expect_term and kind == "MINUS":
-                self.next()
-                sign = -sign
-                continue
-            elif kind == "NUMBER" and text[0] == "-":
-                # The lexer reads "buf-8" as IDENT "buf", NUMBER "-8".
-                self.next()
-                value += lexer.parse_integer(text)
-                continue
-            elif kind == "PLUS":
-                self.next()
-                sign = 1
-            elif kind == "MINUS":
-                self.next()
-                sign = -1
-            else:
-                break
-            expect_term = kind in ("PLUS", "MINUS")
-        return value, symbol
+            negative = signs[signs.rfind("+") + 1:].count("-") & 1
+        elif pos:
+            break
+        if number is not None:
+            number = _integer(number, lineno)
+            value += -number if negative else number
+        elif symbol is not None:
+            raise ParseError("two symbols in one expression", lineno)
+        elif negative:
+            raise ParseError("negated symbol in expression", lineno)
+        else:
+            symbol = name
+        pos = match.end()
+    if pos < end and _SIGNS.fullmatch(text, pos) is None:
+        raise ParseError("bad expression %r" % text, lineno)
+    return value, symbol
 
-    def _memory_or_label(self, indirect: bool) -> Operand:
-        value, symbol = 0, None
-        token = self.peek()
-        if token is not None and token[0] != "LPAREN":
-            value, symbol = self._expr()
-        token = self.peek()
-        if token is None or token[0] != "LPAREN":
-            # Bare expression.
-            if self.is_branch and symbol is not None and value == 0:
-                return LabelRef(symbol)
-            return Memory(disp=value, symbol=symbol, indirect=indirect)
-        self.next()  # consume LPAREN
-        base = index = None
-        scale = 1
-        token = self.peek()
-        if token is not None and token[0] == "REG":
-            self.next()
-            base = self._register(token[1])
-        token = self.peek()
-        if token is not None and token[0] == "COMMA":
-            self.next()
-            token = self.peek()
-            if token is not None and token[0] == "REG":
-                self.next()
-                index = self._register(token[1])
-            token = self.peek()
-            if token is not None and token[0] == "COMMA":
-                self.next()
-                scale = lexer.parse_integer(self.expect("NUMBER")[1])
-        self.expect("RPAREN")
-        try:
-            return Memory(disp=value, base=base, index=index, scale=scale,
-                          symbol=symbol, indirect=indirect)
-        except ValueError as exc:
-            raise ParseError(str(exc), self.lineno) from exc
+
+def _register(text: str, lineno: int) -> Register:
+    reg = _REGISTERS.get(text)
+    if reg is None:
+        reg = _REGISTERS.get(text.strip().lower())
+        if reg is None:
+            raise ParseError("bad register %r" % text.strip(), lineno)
+    return reg
+
+
+def _memory(text: str, is_branch: bool, indirect: bool,
+            lineno: int) -> Operand:
+    """``expr`` or ``expr(base,index,scale)``, cut at ``(`` and commas."""
+    paren = text.find("(")
+    if paren < 0:
+        value, symbol = _expression(text, lineno)
+        if is_branch and symbol is not None and not value:
+            return LabelRef(symbol)
+        return Memory(disp=value, symbol=symbol, indirect=indirect)
+    if text[-1] != ")":
+        raise ParseError("trailing text in operand %r" % text, lineno)
+    value, symbol = _expression(text[:paren], lineno)
+    parts = text[paren + 1:-1].split(",")
+    if len(parts) > 3:
+        raise ParseError("too many parts in operand %r" % text, lineno)
+    base = index = None
+    scale = 1
+    if parts[0] and not parts[0].isspace():
+        base = _register(parts[0], lineno)
+    if len(parts) > 1:
+        if parts[1] and not parts[1].isspace():
+            index = _register(parts[1], lineno)
+        if len(parts) > 2:
+            scale_text = parts[2].strip()
+            if _NUMBER.fullmatch(scale_text) is None:
+                raise ParseError("bad scale in operand %r" % text, lineno)
+            scale = _integer(scale_text, lineno)
+    try:
+        return Memory(disp=value, base=base, index=index, scale=scale,
+                      symbol=symbol, indirect=indirect)
+    except ValueError as exc:
+        raise ParseError(str(exc), lineno) from exc
 
 
 def parse_operand(text: str, is_branch: bool = False,
                   lineno: int = 0) -> Operand:
-    """Parse a single AT&T operand string."""
-    tokens = tokenize_operand(text)
-    parser = _OperandParser(tokens, is_branch, lineno)
-    operand = parser.parse()
-    if not parser.at_end():
-        raise ParseError("trailing tokens in operand %r" % text, lineno)
-    return operand
+    """Parse a single AT&T operand string.
+
+    The first character picks the form: ``%`` a register, ``$`` an
+    immediate, ``*`` an indirect branch target, anything else a memory
+    operand or, for ``jmp``/``j``/``call`` (*is_branch*), a label.
+    """
+    # Two operands in three are a bare register.
+    operand = _REGISTER_OPERANDS.get(text)
+    if operand is not None:
+        return operand
+    text = text.strip()
+    if not text:
+        raise ParseError("empty operand", lineno)
+    head = text[0]
+    if head == "%":
+        operand = _REGISTER_OPERANDS.get(text.lower())
+        if operand is None:
+            raise ParseError("bad register operand %r" % text, lineno)
+        return operand
+    if head == "$":
+        value, symbol = _expression(text[1:], lineno)
+        return Immediate(value, symbol)
+    if head == "*":
+        text = text[1:].lstrip()
+        if text[:1] == "%":
+            return RegisterOperand(_register(text, lineno), indirect=True)
+        # "*symbol" is a memory-indirect jump through `symbol`.
+        return _memory(text, False, True, lineno)
+    return _memory(text, is_branch, False, lineno)
 
 
 def parse_instruction(text: str, lineno: int = 0) -> Union[ParsedInstruction,
@@ -262,47 +234,39 @@ def parse_instruction(text: str, lineno: int = 0) -> Union[ParsedInstruction,
         parts = parts[1].split(None, 1)
         mnemonic = sys.intern(parts[0].lower())
 
-    operand_text = parts[1] if len(parts) == 2 else ""
     try:
         insn = Instruction(mnemonic, prefixes=prefixes)
     except UnknownMnemonic:
         return ParsedOpaque(text, lineno)
 
-    is_branch = insn.base in ("jmp", "j", "call")
-    operands: List[Operand] = []
-    for op_text in split_operands(operand_text):
-        try:
-            operands.append(parse_operand(op_text, is_branch, lineno))
-        except lexer.LexError as exc:
-            raise ParseError(str(exc), lineno) from exc
-    insn.operands = operands
+    if len(parts) == 2:
+        is_branch = insn.base in ("jmp", "j", "call")
+        insn.operands = [parse_operand(op_text, is_branch, lineno)
+                         for op_text in split_operands(parts[1])]
     return ParsedInstruction(insn, lineno)
 
 
 def parse_asm_text(source: str) -> List[Statement]:
     """Parse a full assembly file into a statement list."""
     statements: List[Statement] = []
-    for line in lexer.logical_lines(source):
-        text = line.text
+    for text, lineno in lexer.logical_lines(source):
         # Leading labels: "name:" possibly several on one statement.
-        while True:
-            colon = text.find(":")
-            if colon <= 0:
-                break
+        colon = text.find(":")
+        while colon > 0:
             head = text[:colon].strip()
             if not head or any(ch.isspace() for ch in head) or '"' in head:
                 break
             # A register or operand can't precede ':' at statement start.
-            statements.append(ParsedLabel(head, line.lineno))
+            statements.append(ParsedLabel(head, lineno))
             text = text[colon + 1:].strip()
+            colon = text.find(":")
         if not text:
             continue
         if text.startswith("."):
             parts = text.split(None, 1)
             name = parts[0][1:].lower()
             args = parts[1] if len(parts) == 2 else ""
-            statements.append(ParsedDirective(name, args.strip(),
-                                              line.lineno))
+            statements.append(ParsedDirective(name, args.strip(), lineno))
             continue
-        statements.append(parse_instruction(text, line.lineno))
+        statements.append(parse_instruction(text, lineno))
     return statements

@@ -365,6 +365,25 @@ class TestTuneMode:
         assert "mao tune:" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    """Every single-file verb reports a parse error on one line naming
+    the file and the line, as batch mode does, and exits 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["{path}"],
+        ["{path}", "--sim", "core2"],
+        ["predict", "{path}", "--core", "core2"],
+        ["tune", "{path}", "--core", "core2", "--no-cache"],
+    ], ids=["optimize", "sim", "predict", "tune"])
+    def test_one_line_naming_file_and_line(self, argv, tmp_path, capsys):
+        path = tmp_path / "bad.s"
+        path.write_text(".text\n    movl $5, %eax)\n    ret\n")
+        assert main([arg.format(path=path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ": %s: ParseError: line 2: " % path in err
+
+
 class TestCacheStats:
     def test_cache_stats_format_pinned(self, asm_file, capsys):
         """Regression: the exact bytes --cache-stats writes (the

@@ -11,8 +11,8 @@ stop reason (or fault), general-purpose and XMM registers, flags, rip,
 memory and — when traced — ``ExecRecord`` stream.  Runs are also cut by
 ``max_steps`` at a drawn point, and some programs fault mid-block.
 
-The examples come from a fixed seed (``derandomize=True``), so a tier-1
-run checks the same programs every time.
+The ``tier1`` Hypothesis profile (``tests/conftest.py``) fixes the seed,
+so a tier-1 run checks the same programs every time.
 """
 
 import struct
@@ -25,9 +25,8 @@ from repro.sim.interp import _DISPATCH, Interpreter, SimError
 from repro.sim.loader import load_unit
 from tests.sim.reference_interp import ReferenceInterpreter
 
-FIXED_SEED = settings(derandomize=True, deadline=None,
-                      suppress_health_check=[HealthCheck.too_slow,
-                                             HealthCheck.data_too_large])
+#: Drawn programs are large and slow to draw.
+BIG_DRAWS = [HealthCheck.too_slow, HealthCheck.data_too_large]
 
 MASK64 = (1 << 64) - 1
 
@@ -601,13 +600,13 @@ def test_families_cover_every_base():
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @given(data=st.data())
-@settings(FIXED_SEED, max_examples=25)
+@settings(max_examples=25, suppress_health_check=BIG_DRAWS)
 def test_family_matches_reference(family, data):
     check(data.draw(program([family])))
 
 
 @given(source=program(sorted(FAMILIES)),
        cuts=st.lists(st.integers(1, 150), max_size=3))
-@settings(FIXED_SEED, max_examples=40)
+@settings(max_examples=40, suppress_health_check=BIG_DRAWS)
 def test_mixed_programs_match_reference(source, cuts):
     check(source, cuts)

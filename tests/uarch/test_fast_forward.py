@@ -339,8 +339,7 @@ ring:
 
 
 class TestRandomLoopPrograms:
-    @settings(derandomize=True, deadline=None, max_examples=15,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=15, suppress_health_check=[HealthCheck.too_slow])
     @given(loop_programs())
     def test_counters_match_the_oracle(self, source):
         run = run_unit(parse_unit(source), collect_trace=True)

@@ -2,14 +2,9 @@
 
 import pytest
 
-from repro.x86.lexer import (
-    LexError,
-    logical_lines,
-    parse_integer,
-    split_operands,
-    tokenize_operand,
-)
+from repro.x86.lexer import logical_lines, parse_integer, split_operands
 from repro.x86.operands import Immediate, LabelRef, Memory, RegisterOperand
+from repro.x86.parser import parse_operand
 from repro.x86.registers import get_register
 
 
@@ -65,30 +60,6 @@ class TestLogicalLines:
                   "next: .byte 1\n")
         symtab = load_unit(parse_unit(source)).symtab
         assert symtab["next"] - symtab["msg"] == 3
-
-
-class TestTokenizer:
-    def test_register_token(self):
-        assert tokenize_operand("%rax") == [("REG", "%rax")]
-
-    def test_immediate_tokens(self):
-        assert tokenize_operand("$42")[0] == ("DOLLAR", "$")
-
-    def test_memory_tokens(self):
-        kinds = [k for k, _ in tokenize_operand("-8(%rbp,%rax,4)")]
-        assert kinds == ["NUMBER", "LPAREN", "REG", "COMMA", "REG",
-                         "COMMA", "NUMBER", "RPAREN"]
-
-    def test_hex_numbers(self):
-        assert tokenize_operand("0x10") == [("NUMBER", "0x10")]
-        assert tokenize_operand("-0xFF") == [("NUMBER", "-0xFF")]
-
-    def test_symbols_with_dots(self):
-        assert tokenize_operand(".L5") == [("IDENT", ".L5")]
-
-    def test_garbage_rejected(self):
-        with pytest.raises(LexError):
-            tokenize_operand("%rax ` %rbx")
 
 
 class TestSplitOperands:
@@ -154,28 +125,14 @@ class TestOperandObjects:
 
 
 class TestTokenInterning:
-    """Corpus parsing must not allocate duplicate tokens per line."""
+    """Corpus parsing must not allocate duplicate registers or mnemonics
+    per line."""
 
-    def test_two_parses_share_register_tokens(self):
-        first = tokenize_operand("8(%rax,%rbx,4)")
-        second = tokenize_operand("8(%rax,%rbx,4)")
-        assert first == second
-        regs_first = [t for t in first if t[0] == "REG"]
-        regs_second = [t for t in second if t[0] == "REG"]
-        assert regs_first and all(
-            a is b for a, b in zip(regs_first, regs_second))
+    def test_register_and_memory_base_share_one_register(self):
+        assert parse_operand("%rdi").reg is parse_operand("8(%rdi)").base
 
-    def test_all_tokens_shared_across_parses(self):
-        first = tokenize_operand("-16(%rsp)")
-        second = tokenize_operand("-16(%rsp)")
-        for a, b in zip(first, second):
-            assert a is b
-
-    def test_same_register_in_different_operands_shared(self):
-        (reg_a,) = [t for t in tokenize_operand("%rdi") if t[0] == "REG"]
-        reg_b = [t for t in tokenize_operand("8(%rdi)")
-                 if t[0] == "REG"][0]
-        assert reg_a is reg_b
+    def test_two_parses_share_one_register_operand(self):
+        assert parse_operand("%rdi") is parse_operand("%rdi")
 
     def test_mnemonics_interned_across_instructions(self):
         from repro.x86.parser import parse_instruction

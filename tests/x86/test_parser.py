@@ -108,6 +108,15 @@ class TestOperands:
         with pytest.raises(ParseError):
             parse_operand("%qax")
 
+    @pytest.mark.parametrize("text", ["$017", "$08"])
+    def test_leading_zero_literal_is_a_parse_error(self, text):
+        """No octal syntax: a literal ``int(text, 0)`` rejects is a
+        ``ParseError`` with its line number."""
+        with pytest.raises(ParseError, match="^line 3: "):
+            parse_operand(text, lineno=3)
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_unit(".text\n    movl %s, %%eax\n" % text)
+
 
 #: Symbol-minus-offset operands, which gas accepts; the IR prints
 #: ``-8+buf(%rip)`` back as ``buf-8(%rip)``.
