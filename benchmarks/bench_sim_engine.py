@@ -23,10 +23,12 @@ samples are recorded beside them.  The fast path must be
 fails on wrong timing.  A differential section sweeps the paper's
 anecdote kernels on both processor models as an extra equality net.
 Quick and full runs hold the steady loop to ``MIN_STEADY_SPEEDUP`` and
-the hash kernel, where fast-forward declines, to ``MIN_HASH_SPEEDUP``.
-The loop nest (252.eon's short loop inside its outer loop) must be
-skipped at the outer level: at least ``MIN_NEST_FF_SHARE`` of its
-records fast-forwarded, and ``MIN_STEADY_SPEEDUP`` like the steady loop.
+the hash kernel to ``MIN_HASH_SPEEDUP``.  The hash kernel is
+backend-bound: fast-forward must skip at least ``MIN_HASH_FF_SHARE`` of
+its records on the back end's clock.  The loop nest (252.eon's short
+loop inside its outer loop) must be skipped at the outer level: at least
+``MIN_NEST_FF_SHARE`` of its records fast-forwarded, and
+``MIN_STEADY_SPEEDUP`` like the steady loop.
 
 Usage::
 
@@ -66,9 +68,14 @@ REPEATS = 5
 #: Fast over baseline on the steady loop, quick and full runs.
 MIN_STEADY_SPEEDUP = 2.0
 
-#: Fast over baseline on the hash kernel, where fast-forward declines:
-#: the fast path must never be slower than the baseline it replaced.
+#: Fast over baseline on the hash kernel: the fast path must never be
+#: slower than the baseline it replaced.
 MIN_HASH_SPEEDUP = 1.0
+
+#: Share of the hash kernel's records that fast-forward skips on core2,
+#: where its back end falls behind the front end by a fixed number of
+#: cycles per iteration (99.3% at full size, 96.4% quick).
+MIN_HASH_FF_SHARE = 0.9
 
 #: Share of the loop nest's records that fast-forward skips.
 MIN_NEST_FF_SHARE = 0.9
@@ -197,10 +204,10 @@ def main(argv=None) -> int:
 
     # The steady loop: Fig. 4's three-block body at its unshifted
     # placement.  Frontend-bound with an iteration-invariant record
-    # signature, so the fast-forward engine validates and skips it; the
-    # hash kernel is backend-bound (drifting completion clocks) so the
-    # engine soundly declines and only the block cache + per-block timing
-    # help.
+    # signature, so the fast-forward engine validates and skips it on the
+    # front end's clock; the hash kernel is backend-bound (its back end
+    # falls behind by a fixed number of cycles per iteration), so it is
+    # validated and skipped on the back end's clock.
     steady_src = kernels.fig4_loop(shift_nops=0, iterations=outer)
     hash_src = kernels.hash_bench(trip=outer * 2)
     # The loop nest: eon's eight-trip inner loop never repeats often
@@ -225,6 +232,7 @@ def main(argv=None) -> int:
         gate("sim_steady_loop.speedup", ">=", MIN_STEADY_SPEEDUP),
         gate("sim_hash_kernel.counter_identical", "==", True),
         gate("sim_hash_kernel.speedup", ">=", MIN_HASH_SPEEDUP),
+        gate("sim_hash_kernel.ff_record_share", ">=", MIN_HASH_FF_SHARE),
         gate("sim_loop_nest.counter_identical", "==", True),
         gate("sim_loop_nest.ff_record_share", ">=", MIN_NEST_FF_SHARE),
         gate("sim_loop_nest.speedup", ">=", MIN_STEADY_SPEEDUP),

@@ -77,8 +77,9 @@ class ProcessorModel:
     #: Reservation-station size.  Profiles and discovery carry it; the
     #: timing pipeline does not model it, so nothing bounds how far the
     #: front end runs ahead of a backend-bound loop.  Such a loop's
-    #: completion clocks fall further behind every iteration, which is why
-    #: loop fast-forward declines on it.
+    #: completion clocks fall further behind every iteration, so loop
+    #: fast-forward validates it on a second clock, the back end's
+    #: advance per iteration.
     rs_size: int = 32
 
     # ---- data cache -------------------------------------------------------------

@@ -40,14 +40,20 @@ its back-edges, inner loops included, so a nest whose outer iterations
 repeat exactly is skipped whole even when its inner loops never repeat
 often enough on their own.  After K identical iterations it snapshots
 the pipeline, replays one period, and checks the *soundness condition*:
-every piece of clock-typed state advanced by exactly the same constant
-``c`` (or is dead — at or below the fetch horizon, where it can never
-again win a ``max`` against a ready time), and every piece of
-pattern-typed state (predictor counters, cache tags/LRU, LSD tracking)
-is a fixed point of the iteration.
-Because the pipeline transition combines clocks only through
-``+const``/``max`` against values at or above the horizon, a validated
-iteration implies N iterations advance every live clock by ``N*c`` and
+every piece of pattern-typed state (predictor counters, cache tags/LRU,
+LSD tracking, decode slot and line) is a fixed point of the iteration,
+and every piece of clock-typed state is dead (at or below the fetch
+horizon, where it can never again win a ``max`` against a ready time)
+or advanced by exactly one constant.  On a frontend-bound loop that
+constant is the front end's advance ``c``.  On a backend-bound loop it
+is the back end's larger advance ``cb``, provided the front end won no
+race against the back end in the period (no step that produces
+anything had its operands ready at its fetch cycle) and no branch was
+mispredicted: the back end's lead then grows by ``cb - c`` every
+period, so the front end never catches up (see ``_ff_delta``).
+Because the walk combines clocks only through ``+const``/``max``, a
+validated period implies N periods advance the front end by ``N*c``,
+every live clock by ``N*cb`` (``cb = c`` on a frontend-bound loop) and
 every counter by N times its measured delta — so skipped iterations are
 *bit-identical* to walking them, which differential tests against the
 per-record oracle in ``tests/uarch/record_walk.py`` assert.
@@ -69,6 +75,7 @@ from repro.uarch.cache import DataCache
 from repro.uarch.classify import uops_of
 from repro.uarch.model import ProcessorModel
 from repro.x86.instruction import Instruction
+from repro.x86.registers import ALL_GROUPS
 from repro.x86.sideeffects import effects
 
 
@@ -93,8 +100,15 @@ class SimStats:
 # Static timing facts of one straight-line run.
 # ---------------------------------------------------------------------------
 
-#: Uop kinds of a compiled step (NOP uops occupy no port and are dropped).
-_LOAD, _STORE, _COMPUTE = 0, 1, 2
+#: Uop kinds of a compiled step (NOP uops occupy no port and are dropped;
+#: a prefetch hint becomes a ``_HINT`` that touches only the cache).
+_LOAD, _STORE, _COMPUTE, _HINT = 0, 1, 2, 3
+
+#: Readiness slot of each register alias group, in ``ALL_GROUPS`` order,
+#: and one more for the RFLAGS bits, separate from the ``rflags`` group.
+_SLOT = {group: slot for slot, group in enumerate(ALL_GROUPS)}
+_FLAGS_SLOT = len(ALL_GROUPS)
+_NUM_SLOTS = len(ALL_GROUPS) + 1
 
 
 def _decode_target(insn: Instruction, address: int) -> Optional[int]:
@@ -124,18 +138,27 @@ def _decode_target(insn: Instruction, address: int) -> Optional[int]:
 class _BlockFacts:
     """One straight-line run's timing facts, resolved for one model.
 
-    ``steps`` holds one tuple per instruction: its first and last decode
-    line, register uses, whether it reads flags, register defs, whether
-    it writes flags, its uops as ``(kind, ports, latency, forwards)``, its
-    prefetch hint (0 none, 1 non-temporal, 2 temporal) and whether the
-    next-line prefetcher may fire for its loads (the §III.C.h PC alias).
-    ``lines`` is the set of decode lines the LSD sees the run touch; the
-    remaining fields describe the run's last instruction.  A control
-    transfer can only be last, so only it has exit effects.
+    ``steps`` holds one ``(advance, uses, defs, uops)`` tuple per
+    instruction.  ``advance`` is the number of decode lines the step
+    fetches beyond the line where the previous step ended (the first
+    step's entry line is checked against ``first_line`` once per run,
+    and a run leaves fetch at ``end_line``).  ``uses`` and ``defs`` are
+    readiness slots, the RFLAGS slot folded in.  Each uop is ``(kind,
+    ports, latency, forwarded, aux)``, where ``aux`` says for a load
+    whether the next-line prefetcher may fire (the §III.C.h PC alias)
+    and for a prefetch hint whether it is non-temporal.
+    ``stream_steps`` are the same steps with no line advances, walked
+    while the LSD streams.  An *inert* step (no uop that takes a port
+    and no def, such as a ``nop`` or a prefetch hint) reads no slot:
+    nothing it could read reaches a clock.  ``lines`` is the set of
+    decode lines the LSD sees the run touch; the remaining fields
+    describe the run's last instruction.  A control transfer can only be
+    last, so only it has exit effects.
     """
 
-    __slots__ = ("model", "run", "steps", "uops", "loads", "stores",
-                 "lines", "address", "branch", "cond", "lsd_reset", "target",
+    __slots__ = ("model", "run", "steps", "stream_steps", "first_line",
+                 "end_line", "inert", "uops", "loads", "stores", "lines",
+                 "address", "branch", "cond", "lsd_reset", "target",
                  "loop_key")
 
     def __init__(self, model: ProcessorModel,
@@ -144,8 +167,9 @@ class _BlockFacts:
         port_map, latency = model.port_map, model.latency
         stride = model.prefetch_pc_alias_stride
         steps = []
-        uops = loads = stores = 0
+        uops = loads = stores = inert = 0
         lines: Set[int] = set()
+        end = None
         for insn, address in run:
             fx = effects(insn)
             size = len(insn.encoding or b"")
@@ -153,34 +177,55 @@ class _BlockFacts:
             for uop_class, is_load, is_store in uops_of(insn):
                 if is_load:
                     compiled.append((_LOAD, port_map.get(M.LOAD, ()),
-                                     latency[M.LOAD], True))
+                                     latency[M.LOAD], True,
+                                     model.prefetcher_enabled
+                                     and not (stride
+                                              and address % stride == 0)))
                     loads += 1
                 elif is_store:
                     compiled.append((_STORE, port_map.get(M.STORE, ()),
-                                     latency[M.STORE], False))
+                                     latency[M.STORE], False, False))
                     stores += 1
                 elif uop_class != M.NOP:
                     compiled.append((_COMPUTE, port_map.get(uop_class, ()),
                                      latency.get(uop_class, 1),
                                      bool(fx.defs)
-                                     and uop_class != M.BRANCH))
+                                     and uop_class != M.BRANCH, False))
                 uops += 1
-            base = insn.base
-            if base.startswith("prefetch"):
-                prefetch = 1 if base == "prefetchnta" else 2
+            uses = tuple(_SLOT[group] for group in fx.uses)
+            if fx.flags_read:
+                uses += (_FLAGS_SLOT,)
+            defs = tuple(_SLOT[group] for group in fx.defs)
+            if fx.flags_clobbered:
+                defs += (_FLAGS_SLOT,)
+            if not compiled and not defs:
+                inert += 1
+                uses = ()
+            if insn.base.startswith("prefetch"):
+                compiled.append((_HINT, (), 0, False,
+                                 insn.base == "prefetchnta"))
+            # Every fetched decode line costs one fetch slot (16 bytes per
+            # cycle on Core-2): a step that starts past the line where
+            # the previous one ended fetches its own, and one spilling
+            # into the next line consumes that too.  This is the §III.C.e
+            # mechanism: a one-line loop fetches one line per iteration,
+            # a boundary-straddling one fetches two.
+            line = model.line_of(address)
+            last = model.line_of(address + max(size, 1) - 1)
+            if steps:
+                advance = (line != end) + last - line
             else:
-                prefetch = 0
-            steps.append((model.line_of(address),
-                          model.line_of(address + max(size, 1) - 1),
-                          fx.uses, bool(fx.flags_read), fx.defs,
-                          bool(fx.flags_clobbered), tuple(compiled),
-                          prefetch,
-                          model.prefetcher_enabled
-                          and not (stride and address % stride == 0)))
-            lines.add(model.line_of(address))
+                self.first_line = line
+                advance = last - line
+            end = last
+            steps.append((advance, uses, defs, tuple(compiled)))
+            lines.add(line)
             lines.add(model.line_of(address + size - 1))
         self.steps = tuple(steps)
+        self.stream_steps = tuple((0,) + step[1:] for step in steps)
+        self.end_line = end
         self.uops, self.loads, self.stores = uops, loads, stores
+        self.inert = inert
         self.lines = frozenset(lines)
         insn, address = run[-1]
         base = insn.base
@@ -279,14 +324,17 @@ class PipelineSimulator:
         self._decoded_this_cycle = 0
         self._current_line: Optional[int] = None
 
-        self.reg_ready: Dict[str, int] = {}
-        self.flags_ready = 0
+        #: Ready cycle per register slot (``_SLOT``, then the RFLAGS bits).
+        self.ready: List[int] = [0] * _NUM_SLOTS
         self.port_free: List[int] = [0] * model.num_ports
         self.mem_ready: Dict[int, int] = {}
         self._forwards: Dict[int, int] = {}
         self._fw_watermark = 0
         self._fw_gc_limit = 65536
         self.last_completion = 0
+        #: Steps that produce something (a uop or a def) and had their
+        #: operands ready at their fetch cycle: races the front end won.
+        self.fetch_wins = 0
 
         self.counts: Dict[str, int] = {name: 0 for name in C.ALL}
 
@@ -330,12 +378,24 @@ class PipelineSimulator:
             facts = facts.cut(n)
         lsd = self.lsd
         streaming = lsd.active
-        width = model.lsd_stream_width if streaming else model.decode_width
         frontend = self.frontend_cycle
         decoded = self._decoded_this_cycle
         cur_line = self._current_line
-        flags_ready = self.flags_ready
-        reg_ready = self.reg_ready
+        new_lines = 0
+        if streaming:
+            # The LSD replays uops without the line constraint.
+            width = model.lsd_stream_width
+            steps = facts.stream_steps
+        else:
+            width = model.decode_width
+            steps = facts.steps
+            if cur_line != facts.first_line:
+                # A new line, including the one a taken branch lands on.
+                frontend += 1
+                decoded = 0
+                new_lines = 1
+            cur_line = facts.end_line
+        ready = self.ready
         port_free = self.port_free
         mem_ready = self.mem_ready
         forwards = self._forwards
@@ -345,59 +405,39 @@ class PipelineSimulator:
         cache = self.cache
         memory_latency = model.memory_latency
         line_bytes = model.cache_line_bytes
-        new_lines = misses = stalls = 0
+        misses = stalls = wins = 0
         completion = 0
-        for (line, end_line, uses, reads_flags, defs, writes_flags, uops,
-             prefetch, prefetcher), ea in zip(facts.steps, eas):
-            if streaming:
-                if decoded >= width:
-                    frontend += 1
-                    decoded = 0
+        for (advance, uses, defs, uops), ea in zip(steps, eas):
+            if advance:
+                frontend += advance
+                new_lines += advance
+                decoded = 1
+            elif decoded >= width:
+                frontend += 1
+                decoded = 1
             else:
-                if line != cur_line:
-                    # Every fetched decode line costs one fetch slot (16
-                    # bytes per cycle on Core-2) — including the line a
-                    # taken branch lands on.  This is the §III.C.e
-                    # mechanism: a one-line loop fetches one line per
-                    # iteration, a boundary-straddling one fetches two.
-                    frontend += 1
-                    decoded = 0
-                    new_lines += 1
-                    cur_line = line
-                # An instruction spilling into the next line consumes it.
-                while end_line > cur_line:
-                    frontend += 1
-                    cur_line += 1
-                    new_lines += 1
-                    decoded = 0
-                if decoded >= width:
-                    frontend += 1
-                    decoded = 0
-            decoded += 1
+                decoded += 1
 
             operand_ready = frontend
-            for group in uses:
-                t = reg_ready.get(group, 0)
+            for slot in uses:
+                t = ready[slot]
                 if t > operand_ready:
                     operand_ready = t
-            if reads_flags and flags_ready > operand_ready:
-                operand_ready = flags_ready
-            # Prefetch hints touch the cache without port pressure.
-            if prefetch and cache is not None and ea is not None:
-                if prefetch == 1:
-                    cache.hint_nta(ea)
-                else:
-                    cache.access(ea)
+            if operand_ready == frontend:
+                wins += 1
 
             load_done = 0
             completion = operand_ready
-            for kind, ports, latency, forwarded in uops:
-                if kind == _LOAD:
-                    ready = operand_ready
+            for kind, ports, latency, forwarded, aux in uops:
+                if kind == _COMPUTE:
+                    at = load_done if load_done > operand_ready \
+                        else operand_ready
+                elif kind == _LOAD:
+                    at = operand_ready
                     if ea is not None:
                         t = mem_ready.get(ea >> 3, 0)
-                        if t > ready:
-                            ready = t
+                        if t > at:
+                            at = t
                         if cache is not None:
                             if not cache.access(ea):
                                 latency += memory_latency
@@ -406,32 +446,53 @@ class PipelineSimulator:
                             # load at a stride multiple aliases a dead
                             # table slot and gets no prefetch (§III.C.h);
                             # non-temporal accesses suppress it too.
-                            if prefetcher and not cache.last_access_nta:
+                            if aux and not cache.last_access_nta:
                                 cache.access(ea + line_bytes)
                 elif kind == _STORE:
-                    ready = completion if completion > operand_ready \
+                    at = completion if completion > operand_ready \
                         else operand_ready
                 else:
-                    ready = load_done if load_done > operand_ready \
-                        else operand_ready
+                    # Prefetch hints touch the cache without port pressure.
+                    if cache is not None and ea is not None:
+                        if aux:
+                            cache.hint_nta(ea)
+                        else:
+                            cache.access(ea)
+                    continue
                 # Issue on the earliest-free allowed port; the first port
                 # in profile order wins ties.  NOP-like classes with no
                 # port issue at once.
-                issue = ready
+                issue = at
                 if ports:
                     best = -1
                     for port in ports:
                         t = port_free[port]
-                        if t <= ready:
+                        if t <= at:
                             best = port
-                            issue = ready
+                            issue = at
                             break
                         if best < 0 or t < issue:
                             best = port
                             issue = t
                     port_free[best] = issue + 1
                 cycle = issue + latency
-                if kind == _STORE:
+                if forwarded:
+                    # Only register results occupy forwarding slots; when
+                    # demand exceeds the bandwidth, results back up and
+                    # the watermark keeps the free-slot search O(1).
+                    held = forwards.get(cycle, 0)
+                    if held >= bandwidth:
+                        if watermark > cycle:
+                            cycle = watermark
+                            held = forwards.get(cycle, 0)
+                        while held >= bandwidth:
+                            cycle += 1
+                            stalls += 1
+                            held = forwards.get(cycle, 0)
+                    forwards[cycle] = held + 1
+                    if cycle > watermark:
+                        watermark = cycle
+                elif kind == _STORE:
                     if ea is not None:
                         mem_ready[ea >> 3] = cycle
                         if cache is not None \
@@ -440,19 +501,6 @@ class PipelineSimulator:
                     if cycle > completion:
                         completion = cycle
                     continue
-                if forwarded:
-                    # Only register results occupy forwarding slots; when
-                    # demand exceeds the bandwidth, results back up and
-                    # the watermark keeps the free-slot search O(1).
-                    if watermark > cycle \
-                            and forwards.get(cycle, 0) >= bandwidth:
-                        cycle = watermark
-                    while forwards.get(cycle, 0) >= bandwidth:
-                        cycle += 1
-                        stalls += 1
-                    forwards[cycle] = forwards.get(cycle, 0) + 1
-                    if cycle > watermark:
-                        watermark = cycle
                 if cycle > last_completion:
                     last_completion = cycle
                 if kind == _LOAD:
@@ -461,10 +509,8 @@ class PipelineSimulator:
                     completion = cycle
 
             # Write-backs.
-            for group in defs:
-                reg_ready[group] = completion
-            if writes_flags:
-                flags_ready = completion
+            for slot in defs:
+                ready[slot] = completion
 
         counts = self.counts
         if facts.cond:
@@ -501,9 +547,10 @@ class PipelineSimulator:
         self.frontend_cycle = frontend
         self._decoded_this_cycle = decoded
         self._current_line = cur_line
-        self.flags_ready = flags_ready
         self._fw_watermark = watermark
         self.last_completion = last_completion
+        # Inert steps read no slot, so each counted as a win above.
+        self.fetch_wins += wins - facts.inert
 
         # Garbage-collect the forwarding histogram occasionally: entries
         # below the fetch horizon can never be indexed again.  On
@@ -527,19 +574,28 @@ class PipelineSimulator:
     # ---- steady-state fast-forward support --------------------------------
 
     def _ff_snapshot(self) -> dict:
-        """Copy every piece of state the loop validator must certify."""
+        """Copy every piece of state the loop validator must certify.
+
+        Forwarding-histogram entries below the fetch horizon are never
+        indexed again, so they are dropped from the live histogram first
+        and only its live window is copied.
+        """
+        horizon = self.frontend_cycle
+        self._forwards = forwards = {cycle: count for cycle, count
+                                     in self._forwards.items()
+                                     if cycle >= horizon}
         lsd = self.lsd
         return {
-            "frontend": self.frontend_cycle,
+            "frontend": horizon,
             "decoded": self._decoded_this_cycle,
             "line": self._current_line,
-            "reg_ready": dict(self.reg_ready),
-            "flags_ready": self.flags_ready,
+            "ready": list(self.ready),
             "port_free": list(self.port_free),
             "mem_ready": dict(self.mem_ready),
-            "forwards": dict(self._forwards),
+            "forwards": dict(forwards),
             "fw_watermark": self._fw_watermark,
             "last_completion": self.last_completion,
+            "fetch_wins": self.fetch_wins,
             "counts": dict(self.counts),
             "pred": self.predictor.ff_snapshot(),
             "cache": self.cache.ff_snapshot() if self.cache is not None
@@ -571,51 +627,100 @@ def reset_fast_forward_stats() -> None:
         _FF_STATS[key] = 0
 
 
-def _clock_ok(v0: int, v1: int, c: int, h0: int, h1: int) -> bool:
-    """One clock value advanced by exactly *c*, or is dead in both snapshots.
-
-    A clock value is *dead* once it is at or below the fetch horizon: every
-    future use is ``max(value, ready)`` with ``ready >= frontend_cycle``, so
-    it can never influence an issue time, a completion, or a counter again.
-    Dead values are allowed to drift between the fast-forwarded run and the
-    full replay — that drift is counter-invisible by construction.
-    """
-    return v1 == v0 + c or (v0 <= h0 and v1 <= h1)
+def _clock_pairs(s0: dict, s1: dict) -> List[Tuple[int, int]]:
+    """Every clock value of the two snapshots, paired: the register and
+    flag slots, ``port_free``, each ``mem_ready`` value, the forwarding
+    watermark and ``last_completion``."""
+    m0, m1 = s0["mem_ready"], s1["mem_ready"]
+    pairs = list(zip(s0["ready"], s1["ready"]))
+    pairs += zip(s0["port_free"], s1["port_free"])
+    pairs += [(m0.get(key, 0), m1.get(key, 0))
+              for key in m0.keys() | m1.keys()]
+    pairs.append((s0["fw_watermark"], s1["fw_watermark"]))
+    pairs.append((s0["last_completion"], s1["last_completion"]))
+    return pairs
 
 
 def _ff_delta(s0: dict, s1: dict, expected_records: int) -> Optional[dict]:
-    """Validate one measured period; return its delta or None if unsound."""
-    c = s1["frontend"] - s0["frontend"]
+    """Validate one measured period; return its delta or None if unsound.
+
+    The front end advanced ``c = h1 - h0`` cycles over the period (``h0``
+    and ``h1`` are the snapshots' fetch horizons).  A clock at or below
+    the horizon is *dead*: every future use is ``max(value, ready)`` with
+    ``ready >= frontend_cycle``, so it can never again influence an issue
+    time, a completion or a counter, and may drift freely.
+
+    **One clock** (the back end's advance ``cb``, the change of
+    ``last_completion``, is at most ``c``, or the back end is dead): every
+    clock advanced by exactly ``c`` or is dead in both snapshots, and the
+    forwarding histogram's live window is the same after shifting by
+    ``c``.  The walk combines clocks only through ``+const`` and ``max``
+    against values at or above the horizon, so every later period is
+    this one shifted by ``c``.
+
+    **Two clocks** (``cb > c``, the back end falling behind a fixed
+    number of cycles per period): every clock advanced by exactly ``cb``
+    or is dead in both snapshots; ``low``, the smallest live clock of
+    ``s0``, lies above ``h1``; no step that produces anything (a uop or a
+    def) had its operands ready at its fetch cycle (``fetch_wins`` did
+    not move); no branch was mispredicted; and the histogram at and above
+    ``low + cb`` in ``s1`` is the one at and above ``low`` in ``s0``
+    shifted by ``cb``, with every entry the period added at or above
+    ``low``.  Then every comparison the walk made in the period is one of
+    three kinds: between two back-end clocks, which shift together;
+    between a dead clock and a back-end clock, where the dead one loses
+    whatever the shift; or inside the front end's static advance (decode
+    slots and lines).  The front end never reaches a clock: each
+    producing step's operands were ready after its fetch, through a chain
+    of clocks that all started live, at or above ``low``, so every clock
+    the period wrote is live in ``s1`` and was checked.  The back end's
+    lead grows by ``cb - c`` per period, so the front end wins no race in
+    the next period either, and by induction period ``j`` is the measured
+    one with the back end shifted by ``j * cb`` and the front end by
+    ``j * c``.
+
+    Pattern state (decode slot and line, predictor table, cache tags, LSD
+    tracking) must be a fixed point in both cases, and the counter delta
+    non-negative with ``INSTRUCTIONS`` equal to *expected_records*.
+    """
+    h0, h1 = s0["frontend"], s1["frontend"]
+    c = h1 - h0
     if c < 1:
         return None
-    h0, h1 = s0["frontend"], s1["frontend"]
     if s1["decoded"] != s0["decoded"] or s1["line"] != s0["line"]:
         return None
-    if not _clock_ok(s0["flags_ready"], s1["flags_ready"], c, h0, h1):
-        return None
-    if not _clock_ok(s0["fw_watermark"], s1["fw_watermark"], c, h0, h1):
-        return None
-    if not _clock_ok(s0["last_completion"], s1["last_completion"], c, h0,
-                     h1):
-        return None
-    for v0, v1 in zip(s0["port_free"], s1["port_free"]):
-        if not _clock_ok(v0, v1, c, h0, h1):
+    cb = s1["last_completion"] - s0["last_completion"]
+    two_clock = cb > c and s1["last_completion"] > h1
+    if not two_clock:
+        cb = c
+    pairs = _clock_pairs(s0, s1)
+    for v0, v1 in pairs:
+        if v1 != v0 + cb and not (v0 <= h0 and v1 <= h1):
             return None
-    for table in ("reg_ready", "mem_ready"):
-        t0, t1 = s0[table], s1[table]
-        for key in t0.keys() | t1.keys():
-            if not _clock_ok(t0.get(key, 0), t1.get(key, 0), c, h0, h1):
-                return None
-    # The forwarding histogram must match exactly on its live window
-    # (entries below the horizon can never be indexed again).
-    live0 = {k: v for k, v in s0["forwards"].items() if k >= h0}
-    live1 = {k - c: v for k, v in s1["forwards"].items() if k >= h1}
-    if live0 != live1:
+    f0, f1 = s0["forwards"], s1["forwards"]     # live windows
+    if two_clock:
+        low = min([v0 for v0, _ in pairs if v0 > h0], default=h0)
+        if low <= h1 or s1["fetch_wins"] != s0["fetch_wins"]:
+            return None
+        # Below low the period added nothing; at and above low + cb the
+        # histogram is the one at and above low, shifted by cb.
+        expected = {cycle: count for cycle, count in f0.items()
+                    if h1 <= cycle < low}
+        expected.update((cycle + cb, count) for cycle, count in f0.items()
+                        if cycle >= low)
+        if expected != {cycle: count for cycle, count in f1.items()
+                        if not low <= cycle < low + cb}:
+            return None
+    elif {cycle + c: count for cycle, count in f0.items()} != f1:
         return None
+    added = [(cycle, count - f0.get(cycle, 0))
+             for cycle, count in f1.items() if count != f0.get(cycle, 0)]
     table0, npred0, nmisp0 = s0["pred"]
     table1, npred1, nmisp1 = s1["pred"]
     if table0 != table1:
         return None
+    if two_clock and nmisp1 != nmisp0:
+        return None          # a mispredict pulls the front end up
     if s0["cache"] is not None:
         c0, c1 = s0["cache"], s1["cache"]
         if c0[:3] != c1[:3]:
@@ -640,22 +745,41 @@ def _ff_delta(s0: dict, s1: dict, expected_records: int) -> Optional[dict]:
         counts_delta[name] = diff
     if counts_delta.get(C.INSTRUCTIONS, 0) != expected_records:
         return None
-    return {"c": c, "counts": counts_delta,
+    return {"c": c, "cb": cb, "forwards": added, "counts": counts_delta,
             "pred": (npred1 - npred0, nmisp1 - nmisp0),
             "cache": cache_delta, "lsd_iters": lsd_iters}
 
 
 def _ff_apply(pl: PipelineSimulator, delta: dict, repeats: int) -> None:
-    """Advance the pipeline by *repeats* validated iterations at once."""
-    shift = delta["c"] * repeats
-    pl.frontend_cycle += shift
-    pl.flags_ready += shift
-    pl._fw_watermark += shift
-    pl.last_completion += shift
-    pl.port_free = [v + shift for v in pl.port_free]
-    pl.reg_ready = {k: v + shift for k, v in pl.reg_ready.items()}
-    pl.mem_ready = {k: v + shift for k, v in pl.mem_ready.items()}
-    pl._forwards = {k + shift: v for k, v in pl._forwards.items()}
+    """Advance the pipeline by *repeats* validated periods at once.
+
+    The front end advances ``repeats * c`` and every live clock (above
+    the horizon) ``repeats * cb``; dead clocks stay where they are, since
+    shifted by ``cb`` they could come alive.  The forwarding histogram
+    is not shifted: its entries stay at their absolute cycles, where the
+    code after the loop reads them, and it gains the measured period's
+    additions at ``+j * cb`` for ``j = 1 .. repeats``, those at or above
+    the new horizon only.  The state then equals the walked state, apart
+    from dead histogram entries.
+    """
+    c, cb = delta["c"], delta["cb"]
+    horizon = pl.frontend_cycle
+    shift = cb * repeats
+    top = horizon + c * repeats
+    pl.frontend_cycle = top
+    pl.ready = [v + shift if v > horizon else v for v in pl.ready]
+    pl.port_free = [v + shift if v > horizon else v for v in pl.port_free]
+    pl.mem_ready = {k: v + shift if v > horizon else v
+                    for k, v in pl.mem_ready.items()}
+    if pl._fw_watermark > horizon:
+        pl._fw_watermark += shift
+    if pl.last_completion > horizon:
+        pl.last_completion += shift
+    forwards = pl._forwards
+    for cycle, count in delta["forwards"]:
+        first = max(1, -((cycle - top) // cb))
+        for at in range(cycle + first * cb, cycle + shift + 1, cb):
+            forwards[at] = forwards.get(at, 0) + count
     counts = pl.counts
     for name, diff in delta["counts"].items():
         if diff:
@@ -672,14 +796,13 @@ class _Loop:
 
     ``start`` is the log index where the loop's open iteration began (None
     once that iteration outgrew ``max_body``), ``start_records`` the
-    engine's record count at that point, ``sig`` the fingerprint of its
-    last iteration and ``backlog`` how far the back end trailed the front
-    end at a recent back-edge.  Repeats, period, failures and the retry
-    point belong to the loop, so an inner loop never resets its outer one.
+    engine's record count at that point and ``sig`` the fingerprint of
+    its last iteration.  Repeats, period, failures and the retry point
+    belong to the loop, so an inner loop never resets its outer one.
     """
 
     __slots__ = ("start", "start_records", "sig", "repeats", "period",
-                 "fails", "retry_at", "backlog")
+                 "fails", "retry_at")
 
     def __init__(self, start: int, records: int, retry_at: int) -> None:
         self.start: Optional[int] = start
@@ -689,7 +812,6 @@ class _Loop:
         self.period = 1
         self.fails = 0
         self.retry_at = retry_at
-        self.backlog = 0
 
 
 class FastForwardEngine:
@@ -704,11 +826,14 @@ class FastForwardEngine:
     repeat exactly is skipped at the outer level.  Once ``min_repeats``
     consecutive iterations of a loop fingerprint identically, the engine
     measures one period of that loop and validates the soundness
-    condition (see ``_ff_delta``).  While the validated loop keeps
+    condition (see ``_ff_delta``): a frontend-bound loop advances every
+    live clock by the front end's cycle count, a backend-bound one every
+    live clock by the back end's larger one, with the front end winning
+    no race against the back end.  While the validated loop keeps
     matching, whole iterations are replaced by one ``_ff_apply`` per
-    drained batch; the first diverging block execution replays any
-    buffered partial iteration through the normal walk, so exits are
-    exact.  One loop at a time is measured or skipped.
+    drained batch; the first diverging block execution replays the
+    partial iteration matched so far through the normal walk, so exits
+    are exact.  One loop at a time is measured or skipped.
 
     Skipped executions never enter the log, so the fingerprint of a loop
     enclosing a skip lacks them: it never starts a measurement, and what
@@ -716,11 +841,9 @@ class FastForwardEngine:
     the two snapshots.  An iteration longer than ``max_body`` records
     makes its loop no candidate, and the log keeps nothing older than the
     oldest open iteration within that limit (trimmed once per
-    ``max_body`` records, never per back-edge).  A loop whose back end
-    fell further behind its front end in its last iteration is refused
-    without a snapshot.  The body limit and every statistic count records
-    (executed instructions); ``iterations`` count iterations of whichever
-    loop was skipped, outer loops included.
+    ``max_body`` records, never per back-edge).  The body limit and every
+    statistic count records (executed instructions); ``iterations`` count
+    iterations of whichever loop was skipped, outer loops included.
     """
 
     def __init__(self, pipeline: PipelineSimulator, min_repeats: int = 8,
@@ -743,8 +866,7 @@ class FastForwardEngine:
         self.unit_sig: List[tuple] = []
         self.unit_records = 0
         self.unit_period = 1
-        self.pos = 0
-        self.buf: List[tuple] = []
+        self.pos = 0                        # matched executions of a unit
         self.pending = 0
         self.delta: Optional[dict] = None
         self._draining = False
@@ -757,22 +879,19 @@ class FastForwardEngine:
             expected = self.unit_sig[self.pos]
             if expected[0] is facts and expected[2] is taken \
                     and expected[1] == eas:
-                self.buf.append(expected)
                 self.pos += 1
                 if self.pos == len(self.unit_sig):
                     self.pending += 1
                     self.pos = 0
-                    self.buf.clear()
                 return
             self._drain()
         self._scan(facts, eas, taken)
 
     def _drain(self) -> None:
-        """Apply accumulated skips, then replay the buffered partial tail."""
-        pending, buffered = self.pending, self.buf
+        """Apply accumulated skips, then replay the matched partial unit."""
+        pending, matched = self.pending, self.unit_sig[:self.pos]
         self.skipping = False
         self.pending = 0
-        self.buf = []
         self.pos = 0
         if pending:
             _ff_apply(self.pl, self.delta, pending)
@@ -783,7 +902,7 @@ class FastForwardEngine:
             self._gap = len(self.log)
         self._draining = True
         try:
-            for execution in buffered:
+            for execution in matched:
                 self._scan(*execution)
         finally:
             self._draining = False
@@ -852,31 +971,15 @@ class FastForwardEngine:
         loop.repeats += 1
         # A fingerprint across a skip lacks the skipped executions, so it
         # never starts a measurement.
-        if loop.repeats >= loop.retry_at - 1 and self.measured is None \
+        if loop.repeats >= loop.retry_at and self.measured is None \
                 and not self._draining and start >= self._gap:
             self._arm(loop)
 
     def _arm(self, loop: _Loop) -> None:
-        """Start measuring *loop* at its ``retry_at``-th repeat.
-
-        A loop whose back end fell further behind its front end in its
-        last iteration (``last_completion - frontend_cycle`` grew) is not
-        steady: it counts as a validation failure and backs off without a
-        snapshot.  Backend-bound loops are refused this way every time.
-        """
-        pl = self.pl
-        backlog = pl.last_completion - pl.frontend_cycle
-        grew = backlog > 0 and backlog > loop.backlog
-        loop.backlog = backlog
-        if loop.repeats < loop.retry_at:
-            return
-        if grew:
-            _FF_STATS["validation_failures"] += 1
-            loop.retry_at = loop.repeats * 2 + 16
-            return
+        """Start measuring *loop*: snapshot the pipeline for one period."""
         self.measured = loop
         self.measure_left = loop.period
-        self.s0 = pl._ff_snapshot()
+        self.s0 = self.pl._ff_snapshot()
 
     def _measure(self, loop: _Loop, sig: list, records: int) -> bool:
         """Advance the measurement at a back-edge of *loop*; True when the
@@ -905,7 +1008,6 @@ class FastForwardEngine:
             self.skipping = True
             self.pos = 0
             self.pending = 0
-            self.buf = []
             _FF_STATS["loops_entered"] += 1
             return True
         _FF_STATS["validation_failures"] += 1

@@ -108,10 +108,11 @@ def _integer(text: str, lineno: int) -> int:
 def _expression(text: str, lineno: int) -> Tuple[int, Optional[str]]:
     """Read ``text`` as signed terms into ``(value, symbol)``.
 
-    Each term after the first needs a sign before it.  In a run of
-    signs a ``+`` sets the sign to plus and each ``-`` flips it, so
-    ``--8`` and ``-+8`` are 8 and ``buf-8`` is ``-8+buf``.  At most one
-    term is a symbol, never negated.  Signs may trail the last term.
+    Each term after the first needs a sign before it.  A run of signs
+    is negative when it holds an odd number of ``-``s, as gas reads it,
+    so ``--8`` and ``-+-8`` are 8, ``-+8`` is -8, ``8-+2`` is 6 and
+    ``buf-8`` is ``-8+buf``.  At most one term is a symbol, never
+    negated.  Signs may trail the last term.
     """
     value = 0
     symbol = None
@@ -126,7 +127,7 @@ def _expression(text: str, lineno: int) -> Tuple[int, Optional[str]]:
         if signs:
             if pos and not signs.strip():
                 break
-            negative = signs[signs.rfind("+") + 1:].count("-") & 1
+            negative = signs.count("-") & 1
         elif pos:
             break
         if number is not None:

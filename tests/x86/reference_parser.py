@@ -189,6 +189,10 @@ class _OperandParser:
                 self.next()
                 sign = -sign
                 continue
+            elif expect_term and kind == "PLUS":
+                # A '+' inside a run of signs leaves the sign as it is.
+                self.next()
+                continue
             elif kind == "NUMBER" and text[0] == "-":
                 # The lexer reads "buf-8" as IDENT "buf", NUMBER "-8".
                 self.next()

@@ -118,6 +118,30 @@ class TestOperands:
             parse_unit(".text\n    movl %s, %%eax\n" % text)
 
 
+#: Runs of signs, each beside the plain operand with the value gas 2.40
+#: assembles for it (``as --64``; ``movl $-+8, %eax`` is ``b8 f8 ff ff
+#: ff``): a run is negative when it holds an odd number of ``-``s.
+SIGN_RUNS = [
+    ("$-+8", "$-8"),
+    ("$-+-8", "$8"),
+    ("$8-+2", "$6"),
+    ("-+8(%rdi)", "-8(%rdi)"),
+    ("$+-8", "$-8"),
+    ("$--8", "$8"),
+]
+
+
+class TestSignRuns:
+    @pytest.mark.parametrize("text,plain", SIGN_RUNS,
+                             ids=[text for text, _ in SIGN_RUNS])
+    def test_sign_is_the_parity_of_the_minuses(self, text, plain):
+        assert parse_operand(text) == parse_operand(plain)
+
+    def test_negated_symbol_through_a_plus_is_rejected(self):
+        with pytest.raises(ParseError):
+            parse_operand("$-+buf")
+
+
 #: Symbol-minus-offset operands, which gas accepts; the IR prints
 #: ``-8+buf(%rip)`` back as ``buf-8(%rip)``.
 SYMBOL_OFFSETS = ["buf-8(%rip)", "-8+buf(%rip)", "buf-1(,%rdi,1)",
