@@ -40,14 +40,15 @@ from __future__ import annotations
 import operator
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.ir.entries import InstructionEntry
 from repro.ir.unit import MaoUnit
 from repro.sim.loader import LoadedProgram, STACK_TOP, load_unit
 from repro.sim.memory import SparseMemory
 from repro.sim.state import MASK64, MachineState
-from repro.x86.flags import cc_encoding, parity
+from repro.x86.flags import (ALL_FLAGS, CF, OF, PF, SF, ZF, cc_encoding,
+                              cc_flags_read, parity)
 from repro.x86.instruction import Instruction
 from repro.x86.operands import (
     Immediate,
@@ -78,7 +79,15 @@ _BLOCK_STATS = {
     "blocks_compiled": 0,
     "block_hits": 0,
     "instructions_compiled": 0,
+    "blocks_generated": 0,
 }
+
+#: The execution of a block that generates its function (and runs it):
+#: earlier executions run the block's step closures.  Building and
+#: compiling a block's source costs about as much as a few hundred
+#: executions save, so blocks of short runs (the server's small
+#: simulations, whose loops run up to about 120 times) stay on closures.
+HOT_BLOCK_EXECUTIONS = 128
 
 
 def block_cache_stats() -> Dict[str, object]:
@@ -108,20 +117,27 @@ class _CompiledStep:
     address of its memory operand, or the stack slot a push/call writes or
     a pop/ret reads), or is None.  ``traced`` is the body form the traced
     loop calls: it runs the step and returns that ``ea``, computed first.
+    ``flags_written`` are the flags ``run`` writes every time, and
+    ``flags_read`` those it may read; ``may_fault`` is set when ``run``
+    (or ``ea``) may raise :class:`SimError`.
     """
 
     __slots__ = ("entry", "insn", "address", "next_rip", "run", "ea",
-                 "traced")
+                 "traced", "flags_written", "flags_read", "may_fault")
 
     def __init__(self, entry: InstructionEntry, address: int, next_rip: int,
-                 run: Step, ea: Optional[Callable[["Interpreter"], int]]
-                 ) -> None:
+                 run: Step, ea: Optional[Callable[["Interpreter"], int]],
+                 flags_written: FrozenSet[str], flags_read: FrozenSet[str],
+                 may_fault: bool) -> None:
         self.entry = entry
         self.insn = entry.insn
         self.address = address
         self.next_rip = next_rip
         self.run = run
         self.ea = ea
+        self.flags_written = flags_written
+        self.flags_read = flags_read
+        self.may_fault = may_fault
         if ea is None:
             self.traced = run
         else:
@@ -142,10 +158,17 @@ class _Block:
     block is a fall-off fault when ``fell_off`` is set).  ``steps`` is
     ``body`` followed by ``last``: the order a consumer of executed blocks
     sees them in.  ``end`` is the rip after the body.
+
+    ``executions`` counts the block's executions on the closure paths of
+    unsampled runs; the one numbered :data:`HOT_BLOCK_EXECUTIONS` sets
+    ``generated`` (or ``generated_traced``, in the traced loop) to the
+    block's generated function (:mod:`repro.sim.blockgen`), which runs the
+    whole block, exit included, from then on.
     """
 
     __slots__ = ("body", "last", "skip_to", "fell_off", "slow", "steps",
-                 "runs", "traced", "end")
+                 "runs", "traced", "end", "size", "executions", "generable",
+                 "generated", "generated_traced")
 
     def __init__(self, body: List[_CompiledStep],
                  last: Optional[_CompiledStep],
@@ -162,6 +185,11 @@ class _Block:
         # rdtsc reads the per-step virtual TSC, so blocks containing it
         # must run the per-step bookkeeping path.
         self.slow = any(s.insn.base == "rdtsc" for s in body)
+        self.size = len(self.steps)
+        self.executions = 0
+        self.generable = bool(self.steps) and not self.slow
+        self.generated: Optional[Callable] = None
+        self.generated_traced: Optional[Callable] = None
 
 
 #: Bases whose steps end a block; a compiled block ends at (and includes)
@@ -320,61 +348,85 @@ class Interpreter:
                     sample_phase=0) -> RunResult:
         """Hot path: no trace, no ExecRecord allocation, no ea computation.
 
-        A whole body runs without per-step bookkeeping unless the block
-        reads the TSC, the run is sampled, or ``max_steps`` falls inside
-        it; a step that faults sets rip past itself before raising.
+        A hot block runs as its generated function, exit included, and a
+        whole body of closures runs without per-step bookkeeping, unless
+        the block reads the TSC, the run is sampled, or ``max_steps``
+        falls inside it; a step that faults sets rip past itself before
+        raising.
         """
         state = self.state
         blocks = self.program.block_cache
         max_steps = self.max_steps
-        stats = _BLOCK_STATS
-        steps = 0
+        hot = HOT_BLOCK_EXECUTIONS
+        unsampled = not sample_period
+        tsc = self._tsc                  # the virtual TSC counts steps
+        steps = hits = 0
         reason = "max-steps"
-        while steps < max_steps:
-            block = blocks.get(state.rip)
-            if block is None:
-                block = self._compile_block(state.rip)
-            else:
-                stats["block_hits"] += 1
-            runs = block.runs
-            if runs:
-                if block.slow or sample_period \
-                        or max_steps - steps < len(runs):
-                    for step in block.body:
-                        if steps >= max_steps:
-                            break
-                        state.rip = step.next_rip
-                        steps += 1
-                        self._tsc += 1
-                        if sample_period and steps % sample_period == sample_phase:
-                            samples.append((step.address, state.snapshot()))
-                        step.run(self)
+        try:
+            while steps < max_steps:
+                block = blocks.get(state.rip)
+                if block is None:
+                    block = self._compile_block(state.rip)
                 else:
-                    for run in runs:
-                        run(self)
-                    steps += len(runs)
-                    self._tsc += len(runs)
-                    state.rip = block.end
-                if steps >= max_steps:
-                    continue         # loop condition ends the run
-            step = block.last
-            if step is None:
-                if block.skip_to is not None:
-                    state.rip = block.skip_to
-                elif block.fell_off:
-                    raise SimError("execution fell off code at %#x (step %d)"
-                                   % (state.rip, steps))
-                continue
-            state.rip = step.next_rip
-            steps += 1
-            self._tsc += 1
-            if sample_period and steps % sample_period == sample_phase:
-                samples.append((step.address, state.snapshot()))
-            rip, taken = step.run(self)
-            if rip is None:
-                reason = taken
-                break
-            state.rip = rip
+                    hits += 1
+                generated = block.generated
+                if generated is None and unsampled:
+                    block.executions += 1
+                    if block.executions >= hot and block.generable:
+                        generated = block.generated = _generate(
+                            self.program, block, False)
+                if generated is not None and unsampled \
+                        and max_steps - steps >= block.size:
+                    rip, taken = generated(self)
+                    steps += block.size
+                    if rip is None:
+                        state.rip = block.last.next_rip
+                        reason = taken
+                        break
+                    state.rip = rip
+                    continue
+                runs = block.runs
+                if runs:
+                    if block.slow or sample_period \
+                            or max_steps - steps < len(runs):
+                        for step in block.body:
+                            if steps >= max_steps:
+                                break
+                            state.rip = step.next_rip
+                            steps += 1
+                            self._tsc = tsc + steps
+                            if sample_period and \
+                                    steps % sample_period == sample_phase:
+                                samples.append((step.address,
+                                                state.snapshot()))
+                            step.run(self)
+                    else:
+                        for run in runs:
+                            run(self)
+                        steps += len(runs)
+                        state.rip = block.end
+                    if steps >= max_steps:
+                        continue         # loop condition ends the run
+                step = block.last
+                if step is None:
+                    if block.skip_to is not None:
+                        state.rip = block.skip_to
+                    elif block.fell_off:
+                        raise SimError("execution fell off code at %#x "
+                                       "(step %d)" % (state.rip, steps))
+                    continue
+                state.rip = step.next_rip
+                steps += 1
+                if sample_period and steps % sample_period == sample_phase:
+                    samples.append((step.address, state.snapshot()))
+                rip, taken = step.run(self)
+                if rip is None:
+                    reason = taken
+                    break
+                state.rip = rip
+        finally:
+            _BLOCK_STATS["block_hits"] += hits
+            self._tsc = tsc + steps
         self.instructions_executed = steps
         return RunResult(steps=steps, reason=reason, state=state,
                          memory=self.memory, trace=None, samples=samples)
@@ -382,67 +434,100 @@ class Interpreter:
     def _run_blocks_traced(self, on_block, sample_period, samples,
                            sample_phase=0) -> RunResult:
         """Traced path: each executed block goes to *on_block* with its
-        per-step effective addresses, from the compiled ``ea`` functions."""
+        per-step effective addresses, from the compiled ``ea`` functions
+        (or, in a hot block's generated function, their inline forms)."""
         state = self.state
         blocks = self.program.block_cache
         max_steps = self.max_steps
-        stats = _BLOCK_STATS
-        steps = 0
+        hot = HOT_BLOCK_EXECUTIONS
+        unsampled = not sample_period
+        tsc = self._tsc                  # the virtual TSC counts steps
+        steps = hits = 0
         reason = "max-steps"
-        while steps < max_steps:
-            block = blocks.get(state.rip)
-            if block is None:
-                block = self._compile_block(state.rip)
-            else:
-                stats["block_hits"] += 1
-            if block.slow or sample_period \
-                    or max_steps - steps < len(block.body):
-                eas: List[Optional[int]] = []
-                for step in block.body:
-                    if steps >= max_steps:
+        try:
+            while steps < max_steps:
+                block = blocks.get(state.rip)
+                if block is None:
+                    block = self._compile_block(state.rip)
+                else:
+                    hits += 1
+                generated = block.generated_traced
+                if generated is None and unsampled:
+                    block.executions += 1
+                    if block.executions >= hot and block.generable:
+                        generated = block.generated_traced = _generate(
+                            self.program, block, True)
+                if generated is not None and unsampled \
+                        and max_steps - steps >= block.size:
+                    eas, rip, taken = generated(self)
+                    steps += block.size
+                    if rip is None:
+                        state.rip = block.last.next_rip
+                        reason = taken
+                        on_block(block, eas, None)
                         break
-                    state.rip = step.next_rip
-                    steps += 1
-                    self._tsc += 1
-                    if sample_period and steps % sample_period == sample_phase:
-                        samples.append((step.address, state.snapshot()))
-                    eas.append(step.traced(self))
-            else:
-                eas = [traced(self) for traced in block.traced]
-                if eas:
-                    steps += len(eas)
-                    self._tsc += len(eas)
-                    state.rip = block.end
-            step = block.last
-            if step is None or steps >= max_steps:
-                # The block ends before an exit: hand over what ran.
-                if eas:
-                    on_block(block, eas, None)
-                if steps >= max_steps:
+                    state.rip = rip
+                    on_block(block, eas, taken)
                     continue
-                if block.skip_to is not None:
-                    state.rip = block.skip_to
-                elif block.fell_off:
-                    raise SimError("execution fell off code at %#x (step %d)"
-                                   % (state.rip, steps))
-                continue
-            state.rip = step.next_rip
-            steps += 1
-            self._tsc += 1
-            if sample_period and steps % sample_period == sample_phase:
-                samples.append((step.address, state.snapshot()))
-            ea = step.ea
-            eas.append(ea(self) if ea is not None else None)
-            rip, taken = step.run(self)
-            if rip is None:
-                reason = taken
-                on_block(block, eas, None)
-                break
-            state.rip = rip
-            on_block(block, eas, taken)
+                if block.slow or sample_period \
+                        or max_steps - steps < len(block.body):
+                    eas: List[Optional[int]] = []
+                    for step in block.body:
+                        if steps >= max_steps:
+                            break
+                        state.rip = step.next_rip
+                        steps += 1
+                        self._tsc = tsc + steps
+                        if sample_period and \
+                                steps % sample_period == sample_phase:
+                            samples.append((step.address, state.snapshot()))
+                        eas.append(step.traced(self))
+                else:
+                    eas = [traced(self) for traced in block.traced]
+                    if eas:
+                        steps += len(eas)
+                        state.rip = block.end
+                step = block.last
+                if step is None or steps >= max_steps:
+                    # The block ends before an exit: hand over what ran.
+                    if eas:
+                        on_block(block, eas, None)
+                    if steps >= max_steps:
+                        continue
+                    if block.skip_to is not None:
+                        state.rip = block.skip_to
+                    elif block.fell_off:
+                        raise SimError("execution fell off code at %#x "
+                                       "(step %d)" % (state.rip, steps))
+                    continue
+                state.rip = step.next_rip
+                steps += 1
+                if sample_period and steps % sample_period == sample_phase:
+                    samples.append((step.address, state.snapshot()))
+                ea = step.ea
+                eas.append(ea(self) if ea is not None else None)
+                rip, taken = step.run(self)
+                if rip is None:
+                    reason = taken
+                    on_block(block, eas, None)
+                    break
+                state.rip = rip
+                on_block(block, eas, taken)
+        finally:
+            _BLOCK_STATS["block_hits"] += hits
+            self._tsc = tsc + steps
         self.instructions_executed = steps
         return RunResult(steps=steps, reason=reason, state=state,
                          memory=self.memory, trace=None, samples=samples)
+
+
+def _generate(program: LoadedProgram, block: _Block,
+              traced: bool) -> Callable:
+    """The generated function of a hot *block* (see _Block)."""
+    from repro.sim.blockgen import generate
+
+    _BLOCK_STATS["blocks_generated"] += 1
+    return generate(block, program.symtab, traced)
 
 
 #: ``on_block(block, eas, taken)``: one executed compiled block.
@@ -492,6 +577,9 @@ class _Site(NamedTuple):
     #: The address function of the instruction's memory operand (an
     #: encodable instruction has at most one).
     ea: Optional[Callable[["Interpreter"], int]]
+    #: The message of every fault the step may raise, added where each
+    #: fault is made (``_fault``, and the divide's own checks).
+    faults: List[str]
 
 
 def _compile_step(entry: InstructionEntry, address: int, next_rip: int,
@@ -499,17 +587,17 @@ def _compile_step(entry: InstructionEntry, address: int, next_rip: int,
     insn = entry.insn
     base = insn.base
     mem = insn.memory_operand()
-    site = _Site(symtab, next_rip,
-                 _address(mem, symtab, next_rip) if mem is not None
-                 else None)
+    site = _Site(symtab, next_rip, None, [])
+    if mem is not None:
+        site = site._replace(ea=_address(mem, site))
     compiler = _DISPATCH.get(base)
     if compiler is None:
-        run = _fault("no semantics for %s" % insn, next_rip)
+        run = _fault("no semantics for %s" % insn, site)
     else:
         try:
             run = compiler(insn, site)
         except SimError as exc:
-            run = _fault(str(exc), next_rip)
+            run = _fault(str(exc), site)
     if mem is not None and base != "lea":
         ea = site.ea
     elif base in ("push", "call"):
@@ -518,12 +606,18 @@ def _compile_step(entry: InstructionEntry, address: int, next_rip: int,
         ea = _pop_slot
     else:
         ea = None
-    return _CompiledStep(entry, address, next_rip, run, ea)
+    writes, reads = _flag_use(insn)
+    return _CompiledStep(entry, address, next_rip, run, ea, writes, reads,
+                         bool(site.faults))
 
 
-def _fault(message: str, next_rip: int) -> Callable[..., None]:
+def _fault(message: str, site: _Site) -> Callable[..., None]:
     """A step (or operand access) that raises SimError when it runs, with
-    rip past the instruction, as when any step faults."""
+    rip past the instruction, as when any step faults; the site records
+    that its step may fault."""
+    site.faults.append(message)
+    next_rip = site.next_rip
+
     def fault(interp: Interpreter, *_: object) -> None:
         interp.state.rip = next_rip
         raise SimError(message)
@@ -622,13 +716,13 @@ def _is_gp64(reg: Optional[Register]) -> bool:
     return reg is not None and reg.reg_class == "gp" and reg.width == 64
 
 
-def _address(mem: Memory, symtab: Dict[str, int],
-             next_rip: int) -> Callable[[Interpreter], int]:
+def _address(mem: Memory, site: _Site) -> Callable[[Interpreter], int]:
     """The effective-address function of one memory operand."""
+    symtab, next_rip = site.symtab, site.next_rip
     disp = mem.disp
     if mem.symbol is not None:
         if mem.symbol not in symtab:
-            return _fault("unresolved symbol %r" % mem.symbol, next_rip)
+            return _fault("unresolved symbol %r" % mem.symbol, site)
         disp += symtab[mem.symbol]
         if mem.is_rip_relative:
             # `sym(%rip)` addresses the symbol itself; the encoded disp32
@@ -661,7 +755,7 @@ def _address(mem: Memory, symtab: Dict[str, int],
         read_base = _reg_reader(base) if base is not None else None
         read_index = _reg_reader(index) if index is not None else None
     except SimError as exc:
-        return _fault(str(exc), next_rip)
+        return _fault(str(exc), site)
 
     def address(interp):
         value = disp
@@ -695,7 +789,7 @@ def _reader(op: Operand, width: int,
     if isinstance(op, Memory):
         address, size = site.ea, width // 8
         return lambda interp: interp.memory.read(address(interp), size)
-    return _fault("cannot read operand %r" % (op,), site.next_rip)
+    return _fault("cannot read operand %r" % (op,), site)
 
 
 def _writer(op: Operand, width: int,
@@ -706,7 +800,7 @@ def _writer(op: Operand, width: int,
         address, size = site.ea, width // 8
         return lambda interp, value: interp.memory.write(address(interp),
                                                           value, size)
-    return _fault("cannot write operand %r" % (op,), site.next_rip)
+    return _fault("cannot write operand %r" % (op,), site)
 
 
 def _full(op: Operand, width: int) -> Optional[str]:
@@ -740,25 +834,30 @@ def _xmm_or_mem(op: Operand, size: int,
 
 # ---- conditions and branch targets ------------------------------------------
 
-#: The test of each condition-code encoding, on the flags.
-_CONDITIONS: Tuple[Callable, ...] = (
-    lambda f: f.OF,                             # o
-    lambda f: not f.OF,                         # no
-    lambda f: f.CF,                             # b
-    lambda f: not f.CF,                         # ae
-    lambda f: f.ZF,                             # e
-    lambda f: not f.ZF,                         # ne
-    lambda f: f.CF or f.ZF,                     # be
-    lambda f: not (f.CF or f.ZF),               # a
-    lambda f: f.SF,                             # s
-    lambda f: not f.SF,                         # ns
-    lambda f: f.PF,                             # p
-    lambda f: not f.PF,                         # np
-    lambda f: f.SF != f.OF,                     # l
-    lambda f: f.SF == f.OF,                     # ge
-    lambda f: f.ZF or f.SF != f.OF,             # le
-    lambda f: not (f.ZF or f.SF != f.OF),       # g
+#: The test of each condition-code encoding, as source over the flags
+#: ``f``: ``repro.sim.blockgen`` writes it into a folded exit.
+_CONDITION_TESTS: Tuple[str, ...] = (
+    "f.OF",                                     # o
+    "not f.OF",                                 # no
+    "f.CF",                                     # b
+    "not f.CF",                                 # ae
+    "f.ZF",                                     # e
+    "not f.ZF",                                 # ne
+    "f.CF or f.ZF",                             # be
+    "not (f.CF or f.ZF)",                       # a
+    "f.SF",                                     # s
+    "not f.SF",                                 # ns
+    "f.PF",                                     # p
+    "not f.PF",                                 # np
+    "f.SF != f.OF",                             # l
+    "f.SF == f.OF",                             # ge
+    "f.ZF or f.SF != f.OF",                     # le
+    "not (f.ZF or f.SF != f.OF)",               # g
 )
+
+#: The same tests as functions of the flags.
+_CONDITIONS: Tuple[Callable, ...] = tuple(
+    eval("lambda f: " + test) for test in _CONDITION_TESTS)
 
 
 def _condition(insn: Instruction) -> Callable:
@@ -775,13 +874,13 @@ def _target(insn: Instruction, site: _Site):
     if isinstance(op, LabelRef):
         if op.name in site.symtab:
             return site.symtab[op.name]
-        return _fault("undefined branch target %r" % op.name, site.next_rip)
+        return _fault("undefined branch target %r" % op.name, site)
     if isinstance(op, RegisterOperand):
         return _reg_reader(op.reg)
     if isinstance(op, Memory):
         address = site.ea
         return lambda interp: interp.memory.read(address(interp), 8)
-    return _fault("bad branch target in %s" % insn, site.next_rip)
+    return _fault("bad branch target in %s" % insn, site)
 
 
 def _copy(get, put) -> Step:
@@ -1345,6 +1444,7 @@ def _c_div(insn: Instruction, site: _Site) -> Step:
     fetch, store = _double_reader(width), _double_writer(width)
     signed, next_rip = insn.base == "idiv", site.next_rip
     overflow = "%s overflow" % insn.base
+    site.faults.extend(("division by zero", overflow))
 
     def div(interp):
         state = interp.state
@@ -1744,6 +1844,58 @@ def _c_cvtsd2ss(insn: Instruction, site: _Site) -> Step:
 def _c_movaps(insn: Instruction, site: _Site) -> Step:
     src, dst = _operands(insn, 2)
     return _copy(_xmm_or_mem(src, 128, site), _writer(dst, 128, site))
+
+
+# ---- flags each step writes and reads ---------------------------------------
+
+_NO_FLAGS: FrozenSet[str] = frozenset()
+
+#: Bases whose step writes all six flags every time it runs.
+_WRITES_ALL = frozenset(("add", "sub", "adc", "sbb", "and", "or", "xor",
+                         "cmp", "test", "neg", "ucomiss", "ucomisd",
+                         "comiss", "comisd"))
+
+
+def _flag_use(insn: Instruction) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """The flags *insn*'s compiled step writes every time it runs, exactly
+    as it writes them, and the flags it may read (all six when unknown).
+
+    A step whose compiler failed faults when it runs, which exposes every
+    flag whatever is declared here.
+    """
+    base = insn.base
+    if base not in _DISPATCH:
+        return _NO_FLAGS, ALL_FLAGS
+    if base in _WRITES_ALL:
+        return ALL_FLAGS, (frozenset((CF,)) if base in ("adc", "sbb")
+                           else _NO_FLAGS)
+    if base in ("inc", "dec"):
+        return ALL_FLAGS - {CF}, _NO_FLAGS       # CF is kept
+    if base == "mul" or (base == "imul" and len(insn.operands) == 1):
+        return frozenset((CF, OF)), _NO_FLAGS
+    if base == "imul":
+        return frozenset((CF, OF, ZF, SF, PF)), _NO_FLAGS   # not AF
+    if base in ("shl", "shr", "sar", "rol", "ror"):
+        # Only a count that is nonzero after masking writes the flags,
+        # and only an immediate (or the implied 1) is known to be one.
+        ops = insn.operands
+        if len(ops) == 1:
+            count = 1
+        elif len(ops) == 2 and isinstance(ops[0], Immediate):
+            count = ops[0].value & (63 if insn.effective_width() == 64
+                                    else 31)
+        else:
+            count = 0
+        if not count:
+            return _NO_FLAGS, _NO_FLAGS
+        return (frozenset((CF,)) if base in ("rol", "ror")
+                else ALL_FLAGS), _NO_FLAGS
+    if base in ("j", "set", "cmov"):
+        try:
+            return _NO_FLAGS, cc_flags_read(insn.cond)
+        except KeyError:
+            return _NO_FLAGS, ALL_FLAGS
+    return _NO_FLAGS, _NO_FLAGS
 
 
 #: Instruction base -> compiler of its step.

@@ -32,6 +32,12 @@ class SparseMemory:
 
     def read(self, address: int, size: int) -> int:
         """Little-endian unsigned read of *size* bytes."""
+        offset = address & _PAGE_MASK
+        if offset + size <= _PAGE_SIZE:
+            page = self._pages.get(address >> _PAGE_BITS)
+            if page is None:
+                return 0
+            return int.from_bytes(page[offset:offset + size], "little")
         value = 0
         for i in range(size):
             addr = address + i
@@ -42,6 +48,11 @@ class SparseMemory:
 
     def write(self, address: int, value: int, size: int) -> None:
         """Little-endian write of the low *size* bytes of *value*."""
+        offset = address & _PAGE_MASK
+        if offset + size <= _PAGE_SIZE:
+            self._page(address)[offset:offset + size] = (
+                value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+            return
         for i in range(size):
             addr = address + i
             self._page(addr)[addr & _PAGE_MASK] = (value >> (8 * i)) & 0xFF

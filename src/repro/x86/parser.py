@@ -105,19 +105,26 @@ def _integer(text: str, lineno: int) -> int:
         raise ParseError("bad number %r" % text, lineno) from None
 
 
-def _expression(text: str, lineno: int) -> Tuple[int, Optional[str]]:
+def _expression(text: str, lineno: int,
+                optional: bool = False) -> Tuple[int, Optional[str]]:
     """Read ``text`` as signed terms into ``(value, symbol)``.
 
     Each term after the first needs a sign before it.  A run of signs
     is negative when it holds an odd number of ``-``s, as gas reads it,
     so ``--8`` and ``-+-8`` are 8, ``-+8`` is -8, ``8-+2`` is 6 and
     ``buf-8`` is ``-8+buf``.  At most one term is a symbol, never
-    negated.  Signs may trail the last term.
+    negated.  Signs may trail the last term, but an expression needs
+    one: signs alone are an error, and so is blank text unless
+    *optional* (a displacement before ``(``), which reads as 0.
     """
     value = 0
     symbol = None
     pos = 0
     end = len(text)
+    if not text or text.isspace():
+        if optional:
+            return 0, None
+        raise ParseError("missing expression", lineno)
     while pos < end:
         match = _TERM.match(text, pos)
         if match is None:
@@ -140,6 +147,8 @@ def _expression(text: str, lineno: int) -> Tuple[int, Optional[str]]:
         else:
             symbol = name
         pos = match.end()
+    if not pos:
+        raise ParseError("missing or invalid expression %r" % text, lineno)
     if pos < end and _SIGNS.fullmatch(text, pos) is None:
         raise ParseError("bad expression %r" % text, lineno)
     return value, symbol
@@ -165,7 +174,7 @@ def _memory(text: str, is_branch: bool, indirect: bool,
         return Memory(disp=value, symbol=symbol, indirect=indirect)
     if text[-1] != ")":
         raise ParseError("trailing text in operand %r" % text, lineno)
-    value, symbol = _expression(text[:paren], lineno)
+    value, symbol = _expression(text[:paren], lineno, optional=True)
     parts = text[paren + 1:-1].split(",")
     if len(parts) > 3:
         raise ParseError("too many parts in operand %r" % text, lineno)

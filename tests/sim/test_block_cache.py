@@ -7,6 +7,8 @@ as the per-step reference interpreter in ``tests/sim/reference_interp.py``.
 The cache is sound because the code image is immutable after load, so
 these tests pin that contract on the paper's kernels plus the awkward
 shapes — padding gaps, faults mid-block, max-steps cut-offs, rdtsc blocks.
+Each test class runs again as its ``...Generated`` subclass, with every
+block's function generated at its first execution.
 """
 
 import pytest
@@ -24,6 +26,7 @@ from repro.sim.interp import (
 from repro.sim.loader import load_unit
 from repro.workloads import kernels
 from tests.sim import reference_interp
+from tests.sim.generated_blocks import every_block_generated
 from tests.sim.reference_interp import ReferenceInterpreter
 
 
@@ -216,3 +219,25 @@ class TestNoRecordsUntraced:
         result = run_unit(parse_unit(kernels.hash_bench(trip=5)),
                           collect_trace=True)
         assert len(created) == len(result.trace) == result.steps
+
+
+class _Generated:
+    """Runs the inherited tests with every block generated at its first
+    execution, each generated source checked on the way out."""
+
+    @pytest.fixture(autouse=True)
+    def _every_block_generated(self):
+        with every_block_generated():
+            yield
+
+
+class TestDifferentialGenerated(_Generated, TestDifferential):
+    pass
+
+
+class TestCacheBehaviourGenerated(_Generated, TestCacheBehaviour):
+    pass
+
+
+class TestNoRecordsUntracedGenerated(_Generated, TestNoRecordsUntraced):
+    pass

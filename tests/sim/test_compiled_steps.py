@@ -9,7 +9,11 @@ reference interpreter (``tests/sim/reference_interp.py``) and on the
 block-compiled one, untraced and traced, and must leave the same steps,
 stop reason (or fault), general-purpose and XMM registers, flags, rip,
 memory and — when traced — ``ExecRecord`` stream.  Runs are also cut by
-``max_steps`` at a drawn point, and some programs fault mid-block.
+``max_steps`` at a drawn point, and some programs fault mid-block.  The
+block-compiled runs are made twice: as the programs' blocks first run,
+on their step closures, and with every block's function generated at
+its first execution (``tests/sim/generated_blocks.py``, which also
+checks each generated source).
 
 The ``tier1`` Hypothesis profile (``tests/conftest.py``) fixes the seed,
 so a tier-1 run checks the same programs every time.
@@ -23,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.ir import parse_unit
 from repro.sim.interp import _DISPATCH, Interpreter, SimError
 from repro.sim.loader import load_unit
+from tests.sim.generated_blocks import every_block_generated
 from tests.sim.reference_interp import ReferenceInterpreter
 
 #: Drawn programs are large and slow to draw.
@@ -567,26 +572,38 @@ def run(engine, program, max_steps, traced=False):
             "memory": machine.memory, "trace": trace}
 
 
+def run_both_tiers(program, hot, max_steps, traced=False):
+    """The block-compiled interpreter's runs: *program* as blocks first
+    run, on their closures, and *hot* with every block generated (a block
+    that fits the run goes through its generated function)."""
+    closures = run(Interpreter, program, max_steps, traced)
+    with every_block_generated():
+        generated = run(Interpreter, hot, max_steps, traced)
+    return closures, generated
+
+
 def check(source, cuts=None):
-    """Run *source* on both interpreters: whole, untraced and traced,
+    """Run *source* on the reference interpreter and on the block-compiled
+    one, its blocks on closures and generated: whole, untraced and traced,
     comparing everything including memory and records; then cut after
     every step past the set-up (or at each of *cuts*), comparing the stop,
     registers, flags and rip."""
     program = load_unit(parse_unit(source), "main")
+    hot = load_unit(parse_unit(source), "main")
     for traced in (False, True):
         expected = run(ReferenceInterpreter, program, WHOLE, traced)
-        got = run(Interpreter, program, WHOLE, traced)
         expected["memory"] = list(expected["memory"].nonzero_ranges())
-        got["memory"] = list(got["memory"].nonzero_ranges())
-        for key in expected:
-            assert got[key] == expected[key], (key, traced, source)
+        for got in run_both_tiers(program, hot, WHOLE, traced):
+            got["memory"] = list(got["memory"].nonzero_ranges())
+            for key in expected:
+                assert got[key] == expected[key], (key, traced, source)
     if cuts is None:
         cuts = range(SETUP_STEPS + 1, WHOLE)
     for cut in cuts:
         expected = run(ReferenceInterpreter, program, cut)
-        got = run(Interpreter, program, cut)
-        for key in ("stop", "gp", "xmm", "flags", "rip"):
-            assert got[key] == expected[key], (key, cut, source)
+        for got in run_both_tiers(program, hot, cut):
+            for key in ("stop", "gp", "xmm", "flags", "rip"):
+                assert got[key] == expected[key], (key, cut, source)
         if expected["stop"][1] != "max-steps":
             break                        # the run ended before the cut
 

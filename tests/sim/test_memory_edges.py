@@ -132,3 +132,42 @@ class TestProperties:
         for address, size, _ in writes:
             assert mem.read_bytes(address, size) == \
                 bytes(flat[address:address + size])
+
+
+class ByteModel:
+    """Memory as a dict of bytes, one access one byte at a time."""
+
+    def __init__(self):
+        self.bytes = {}
+
+    def read(self, address, size):
+        return sum(self.bytes.get(address + i, 0) << (8 * i)
+                   for i in range(size))
+
+    def write(self, address, value, size):
+        for i in range(size):
+            self.bytes[address + i] = (value >> (8 * i)) & 0xFF
+
+
+#: An address within 16 bytes of a page boundary, on either side.
+near_boundary = st.builds(lambda page, delta: max(0, page * PAGE + delta),
+                          st.integers(0, 3), st.integers(-16, 16))
+
+
+class TestAgainstByteModel:
+    @settings(max_examples=300, deadline=None)
+    @given(accesses=st.lists(st.tuples(
+        st.booleans(), near_boundary, st.integers(1, 16),
+        st.integers(-(1 << 140), 1 << 140)), min_size=1, max_size=24))
+    def test_reads_and_writes_near_page_edges(self, accesses):
+        # In-page accesses take one slice, others the byte loop; both
+        # must act as bytes would, negative and over-wide values masked.
+        mem, model = SparseMemory(), ByteModel()
+        for is_write, address, size, value in accesses:
+            if is_write:
+                mem.write(address, value, size)
+                model.write(address, value, size)
+            else:
+                pages = mem.touched_pages()
+                assert mem.read(address, size) == model.read(address, size)
+                assert mem.touched_pages() == pages   # reads map nothing

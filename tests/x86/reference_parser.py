@@ -163,11 +163,13 @@ class _OperandParser:
         return mem
 
     def _expr(self) -> Tuple[int, Optional[str]]:
-        """Parse ``[sym|num] ([+-] [sym|num])*`` into (value, symbol)."""
+        """Parse ``[sym|num] ([+-] [sym|num])*`` into (value, symbol); an
+        expression without a term, signs alone included, is an error."""
         value = 0
         symbol: Optional[str] = None
         sign = 1
         expect_term = True
+        terms = 0
         while True:
             token = self.peek()
             if token is None:
@@ -175,9 +177,11 @@ class _OperandParser:
             kind, text = token
             if expect_term and kind == "NUMBER":
                 self.next()
+                terms += 1
                 value += sign * lexer.parse_integer(text)
             elif expect_term and kind == "IDENT":
                 self.next()
+                terms += 1
                 if symbol is not None:
                     raise ParseError("two symbols in one expression",
                                      self.lineno)
@@ -207,12 +211,14 @@ class _OperandParser:
             else:
                 break
             expect_term = kind in ("PLUS", "MINUS")
+        if not terms:
+            raise ParseError("missing or invalid expression", self.lineno)
         return value, symbol
 
     def _memory_or_label(self, indirect: bool) -> Operand:
         value, symbol = 0, None
         token = self.peek()
-        if token is not None and token[0] != "LPAREN":
+        if token is None or token[0] != "LPAREN":
             value, symbol = self._expr()
         token = self.peek()
         if token is None or token[0] != "LPAREN":

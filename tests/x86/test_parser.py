@@ -15,6 +15,7 @@ from repro.x86.parser import (
     parse_instruction,
     parse_operand,
 )
+from tests.x86 import reference_parser
 
 
 class TestOperands:
@@ -140,6 +141,45 @@ class TestSignRuns:
     def test_negated_symbol_through_a_plus_is_rejected(self):
         with pytest.raises(ParseError):
             parse_operand("$-+buf")
+
+
+#: Operands whose expression has signs but no term, or no expression at
+#: all where one is needed; gas 2.40 (``as --64``) rejects each: "missing
+#: or invalid immediate expression" for the immediates, "missing or
+#: invalid displacement expression" for the memory operands and ``jmp
+#: *-``, "operand size mismatch" for ``jmp *``.
+TERMLESS = [("$", False), ("$-", False), ("$+", False), ("$--", False),
+            ("$-+", False), ("-(%rax)", False), ("+(%rax)", False),
+            ("-", False), ("*-", True), ("*", True)]
+
+#: Operands gas assembles as written: an empty displacement before
+#: ``(``, and signs after a term ("missing operand; zero assumed", so
+#: ``$8+`` is 8), each beside its plain form.
+TERM_THEN_SIGNS = [("(%rsi)", "0(%rsi)"), ("*(%rax)", "*0(%rax)"),
+                   ("$8+", "$8"), ("$8-", "$8"), ("8-(%rax)", "8(%rax)")]
+
+
+class TestTermlessExpressions:
+    @pytest.mark.parametrize("text,is_branch", TERMLESS,
+                             ids=[text for text, _ in TERMLESS])
+    def test_signs_without_a_term_are_rejected(self, text, is_branch):
+        with pytest.raises(ParseError):
+            parse_operand(text, is_branch=is_branch)
+        with pytest.raises(ParseError):
+            reference_parser.parse_operand(text, is_branch=is_branch)
+
+    def test_rejected_in_a_unit_with_its_line(self):
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_unit(".text\n    movl $-, %eax\n")
+
+    @pytest.mark.parametrize("text,plain", TERM_THEN_SIGNS,
+                             ids=[text for text, _ in TERM_THEN_SIGNS])
+    def test_a_term_then_signs_is_accepted(self, text, plain):
+        is_branch = text.startswith("*")
+        assert parse_operand(text, is_branch=is_branch) \
+            == parse_operand(plain, is_branch=is_branch)
+        assert reference_parser.parse_operand(text, is_branch=is_branch) \
+            == parse_operand(plain, is_branch=is_branch)
 
 
 #: Symbol-minus-offset operands, which gas accepts; the IR prints
