@@ -12,10 +12,9 @@ Core-2:
 Run:  python examples/alignment_cliffs.py
 """
 
+from repro import api
 from repro.ir import parse_unit
 from repro.passes import run_passes
-from repro.sim import run_unit
-from repro.uarch import core2, simulate_trace
 from repro.workloads import kernels
 
 
@@ -23,8 +22,7 @@ def cycles_of(source, spec=None):
     unit = parse_unit(source)
     if spec:
         run_passes(unit, spec)
-    result = run_unit(unit, collect_trace=True, max_steps=3_000_000)
-    return simulate_trace(result.trace, core2())
+    return api.simulate(unit, "core2", max_steps=3_000_000).stats
 
 
 def eon_cliff() -> None:

@@ -12,11 +12,14 @@ The lower-level entry points stay re-exported for convenience::
 
     from repro import parse_unit, run_passes, run_unit, simulate_trace
     from repro import core2, opteron
+    from repro.uarch import simulate_unit
 
     unit = parse_unit(open("hot.s").read())
     run_passes(unit, "REDZEE:REDTEST:LOOP16")
-    stats = simulate_trace(run_unit(unit, collect_trace=True).trace,
-                           core2())
+    run, stats = simulate_unit(unit, core2())
+
+``simulate_trace`` times a trace the caller already holds
+(``run_unit(unit, collect_trace=True).trace``).
 
 Subpackages:
 

@@ -297,24 +297,6 @@ def relax_section(unit: MaoUnit, section: Section,
                   extern_symbols: Optional[Dict[str, int]] = None,
                   entries: Optional[List[MaoEntry]] = None
                   ) -> SectionLayout:
-    """Relax one section (traced wrapper over the incremental algorithm)."""
-    from repro import obs
-
-    with obs.span("relax", section=section.name) as span:
-        layout = _relax_section_incremental(
-            unit, section, start_address=start_address,
-            extern_symbols=extern_symbols, entries=entries)
-        if span:
-            span.attach(iterations=layout.iterations, size=layout.size)
-    return layout
-
-
-def _relax_section_incremental(unit: MaoUnit, section: Section,
-                               start_address: int = 0,
-                               extern_symbols: Optional[Dict[str,
-                                                             int]] = None,
-                               entries: Optional[List[MaoEntry]] = None
-                               ) -> SectionLayout:
     """Relax one section: assign addresses, sizes, and final encodings.
 
     Incremental algorithm: sizes live in a vector whose running prefix sums
@@ -322,89 +304,95 @@ def _relax_section_incremental(unit: MaoUnit, section: Section,
     so after a sweep promotes branches, every entry *before* the first
     promoted index keeps its address and only the suffix is recomputed.
     The promotion decisions use the same addresses a full re-walk would
-    compute, so the fixpoint is bit-identical to
-    :func:`relax_section_reference`.
+    compute, so the fixpoint is bit-identical to the full re-walk kept as
+    the test oracle ``relax_section_reference`` in
+    ``tests/analysis/relax_reference.py``.
 
     ``entries`` lets callers that already hold the section's entry list
     (e.g. :func:`relax_unit` via :func:`section_entry_map`) skip the
     O(unit) membership scan.
     """
-    if entries is None:
-        entries = _section_entries(unit, section)
-    layout = SectionLayout(section, start_address)
-    plan = _entry_plan(entries, section)
-    n = len(entries)
+    from repro import obs
 
-    sizes = [0] * n
-    addresses = [start_address] * n
-    promoted = [False] * n
-    branch_indices = [i for i in range(n) if plan[i][0] == _KIND_BRANCH]
-    symtab: Dict[str, int] = dict(extern_symbols or {})
+    with obs.span("relax", section=section.name) as span:
+        if entries is None:
+            entries = _section_entries(unit, section)
+        layout = SectionLayout(section, start_address)
+        plan = _entry_plan(entries, section)
+        n = len(entries)
 
-    iterations = 0
-    converged = False
-    dirty = 0   # recompute layout from this index onward
-    while iterations < MAX_RELAX_ITERATIONS:
-        iterations += 1
+        sizes = [0] * n
+        addresses = [start_address] * n
+        promoted = [False] * n
+        branch_indices = [i for i in range(n) if plan[i][0] == _KIND_BRANCH]
+        symtab: Dict[str, int] = dict(extern_symbols or {})
 
-        address = addresses[dirty] if n else start_address
-        for i in range(dirty, n):
-            addresses[i] = address
-            kind, payload = plan[i]
-            if kind == _KIND_LABEL:
-                symtab[payload] = address
-                size = 0
-            elif kind == _KIND_FIXED:
-                size = payload
-            elif kind == _KIND_BRANCH:
-                size = payload[1] if promoted[i] else payload[0]
-            else:  # _KIND_ALIGN
-                alignment, max_skip = payload
-                pad = (-address) % alignment
-                if max_skip is not None and pad > max_skip:
-                    pad = 0
-                size = pad
-            sizes[i] = size
-            address += size
+        iterations = 0
+        converged = False
+        dirty = 0   # recompute layout from this index onward
+        while iterations < MAX_RELAX_ITERATIONS:
+            iterations += 1
 
-        # Promote out-of-range short branches; monotonic, so this loop
-        # terminates.  The cheap O(branches) check runs over every branch
-        # (an early branch can target a moved label), but layout recompute
-        # above only covers the dirty suffix.
-        first_promoted = None
-        for i in branch_indices:
-            if promoted[i]:
-                continue
-            insn = entries[i].insn
-            target_name = insn.branch_target_label()
-            target = symtab.get(target_name)
-            if target is not None:
-                rel = target - (addresses[i] + plan[i][1][0])
-                if -128 <= rel <= 127:
+            address = addresses[dirty] if n else start_address
+            for i in range(dirty, n):
+                addresses[i] = address
+                kind, payload = plan[i]
+                if kind == _KIND_LABEL:
+                    symtab[payload] = address
+                    size = 0
+                elif kind == _KIND_FIXED:
+                    size = payload
+                elif kind == _KIND_BRANCH:
+                    size = payload[1] if promoted[i] else payload[0]
+                else:  # _KIND_ALIGN
+                    alignment, max_skip = payload
+                    pad = (-address) % alignment
+                    if max_skip is not None and pad > max_skip:
+                        pad = 0
+                    size = pad
+                sizes[i] = size
+                address += size
+
+            # Promote out-of-range short branches; monotonic, so this loop
+            # terminates.  The cheap O(branches) check runs over every branch
+            # (an early branch can target a moved label), but layout recompute
+            # above only covers the dirty suffix.
+            first_promoted = None
+            for i in branch_indices:
+                if promoted[i]:
                     continue
-            promoted[i] = True
+                insn = entries[i].insn
+                target_name = insn.branch_target_label()
+                target = symtab.get(target_name)
+                if target is not None:
+                    rel = target - (addresses[i] + plan[i][1][0])
+                    if -128 <= rel <= 127:
+                        continue
+                promoted[i] = True
+                if first_promoted is None:
+                    first_promoted = i
+
             if first_promoted is None:
-                first_promoted = i
+                layout.placement = {
+                    entries[i]: EntryLayout(addresses[i], sizes[i])
+                    for i in range(n)
+                }
+                end = (addresses[n - 1] + sizes[n - 1]) if n else start_address
+                layout.size = end - start_address
+                converged = True
+                break
+            dirty = first_promoted
 
-        if first_promoted is None:
-            layout.placement = {
-                entries[i]: EntryLayout(addresses[i], sizes[i])
-                for i in range(n)
-            }
-            end = (addresses[n - 1] + sizes[n - 1]) if n else start_address
-            layout.size = end - start_address
-            converged = True
-            break
-        dirty = first_promoted
+        layout.iterations = iterations
+        layout.converged = converged
+        layout.symtab = symtab
+        if not converged:
+            raise RelaxError("relaxation did not converge in %d iterations"
+                             % MAX_RELAX_ITERATIONS)
 
-    layout.iterations = iterations
-    layout.converged = converged
-    layout.symtab = symtab
-    if not converged:
-        raise RelaxError("relaxation did not converge in %d iterations"
-                         % MAX_RELAX_ITERATIONS)
-
-    _final_encode(entries, layout, symtab)
+        _final_encode(entries, layout, symtab)
+        if span:
+            span.attach(iterations=layout.iterations, size=layout.size)
     return layout
 
 

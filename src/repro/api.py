@@ -507,8 +507,7 @@ def simulate(source: Union[None, str, MaoUnit] = None,
              workload: Union[None, str, Any] = None,
              entry_symbol: str = "main",
              max_steps: int = 5_000_000,
-             args: Optional[List[int]] = None,
-             fast_forward: bool = True) -> SimResult:
+             args: Optional[List[int]] = None) -> SimResult:
     """Execute + time a program on *core*, one executed block at a time.
 
     *source* is assembly text, a parsed unit, or a workload kernel name;
@@ -529,7 +528,7 @@ def simulate(source: Union[None, str, MaoUnit] = None,
     with obs.span("load", entry=entry_symbol):
         program = load_unit(unit, entry_symbol)
     result, stats = simulate_program(program, model, max_steps=max_steps,
-                                     args=args, fast_forward=fast_forward)
+                                     args=args)
     return SimResult(result=result, stats=stats)
 
 

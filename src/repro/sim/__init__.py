@@ -3,8 +3,8 @@
 This substitutes for running benchmarks on real hardware: programs are
 interpreted with full register/flag/memory semantics, producing (a) final
 architectural state used to check optimization passes preserve behaviour,
-and (b) dynamic execution traces consumed by the micro-architectural timing
-model in ``repro.uarch``.
+and (b) each executed basic block, handed to the micro-architectural timing
+model in ``repro.uarch`` (or recorded as a trace of ``ExecRecord``s).
 """
 
 from repro.sim.state import MachineState, Flags

@@ -17,10 +17,11 @@ from source written here, ``block_<address>(interp)``:
 * a static ``jcc``/``jmp`` exit is folded into the return value; any
   other exit is called through its closure.
 
-The untraced form returns ``(next_rip, taken)`` and the traced form
-``(eas, next_rip, taken)``, with each step's effective address computed
-before the step runs, as the closures' traced loop does.  ``next_rip`` is
-None, and ``taken`` the stop reason, when the run stops at the exit.
+A block has one generated function, whichever consumer the run hands
+its blocks to.  It returns ``(eas, next_rip, taken)``, with each step's
+effective address computed before the step runs, as the interpreter's
+block loop does on the closures.  ``next_rip`` is None, and ``taken`` the
+stop reason, when the run stops at the exit.
 
 The interpreter simulates assembly that clients send to ``mao serve``, so
 a generated source holds only int literals, ``True``/``False``/``None``,
@@ -496,8 +497,8 @@ def _static_target(step: _CompiledStep,
     return None
 
 
-def source(block: _Block, symtab: Dict[str, int],
-           traced: bool) -> Tuple[str, Dict[str, object]]:
+def source(block: _Block,
+           symtab: Dict[str, int]) -> Tuple[str, Dict[str, object]]:
     """The source of *block*'s generated function and the names it uses
     beyond its own locals."""
     names: Dict[str, object] = {"_PARITY": _PARITY}
@@ -514,23 +515,20 @@ def source(block: _Block, symtab: Dict[str, int],
         if template is not None and not step.may_fault:
             code = template(insn, site, here if address else None,
                             live[index])
-        want_ea = traced and step.ea is not None
+        want_ea = step.ea is not None
+        eas.append(here if want_ea else "None")
         if code is None:
             if want_ea:
                 lines.append("%s = %s" % (here, _ea(step, index, address,
                                                     names)))
-                eas.append(here)
-            else:
-                eas.append("None")
             names["s%d" % index] = step.run
             lines.append("s%d(interp)" % index)
             continue
         if code.address or want_ea:
             lines.append("%s = %s" % (here, address))
-        eas.append(here if want_ea else "None")
         lines += code.lines
         lines += _store_flags(code, live[index])
-    tail = _exit(block, symtab, traced, names, lines, eas)
+    tail = _exit(block, symtab, names, lines, eas)
     name = "block_%x" % block.steps[0].address
     body = "\n".join("    " + line for line in lines + tail)
     prologue = ["    state = interp.state"]
@@ -562,15 +560,15 @@ def _address(step: _CompiledStep, index: int, symtab: Dict[str, int],
 
 def _ea(step: _CompiledStep, index: int, address: Optional[str],
         names: Dict[str, object]) -> str:
-    """The traced ``ea`` of a step run through its closure: its memory
-    operand's address, or the stack slot its ``ea`` function gives."""
+    """The ``ea`` of a step run through its closure: its memory operand's
+    address, or the stack slot its ``ea`` function gives."""
     if address is not None:
         return address
     names["e%d" % index] = step.ea
     return "e%d(interp)" % index
 
 
-def _exit(block: _Block, symtab: Dict[str, int], traced: bool,
+def _exit(block: _Block, symtab: Dict[str, int],
           names: Dict[str, object], lines: List[str],
           eas: List[str]) -> List[str]:
     """The lines that run *block*'s exit and return."""
@@ -588,23 +586,20 @@ def _exit(block: _Block, symtab: Dict[str, int], traced: bool,
                         (None, "%d, False" % last.next_rip)]
         else:
             names["s%d" % index] = last.run
-            if traced and last.ea is not None:
+            if last.ea is not None:
                 address = _address(last, index, symtab, names)
                 lines.append("x%d = %s" % (index, _ea(last, index, address,
                                                       names)))
                 eas.append("x%d" % index)
             else:
                 eas.append("None")
-            if not traced:
-                return ["return s%d(interp)" % index]
             outcomes = [(None, "rip, taken")]
             lines.append("rip, taken = s%d(interp)" % index)
         if target is not None:
             eas.append("None")
     out = []
     for test, outcome in outcomes:
-        value = "[%s], %s" % (", ".join(eas), outcome) if traced \
-            else outcome
+        value = "[%s], %s" % (", ".join(eas), outcome)
         if test is None:
             out.append("return %s" % value)
         else:
@@ -612,11 +607,10 @@ def _exit(block: _Block, symtab: Dict[str, int], traced: bool,
     return out
 
 
-def generate(block: _Block, symtab: Dict[str, int],
-             traced: bool) -> Callable:
+def generate(block: _Block, symtab: Dict[str, int]) -> Callable:
     """Compile *block*'s generated function; its code is named after the
     block's address."""
-    text, names = source(block, symtab, traced)
+    text, names = source(block, symtab)
     address = block.steps[0].address
     exec(compile(text, "<block %#x>" % address, "exec"), names)
     return names["block_%x" % address]

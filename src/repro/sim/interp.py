@@ -20,10 +20,15 @@ block of compiled steps.  Each ``_DISPATCH`` entry is a compiler: it runs
 once per static instruction and returns a step function with every static
 fact resolved — the register group and width mask of each register
 operand, pre-masked immediates, one effective-address function per memory
-operand (which the traced loop also uses for the step's ``ea``), the
+operand (which the block loop also uses for the step's ``ea``), the
 branch target and the condition test.  A dynamic step examines no operand
 kind, width or condition code, and stores each flag it writes once, as a
 plain attribute of :class:`~repro.sim.state.Flags`.
+
+Every run goes through one block loop, which hands each executed block to
+the caller's ``on_block``, the trace recorder or a no-op consumer.  On an
+unsampled run, a block's execution numbered :data:`HOT_BLOCK_EXECUTIONS`
+compiles its one generated function (:mod:`repro.sim.blockgen`).
 
 A step captures only static facts and reads ``interp.state`` and
 ``interp.memory`` when it runs, so blocks are cached on the
@@ -115,7 +120,7 @@ class _CompiledStep:
 
     ``run`` executes it.  ``ea`` gives the ``ea`` of its ExecRecord (the
     address of its memory operand, or the stack slot a push/call writes or
-    a pop/ret reads), or is None.  ``traced`` is the body form the traced
+    a pop/ret reads), or is None.  ``traced`` is the body form the block
     loop calls: it runs the step and returns that ``ea``, computed first.
     ``flags_written`` are the flags ``run`` writes every time, and
     ``flags_read`` those it may read; ``may_fault`` is set when ``run``
@@ -151,24 +156,24 @@ class _CompiledStep:
 class _Block:
     """A compiled straight-line run starting at one address.
 
-    ``body`` holds steps that are not control transfers (``runs`` and
-    ``traced`` are their step functions, for the hot loops); ``last`` is
-    the terminating control transfer, if any.  For blocks compiled at
-    padding addresses, ``skip_to`` is the next real instruction (or the
-    block is a fall-off fault when ``fell_off`` is set).  ``steps`` is
-    ``body`` followed by ``last``: the order a consumer of executed blocks
-    sees them in.  ``end`` is the rip after the body.
+    ``body`` holds steps that are not control transfers (``traced`` holds
+    their body forms, for the block loop); ``last`` is the terminating
+    control transfer, if any.  For blocks compiled at padding addresses,
+    ``skip_to`` is the next real instruction (or the block is a fall-off
+    fault when ``fell_off`` is set).  ``steps`` is ``body`` followed by
+    ``last``: the order a consumer of executed blocks sees them in.
+    ``end`` is the rip after the body.
 
     ``executions`` counts the block's executions on the closure paths of
     unsampled runs; the one numbered :data:`HOT_BLOCK_EXECUTIONS` sets
-    ``generated`` (or ``generated_traced``, in the traced loop) to the
-    block's generated function (:mod:`repro.sim.blockgen`), which runs the
-    whole block, exit included, from then on.
+    ``generated`` to the block's generated function
+    (:mod:`repro.sim.blockgen`), which runs the whole block, exit
+    included, from then on.
     """
 
     __slots__ = ("body", "last", "skip_to", "fell_off", "slow", "steps",
-                 "runs", "traced", "end", "size", "executions", "generable",
-                 "generated", "generated_traced")
+                 "traced", "end", "size", "executions", "generable",
+                 "generated")
 
     def __init__(self, body: List[_CompiledStep],
                  last: Optional[_CompiledStep],
@@ -179,7 +184,6 @@ class _Block:
         self.skip_to = skip_to
         self.fell_off = fell_off
         self.steps = self.body + ((last,) if last is not None else ())
-        self.runs = tuple(step.run for step in body)
         self.traced = tuple(step.traced for step in body)
         self.end = body[-1].next_rip if body else None
         # rdtsc reads the per-step virtual TSC, so blocks containing it
@@ -189,7 +193,6 @@ class _Block:
         self.executions = 0
         self.generable = bool(self.steps) and not self.slow
         self.generated: Optional[Callable] = None
-        self.generated_traced: Optional[Callable] = None
 
 
 #: Bases whose steps end a block; a compiled block ends at (and includes)
@@ -289,11 +292,8 @@ class Interpreter:
 
         if trace is not None:
             on_block = _recording(trace, on_block)
-        if on_block is not None:
-            result = self._run_blocks_traced(on_block, sample_period,
-                                             samples, sample_phase)
-        else:
-            result = self._run_blocks(sample_period, samples, sample_phase)
+        result = self._run_blocks(on_block or _discard, sample_period,
+                                  samples, sample_phase)
         result.trace = trace
         return result
 
@@ -344,16 +344,14 @@ class Interpreter:
         _BLOCK_STATS["instructions_compiled"] += len(block.steps)
         return block
 
-    def _run_blocks(self, sample_period, samples,
+    def _run_blocks(self, on_block, sample_period, samples,
                     sample_phase=0) -> RunResult:
-        """Hot path: no trace, no ExecRecord allocation, no ea computation.
-
-        A hot block runs as its generated function, exit included, and a
-        whole body of closures runs without per-step bookkeeping, unless
-        the block reads the TSC, the run is sampled, or ``max_steps``
-        falls inside it; a step that faults sets rip past itself before
-        raising.
-        """
+        """The block loop: each executed block goes to *on_block* with its
+        per-step effective addresses.  A hot block runs as its generated
+        function, exit included, and any other body as its traced step
+        forms without per-step bookkeeping, unless the block reads the
+        TSC, the run is sampled, or ``max_steps`` falls inside it; a step
+        that faults sets rip past itself before raising."""
         state = self.state
         blocks = self.program.block_cache
         max_steps = self.max_steps
@@ -374,89 +372,7 @@ class Interpreter:
                     block.executions += 1
                     if block.executions >= hot and block.generable:
                         generated = block.generated = _generate(
-                            self.program, block, False)
-                if generated is not None and unsampled \
-                        and max_steps - steps >= block.size:
-                    rip, taken = generated(self)
-                    steps += block.size
-                    if rip is None:
-                        state.rip = block.last.next_rip
-                        reason = taken
-                        break
-                    state.rip = rip
-                    continue
-                runs = block.runs
-                if runs:
-                    if block.slow or sample_period \
-                            or max_steps - steps < len(runs):
-                        for step in block.body:
-                            if steps >= max_steps:
-                                break
-                            state.rip = step.next_rip
-                            steps += 1
-                            self._tsc = tsc + steps
-                            if sample_period and \
-                                    steps % sample_period == sample_phase:
-                                samples.append((step.address,
-                                                state.snapshot()))
-                            step.run(self)
-                    else:
-                        for run in runs:
-                            run(self)
-                        steps += len(runs)
-                        state.rip = block.end
-                    if steps >= max_steps:
-                        continue         # loop condition ends the run
-                step = block.last
-                if step is None:
-                    if block.skip_to is not None:
-                        state.rip = block.skip_to
-                    elif block.fell_off:
-                        raise SimError("execution fell off code at %#x "
-                                       "(step %d)" % (state.rip, steps))
-                    continue
-                state.rip = step.next_rip
-                steps += 1
-                if sample_period and steps % sample_period == sample_phase:
-                    samples.append((step.address, state.snapshot()))
-                rip, taken = step.run(self)
-                if rip is None:
-                    reason = taken
-                    break
-                state.rip = rip
-        finally:
-            _BLOCK_STATS["block_hits"] += hits
-            self._tsc = tsc + steps
-        self.instructions_executed = steps
-        return RunResult(steps=steps, reason=reason, state=state,
-                         memory=self.memory, trace=None, samples=samples)
-
-    def _run_blocks_traced(self, on_block, sample_period, samples,
-                           sample_phase=0) -> RunResult:
-        """Traced path: each executed block goes to *on_block* with its
-        per-step effective addresses, from the compiled ``ea`` functions
-        (or, in a hot block's generated function, their inline forms)."""
-        state = self.state
-        blocks = self.program.block_cache
-        max_steps = self.max_steps
-        hot = HOT_BLOCK_EXECUTIONS
-        unsampled = not sample_period
-        tsc = self._tsc                  # the virtual TSC counts steps
-        steps = hits = 0
-        reason = "max-steps"
-        try:
-            while steps < max_steps:
-                block = blocks.get(state.rip)
-                if block is None:
-                    block = self._compile_block(state.rip)
-                else:
-                    hits += 1
-                generated = block.generated_traced
-                if generated is None and unsampled:
-                    block.executions += 1
-                    if block.executions >= hot and block.generable:
-                        generated = block.generated_traced = _generate(
-                            self.program, block, True)
+                            self.program, block)
                 if generated is not None and unsampled \
                         and max_steps - steps >= block.size:
                     eas, rip, taken = generated(self)
@@ -521,17 +437,21 @@ class Interpreter:
                          memory=self.memory, trace=None, samples=samples)
 
 
-def _generate(program: LoadedProgram, block: _Block,
-              traced: bool) -> Callable:
+def _generate(program: LoadedProgram, block: _Block) -> Callable:
     """The generated function of a hot *block* (see _Block)."""
     from repro.sim.blockgen import generate
 
     _BLOCK_STATS["blocks_generated"] += 1
-    return generate(block, program.symtab, traced)
+    return generate(block, program.symtab)
 
 
 #: ``on_block(block, eas, taken)``: one executed compiled block.
 BlockConsumer = Callable[[_Block, List[Optional[int]], Optional[bool]], None]
+
+
+def _discard(block: _Block, eas: List[Optional[int]],
+             taken: Optional[bool]) -> None:
+    """The block consumer of a run given none."""
 
 
 def _recording(trace: List[ExecRecord],

@@ -627,6 +627,13 @@ def reset_fast_forward_stats() -> None:
         _FF_STATS[key] = 0
 
 
+#: Identical iterations a loop runs before the engine measures it.
+FF_MIN_REPEATS = 8
+
+#: Records an iteration may hold and its loop still be a candidate.
+FF_MAX_BODY = 2048
+
+
 def _clock_pairs(s0: dict, s1: dict) -> List[Tuple[int, int]]:
     """Every clock value of the two snapshots, paired: the register and
     flag slots, ``port_free``, each ``mem_ready`` value, the forwarding
@@ -795,7 +802,7 @@ class _Loop:
     """Fast-forward state of one loop key (a taken backward branch).
 
     ``start`` is the log index where the loop's open iteration began (None
-    once that iteration outgrew ``max_body``), ``start_records`` the
+    once that iteration outgrew ``FF_MAX_BODY``), ``start_records`` the
     engine's record count at that point and ``sig`` the fingerprint of
     its last iteration.  Repeats, period, failures and the retry point
     belong to the loop, so an inner loop never resets its outer one.
@@ -823,7 +830,7 @@ class FastForwardEngine:
     remembers where its open iteration began in the log, so when its
     back-edge is taken again its fingerprint is the log since then,
     inner-loop executions included, and a nest whose outer iterations
-    repeat exactly is skipped at the outer level.  Once ``min_repeats``
+    repeat exactly is skipped at the outer level.  Once ``FF_MIN_REPEATS``
     consecutive iterations of a loop fingerprint identically, the engine
     measures one period of that loop and validates the soundness
     condition (see ``_ff_delta``): a frontend-bound loop advances every
@@ -838,23 +845,20 @@ class FastForwardEngine:
     Skipped executions never enter the log, so the fingerprint of a loop
     enclosing a skip lacks them: it never starts a measurement, and what
     is skipped is always ``period`` copies of the iteration timed between
-    the two snapshots.  An iteration longer than ``max_body`` records
+    the two snapshots.  An iteration longer than ``FF_MAX_BODY`` records
     makes its loop no candidate, and the log keeps nothing older than the
     oldest open iteration within that limit (trimmed once per
-    ``max_body`` records, never per back-edge).  The body limit and every
+    ``FF_MAX_BODY`` records, never per back-edge).  The body limit and every
     statistic count records (executed instructions); ``iterations`` count
     iterations of whichever loop was skipped, outer loops included.
     """
 
-    def __init__(self, pipeline: PipelineSimulator, min_repeats: int = 8,
-                 max_body: int = 2048) -> None:
+    def __init__(self, pipeline: PipelineSimulator) -> None:
         self.pl = pipeline
-        self.min_repeats = min_repeats
-        self.max_body = max_body
 
         self.log: List[tuple] = []          # scanned block executions
         self.records = 0                    # records scanned so far
-        self._trim_at = max_body
+        self._trim_at = FF_MAX_BODY
         self.loops: Dict[tuple, _Loop] = {}  # by (branch addr, target)
         self._gap = 0                       # log index of the last skip
 
@@ -920,9 +924,10 @@ class FastForwardEngine:
             self._trim()
 
     def _trim(self) -> None:
-        """Close iterations over ``max_body`` and drop the log before the
-        oldest open one; runs once per ``max_body`` scanned records."""
-        oldest = self.records - self.max_body
+        """Close iterations over ``FF_MAX_BODY`` and drop the log before
+        the oldest open one; runs once per ``FF_MAX_BODY`` scanned
+        records."""
+        oldest = self.records - FF_MAX_BODY
         keep = len(self.log)
         for loop in self.loops.values():
             if loop.start is None:
@@ -939,20 +944,20 @@ class FastForwardEngine:
             if loop.start is not None:
                 loop.start -= keep
         self._gap -= keep
-        self._trim_at = self.records + self.max_body
+        self._trim_at = self.records + FF_MAX_BODY
 
     def _boundary(self, key: tuple) -> None:
         loop = self.loops.get(key)
         log = self.log
         now = self.records
         if loop is None:
-            self.loops[key] = _Loop(len(log), now, self.min_repeats)
+            self.loops[key] = _Loop(len(log), now, FF_MIN_REPEATS)
             return
         start = loop.start
         records = now - loop.start_records
         loop.start = len(log)
         loop.start_records = now
-        if start is None or records > self.max_body:
+        if start is None or records > FF_MAX_BODY:
             # An iteration over the body limit: no candidate.
             if self.measured is loop:
                 self.measured = None
@@ -1036,35 +1041,27 @@ class FastForwardEngine:
 # Entry points.
 # ---------------------------------------------------------------------------
 
-def _timer(pipeline: PipelineSimulator, fast_forward: bool):
-    """The pipeline, or a fast-forward engine around it."""
-    if fast_forward:
-        return FastForwardEngine(pipeline)
-    return pipeline
-
-
-def simulate_trace(trace: Iterable[ExecRecord], model: ProcessorModel,
-                   fast_forward: bool = True) -> SimStats:
+def simulate_trace(trace: Iterable[ExecRecord],
+                   model: ProcessorModel) -> SimStats:
     """Run the timing model over a complete trace.
 
     The records are cut into runs that end at control transfers, and each
     run is timed like an executed block.
     """
-    with obs.span("simulate", model=model.name, streaming=False,
-                  fast_forward=bool(fast_forward)) as span:
+    with obs.span("simulate", model=model.name, streaming=False) as span:
         pipeline = PipelineSimulator(model)
-        timer = _timer(pipeline, fast_forward)
+        engine = FastForwardEngine(pipeline)
         run: List[ExecRecord] = []
         for record in trace:
             run.append(record)
             if record.entry.insn.base in _CT_BASES:
-                timer.time_block(pipeline.run_facts(run),
-                                 [r.ea for r in run], record.taken)
+                engine.time_block(pipeline.run_facts(run),
+                                  [r.ea for r in run], record.taken)
                 run = []
         if run:
-            timer.time_block(pipeline.run_facts(run), [r.ea for r in run],
-                             run[-1].taken)
-        stats = timer.finish()
+            engine.time_block(pipeline.run_facts(run), [r.ea for r in run],
+                              run[-1].taken)
+        stats = engine.finish()
         if span:
             span.attach(cycles=stats.cycles,
                         instructions=stats[C.INSTRUCTIONS])
@@ -1075,26 +1072,24 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
                      entry: Optional[int] = None,
                      max_steps: int = 5_000_000,
                      args: Optional[List[int]] = None,
-                     fast_forward: bool = True,
                      private_memory: bool = False
                      ) -> Tuple[RunResult, SimStats]:
     """Execute a loaded program and time it, one executed block per call.
 
     The interpreter hands each executed block, its per-step effective
-    addresses and its exit's outcome to the pipeline (optionally through
-    the fast-forward engine); no ``ExecRecord`` is built.
+    addresses and its exit's outcome to the pipeline through the
+    fast-forward engine; no ``ExecRecord`` is built.
     ``private_memory`` runs against a clone of the program's memory image
     so the same LoadedProgram can be reused across sweeps.
     """
-    with obs.span("simulate", model=model.name,
-                  fast_forward=bool(fast_forward)) as span:
+    with obs.span("simulate", model=model.name) as span:
         if span:
             from repro.sim.interp import block_cache_stats
             ff_before = dict(_FF_STATS)
             blk_before = block_cache_stats()
         pipeline = PipelineSimulator(model)
-        timer = _timer(pipeline, fast_forward)
-        block_facts, time_block = pipeline.block_facts, timer.time_block
+        engine = FastForwardEngine(pipeline)
+        block_facts, time_block = pipeline.block_facts, engine.time_block
 
         def on_block(block, eas: List[Optional[int]],
                      taken: Optional[bool]) -> None:
@@ -1103,7 +1098,7 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
         interp = Interpreter(program, max_steps=max_steps,
                              private_memory=private_memory)
         result = interp.run(entry=entry, on_block=on_block, args=args)
-        stats = timer.finish()
+        stats = engine.finish()
         if span:
             blk_after = block_cache_stats()
             span.attach(
@@ -1126,10 +1121,9 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
 def simulate_unit(unit: MaoUnit, model: ProcessorModel,
                   entry_symbol: str = "main",
                   max_steps: int = 5_000_000,
-                  args: Optional[List[int]] = None,
-                  fast_forward: bool = True) -> Tuple[RunResult, SimStats]:
+                  args: Optional[List[int]] = None
+                  ) -> Tuple[RunResult, SimStats]:
     """Load a unit and simulate it (see ``simulate_program``)."""
     with obs.span("load", entry=entry_symbol):
         program = load_unit(unit, entry_symbol)
-    return simulate_program(program, model, max_steps=max_steps, args=args,
-                            fast_forward=fast_forward)
+    return simulate_program(program, model, max_steps=max_steps, args=args)

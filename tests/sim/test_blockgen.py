@@ -13,6 +13,7 @@ every block generated in ``test_compiled_steps.py`` and
 
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,36 @@ def test_sampled_runs_generate_nothing():
     assert block_cache_stats()["blocks_generated"] == 0
 
 
+def test_each_hot_block_is_generated_once_whatever_the_consumer():
+    # One program run with no consumer, with on_block and with a trace:
+    # the three runs share each hot block's one function.
+    program = load_unit(parse_unit(
+        kernels.hash_bench(trip=2 * HOT_BLOCK_EXECUTIONS)), "main")
+    generate = blockgen.generate
+    made = []
+
+    def counting(block, *args):
+        made.append(block)
+        return generate(block, *args)
+
+    ends = []
+    with mock.patch.object(blockgen, "generate", counting):
+        for kwargs in ({}, {"on_block": lambda block, eas, taken: None},
+                       {"collect_trace": True}):
+            result = Interpreter(program, private_memory=True).run(**kwargs)
+            state = result.state
+            ends.append((result.steps, result.reason, state.rip,
+                         dict(state.gp), dict(state.xmm),
+                         state.flags.snapshot(),
+                         list(result.memory.nonzero_ranges())))
+    assert ends[1] == ends[0] and ends[2] == ends[0]
+    hot = [block for block in program.block_cache.values()
+           if block.generated]
+    assert hot
+    assert sorted(block.steps[0].address for block in made) \
+        == sorted(block.steps[0].address for block in hot)
+
+
 @pytest.mark.parametrize("name,source", [
     ("hash_bench", kernels.hash_bench(trip=2 * HOT_BLOCK_EXECUTIONS)),
     ("fig4_loop", kernels.fig4_loop(iterations=2 * HOT_BLOCK_EXECUTIONS)),
@@ -85,10 +116,10 @@ def test_sampled_runs_generate_nothing():
 def test_hot_loops_call_no_step_closure(name, source, traced):
     program, _ = _run(source, traced)
     hot = [block for block in program.block_cache.values()
-           if (block.generated_traced if traced else block.generated)]
+           if block.generated]
     assert hot
     for block in hot:
-        text, names = blockgen.source(block, program.symtab, traced)
+        text, names = blockgen.source(block, program.symtab)
         check_source(text)
         assert not [n for n in names if re.match(r"s\d+\Z", n)], text
 
@@ -235,31 +266,35 @@ def test_steps_declare_the_flags_their_closures_use(source):
 
     def watched_step(entry, address, next_rip, symtab):
         step = compile_step(entry, address, next_rip, symtab)
-        run = step.run
 
-        def watched(machine):
-            flags = machine.state.flags
-            flags.reads.clear()
-            flags.writes.clear()
-            try:
-                outcome = run(machine)
-            except SimError:
-                assert step.may_fault, str(step.insn)
-                raise
-            reads, writes = set(flags.reads), set(flags.writes)
-            if step.insn.base in ("inc", "dec"):
-                reads.discard("CF")      # read and stored back unchanged
-                writes.discard("CF")
-            text = str(step.insn)
-            assert reads <= step.flags_read, text
-            if _COUNT_IN_REGISTER.match(text):
-                assert writes in (set(), set(ALL_FLAGS), {"CF"}), text
-            else:
-                assert writes == step.flags_written, text
-            checked.append(text)
-            return outcome
+        def watch(call):
+            def watched(machine):
+                flags = machine.state.flags
+                flags.reads.clear()
+                flags.writes.clear()
+                try:
+                    outcome = call(machine)
+                except SimError:
+                    assert step.may_fault, str(step.insn)
+                    raise
+                reads, writes = set(flags.reads), set(flags.writes)
+                if step.insn.base in ("inc", "dec"):
+                    reads.discard("CF")  # read and stored back unchanged
+                    writes.discard("CF")
+                text = str(step.insn)
+                assert reads <= step.flags_read, text
+                if _COUNT_IN_REGISTER.match(text):
+                    assert writes in (set(), set(ALL_FLAGS), {"CF"}), text
+                else:
+                    assert writes == step.flags_written, text
+                checked.append(text)
+                return outcome
+            return watched
 
-        step.run = watched
+        # The block loop runs a body step through its traced form, and an
+        # exit (or a step a generated function calls) through ``run``.
+        step.traced = watch(step.traced)
+        step.run = watch(step.run)
         return step
 
     machine = Interpreter(load_unit(parse_unit(source), "main"),

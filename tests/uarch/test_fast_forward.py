@@ -58,7 +58,7 @@ class TestBitIdenticalCounters:
         model = make_model()
         trace = run_unit(parse_unit(source), collect_trace=True).trace
         ref = simulate_reference(trace, model)
-        fast = simulate_trace(trace, model, fast_forward=True)
+        fast = simulate_trace(trace, model)
         assert fast.counters == ref.counters
 
     @pytest.mark.parametrize("name,source", WORKLOADS, ids=_ids(WORKLOADS))
@@ -94,17 +94,11 @@ class TestEngagement:
             source = kernels.fig4_loop(shift_nops=0, iterations=trip)
             trace = run_unit(parse_unit(source), collect_trace=True).trace
             ref = simulate_reference(trace, model)
-            fast = simulate_trace(trace, model, fast_forward=True)
+            fast = simulate_trace(trace, model)
             assert fast.counters == ref.counters, trip
 
 
 class TestControls:
-    def test_disabled_means_no_skipping(self):
-        reset_fast_forward_stats()
-        source = kernels.fig4_loop(shift_nops=0, iterations=300)
-        simulate_unit(parse_unit(source), core2(), fast_forward=False)
-        assert fast_forward_stats()["records_fast_forwarded"] == 0
-
     def test_engine_finish_equals_pipeline_finish(self):
         # An engine that never engages must be a transparent wrapper.
         model = core2()
