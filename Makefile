@@ -37,9 +37,12 @@ perf-report:
 
 # Fail if any compiled artifact is tracked: __pycache__ directories
 # and *.pyc files must never re-enter the index.
+# Every compiled or derived artifact .gitignore lists: __pycache__/,
+# *.py[cod], *.so, *$py.class, .coverage*, build/, dist/, *.egg-info/.
+TRACKED_ARTIFACTS = (^|/)(__pycache__|build|dist|[^/]*\.egg-info)(/|$$)|\.py[cod]$$|\.so$$|\$$py\.class$$|(^|/)\.coverage(\.[^/]*)?$$
+
 check-tracked-artifacts:
-	@bad=$$(git ls-files | grep -E '(^|/)__pycache__(/|$$)|\.py[cod]$$' \
-		|| true); \
+	@bad=$$(git ls-files | grep -E '$(TRACKED_ARTIFACTS)' || true); \
 	if [ -n "$$bad" ]; then \
 		echo "tracked compiled artifacts:" >&2; echo "$$bad" >&2; \
 		exit 1; \

@@ -16,7 +16,8 @@ so every surface reports the same values.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, Optional
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 Number = float
 
@@ -62,6 +63,7 @@ class Registry:
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._collectors: Dict[str, Callable[[], Dict[str, object]]] = {}
+        self._recordings: List[List[Tuple[str, float]]] = []
 
     # -- writers ------------------------------------------------------------
 
@@ -79,6 +81,21 @@ class Registry:
             if hist is None:
                 hist = self._histograms[name] = Histogram()
             hist.observe(value)
+            for recording in self._recordings:
+                recording.append((name, float(value)))
+
+    @contextmanager
+    def recording(self) -> Iterator[List[Tuple[str, float]]]:
+        """Yield a list that collects every ``(name, value)`` observed
+        until the block ends, for replay into another registry."""
+        recording: List[Tuple[str, float]] = []
+        with self._lock:
+            self._recordings.append(recording)
+        try:
+            yield recording
+        finally:
+            with self._lock:
+                self._recordings.remove(recording)
 
     def register_collector(self, prefix: str,
                            fn: Callable[[], Dict[str, object]]) -> None:

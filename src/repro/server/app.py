@@ -24,9 +24,10 @@ response (200/4xx/504), even during drain.
 ``max_inflight`` worker processes, each with its own GIL, behind this
 one front process: one admission queue, one singleflight table and one
 artifact cache for every core.  Each process-pool outcome carries the
-worker's counter deltas (``batch.cache.*``, ``pass.*``, ...), which are
-added to this server's registry, so the counters in ``/metrics`` match
-on either pool kind; histograms and gauges stay in the pool process.
+worker's counter deltas (``batch.cache.*``, ``pass.*``, ...) and
+histogram observations (``predict.seconds``, ``tune.seconds``), which
+are added to this server's registry, so the counters and histograms in
+``/metrics`` match on either pool kind; the gauges are the server's own.
 
 **Shared cache.**  Optimize, batch and tune share one content-addressed
 :class:`~repro.batch.cache.ArtifactCache` store; identical concurrent
@@ -435,15 +436,18 @@ class MaoServer:
                                                 work.execute, path, payload)
         if payload["want_counters"]:
             # A callback, not the awaiting request: a coalesced run adds
-            # its counters once, even after every waiter timed out.
-            future.add_done_callback(self._add_worker_counters)
+            # its metrics once, even after every waiter timed out.
+            future.add_done_callback(self._add_worker_metrics)
         return future
 
-    def _add_worker_counters(self, future: "asyncio.Future") -> None:
+    def _add_worker_metrics(self, future: "asyncio.Future") -> None:
         if future.cancelled() or future.exception() is not None:
             return
-        for name, delta in future.result().get("counters", {}).items():
+        outcome = future.result()
+        for name, delta in outcome.get("counters", {}).items():
             self.registry.inc(name, delta)
+        for name, value in outcome.get("observations", ()):
+            self.registry.observe(name, value)
 
 
 class ServerThread:

@@ -77,24 +77,33 @@ class Endpoint(NamedTuple):
 def execute(path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     """Run the worker body of endpoint *path* — the function the pool
     executes.  Never raises: any exception becomes ``{"status":
-    "error", "kind": <exception name>, "error": str}``."""
+    "error", "kind": <exception name>, "error": str}``.  With
+    ``want_counters`` the outcome also carries the run's counter deltas
+    (``counters``) and histogram observations (``observations``)."""
     import repro.passes  # noqa: F401 — register built-ins in spawned children
     from repro import obs
 
     obs.set_enabled(payload.get("want_spans", False))
-    before = obs.REGISTRY.counters() if payload.get("want_counters") \
-        else None
+    if not payload.get("want_counters"):
+        return _run(path, payload)
+    before = obs.REGISTRY.counters()
+    with obs.REGISTRY.recording() as observed:
+        outcome = _run(path, payload)
+    outcome["counters"] = {
+        name: value - before.get(name, 0)
+        for name, value in obs.REGISTRY.counters().items()
+        if value != before.get(name, 0)}
+    outcome["observations"] = observed
+    return outcome
+
+
+def _run(path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     try:
         outcome = ENDPOINTS[path].run(payload)
         outcome["status"] = "ok"
     except Exception as exc:  # parse errors, bad specs, pass failures
         outcome = {"status": "error", "kind": type(exc).__name__,
                    "error": "%s: %s" % (type(exc).__name__, exc)}
-    if before is not None:
-        outcome["counters"] = {
-            name: value - before.get(name, 0)
-            for name, value in obs.REGISTRY.counters().items()
-            if value != before.get(name, 0)}
     return outcome
 
 
@@ -140,11 +149,10 @@ def _validate_core(core: Any) -> Any:
             raise ProtocolError(400, "invalid inline core profile: %s"
                                 % (exc,))
         return core
-    names = tables.profile_names()
-    if not isinstance(core, str) or core not in names:
+    if not isinstance(core, str) or not tables.is_profile_name(core):
         raise ProtocolError(400, "field 'core' must be one of %s or an "
                             "inline pymao.uarch/1 document"
-                            % ", ".join(names))
+                            % ", ".join(tables.profile_names()))
     return core
 
 

@@ -29,16 +29,24 @@ names bound here (step closures, address functions, ``_PARITY``) and
 register-group names from :data:`repro.x86.registers.ALL_GROUPS`; never a
 label, symbol, mnemonic or other string taken from the input.  A source
 follows step order alone, so one block always gives the same text.
+
+Blocks with the same text (the same block loaded again, or the original
+and the optimized build of a program sharing a loop) share one compiled
+code object, kept per text for the last :data:`CODE_CACHE_SIZE` texts;
+each block's function is made from it with that block's own names.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from types import CodeType
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Tuple)
 
 from repro.sim.interp import (
     MASK64,
+    _BLOCK_STATS,
     _Block,
     _CompiledStep,
     _CONDITION_TESTS,
@@ -52,6 +60,11 @@ from repro.x86.flags import ALL_FLAGS, cc_encoding
 from repro.x86.instruction import Instruction
 from repro.x86.operands import Immediate, LabelRef, Memory, RegisterOperand
 from repro.x86.registers import ALL_GROUPS, Register
+
+#: Generated texts whose compiled code is kept: over ten times the 38
+#: distinct texts of a seed-7 ``perfbench`` ``simulate`` round, and a
+#: bound on what a long-running ``mao serve`` keeps.
+CODE_CACHE_SIZE = 512
 
 #: Group names a source may hold.
 _GROUPS = frozenset(ALL_GROUPS)
@@ -607,10 +620,18 @@ def _exit(block: _Block, symtab: Dict[str, int],
     return out
 
 
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _code(text: str, address: int) -> CodeType:
+    """The compiled code of one generated text (which names *address*)."""
+    _BLOCK_STATS["sources_compiled"] += 1
+    return compile(text, "<block %#x>" % address, "exec")
+
+
 def generate(block: _Block, symtab: Dict[str, int]) -> Callable:
-    """Compile *block*'s generated function; its code is named after the
-    block's address."""
+    """*block*'s generated function, made from the compiled code of its
+    text with its own names; the code is named after the block's
+    address."""
     text, names = source(block, symtab)
     address = block.steps[0].address
-    exec(compile(text, "<block %#x>" % address, "exec"), names)
+    exec(_code(text, address), names)
     return names["block_%x" % address]

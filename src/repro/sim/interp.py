@@ -85,6 +85,7 @@ _BLOCK_STATS = {
     "block_hits": 0,
     "instructions_compiled": 0,
     "blocks_generated": 0,
+    "sources_compiled": 0,
 }
 
 #: The execution of a block that generates its function (and runs it):

@@ -78,8 +78,8 @@ class ProcessorModel:
     #: timing pipeline does not model it, so nothing bounds how far the
     #: front end runs ahead of a backend-bound loop.  Such a loop's
     #: completion clocks fall further behind every iteration, so loop
-    #: fast-forward validates it on a second clock, the back end's
-    #: advance per iteration.
+    #: fast-forward validates it on the back end's clocks, each
+    #: independent chain at its own advance per iteration.
     rs_size: int = 32
 
     # ---- data cache -------------------------------------------------------------

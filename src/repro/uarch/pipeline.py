@@ -44,19 +44,25 @@ every piece of pattern-typed state (predictor counters, cache tags/LRU,
 LSD tracking, decode slot and line) is a fixed point of the iteration,
 and every piece of clock-typed state is dead (at or below the fetch
 horizon, where it can never again win a ``max`` against a ready time)
-or advanced by exactly one constant.  On a frontend-bound loop that
-constant is the front end's advance ``c``.  On a backend-bound loop it
-is the back end's larger advance ``cb``, provided the front end won no
-race against the back end in the period (no step that produces
-anything had its operands ready at its fetch cycle) and no branch was
-mispredicted: the back end's lead then grows by ``cb - c`` every
-period, so the front end never catches up (see ``_ff_delta``).
-Because the walk combines clocks only through ``+const``/``max``, a
-validated period implies N periods advance the front end by ``N*c``,
-every live clock by ``N*cb`` (``cb = c`` on a frontend-bound loop) and
-every counter by N times its measured delta — so skipped iterations are
-*bit-identical* to walking them, which differential tests against the
-per-record oracle in ``tests/uarch/record_walk.py`` assert.
+or advanced by the constant of its *class*: the live clocks fall into
+classes by their advance per period, their rate, none below the front
+end's advance ``c``.  A frontend-bound loop has one class, at ``c``.
+In a backend-bound loop each independent chain of the back end runs at
+its own bottleneck rate above ``c``, provided the front end won no race
+against the back end in the period (no step that produces anything had
+its operands ready at its fetch cycle) and no branch was mispredicted:
+the back end's lead then grows every period, so the front end never
+catches up.  With more than one class, the classes' value ranges must be
+ordered by rate and separated by more than any value moves within a
+period, so every comparison between two classes goes to the faster one
+for good, and every slower class must be proved never to find its
+forwarding slot full (see ``_back_end_rates``).  Because the walk
+combines clocks only through ``+const``/``max``, a validated period
+implies N periods advance the front end by ``N*c``, every live clock by
+N times its class's rate and every counter by N times its measured
+delta — so skipped iterations are *bit-identical* to walking them, which
+differential tests against the per-record oracle in
+``tests/uarch/record_walk.py`` assert.
 """
 
 from __future__ import annotations
@@ -146,7 +152,11 @@ class _BlockFacts:
     readiness slots, the RFLAGS slot folded in.  Each uop is ``(kind,
     ports, latency, forwarded, aux)``, where ``aux`` says for a load
     whether the next-line prefetcher may fire (the §III.C.h PC alias)
-    and for a prefetch hint whether it is non-temporal.
+    and for a prefetch hint whether it is non-temporal.  ``reach`` bounds
+    how far one execution can move a cycle value: the sum over its uops
+    (prefetch hints aside) of the larger of the latency and one, the most
+    a value gains through a uop's completion or its port's next free
+    cycle, cache misses not counted.
     ``stream_steps`` are the same steps with no line advances, walked
     while the LSD streams.  An *inert* step (no uop that takes a port
     and no def, such as a ``nop`` or a prefetch hint) reads no slot:
@@ -158,8 +168,8 @@ class _BlockFacts:
 
     __slots__ = ("model", "run", "steps", "stream_steps", "first_line",
                  "end_line", "inert", "uops", "loads", "stores", "lines",
-                 "address", "branch", "cond", "lsd_reset", "target",
-                 "loop_key")
+                 "reach", "address", "branch", "cond", "lsd_reset",
+                 "target", "loop_key")
 
     def __init__(self, model: ProcessorModel,
                  run: List[Tuple[Instruction, int]]) -> None:
@@ -167,7 +177,7 @@ class _BlockFacts:
         port_map, latency = model.port_map, model.latency
         stride = model.prefetch_pc_alias_stride
         steps = []
-        uops = loads = stores = inert = 0
+        uops = loads = stores = inert = reach = 0
         lines: Set[int] = set()
         end = None
         for insn, address in run:
@@ -201,6 +211,7 @@ class _BlockFacts:
             if not compiled and not defs:
                 inert += 1
                 uses = ()
+            reach += sum(max(uop[2], 1) for uop in compiled)
             if insn.base.startswith("prefetch"):
                 compiled.append((_HINT, (), 0, False,
                                  insn.base == "prefetchnta"))
@@ -226,6 +237,7 @@ class _BlockFacts:
         self.end_line = end
         self.uops, self.loads, self.stores = uops, loads, stores
         self.inert = inert
+        self.reach = reach
         self.lines = frozenset(lines)
         insn, address = run[-1]
         base = insn.base
@@ -335,6 +347,8 @@ class PipelineSimulator:
         #: Steps that produce something (a uop or a def) and had their
         #: operands ready at their fetch cycle: races the front end won.
         self.fetch_wins = 0
+        #: Results whose completion cycle had no free forwarding slot.
+        self.fw_collisions = 0
 
         self.counts: Dict[str, int] = {name: 0 for name in C.ALL}
 
@@ -482,6 +496,7 @@ class PipelineSimulator:
                     # the watermark keeps the free-slot search O(1).
                     held = forwards.get(cycle, 0)
                     if held >= bandwidth:
+                        self.fw_collisions += 1
                         if watermark > cycle:
                             cycle = watermark
                             held = forwards.get(cycle, 0)
@@ -596,6 +611,7 @@ class PipelineSimulator:
             "fw_watermark": self._fw_watermark,
             "last_completion": self.last_completion,
             "fetch_wins": self.fetch_wins,
+            "fw_collisions": self.fw_collisions,
             "counts": dict(self.counts),
             "pred": self.predictor.ff_snapshot(),
             "cache": self.cache.ff_snapshot() if self.cache is not None
@@ -648,47 +664,35 @@ def _clock_pairs(s0: dict, s1: dict) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _ff_delta(s0: dict, s1: dict, expected_records: int) -> Optional[dict]:
+def _ff_delta(s0: dict, s1: dict, expected_records: int,
+              model: ProcessorModel, reach: int) -> Optional[dict]:
     """Validate one measured period; return its delta or None if unsound.
 
     The front end advanced ``c = h1 - h0`` cycles over the period (``h0``
     and ``h1`` are the snapshots' fetch horizons).  A clock at or below
     the horizon is *dead*: every future use is ``max(value, ready)`` with
     ``ready >= frontend_cycle``, so it can never again influence an issue
-    time, a completion or a counter, and may drift freely.
+    time, a completion or a counter, and may drift freely.  Every other
+    clock must have advanced by at least ``c``, or the front end would
+    overtake it; the live clocks fall into *classes* by their advance,
+    their *rate*.
 
-    **One clock** (the back end's advance ``cb``, the change of
-    ``last_completion``, is at most ``c``, or the back end is dead): every
-    clock advanced by exactly ``c`` or is dead in both snapshots, and the
-    forwarding histogram's live window is the same after shifting by
-    ``c``.  The walk combines clocks only through ``+const`` and ``max``
-    against values at or above the horizon, so every later period is
-    this one shifted by ``c``.
+    **One clock** (every live clock advanced by ``c``): the forwarding
+    histogram's live window is the same after shifting by ``c``.  The
+    walk combines clocks only through ``+const`` and ``max`` against
+    values at or above the horizon, so every later period is this one
+    shifted by ``c``.
 
-    **Two clocks** (``cb > c``, the back end falling behind a fixed
-    number of cycles per period): every clock advanced by exactly ``cb``
-    or is dead in both snapshots; ``low``, the smallest live clock of
-    ``s0``, lies above ``h1``; no step that produces anything (a uop or a
-    def) had its operands ready at its fetch cycle (``fetch_wins`` did
-    not move); no branch was mispredicted; and the histogram at and above
-    ``low + cb`` in ``s1`` is the one at and above ``low`` in ``s0``
-    shifted by ``cb``, with every entry the period added at or above
-    ``low``.  Then every comparison the walk made in the period is one of
-    three kinds: between two back-end clocks, which shift together;
-    between a dead clock and a back-end clock, where the dead one loses
-    whatever the shift; or inside the front end's static advance (decode
-    slots and lines).  The front end never reaches a clock: each
-    producing step's operands were ready after its fetch, through a chain
-    of clocks that all started live, at or above ``low``, so every clock
-    the period wrote is live in ``s1`` and was checked.  The back end's
-    lead grows by ``cb - c`` per period, so the front end wins no race in
-    the next period either, and by induction period ``j`` is the measured
-    one with the back end shifted by ``j * cb`` and the front end by
-    ``j * c``.
+    **Back-end rates** (some clock advanced by more than ``c``): each
+    class runs at its own rate, the back end falling behind the front
+    end; see ``_back_end_rates`` for the conditions and why they are
+    exact.
 
-    Pattern state (decode slot and line, predictor table, cache tags, LSD
-    tracking) must be a fixed point in both cases, and the counter delta
-    non-negative with ``INSTRUCTIONS`` equal to *expected_records*.
+    *reach* bounds how far one value can move within the period: the
+    sum of the period's ``_BlockFacts.reach``.  Pattern state (decode
+    slot and line, predictor table, cache tags, LSD tracking) must be a
+    fixed point in both cases, and the counter delta non-negative with
+    ``INSTRUCTIONS`` equal to *expected_records*.
     """
     h0, h1 = s0["frontend"], s1["frontend"]
     c = h1 - h0
@@ -696,38 +700,30 @@ def _ff_delta(s0: dict, s1: dict, expected_records: int) -> Optional[dict]:
         return None
     if s1["decoded"] != s0["decoded"] or s1["line"] != s0["line"]:
         return None
-    cb = s1["last_completion"] - s0["last_completion"]
-    two_clock = cb > c and s1["last_completion"] > h1
-    if not two_clock:
-        cb = c
-    pairs = _clock_pairs(s0, s1)
-    for v0, v1 in pairs:
-        if v1 != v0 + cb and not (v0 <= h0 and v1 <= h1):
+    rates: Dict[int, List[int]] = {}        # rate -> its clocks in s0
+    for v0, v1 in _clock_pairs(s0, s1):
+        if v0 <= h0 and v1 <= h1:
+            continue
+        if v1 - v0 < c:
             return None
+        rates.setdefault(v1 - v0, []).append(v0)
     f0, f1 = s0["forwards"], s1["forwards"]     # live windows
-    if two_clock:
-        low = min([v0 for v0, _ in pairs if v0 > h0], default=h0)
-        if low <= h1 or s1["fetch_wins"] != s0["fetch_wins"]:
+    added = {cycle: count - f0.get(cycle, 0) for cycle, count in f1.items()
+             if count != f0.get(cycle, 0)}
+    if all(rate == c for rate in rates):
+        if {cycle + c: count for cycle, count in f0.items()} != f1:
             return None
-        # Below low the period added nothing; at and above low + cb the
-        # histogram is the one at and above low, shifted by cb.
-        expected = {cycle: count for cycle, count in f0.items()
-                    if h1 <= cycle < low}
-        expected.update((cycle + cb, count) for cycle, count in f0.items()
-                        if cycle >= low)
-        if expected != {cycle: count for cycle, count in f1.items()
-                        if not low <= cycle < low + cb}:
+        bands = [(h1 + 1, c)]
+        forwards = [(cycle, count, c) for cycle, count in added.items()]
+    else:
+        back_end = _back_end_rates(s0, s1, rates, added, model, reach)
+        if back_end is None:
             return None
-    elif {cycle + c: count for cycle, count in f0.items()} != f1:
-        return None
-    added = [(cycle, count - f0.get(cycle, 0))
-             for cycle, count in f1.items() if count != f0.get(cycle, 0)]
+        bands, forwards = back_end
     table0, npred0, nmisp0 = s0["pred"]
     table1, npred1, nmisp1 = s1["pred"]
     if table0 != table1:
         return None
-    if two_clock and nmisp1 != nmisp0:
-        return None          # a mispredict pulls the front end up
     if s0["cache"] is not None:
         c0, c1 = s0["cache"], s1["cache"]
         if c0[:3] != c1[:3]:
@@ -752,40 +748,167 @@ def _ff_delta(s0: dict, s1: dict, expected_records: int) -> Optional[dict]:
         counts_delta[name] = diff
     if counts_delta.get(C.INSTRUCTIONS, 0) != expected_records:
         return None
-    return {"c": c, "cb": cb, "forwards": added, "counts": counts_delta,
+    return {"c": c, "bands": bands, "forwards": forwards,
+            "counts": counts_delta,
             "pred": (npred1 - npred0, nmisp1 - nmisp0),
             "cache": cache_delta, "lsd_iters": lsd_iters}
+
+
+def _back_end_rates(s0: dict, s1: dict, rates: Dict[int, List[int]],
+                    added: Dict[int, int], model: ProcessorModel,
+                    reach: int) -> Optional[tuple]:
+    """Check a period whose live clocks run at *rates* (rate -> the
+    class's clocks in ``s0``), some above the front end's ``c``.
+
+    Returns ``(bands, forwards)`` for ``_ff_apply`` or None.  ``bands``
+    holds ``(bottom, rate)`` per class, fastest first, where ``bottom``
+    is the class's smallest value in ``s1`` (the slowest class takes
+    every live value below the others); ``forwards`` holds ``(cycle,
+    count, rate)`` per histogram entry the period added.  The conditions:
+
+    * ``low``, the smallest live clock of ``s0``, lies above ``h1``; no
+      step that produces anything (a uop or a def) had its operands
+      ready at its fetch cycle (``fetch_wins`` did not move); no branch
+      was mispredicted.  The front end then never reaches a clock: each
+      producing step's operands were ready after its fetch, through a
+      chain of values that started live, at or above ``low``, and every
+      class moves at least as fast as the front end, so it wins no race
+      in a later period either.
+    * With more than one class: no result found its forwarding slot
+      full (``fw_collisions`` did not move), so none slipped a cycle or
+      jumped to the forwarding watermark, the fastest class's frontier.
+      Every value the period computes then derives from one live clock
+      of ``s0``, its root, by at most ``D`` cycles, where ``D`` is
+      *reach* plus the memory latency per cache miss.  The classes'
+      ranges in ``s0``, ordered by rate, are separated by more than
+      ``D``, and no rate but the fastest exceeds ``D``.  Values rooted in
+      one class therefore lie within ``D`` above its range, apart from
+      every other class's, and each clock's value in ``s1`` is rooted in
+      its own class.  Every comparison between two classes' values (a
+      ``max``, a port pick, a ``mem_ready`` read) goes to the faster
+      class, whose lead grows by the difference of the rates each
+      period, so it does in every later period too.
+    * The fastest class's histogram window shifts by its own rate: the
+      histogram at and above ``base + rate`` in ``s1`` is the one at and
+      above ``base`` in ``s0`` shifted by ``rate``, ``base`` being the
+      class's smallest live clock.  Slower classes' results stay below
+      it; every entry the period added below ``base`` lies in the
+      interval of a slower class.
+    * Every slower class is *proved* stall-free, since a stalled result
+      would merge it into the fastest class: its results of one period
+      span fewer cycles than its rate, so each later lookup lands above
+      everything it wrote before.  There it meets the entries of ``s1``
+      and the faster classes' later additions (counted exactly up to the
+      last entry of ``s1``, and past it at most each one's per-period
+      additions folded by its rate) and its own results of the same
+      period: their largest sum must not exceed ``forwarding_bw``.
+
+    By induction period ``j`` is the measured one with each class shifted
+    by ``j`` times its rate and the front end by ``j * c``.
+    """
+    h0, h1 = s0["frontend"], s1["frontend"]
+    if s1["fetch_wins"] != s0["fetch_wins"] \
+            or s1["pred"][2] != s0["pred"][2]:
+        return None
+    order = sorted(rates)                   # slowest first
+    lows = [min(rates[rate]) for rate in order]
+    highs = [max(rates[rate]) for rate in order]
+    live = [v for values in rates.values() for v in values if v > h0]
+    base = min([v for v in rates[order[-1]] if v > h0], default=None)
+    if base is None or min(live) <= h1:
+        return None
+    misses = s1["counts"][C.L1D_MISSES] - s0["counts"][C.L1D_MISSES]
+    move = reach + model.memory_latency * misses
+    if len(order) > 1:
+        if s1["fw_collisions"] != s0["fw_collisions"]:
+            return None
+        for k in range(len(order) - 1):
+            if order[k] > move or highs[k] + move >= lows[k + 1]:
+                return None
+    f0, f1 = s0["forwards"], s1["forwards"]
+    top = order[-1]
+    if {cycle + top: count for cycle, count in f0.items() if cycle >= base} \
+            != {cycle: count for cycle, count in f1.items()
+                if cycle >= base + top}:
+        return None
+    results: List[Dict[int, int]] = [{} for _ in order]
+    for cycle, count in added.items():
+        if cycle >= base:
+            results[-1][cycle] = count
+            continue
+        for k in range(len(order) - 1):
+            if lows[k] <= cycle <= highs[k] + move:
+                results[k][cycle] = count
+                break
+        else:
+            return None
+    folded = []
+    for rate, mine in zip(order, results):
+        residues: Dict[int, int] = {}
+        for cycle, count in mine.items():
+            residues[cycle % rate] = residues.get(cycle % rate, 0) + count
+        folded.append(max(residues.values(), default=0))
+    edge = max(f1, default=h1)
+    for k in range(len(order) - 1):
+        mine = results[k]
+        if not mine:
+            continue
+        last = max(mine)
+        if last - min(mine) >= order[k]:
+            return None
+        met = {cycle: count for cycle, count in f1.items() if cycle > last}
+        for rate, theirs in zip(order[k + 1:], results[k + 1:]):
+            for cycle, count in theirs.items():
+                for at in range(cycle + rate, edge + 1, rate):
+                    if at > last:
+                        met[at] = met.get(at, 0) + count
+        most = max(max(met.values(), default=0), sum(folded[k + 1:]))
+        if most + max(mine.values()) > model.forwarding_bw:
+            return None
+    bands = [(lows[k] + order[k], order[k]) for k in range(len(order) - 1,
+                                                           0, -1)]
+    bands.append((h1 + 1, order[0]))
+    forwards = [(cycle, count, rate)
+                for rate, mine in zip(order, results)
+                for cycle, count in mine.items()]
+    return bands, forwards
 
 
 def _ff_apply(pl: PipelineSimulator, delta: dict, repeats: int) -> None:
     """Advance the pipeline by *repeats* validated periods at once.
 
     The front end advances ``repeats * c`` and every live clock (above
-    the horizon) ``repeats * cb``; dead clocks stay where they are, since
-    shifted by ``cb`` they could come alive.  The forwarding histogram
-    is not shifted: its entries stay at their absolute cycles, where the
-    code after the loop reads them, and it gains the measured period's
-    additions at ``+j * cb`` for ``j = 1 .. repeats``, those at or above
-    the new horizon only.  The state then equals the walked state, apart
-    from dead histogram entries.
+    the horizon) ``repeats`` times its class's rate, the class found by
+    the value's band; dead clocks stay where they are, since shifted
+    they could come alive.  The forwarding histogram is not shifted: its
+    entries stay at their absolute cycles, where the code after the loop
+    reads them, and it gains each entry the measured period added at
+    ``+j`` times its class's rate for ``j = 1 .. repeats``, those at or
+    above the new horizon only.  The state then equals the walked state,
+    apart from dead histogram entries.
     """
-    c, cb = delta["c"], delta["cb"]
     horizon = pl.frontend_cycle
-    shift = cb * repeats
-    top = horizon + c * repeats
+    top = horizon + delta["c"] * repeats
+    bands = delta["bands"]
+
+    def moved(value: int) -> int:
+        if value > horizon:
+            for bottom, rate in bands:
+                if value >= bottom:
+                    return value + rate * repeats
+        return value
+
     pl.frontend_cycle = top
-    pl.ready = [v + shift if v > horizon else v for v in pl.ready]
-    pl.port_free = [v + shift if v > horizon else v for v in pl.port_free]
-    pl.mem_ready = {k: v + shift if v > horizon else v
-                    for k, v in pl.mem_ready.items()}
-    if pl._fw_watermark > horizon:
-        pl._fw_watermark += shift
-    if pl.last_completion > horizon:
-        pl.last_completion += shift
+    pl.ready = [moved(v) for v in pl.ready]
+    pl.port_free = [moved(v) for v in pl.port_free]
+    pl.mem_ready = {k: moved(v) for k, v in pl.mem_ready.items()}
+    pl._fw_watermark = moved(pl._fw_watermark)
+    pl.last_completion = moved(pl.last_completion)
     forwards = pl._forwards
-    for cycle, count in delta["forwards"]:
-        first = max(1, -((cycle - top) // cb))
-        for at in range(cycle + first * cb, cycle + shift + 1, cb):
+    for cycle, count, rate in delta["forwards"]:
+        first = max(1, -((cycle - top) // rate))
+        for at in range(cycle + first * rate, cycle + rate * repeats + 1,
+                        rate):
             forwards[at] = forwards.get(at, 0) + count
     counts = pl.counts
     for name, diff in delta["counts"].items():
@@ -834,9 +957,10 @@ class FastForwardEngine:
     consecutive iterations of a loop fingerprint identically, the engine
     measures one period of that loop and validates the soundness
     condition (see ``_ff_delta``): a frontend-bound loop advances every
-    live clock by the front end's cycle count, a backend-bound one every
-    live clock by the back end's larger one, with the front end winning
-    no race against the back end.  While the validated loop keeps
+    live clock by the front end's cycle count, a backend-bound one each
+    class of live clocks by its own larger count, one per independent
+    chain, with the front end winning no race against the back end and
+    the classes kept apart.  While the validated loop keeps
     matching, whole iterations are replaced by one ``_ff_apply`` per
     drained batch; the first diverging block execution replays the
     partial iteration matched so far through the normal walk, so exits
@@ -1003,7 +1127,9 @@ class FastForwardEngine:
         if self.measure_left > 0:
             return True
         s1 = self.pl._ff_snapshot()
-        delta = _ff_delta(self.s0, s1, records * loop.period)
+        reach = loop.period * sum([facts.reach for facts, _, _ in sig])
+        delta = _ff_delta(self.s0, s1, records * loop.period, self.pl.model,
+                          reach)
         if delta is not None:
             self.measured = None
             self.delta = delta

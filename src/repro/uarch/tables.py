@@ -46,9 +46,11 @@ contract and the discovery tests.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Tuple,
+                    Union)
 
 from repro.result import register_schema
 from repro.uarch.model import UOP_CLASSES, ProcessorModel
@@ -291,16 +293,25 @@ def doc_to_model(doc: Dict[str, Any],
 # Files and the registry
 # ---------------------------------------------------------------------------
 
-def _read_json(path: str) -> Any:
+def _read_bytes(path: str) -> bytes:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise ProfileError("cannot read profile %s: %s"
                            % (path, exc.strerror or exc)) from exc
-    except json.JSONDecodeError as exc:
+
+
+def _parse_json(data: bytes, path: str) -> Any:
+    try:
+        return json.loads(data)
+    except ValueError as exc:
         raise ProfileError("profile %s is not valid JSON: %s"
                            % (path, exc)) from exc
+
+
+def _read_json(path: str) -> Any:
+    return _parse_json(_read_bytes(path), path)
 
 
 def load_profile(path: str) -> ProcessorModel:
@@ -336,14 +347,50 @@ def profile_path(name: str) -> str:
     return os.path.join(DATA_DIR, name + ".json")
 
 
+#: Built-in profile names at the last listing of ``DATA_DIR``.
+_BUILTIN: FrozenSet[str] = frozenset()
+
+#: Per built-in profile file: the bytes it was last read as and the
+#: model validated from them.
+_LOADED: Dict[str, Tuple[bytes, ProcessorModel]] = {}
+
+
+def is_profile_name(name: str) -> bool:
+    """Whether *name* is a built-in profile.  The data directory is
+    listed again only for a name its last listing lacks, so a profile
+    dropped into it resolves on first use."""
+    global _BUILTIN
+    if name not in _BUILTIN:
+        _BUILTIN = frozenset(profile_names())
+    return name in _BUILTIN
+
+
+def _builtin_model(name: str) -> ProcessorModel:
+    """A fresh model of the built-in profile *name*.  Its file is read on
+    every call but parsed and validated again only when its bytes
+    changed."""
+    path = profile_path(name)
+    data = _read_bytes(path)
+    loaded = _LOADED.get(path)
+    if loaded is None or loaded[0] != data:
+        loaded = _LOADED[path] = (
+            data, doc_to_model(_parse_json(data, path), where=path))
+    model = loaded[1]
+    return dataclasses.replace(model, port_map=dict(model.port_map),
+                               latency=dict(model.latency))
+
+
+def _unknown(name: str) -> ProfileError:
+    return ProfileError(
+        "unknown processor model %r (known: %s; or pass a .json "
+        "profile path)" % (name, ", ".join(profile_names())))
+
+
 def get_profile(name: str) -> ProcessorModel:
     """A fresh model for the built-in profile *name*."""
-    path = profile_path(name)
-    if not os.path.exists(path) or name not in profile_names():
-        raise ProfileError(
-            "unknown processor model %r (known: %s; or pass a .json "
-            "profile path)" % (name, ", ".join(profile_names())))
-    return load_profile(path)
+    if not is_profile_name(name):
+        raise _unknown(name)
+    return _builtin_model(name)
 
 
 def resolve_core(core: Union[str, Dict[str, Any], ProcessorModel]
@@ -360,14 +407,12 @@ def resolve_core(core: Union[str, Dict[str, Any], ProcessorModel]
     if isinstance(core, dict):
         return doc_to_model(core, where="inline profile")
     name = str(core)
-    if name in profile_names():
-        return load_profile(profile_path(name))
+    if is_profile_name(name):
+        return _builtin_model(name)
     if name.endswith(".json") or os.path.sep in name \
             or os.path.exists(name):
         return load_profile(name)
-    raise ProfileError(
-        "unknown processor model %r (known: %s; or pass a .json "
-        "profile path)" % (name, ", ".join(profile_names())))
+    raise _unknown(name)
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,26 @@ class TestWorkerCounters:
         assert thread["pass.REDTEST.runs"] == 2
         assert thread["pass.REDZEE.runs"] == 1
 
+    @staticmethod
+    def _predictions_observed(backend):
+        name = "predict.seconds.count"
+        before = obs.REGISTRY.snapshot(collectors=False).get(name, 0)
+        config = ServerConfig(port=0, parallel_backend=backend,
+                              max_inflight=2, cache=False)
+        with ServerThread(config) as handle:
+            with Client(port=handle.port, retries=0) as client:
+                client.predict(SOURCE, "core2")
+                seen = client.metrics()["values"].get(name, 0)
+        return seen - before
+
+    def test_both_pool_kinds_observe_the_same_histograms(self):
+        # A process-pool reply carries its worker's histogram
+        # observations, not only its counter deltas.
+        thread = self._predictions_observed("thread")
+        process = self._predictions_observed("process")
+        assert thread == 1
+        assert process == thread
+
 
 class TestTracing:
     def test_request_spans_flushed_on_drain(self, tmp_path):

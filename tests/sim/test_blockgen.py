@@ -29,6 +29,8 @@ from repro.sim.interp import (
 )
 from repro.sim.loader import load_unit
 from repro.sim.state import Flags
+from repro.uarch.pipeline import simulate_unit
+from repro.uarch.profiles import core2
 from repro.workloads import kernels
 from repro.x86.flags import ALL_FLAGS
 from tests.sim import reference_interp
@@ -106,6 +108,29 @@ def test_each_hot_block_is_generated_once_whatever_the_consumer():
     assert hot
     assert sorted(block.steps[0].address for block in made) \
         == sorted(block.steps[0].address for block in hot)
+
+
+def test_programs_sharing_a_block_compile_its_text_once():
+    # _loop's loop block has one text whatever the trip count, so the
+    # second program makes its function from the first's compiled code.
+    model = core2()
+
+    def simulate(trips):
+        run, stats = simulate_unit(parse_unit(_loop(trips)), model)
+        return stats.counters, run.steps, dict(run.state.gp)
+
+    second = 3 * HOT_BLOCK_EXECUTIONS
+    blockgen._code.cache_clear()
+    fresh = simulate(second)
+    blockgen._code.cache_clear()
+    reset_block_cache_stats()
+    simulate(2 * HOT_BLOCK_EXECUTIONS)
+    assert block_cache_stats()["sources_compiled"] == 1
+    reset_block_cache_stats()
+    again = simulate(second)
+    assert block_cache_stats()["blocks_generated"] == 1
+    assert block_cache_stats()["sources_compiled"] == 0
+    assert again == fresh
 
 
 @pytest.mark.parametrize("name,source", [

@@ -13,9 +13,9 @@ Every built-in profile runs, including ``pentium4`` (no LSD) and the
 and the ``simulate`` benchmark's SPEC builds, original and optimized,
 run whole and cut by ``max_steps`` inside a block.  The SPEC builds run
 cut near two points on every profile, and whole (original) on ``core2``,
-where fast-forward skips most of their records on a second clock, and
-on ``opteron``, where it declines on their backend-bound loops (their
-back ends advance at two rates).
+where fast-forward skips most of their records on the back end's clock,
+and on ``opteron``, where it skips them with their back ends' two chains
+each at its own rate.
 """
 
 import dataclasses

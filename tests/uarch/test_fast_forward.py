@@ -4,10 +4,11 @@ Fast-forwarding replaces validated loop iterations with one algebraic
 state advance, so the only acceptable observable difference is wall
 clock: every counter the pipeline produces must be bit-identical to the
 per-record oracle (``tests/uarch/record_walk.py``), on every workload and
-both processor models — including backend-bound loops skipped on a
-second clock and loops the engine must *refuse* (LSD candidates below
-their activation threshold, backend-bound bodies whose front end races
-the back end, loop nests whose outer iterations differ).
+both processor models — including backend-bound loops skipped on the back
+end's clocks, one rate per independent chain, and loops the engine must
+*refuse* (LSD candidates below their activation threshold, backend-bound
+bodies whose front end races the back end, loop nests whose outer
+iterations differ).
 """
 
 import dataclasses
@@ -29,6 +30,7 @@ from repro.uarch.pipeline import (
 )
 from repro.uarch.profiles import core2, opteron
 from repro.workloads import kernels
+from repro.workloads.spec import build_benchmark
 from tests.uarch.record_walk import simulate_reference
 
 WORKLOADS = [
@@ -137,13 +139,86 @@ main:
     ret
 """
 
+#: Two independent chains at different rates: on opteron the ``imull``
+#: chain advances 9 cycles per iteration, the counter's two ``leaq`` 5
+#: and the front end 3.  The counter decides the loop's exit, whose
+#: mispredict resumes fetch from the slower chain, and the loop after it
+#: is fetched from there, so the slower chain's clocks reach the cycle
+#: count.
+TWO_CHAINS = """
+.text
+.globl main
+.type main, @function
+main:
+    movl $11, %r14d
+    movq $120, %r10
+.Lloop:
+    imull $3, %r14d, %r14d
+    imull $3, %r14d, %r14d
+    imull $3, %r14d, %r14d
+    leaq -1(%r10), %r10
+    leaq 0(%r10), %r10
+    testq %r10, %r10
+    jne .Lloop
+    movq $100, %rcx
+.Lfetch:
+    addl $1, %eax
+    subq $1, %rcx
+    jne .Lfetch
+    movl %r14d, %eax
+    ret
+"""
+
+#: Chains whose clocks need the separation margin: on opteron the
+#: ``%r14`` chain advances 7 cycles per iteration, the counter's ``leaq``
+#: 6 and the front end 4, and both chains store.  In early periods the
+#: two classes' clocks are ordered but closer than the period's values
+#: move, and the comparisons between them change later on.
+CLOSE_CHAINS = """
+.text
+.globl main
+.type main, @function
+main:
+    leaq buf(%rip), %rdx
+    movl $13, %r15d
+    movl $3, %r8d
+    movq $288, %r10
+.Lloop:
+    leal 3(%r14), %r14d
+    leal 3(%r14), %r14d
+    movl %r15d, 16(%rdx)
+    movl %r14d, 8(%rdx)
+    addl %r8d, %r14d
+    leal 3(%r14), %r14d
+    xorl %r8d, %r15d
+    leaq -1(%r10), %r10
+    leaq 0(%r10), %r10
+    testq %r10, %r10
+    jne .Lloop
+    movq $77, %rcx
+.Lfetch:
+    addl $1, %eax
+    subq $1, %rcx
+    jne .Lfetch
+    ret
+.section .bss
+buf:
+    .zero 64
+"""
+
 #: Loops whose back end falls behind the front end by a fixed number of
 #: cycles per iteration.  On core2 the hash kernel's front end advances 6
 #: cycles per iteration and every live clock 9, with or without NOPIN's
-#: ``nop``s (which produce nothing, so they race nothing).
-SECOND_CLOCK = [
-    ("hash", kernels.hash_bench(trip=600)),
-    ("hash_nops", _with_nops(kernels.hash_bench(trip=600))),
+#: ``nop``s (which produce nothing, so they race nothing).  On opteron its
+#: independent chains run at two rates, 7 and 9 cycles per iteration
+#: against the front end's 6, and each class of clocks is skipped at its
+#: own rate.
+BACK_END = [
+    ("hash", kernels.hash_bench(trip=600), core2),
+    ("hash_nops", _with_nops(kernels.hash_bench(trip=600)), core2),
+    ("hash_opteron", kernels.hash_bench(trip=600), opteron),
+    ("two_chains", TWO_CHAINS, opteron),
+    ("close_chains", CLOSE_CHAINS, opteron),
 ]
 
 #: A program ``loop_programs`` drew: the counter waits on an ``imul``
@@ -182,13 +257,47 @@ def _opteron_one_forward():
     return dataclasses.replace(opteron(), forwarding_bw=1)
 
 
-#: Backend-bound loops that stay refused: opteron's hash kernel has a
-#: back end with two rates, and in the others the front end wins a race
-#: in every period (the ``imull`` chain's counter issues at fetch).
+#: The ``simulate`` benchmark's SPEC-named builds, with the least share
+#: of their records fast-forward skips on opteron.
+SPEC_BUILDS = [
+    ("252.eon", 0.7),
+    ("181.mcf", 0.9),
+    ("464.h264ref", 0.8),
+    ("197.parser", 0.9),
+]
+
+#: Two chains with one forwarding slot per cycle: the counter waits on a
+#: ``divl`` chain that advances 28 cycles per iteration, the ``leal``
+#: chain 4.  The faster chain's old results hold the slot on cycles the
+#: slower chain's results reach in later periods, so the slower chain
+#: would stall there and cannot be proved stall-free.
+SLOWER_CHAIN_STALLS = """
+.text
+.globl main
+.type main, @function
+main:
+    movl $7, %r13d
+    movl $13, %r15d
+    movq $358, %r10
+.Lloop:
+    leal 5(%r15), %r15d
+    imull $3, %edx, %edx
+    leal 5(%r15), %r15d
+    divl %r13d
+    addq %rdx, %r10
+    subq $1, %r10
+    jne .Lloop
+    ret
+"""
+
+#: Backend-bound loops that stay refused: the front end wins a race in
+#: every period (the ``imull`` chain's counter issues at fetch, and so
+#: does the load from a loop-invariant address), or a slower chain would
+#: stall on a forwarding slot held by a faster one.
 REFUSED = [
-    ("hash_opteron", kernels.hash_bench(trip=600), opteron),
     ("imul_counter_at_fetch", IMUL_CHAIN, core2),
     ("invariant_load", INVARIANT_LOAD, _opteron_one_forward),
+    ("slower_chain_stalls", SLOWER_CHAIN_STALLS, _opteron_one_forward),
 ]
 
 
@@ -205,11 +314,23 @@ class TestBackendBoundLoops:
         assert simulate_trace(trace, model).counters == ref.counters
         return run, ff
 
-    @pytest.mark.parametrize("name,source", SECOND_CLOCK,
-                             ids=_ids(SECOND_CLOCK))
-    def test_skipped_on_a_second_clock(self, name, source):
-        run, ff = self._check(source, core2())
+    @pytest.mark.parametrize("name,source,make_model", BACK_END,
+                             ids=_ids(BACK_END))
+    def test_skipped_on_a_second_clock(self, name, source, make_model):
+        run, ff = self._check(source, make_model())
         assert ff["records_fast_forwarded"] >= 0.5 * run.steps
+
+    @pytest.mark.parametrize("name,share", SPEC_BUILDS,
+                             ids=_ids(SPEC_BUILDS))
+    def test_spec_builds_skip_on_opteron(self, name, share):
+        # Their hot loops run chains at two rates on opteron; the counters
+        # of these builds are compared with the oracle whole in
+        # test_block_engine.py.
+        reset_fast_forward_stats()
+        run, _ = simulate_unit(
+            parse_unit(build_benchmark(name, seed=5).source), opteron())
+        ff = fast_forward_stats()
+        assert ff["records_fast_forwarded"] >= share * run.steps
 
     @pytest.mark.parametrize("name,source,make_model", REFUSED,
                              ids=_ids(REFUSED))
@@ -376,9 +497,11 @@ class TestLoopNests:
 
 #: Loop-body statements: ALU work, a load and a store at fixed addresses,
 #: a store whose address advances on every execution, a forward branch
-#: taken every other time %eax is odd, and an ``imul`` and a ``divl``
-#: chain that the loop's counter waits on, so the back end falls behind
-#: the front end by a fixed number of cycles per iteration.
+#: taken every other time %eax is odd, an ``imul`` and a ``divl`` chain
+#: that the loop's counter waits on, so the back end falls behind the
+#: front end by a fixed number of cycles per iteration, and an ``imul``
+#: and a ``lea`` chain that nothing waits on, which run beside the
+#: counter's at rates of their own.
 STATEMENTS = [
     "    addl $3, %eax",
     "    imull $3, %edx, %edx",
@@ -389,6 +512,8 @@ STATEMENTS = [
     "    imulq $1, {counter}, {counter}",
     "    xorl %edx, %edx\n    divl %r13d\n    andl $0, %edx\n"
     "    addq %rdx, {counter}",
+    "    imull $5, %r14d, %r14d",
+    "    leal 3(%r15), %r15d\n    leal 5(%r15), %r15d",
 ]
 
 #: Counter registers by nesting depth.
@@ -434,6 +559,8 @@ main:
     leaq ring(%rip), %rsi
     xorl %r9d, %r9d
     movl $7, %r13d
+    movl $11, %r14d
+    movl $13, %r15d
 {loops}
     ret
 .section .bss

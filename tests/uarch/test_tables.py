@@ -10,6 +10,7 @@ a data edit that silently shifts a documented cliff fails loudly.
 import dataclasses
 import json
 import os
+import shutil
 
 import pytest
 
@@ -191,6 +192,27 @@ class TestRegistry:
     def test_unknown_profile(self):
         with pytest.raises(tables.ProfileError):
             tables.get_profile("i486")
+
+    def test_rewritten_and_added_profiles_are_seen(self, tmp_path,
+                                                   monkeypatch):
+        # Validated documents are kept per file, but a lookup sees a
+        # rewritten file and a file dropped into the data directory.
+        data = tmp_path / "data"
+        shutil.copytree(tables.DATA_DIR, str(data))
+        monkeypatch.setattr(tables, "DATA_DIR", str(data))
+        monkeypatch.setattr(tables, "_BUILTIN", frozenset())
+        monkeypatch.setattr(tables, "_LOADED", {})
+        latency = tables.get_profile("core2").memory_latency
+        doc = tables.model_to_doc(core2())
+        doc["memory"]["memory_latency"] = latency + 7
+        tables.save_profile(doc, str(data / "core2.json"))
+        assert tables.get_profile("core2").memory_latency == latency + 7
+        assert tables.resolve_core("core2").memory_latency == latency + 7
+        doc["name"] = "core2_slow"
+        tables.save_profile(doc, str(data / "core2_slow.json"))
+        assert tables.resolve_core("core2_slow").memory_latency \
+            == latency + 7
+        assert "core2_slow" in tables.profile_names()
 
 
 class TestResolveCore:
