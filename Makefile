@@ -35,10 +35,9 @@ bench-quick:
 perf-report:
 	$(PYTHON) scripts/perf_report.py
 
-# Fail if any compiled artifact is tracked: __pycache__ directories
-# and *.pyc files must never re-enter the index.
-# Every compiled or derived artifact .gitignore lists: __pycache__/,
-# *.py[cod], *.so, *$py.class, .coverage*, build/, dist/, *.egg-info/.
+# Fail if any compiled or derived artifact that .gitignore lists is
+# tracked: __pycache__/, *.py[cod], *.so, *$py.class, .coverage*,
+# build/, dist/, *.egg-info/.
 TRACKED_ARTIFACTS = (^|/)(__pycache__|build|dist|[^/]*\.egg-info)(/|$$)|\.py[cod]$$|\.so$$|\$$py\.class$$|(^|/)\.coverage(\.[^/]*)?$$
 
 check-tracked-artifacts:

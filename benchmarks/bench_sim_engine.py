@@ -29,7 +29,11 @@ its records on the back end's clock, on core2 and on opteron, whose
 back end runs its independent chains at two rates.  The loop nest
 (252.eon's short loop inside its outer loop) must be skipped at the
 outer level: at least ``MIN_NEST_FF_SHARE`` of its records
-fast-forwarded, and ``MIN_STEADY_SPEEDUP`` like the steady loop.
+fast-forwarded, and ``MIN_STEADY_SPEEDUP`` like the steady loop.  A
+sampled section runs the hash kernel sampled every ``SAMPLE_PERIOD``
+steps on the reference interpreter and on the block-compiled one: the
+samples and the run must be identical, and the hot blocks generated as
+on any other run (its speedup is recorded without a gate).
 
 Usage::
 
@@ -83,6 +87,10 @@ MIN_HASH_FF_SHARE = 0.9
 #: Share of the loop nest's records that fast-forward skips.
 MIN_NEST_FF_SHARE = 0.9
 
+#: Steps between samples in the sampled section (a prime, like the
+#: periods ``mao profile`` is given).
+SAMPLE_PERIOD = 997
+
 
 def _run_state(result) -> tuple:
     """Architectural fingerprint of a finished run."""
@@ -103,12 +111,10 @@ def _timed(fn, *args):
     return time.perf_counter() - start, value
 
 
-def bench_engine(name: str, source: str, model) -> dict:
-    """One steady-state workload: baseline walk vs. the full fast path,
-    as the medians of REPEATS alternating samples after a warm-up."""
-    unit = parse_unit(source)
-    sides = {"baseline": lambda: _baseline(unit, model),
-             "fast": lambda: api.simulate(unit, model)}
+def _alternate(sides: dict) -> tuple:
+    """Run each of the ``baseline`` and ``fast`` *sides* once to warm up,
+    then REPEATS timed samples taking turns; returns each side's last
+    run and its samples."""
     samples = {"baseline": [], "fast": []}
     runs = {side: run() for side, run in sides.items()}      # warm-up
     for index in range(REPEATS):
@@ -121,6 +127,16 @@ def bench_engine(name: str, source: str, model) -> dict:
                 pipeline.reset_fast_forward_stats()
             seconds, runs[side] = _timed(sides[side])
             samples[side].append(round(seconds, 6))
+    return runs, samples
+
+
+def bench_engine(name: str, source: str, model) -> dict:
+    """One steady-state workload: baseline walk vs. the full fast path,
+    as the medians of REPEATS alternating samples after a warm-up."""
+    unit = parse_unit(source)
+    runs, samples = _alternate({
+        "baseline": lambda: _baseline(unit, model),
+        "fast": lambda: api.simulate(unit, model)})
     blk = interp.block_cache_stats()
     ff = pipeline.fast_forward_stats()
 
@@ -150,6 +166,35 @@ def bench_engine(name: str, source: str, model) -> dict:
         "ff_records": int(ff["records_fast_forwarded"]),
         "ff_record_share": round(ff["records_fast_forwarded"]
                                  / result_fast.steps, 4),
+    }
+
+
+def bench_sampled(name: str, source: str) -> dict:
+    """A sampled run on the reference interpreter against one on the
+    block-compiled interpreter, as the medians of REPEATS alternating
+    samples after a warm-up."""
+    unit = parse_unit(source)
+    runs, samples = _alternate({
+        "baseline": lambda: reference_interp.run_unit(
+            unit, sample_period=SAMPLE_PERIOD),
+        "fast": lambda: interp.run_unit(unit, sample_period=SAMPLE_PERIOD)})
+    baseline_s = statistics.median(samples["baseline"])
+    fast_s = statistics.median(samples["fast"])
+    base, fast = runs["baseline"], runs["fast"]
+    return {
+        "workload": name,
+        "period": SAMPLE_PERIOD,
+        "instructions": fast.steps,
+        "samples": len(fast.samples),
+        "baseline_s": round(baseline_s, 6),
+        "fast_s": round(fast_s, 6),
+        "baseline_samples_s": samples["baseline"],
+        "fast_samples_s": samples["fast"],
+        "speedup": round(baseline_s / fast_s, 3),
+        "samples_identical": (base.samples == fast.samples
+                              and _run_state(base) == _run_state(fast)),
+        "blocks_generated":
+            int(interp.block_cache_stats()["blocks_generated"]),
     }
 
 
@@ -220,8 +265,8 @@ def main(argv=None) -> int:
     model = core2()
 
     print("workload: fig4 steady loop x%d + hash kernel x%d + eon nest "
-          "x%d (core2), hash kernel on opteron" % (outer, outer * 2,
-                                                   nest_outer))
+          "x%d (core2), hash kernel on opteron and sampled every %d"
+          % (outer, outer * 2, nest_outer, SAMPLE_PERIOD))
 
     metrics = {}
     metrics.update(prefixed("sim_steady_loop",
@@ -232,6 +277,8 @@ def main(argv=None) -> int:
                             bench_engine("hash_fwd", hash_src, opteron())))
     metrics.update(prefixed("sim_loop_nest",
                             bench_engine("eon_nest", nest_src, model)))
+    metrics.update(prefixed("sim_sampled",
+                            bench_sampled("hash_fwd", hash_src)))
     metrics.update(prefixed("differential", bench_differential(args.quick)))
     gates = [
         gate("sim_steady_loop.counter_identical", "==", True),
@@ -244,6 +291,8 @@ def main(argv=None) -> int:
         gate("sim_loop_nest.counter_identical", "==", True),
         gate("sim_loop_nest.ff_record_share", ">=", MIN_NEST_FF_SHARE),
         gate("sim_loop_nest.speedup", ">=", MIN_STEADY_SPEEDUP),
+        gate("sim_sampled.samples_identical", "==", True),
+        gate("sim_sampled.blocks_generated", ">=", 1),
         gate("differential.counter_identical", "==", True),
     ]
     config = {"quick": args.quick, "outer": outer, "nest_outer": nest_outer,

@@ -26,9 +26,9 @@ kind, width or condition code, and stores each flag it writes once, as a
 plain attribute of :class:`~repro.sim.state.Flags`.
 
 Every run goes through one block loop, which hands each executed block to
-the caller's ``on_block``, the trace recorder or a no-op consumer.  On an
-unsampled run, a block's execution numbered :data:`HOT_BLOCK_EXECUTIONS`
-compiles its one generated function (:mod:`repro.sim.blockgen`).
+the caller's ``on_block``, the trace recorder or a no-op consumer.  A
+block's execution numbered :data:`HOT_BLOCK_EXECUTIONS` compiles its one
+generated function (:mod:`repro.sim.blockgen`).
 
 A step captures only static facts and reads ``interp.state`` and
 ``interp.memory`` when it runs, so blocks are cached on the
@@ -165,11 +165,10 @@ class _Block:
     ``last``: the order a consumer of executed blocks sees them in.
     ``end`` is the rip after the body.
 
-    ``executions`` counts the block's executions on the closure paths of
-    unsampled runs; the one numbered :data:`HOT_BLOCK_EXECUTIONS` sets
-    ``generated`` to the block's generated function
-    (:mod:`repro.sim.blockgen`), which runs the whole block, exit
-    included, from then on.
+    ``executions`` counts the block's executions until the one numbered
+    :data:`HOT_BLOCK_EXECUTIONS` sets ``generated`` to the block's
+    generated function (:mod:`repro.sim.blockgen`), which runs the whole
+    block, exit included, whenever it ends by the block loop's fence.
     """
 
     __slots__ = ("body", "last", "skip_to", "fell_off", "slow", "steps",
@@ -205,8 +204,7 @@ _CT_BASES = frozenset(("jmp", "j", "call", "ret", "hlt", "ud2", "int3"))
 _MAX_BLOCK_STEPS = 512
 
 
-@dataclass(frozen=True)
-class ExecRecord:
+class ExecRecord(NamedTuple):
     """One dynamically executed instruction."""
 
     entry: InstructionEntry
@@ -249,7 +247,6 @@ class Interpreter:
             else program.memory
         self.state = MachineState()
         self.max_steps = max_steps
-        self.instructions_executed = 0
         self._tsc = 0
 
     def run(self, entry: Optional[int] = None,
@@ -268,10 +265,13 @@ class Interpreter:
         (a run cut by ``max_steps`` hands over a prefix) and the outcome
         of the block's exit.
 
-        ``sample_phase`` offsets which step within each period is
-        sampled (``steps % period == phase``); phase 0 reproduces the
-        historical behavior exactly.
+        ``sample_period`` samples every that many steps (None or 0: none;
+        negative: ValueError), and ``sample_phase`` offsets which step
+        within each period is sampled (``steps % period == phase``);
+        phase 0 reproduces the historical behavior exactly.
         """
+        if sample_period is not None and sample_period < 0:
+            raise ValueError("negative sample_period: %r" % (sample_period,))
         if entry is None:
             entry = self.program.entry_point
         if entry is None:
@@ -348,16 +348,19 @@ class Interpreter:
     def _run_blocks(self, on_block, sample_period, samples,
                     sample_phase=0) -> RunResult:
         """The block loop: each executed block goes to *on_block* with its
-        per-step effective addresses.  A hot block runs as its generated
-        function, exit included, and any other body as its traced step
-        forms without per-step bookkeeping, unless the block reads the
-        TSC, the run is sampled, or ``max_steps`` falls inside it; a step
+        per-step effective addresses.  The fence is the last step a whole
+        block may reach: ``max_steps``, or the step before the next sample
+        if that comes first.  A block that ends by the fence runs whole (its
+        generated function once hot, else its traced step forms); one that
+        crosses the fence or reads the TSC runs step by step, where the step
+        after the fence is sampled and moves the fence a period on.  A step
         that faults sets rip past itself before raising."""
         state = self.state
         blocks = self.program.block_cache
         max_steps = self.max_steps
+        fence = min(max_steps, (sample_phase or sample_period) - 1) \
+            if sample_period else max_steps
         hot = HOT_BLOCK_EXECUTIONS
-        unsampled = not sample_period
         tsc = self._tsc                  # the virtual TSC counts steps
         steps = hits = 0
         reason = "max-steps"
@@ -369,62 +372,57 @@ class Interpreter:
                 else:
                     hits += 1
                 generated = block.generated
-                if generated is None and unsampled:
+                if generated is None:
                     block.executions += 1
                     if block.executions >= hot and block.generable:
                         generated = block.generated = _generate(
                             self.program, block)
-                if generated is not None and unsampled \
-                        and max_steps - steps >= block.size:
+                if generated is not None and steps + block.size <= fence:
                     eas, rip, taken = generated(self)
                     steps += block.size
-                    if rip is None:
-                        state.rip = block.last.next_rip
-                        reason = taken
-                        on_block(block, eas, None)
-                        break
-                    state.rip = rip
-                    on_block(block, eas, taken)
-                    continue
-                if block.slow or sample_period \
-                        or max_steps - steps < len(block.body):
-                    eas: List[Optional[int]] = []
-                    for step in block.body:
-                        if steps >= max_steps:
-                            break
-                        state.rip = step.next_rip
-                        steps += 1
-                        self._tsc = tsc + steps
-                        if sample_period and \
-                                steps % sample_period == sample_phase:
-                            samples.append((step.address, state.snapshot()))
-                        eas.append(step.traced(self))
                 else:
-                    eas = [traced(self) for traced in block.traced]
-                    if eas:
-                        steps += len(eas)
-                        state.rip = block.end
-                step = block.last
-                if step is None or steps >= max_steps:
-                    # The block ends before an exit: hand over what ran.
-                    if eas:
-                        on_block(block, eas, None)
-                    if steps >= max_steps:
+                    if block.slow or steps + block.size > fence:
+                        eas: List[Optional[int]] = []
+                        for step in block.body:
+                            if steps >= max_steps:
+                                break
+                            state.rip = step.next_rip
+                            steps += 1
+                            self._tsc = tsc + steps
+                            if steps > fence:
+                                samples.append((step.address,
+                                                state.snapshot()))
+                                fence = min(max_steps,
+                                            steps + sample_period - 1)
+                            eas.append(step.traced(self))
+                    else:
+                        eas = [traced(self) for traced in block.traced]
+                        if eas:
+                            steps += len(eas)
+                            state.rip = block.end
+                    step = block.last
+                    if step is None or steps >= max_steps:
+                        # The block ends before an exit: hand over what ran.
+                        if eas:
+                            on_block(block, eas, None)
+                        if steps >= max_steps:
+                            continue
+                        if block.skip_to is not None:
+                            state.rip = block.skip_to
+                        elif block.fell_off:
+                            raise SimError("execution fell off code at %#x "
+                                           "(step %d)" % (state.rip, steps))
                         continue
-                    if block.skip_to is not None:
-                        state.rip = block.skip_to
-                    elif block.fell_off:
-                        raise SimError("execution fell off code at %#x "
-                                       "(step %d)" % (state.rip, steps))
-                    continue
-                state.rip = step.next_rip
-                steps += 1
-                if sample_period and steps % sample_period == sample_phase:
-                    samples.append((step.address, state.snapshot()))
-                ea = step.ea
-                eas.append(ea(self) if ea is not None else None)
-                rip, taken = step.run(self)
+                    state.rip = step.next_rip
+                    steps += 1
+                    if steps > fence:
+                        samples.append((step.address, state.snapshot()))
+                        fence = min(max_steps, steps + sample_period - 1)
+                    ea = step.ea
+                    eas.append(ea(self) if ea is not None else None)
+                    rip, taken = step.run(self)
                 if rip is None:
+                    state.rip = block.last.next_rip
                     reason = taken
                     on_block(block, eas, None)
                     break
@@ -433,7 +431,6 @@ class Interpreter:
         finally:
             _BLOCK_STATS["block_hits"] += hits
             self._tsc = tsc + steps
-        self.instructions_executed = steps
         return RunResult(steps=steps, reason=reason, state=state,
                          memory=self.memory, trace=None, samples=samples)
 

@@ -196,9 +196,9 @@ class TestNoRecordsUntraced:
         created = []
 
         class CountingRecord(ExecRecord):
-            def __init__(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 created.append(1)
-                super().__init__(*args, **kwargs)
+                return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(interp, "ExecRecord", CountingRecord)
         source = kernels.hash_bench(trip=40)
@@ -211,9 +211,9 @@ class TestNoRecordsUntraced:
         created = []
 
         class CountingRecord(ExecRecord):
-            def __init__(self, *args, **kwargs):
+            def __new__(cls, *args, **kwargs):
                 created.append(1)
-                super().__init__(*args, **kwargs)
+                return super().__new__(cls, *args, **kwargs)
 
         monkeypatch.setattr(interp, "ExecRecord", CountingRecord)
         result = run_unit(parse_unit(kernels.hash_bench(trip=5)),
@@ -232,7 +232,10 @@ class _Generated:
 
 
 class TestDifferentialGenerated(_Generated, TestDifferential):
-    pass
+    def test_sampled_run_identical(self):
+        reset_block_cache_stats()
+        super().test_sampled_run_identical()
+        assert block_cache_stats()["blocks_generated"]
 
 
 class TestCacheBehaviourGenerated(_Generated, TestCacheBehaviour):

@@ -2,7 +2,10 @@
 
 A block runs on its step closures until its execution numbered
 ``HOT_BLOCK_EXECUTIONS``, which generates its function.  These tests pin
-that switch, that the paper's hot loops run without calling a single
+that switch, on sampled runs too, where a hot block runs its function
+only when it ends before the next sampled step (samples landing on each
+part of a hot block, and cuts inside it, are compared with the reference
+interpreter's), that the paper's hot loops run without calling a single
 step closure (a template that stops matching would only slow them), and
 that every step declares the flags its closure writes and reads, and
 whether it may fault, as the flag liveness of a generated function
@@ -26,6 +29,7 @@ from repro.sim.interp import (
     SimError,
     block_cache_stats,
     reset_block_cache_stats,
+    run_unit,
 )
 from repro.sim.loader import load_unit
 from repro.sim.state import Flags
@@ -73,11 +77,92 @@ def test_block_switches_at_the_hot_execution(traced):
         assert max(block.executions for block in loop) == min(trips, hot)
 
 
-def test_sampled_runs_generate_nothing():
+def _end(result, traced=False):
+    """What a run leaves: steps, reason, samples, machine state and, when
+    *traced*, the trace."""
+    state = result.state
+    return (result.steps, result.reason, result.samples, state.rip,
+            dict(state.gp), dict(state.xmm), state.flags.snapshot(),
+            list(result.memory.nonzero_ranges()),
+            [(r.address, r.taken, r.ea) for r in result.trace]
+            if traced else None)
+
+
+def _both(source, traced=False, **kwargs):
+    """A reference run and a block-compiled run of *source*, as _end gives
+    them, and the functions the block-compiled run generated."""
+    expected = reference_interp.run_unit(parse_unit(source),
+                                         collect_trace=traced, **kwargs)
     reset_block_cache_stats()
-    program = load_unit(parse_unit(_loop(3 * HOT_BLOCK_EXECUTIONS)), "main")
-    Interpreter(program).run(sample_period=7)
-    assert block_cache_stats()["blocks_generated"] == 0
+    got = run_unit(parse_unit(source), collect_trace=traced, **kwargs)
+    return (_end(expected, traced), _end(got, traced),
+            block_cache_stats()["blocks_generated"])
+
+
+def test_sampled_run_generates_its_hot_block():
+    expected, got, generated = _both(_loop(3 * HOT_BLOCK_EXECUTIONS),
+                                     sample_period=7)
+    assert generated == 1
+    assert got == expected
+
+
+#: Loop kernels whose hot blocks the sampled sweep lands on.
+_SWEEP = {
+    "loop": _loop(2 * HOT_BLOCK_EXECUTIONS),
+    "fig4_loop": kernels.fig4_loop(iterations=2 * HOT_BLOCK_EXECUTIONS),
+    "hash_bench": kernels.hash_bench(trip=2 * HOT_BLOCK_EXECUTIONS),
+    "eon_loop": kernels.eon_loop(outer=40),
+}
+
+
+def _hot_points(source):
+    """The steps at which one execution of a generated block, halfway
+    through an unsampled run, runs its first body step, its last body
+    step and its exit."""
+    steps = 0
+    ends = []
+
+    def count(block, eas, taken):
+        nonlocal steps
+        steps += len(eas)
+        if block.generated is not None and block.body:
+            ends.append((steps, block.size))
+
+    Interpreter(load_unit(parse_unit(source), "main")).run(on_block=count)
+    end, size = ends[len(ends) // 2]
+    return end - size + 1, end - 1, end
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP))
+def test_sampled_sweep_matches_reference(name):
+    # A sample on a hot block's first body step, last body step or exit
+    # runs that execution step by step; every other execution runs its
+    # generated function whole.
+    source = _SWEEP[name]
+    points = _hot_points(source)
+    for period in (1, 2, 7, 61, 997):
+        for phase in (0,) + points:
+            expected, got, generated = _both(
+                source, sample_period=period, sample_phase=phase % period)
+            assert generated
+            assert got == expected, (period, phase)
+    # A max_steps cut inside a hot block, or on its exit, with and
+    # without samples.
+    for cut in points:
+        for period in (None, 61):
+            expected, got, generated = _both(
+                source, traced=True, max_steps=cut, sample_period=period,
+                sample_phase=cut % 61)
+            assert generated
+            assert got == expected, (cut, period)
+
+
+def test_negative_sample_period_is_refused():
+    unit = parse_unit(kernels.fig4_loop(iterations=20))
+    for period in (None, 0):
+        assert run_unit(unit, sample_period=period).samples is None
+    with pytest.raises(ValueError, match="sample_period"):
+        run_unit(unit, sample_period=-5)
 
 
 def test_each_hot_block_is_generated_once_whatever_the_consumer():
