@@ -53,7 +53,6 @@ from repro.sim.interp import (
     _PARITY,
     _Site,
     _imm,
-    _is_gp64,
     _signed,
 )
 from repro.x86.flags import ALL_FLAGS, cc_encoding
@@ -135,6 +134,10 @@ def _put(reg: Register, value: str, bits: int) -> str:
                                       value)
 
 
+def _is_gp64(reg: Optional[Register]) -> bool:
+    return reg is not None and reg.reg_class == "gp" and reg.width == 64
+
+
 def _plus(expr: str, value: int) -> str:
     if value < 0:
         return "%s - %d" % (expr, -value)
@@ -144,8 +147,8 @@ def _plus(expr: str, value: int) -> str:
 def _inline_address(mem: Memory, symtab: Dict[str, int],
                     next_rip: int) -> Optional[str]:
     """The effective address of *mem* as source, when it is a constant or
-    a 64-bit base, index, scale and displacement (as ``interp._address``
-    computes it), else None."""
+    a 64-bit base, index, scale and displacement (the sum
+    ``interp._address`` computes), else None."""
     disp = mem.disp
     if mem.symbol is not None:
         if mem.symbol not in symtab:

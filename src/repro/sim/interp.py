@@ -23,7 +23,10 @@ operand, pre-masked immediates, one effective-address function per memory
 operand (which the block loop also uses for the step's ``ea``), the
 branch target and the condition test.  A dynamic step examines no operand
 kind, width or condition code, and stores each flag it writes once, as a
-plain attribute of :class:`~repro.sim.state.Flags`.
+plain attribute of :class:`~repro.sim.state.Flags`.  Each compiler builds
+one closure from the operand readers and writers and the flag helpers,
+whatever the operands' shape: shapes are written out only in the
+templates of :mod:`repro.sim.blockgen`.
 
 Every run goes through one block loop, which hands each executed block to
 the caller's ``on_block``, the trace recorder or a no-op consumer.  A
@@ -630,10 +633,6 @@ def _reg_writer(reg: Register) -> Callable[[Interpreter, int], None]:
     return write
 
 
-def _is_gp64(reg: Optional[Register]) -> bool:
-    return reg is not None and reg.reg_class == "gp" and reg.width == 64
-
-
 def _address(mem: Memory, site: _Site) -> Callable[[Interpreter], int]:
     """The effective-address function of one memory operand."""
     symtab, next_rip = site.symtab, site.next_rip
@@ -654,21 +653,6 @@ def _address(mem: Memory, site: _Site) -> Callable[[Interpreter], int]:
     if base is None and index is None:
         fixed = disp & MASK64
         return lambda interp: fixed
-    if _is_gp64(base) and index is None:
-        group = base.group
-        if not disp:
-            return lambda interp: interp.state.gp[group]
-        return lambda interp: (interp.state.gp[group] + disp) & MASK64
-    if _is_gp64(base) and _is_gp64(index):
-        b, i = base.group, index.group
-
-        def base_index(interp):
-            gp = interp.state.gp
-            return (gp[b] + gp[i] * scale + disp) & MASK64
-        return base_index
-    if base is None and _is_gp64(index):
-        i = index.group
-        return lambda interp: (interp.state.gp[i] * scale + disp) & MASK64
     try:
         read_base = _reg_reader(base) if base is not None else None
         read_index = _reg_reader(index) if index is not None else None
@@ -719,16 +703,6 @@ def _writer(op: Operand, width: int,
         return lambda interp, value: interp.memory.write(address(interp),
                                                           value, size)
     return _fault("cannot write operand %r" % (op,), site)
-
-
-def _full(op: Operand, width: int) -> Optional[str]:
-    """The group of a 32- or 64-bit GP register operand of *width* bits —
-    one a result of that width can be stored into whole — else None."""
-    if isinstance(op, RegisterOperand):
-        reg = op.reg
-        if reg.reg_class == "gp" and reg.width == width and width >= 32:
-            return reg.group
-    return None
 
 
 def _is_xmm(op: Operand) -> bool:
@@ -815,32 +789,6 @@ def _c_mov(insn: Instruction, site: _Site) -> Step:
     if _is_xmm(src) or _is_xmm(dst):
         return _c_sse_movq(insn, site)
     width = _width(insn)
-    mask, size = (1 << width) - 1, width // 8
-    d, s = _full(dst, width), _full(src, width)
-    if d is not None and isinstance(src, Immediate):
-        value = _imm(src, width, site)
-
-        def mov_ri(interp):
-            interp.state.gp[d] = value
-        return mov_ri
-    if d is not None and s is not None:
-        def mov_rr(interp):
-            gp = interp.state.gp
-            gp[d] = gp[s] & mask
-        return mov_rr
-    if d is not None and isinstance(src, Memory):
-        load = site.ea
-
-        def mov_rm(interp):
-            interp.state.gp[d] = interp.memory.read(load(interp), size)
-        return mov_rm
-    if s is not None and isinstance(dst, Memory):
-        store = site.ea
-
-        def mov_mr(interp):
-            interp.memory.write(store(interp), interp.state.gp[s] & mask,
-                                size)
-        return mov_mr
     return _copy(_reader(src, width, site), _writer(dst, width, site))
 
 
@@ -861,12 +809,6 @@ def _c_movsx(insn: Instruction, site: _Site) -> Step:
     get = _reader(src, src_w, site)
     sign = 1 << (src_w - 1)
     low, mask = sign - 1, (1 << dst_w) - 1
-    d = _full(dst, dst_w)
-    if d is not None:
-        def movsx_r(interp):
-            value = get(interp)
-            interp.state.gp[d] = ((value & low) - (value & sign)) & mask
-        return movsx_r
     put = _writer(dst, dst_w, site)
 
     def movsx(interp):
@@ -887,13 +829,7 @@ def _c_lea(insn: Instruction, site: _Site) -> Step:
         raise SimError("lea needs memory operand")
     width = _width(insn)
     mask = (1 << width) - 1
-    address = site.ea
-    d = _full(dst, width)
-    if d is not None:
-        def lea_r(interp):
-            interp.state.gp[d] = address(interp) & mask
-        return lea_r
-    put = _writer(dst, width, site)
+    address, put = site.ea, _writer(dst, width, site)
 
     def lea(interp):
         put(interp, address(interp) & mask)
@@ -970,142 +906,27 @@ def _alu_xor(a, b, f, mask, sign):
     return _logic_flags(f, (a ^ b) & mask, mask, sign)
 
 
-# The hottest shapes — a full-width register destination with a register
-# (``s``) or immediate (``k``) source — inline their flags.
-
-def _add_fast(d, s, k, mask, sign, writes):
-    if s is None:
-        def add_ri(interp):
-            state = interp.state
-            gp = state.gp
-            a = gp[d] & mask
-            r = a + k
-            res = r & mask
-            gp[d] = res
-            f = state.flags
-            f.CF = r > mask
-            f.OF = ((a ^ res) & (k ^ res) & sign) != 0
-            f.AF = ((a ^ k ^ res) & 0x10) != 0
-            f.ZF = res == 0
-            f.SF = res >= sign
-            f.PF = _PARITY[res & 0xFF]
-        return add_ri
-
-    def add_rr(interp):
-        state = interp.state
-        gp = state.gp
-        a = gp[d] & mask
-        b = gp[s] & mask
-        r = a + b
-        res = r & mask
-        gp[d] = res
-        f = state.flags
-        f.CF = r > mask
-        f.OF = ((a ^ res) & (b ^ res) & sign) != 0
-        f.AF = ((a ^ b ^ res) & 0x10) != 0
-        f.ZF = res == 0
-        f.SF = res >= sign
-        f.PF = _PARITY[res & 0xFF]
-    return add_rr
-
-
-def _sub_fast(d, s, k, mask, sign, writes):
-    if s is None:
-        def sub_ri(interp):
-            state = interp.state
-            gp = state.gp
-            a = gp[d] & mask
-            res = (a - k) & mask
-            if writes:
-                gp[d] = res
-            f = state.flags
-            f.CF = k > a
-            f.OF = ((a ^ k) & (a ^ res) & sign) != 0
-            f.AF = ((a ^ k ^ res) & 0x10) != 0
-            f.ZF = res == 0
-            f.SF = res >= sign
-            f.PF = _PARITY[res & 0xFF]
-        return sub_ri
-
-    def sub_rr(interp):
-        state = interp.state
-        gp = state.gp
-        a = gp[d] & mask
-        b = gp[s] & mask
-        res = (a - b) & mask
-        if writes:
-            gp[d] = res
-        f = state.flags
-        f.CF = b > a
-        f.OF = ((a ^ b) & (a ^ res) & sign) != 0
-        f.AF = ((a ^ b ^ res) & 0x10) != 0
-        f.ZF = res == 0
-        f.SF = res >= sign
-        f.PF = _PARITY[res & 0xFF]
-    return sub_rr
-
-
-def _logic_fast(op):
-    """Fast-shape factory for one of ``and``, ``or`` and ``xor``."""
-    def factory(d, s, k, mask, sign, writes):
-        if s is None:
-            def logic_ri(interp):
-                state = interp.state
-                gp = state.gp
-                res = op(gp[d] & mask, k)
-                if writes:
-                    gp[d] = res
-                f = state.flags
-                f.CF = f.OF = f.AF = False
-                f.ZF = res == 0
-                f.SF = res >= sign
-                f.PF = _PARITY[res & 0xFF]
-            return logic_ri
-
-        def logic_rr(interp):
-            state = interp.state
-            gp = state.gp
-            res = op(gp[d] & mask, gp[s] & mask)
-            if writes:
-                gp[d] = res
-            f = state.flags
-            f.CF = f.OF = f.AF = False
-            f.ZF = res == 0
-            f.SF = res >= sign
-            f.PF = _PARITY[res & 0xFF]
-        return logic_rr
-    return factory
-
-
-#: ALU base -> (result-and-flags function, fast-shape factory or None).
+#: ALU base -> its result-and-flags function.
 _ALU = {
-    "add": (_alu_add, _add_fast),
-    "adc": (_alu_adc, None),
-    "sub": (_alu_sub, _sub_fast),
-    "sbb": (_alu_sbb, None),
-    "and": (_alu_and, _logic_fast(operator.and_)),
-    "or": (_alu_or, _logic_fast(operator.or_)),
-    "xor": (_alu_xor, _logic_fast(operator.xor)),
+    "add": _alu_add,
+    "adc": _alu_adc,
+    "sub": _alu_sub,
+    "sbb": _alu_sbb,
+    "and": _alu_and,
+    "or": _alu_or,
+    "xor": _alu_xor,
 }
 
 
 def _c_alu(kind: str, writes: bool = True):
     """Compiler of a two-operand ALU instruction; ``cmp`` and ``test`` are
     ``sub`` and ``and`` that only write the flags."""
-    compute, fast = _ALU[kind]
+    compute = _ALU[kind]
 
     def compile_alu(insn: Instruction, site: _Site) -> Step:
         width = _width(insn)
         src, dst = _operands(insn, 2)
         mask, sign = (1 << width) - 1, 1 << (width - 1)
-        d = _full(dst, width)
-        if fast is not None and d is not None:
-            if isinstance(src, Immediate):
-                return fast(d, None, _imm(src, width, site), mask, sign,
-                            writes)
-            s = _full(src, width)
-            if s is not None:
-                return fast(d, s, None, mask, sign, writes)
         get_a, get_b = _reader(dst, width, site), _reader(src, width, site)
         if not writes:
             def alu_flags(interp):
@@ -1265,23 +1086,6 @@ def _c_imul(insn: Instruction, site: _Site) -> Step:
         raise SimError("%s needs 1 to 3 operands" % insn)
     mask, sign = (1 << width) - 1, 1 << (width - 1)
     low = sign - 1
-    d, s = _full(dst, width), _full(a_op, width)
-    if d is not None and s is not None and isinstance(b_op, Immediate):
-        k = _signed(_imm(b_op, width, site), width)
-
-        def imul_rri(interp):
-            state = interp.state
-            gp = state.gp
-            a = gp[s] & mask
-            product = ((a & low) - (a & sign)) * k
-            res = product & mask
-            gp[d] = res
-            f = state.flags
-            f.CF = f.OF = product != (res & low) - (res & sign)
-            f.ZF = res == 0                  # architecturally undefined
-            f.SF = res >= sign
-            f.PF = _PARITY[res & 0xFF]
-        return imul_rri
     get_a, get_b = _reader(a_op, width, site), _reader(b_op, width, site)
     put = _writer(dst, width, site)
 
@@ -1445,8 +1249,9 @@ def _c_call(insn: Instruction, site: _Site) -> Step:
         return call
 
     def call_indirect(interp):
+        rip = target(interp)             # read before the push moves rsp
         _push(interp, return_to)
-        return target(interp), True
+        return rip, True
     return call_indirect
 
 
@@ -1507,6 +1312,8 @@ def _c_cmov(insn: Instruction, site: _Site) -> Step:
 def _c_xchg(insn: Instruction, site: _Site) -> Step:
     width = _width(insn)
     a, b = _operands(insn, 2)
+    if isinstance(b, Memory):
+        a, b = b, a      # store to memory first: the register may address it
     get_a, get_b = _reader(a, width, site), _reader(b, width, site)
     put_a, put_b = _writer(a, width, site), _writer(b, width, site)
 

@@ -567,15 +567,19 @@ def _enc_imul(insn: Instruction, enc: _Enc,
         _modrm(enc, _UNARY_F7["imul1"], insn.op(0), symtab)
         return
     _setup_width(enc, width)
-    if len(insn.operands) == 2:
-        src, dst = insn.operands
+    operands = insn.operands
+    if len(operands) == 2 and isinstance(operands[0], Immediate):
+        # gas reads `imul $k, %r` as `imul $k, %r, %r`.
+        operands = (operands[0], operands[1], operands[1])
+    if len(operands) == 2:
+        src, dst = operands
         if not isinstance(dst, RegisterOperand):
             raise EncodeError("imul destination must be a register")
         enc.opcode = b"\x0f\xaf"
         _modrm_reg(enc, dst.reg, src, symtab)
         return
-    if len(insn.operands) == 3:
-        immop, src, dst = insn.operands
+    if len(operands) == 3:
+        immop, src, dst = operands
         if not (isinstance(immop, Immediate)
                 and isinstance(dst, RegisterOperand)):
             raise EncodeError("imul imm form: imm, r/m, reg")
@@ -587,7 +591,7 @@ def _enc_imul(insn: Instruction, enc: _Enc,
             enc.imm = _pack(immop.value, 2 if width == 16 else 4)
         _modrm_reg(enc, dst.reg, src, symtab)
         return
-    raise EncodeError("imul with %d operands" % len(insn.operands))
+    raise EncodeError("imul with %d operands" % len(operands))
 
 
 def _enc_unary_f7(insn: Instruction, enc: _Enc,

@@ -3,12 +3,17 @@
 When binutils is available (``as`` + ``objcopy``), differential tests
 compare PyMAO's encoder and relaxation output byte-for-byte against gas.
 Tests using these helpers should be decorated with ``requires_binutils``.
+On an x86-64 Linux host with ``as`` and ``ld``, ``native_exit_status``
+runs a program on the host itself; tests using it should be decorated
+with ``requires_native``.
 """
 
 from __future__ import annotations
 
+import platform
 import shutil
 import subprocess
+import sys
 import tempfile
 import os
 
@@ -19,6 +24,43 @@ HAVE_BINUTILS = (shutil.which("as") is not None
 
 requires_binutils = pytest.mark.skipif(
     not HAVE_BINUTILS, reason="GNU binutils (as/objcopy) not available")
+
+HAVE_NATIVE = (sys.platform.startswith("linux")
+               and platform.machine() == "x86_64"
+               and shutil.which("as") is not None
+               and shutil.which("ld") is not None)
+
+requires_native = pytest.mark.skipif(
+    not HAVE_NATIVE, reason="needs an x86-64 Linux host with as and ld")
+
+#: Calls ``main`` and exits with its ``%eax``.
+_START = """\
+.text
+.globl _start
+_start:
+    call main
+    movl %eax, %edi
+    movl $60, %eax
+    syscall
+"""
+
+
+def native_exit_status(asm_source: str, timeout: float = 30.0) -> int:
+    """Assemble *asm_source* with ``as --64``, link it with ``ld`` behind
+    a ``_start`` that calls ``main``, run it and return its exit status:
+    the low byte of ``main``'s ``%eax``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        asm_path = os.path.join(tmp, "input.s")
+        obj_path = os.path.join(tmp, "input.o")
+        exe_path = os.path.join(tmp, "input")
+        with open(asm_path, "w") as handle:
+            handle.write(_START + asm_source)
+        subprocess.run(["as", "--64", "-o", obj_path, asm_path],
+                       check=True, capture_output=True)
+        subprocess.run(["ld", "-o", exe_path, obj_path],
+                       check=True, capture_output=True)
+        return subprocess.run([exe_path], capture_output=True,
+                              timeout=timeout).returncode
 
 
 def gas_assemble_text(asm_source: str) -> bytes:

@@ -612,8 +612,9 @@ def _op_jcc(interp: ReferenceInterpreter, insn: Instruction):
 
 
 def _op_call(interp: ReferenceInterpreter, insn: Instruction):
+    target = interp._branch_target(insn)     # read before the push
     interp._push(interp.state.rip)
-    return ("jump", interp._branch_target(insn))
+    return ("jump", target)
 
 
 def _op_ret(interp: ReferenceInterpreter, insn: Instruction):
@@ -660,6 +661,8 @@ def _op_cmov(interp: ReferenceInterpreter, insn: Instruction):
 def _op_xchg(interp: ReferenceInterpreter, insn: Instruction):
     width = _width(insn)
     a, b = insn.operands
+    if isinstance(b, Memory):
+        a, b = b, a          # store to memory first: b may address it
     va = interp.read_operand(a, width, insn)
     vb = interp.read_operand(b, width, insn)
     interp.write_operand(a, vb, width, insn)

@@ -105,6 +105,10 @@ SINGLE_INSTRUCTIONS = [
     "imull $100, %ecx, %edx",
     "imull $5, %eax, %eax",
     "imulq (%rdi), %rax",
+    "imull $3, %ecx",
+    "imulq $-7, %rax",
+    "imulw $300, %dx",
+    "imull $100000, %r9d",
     "mull %ecx",
     "idivl %esi",
     "divq %r10",
