@@ -29,7 +29,11 @@ its records on the back end's clock, on core2 and on opteron, whose
 back end runs its independent chains at two rates.  The loop nest
 (252.eon's short loop inside its outer loop) must be skipped at the
 outer level: at least ``MIN_NEST_FF_SHARE`` of its records
-fast-forwarded, and ``MIN_STEADY_SPEEDUP`` like the steady loop.  A
+fast-forwarded, and ``MIN_STEADY_SPEEDUP`` like the steady loop.  The
+interpreter replays each skipped loop's validated iteration without
+handing its blocks to the engine, so on each of these four workloads
+the block executions the engine checks one at a time while skipping
+(``ff_checked``) may not exceed the loops it entered.  A
 sampled section runs the hash kernel sampled every ``SAMPLE_PERIOD``
 steps on the reference interpreter and on the block-compiled one: the
 samples and the run must be identical, and the hot blocks generated as
@@ -166,6 +170,7 @@ def bench_engine(name: str, source: str, model) -> dict:
         "ff_records": int(ff["records_fast_forwarded"]),
         "ff_record_share": round(ff["records_fast_forwarded"]
                                  / result_fast.steps, 4),
+        "ff_checked": int(ff["executions_checked"]),
     }
 
 
@@ -294,6 +299,10 @@ def main(argv=None) -> int:
         gate("sim_sampled.samples_identical", "==", True),
         gate("sim_sampled.blocks_generated", ">=", 1),
         gate("differential.counter_identical", "==", True),
+    ] + [
+        gate(section + ".ff_checked", "<=", metrics[section + ".ff_loops"])
+        for section in ("sim_steady_loop", "sim_hash_kernel",
+                        "sim_hash_opteron", "sim_loop_nest")
     ]
     config = {"quick": args.quick, "outer": outer, "nest_outer": nest_outer,
               "repeats": REPEATS}

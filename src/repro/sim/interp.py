@@ -31,7 +31,12 @@ templates of :mod:`repro.sim.blockgen`.
 Every run goes through one block loop, which hands each executed block to
 the caller's ``on_block``, the trace recorder or a no-op consumer.  A
 block's execution numbered :data:`HOT_BLOCK_EXECUTIONS` compiles its one
-generated function (:mod:`repro.sim.blockgen`).
+generated function (:mod:`repro.sim.blockgen`).  The consumer may return
+a validated iteration, the block executions it expects next over and over
+(the timing model does when it starts skipping a loop): the loop then
+runs those blocks back to back without looking them up or handing them
+over, comparing each execution with the iteration's, and reports how
+much matched once, at the first execution that differs.
 
 A step captures only static facts and reads ``interp.state`` and
 ``interp.memory`` when it runs, so blocks are cached on the
@@ -266,7 +271,15 @@ class Interpreter:
         ``on_block(block, eas, taken)`` is called once per executed
         compiled block with the effective address of each step that ran
         (a run cut by ``max_steps`` hands over a prefix) and the outcome
-        of the block's exit.
+        of the block's exit.  After a block whose exit ran, it may return
+        ``(iteration, replayed)``: a validated iteration, as the ``(block,
+        eas, taken)`` executions it expects next, over and over.  The
+        block loop then runs them itself, handing none over while each
+        execution equals the iteration's, and calls ``replayed(whole,
+        matched)`` once with the whole iterations run and the executions
+        of the next that matched; the execution that differs, if one ran,
+        goes to ``on_block`` as usual.  A run that records a trace never
+        replays.
 
         ``sample_period`` samples every that many steps (None or 0: none;
         negative: ValueError), and ``sample_phase`` offsets which step
@@ -357,7 +370,8 @@ class Interpreter:
         generated function once hot, else its traced step forms); one that
         crosses the fence or reads the TSC runs step by step, where the step
         after the fence is sampled and moves the fence a period on.  A step
-        that faults sets rip past itself before raising."""
+        that faults sets rip past itself before raising.  An iteration
+        that *on_block* returns is replayed (``_replay``)."""
         state = self.state
         blocks = self.program.block_cache
         max_steps = self.max_steps
@@ -430,12 +444,96 @@ class Interpreter:
                     on_block(block, eas, None)
                     break
                 state.rip = rip
-                on_block(block, eas, taken)
+                replay = on_block(block, eas, taken)
+                if replay is not None:
+                    steps, runs, ended = self._replay(on_block, replay,
+                                                      steps, fence)
+                    hits += runs
+                    if ended is not None:
+                        reason = ended
+                        break
         finally:
             _BLOCK_STATS["block_hits"] += hits
             self._tsc = tsc + steps
         return RunResult(steps=steps, reason=reason, state=state,
                          memory=self.memory, trace=None, samples=samples)
+
+    def _replay(self, on_block, replay, steps: int, fence: int):
+        """Run a validated iteration that *on_block* returned (see
+        ``run``) without handing its blocks over.
+
+        The iteration's blocks run back to back from rip, over and over,
+        padding skipped through ``skip_to``, each on the tier the block
+        loop would pick (a block's executions count toward its
+        generation), and each execution is compared with the iteration's.
+        The replay stops before a block that does not start at rip or
+        would cross *fence*, and after an execution that differs; it then
+        reports the whole iterations run and the executions of the next
+        that matched, and hands a differing execution to *on_block*, which
+        may return the next iteration.  An iteration holding a block that
+        reads the TSC is not replayed.  Returns ``(steps, executions,
+        reason)``: the block executions run, padding included, and the
+        stop reason when an exit ended the run, else None."""
+        state = self.state
+        blocks = self.program.block_cache
+        hot = HOT_BLOCK_EXECUTIONS
+        rip = state.rip
+        runs = 0
+        while replay is not None:
+            iteration, replayed = replay
+            if any(block.slow for block, _, _ in iteration):
+                break
+            route = [(block, block.steps[0].address, block.size, eas, taken)
+                     for block, eas, taken in iteration]
+            matched = 0
+            differs = False
+            while True:
+                for block, start, size, want, outcome in route:
+                    if rip != start:
+                        pad = blocks.get(rip)
+                        if pad is None or pad.skip_to != start:
+                            break
+                        runs += 1
+                        rip = start
+                    if steps + size > fence:
+                        break
+                    generated = block.generated
+                    if generated is None:
+                        block.executions += 1
+                        if block.executions >= hot and block.generable:
+                            generated = block.generated = _generate(
+                                self.program, block)
+                    if generated is not None:
+                        eas, rip, taken = generated(self)
+                    else:
+                        eas = [traced(self) for traced in block.traced]
+                        step = block.last
+                        if step is None:
+                            rip, taken = block.end, None
+                        else:
+                            ea = step.ea
+                            eas.append(ea(self) if ea is not None else None)
+                            rip, taken = step.run(self)
+                    steps += size
+                    if taken is not outcome or eas != want:
+                        differs = True
+                        break
+                    matched += 1
+                else:
+                    continue
+                break
+            runs += matched + differs
+            replayed(*divmod(matched, len(route)))
+            if not differs:
+                break
+            if rip is None:
+                state.rip = block.last.next_rip
+                on_block(block, eas, None)
+                return steps, runs, taken
+            state.rip = rip
+            replay = on_block(block, eas, taken)
+        state.rip = rip
+        return steps, runs, None
 
 
 def _generate(program: LoadedProgram, block: _Block) -> Callable:
@@ -446,8 +544,10 @@ def _generate(program: LoadedProgram, block: _Block) -> Callable:
     return generate(block, program.symtab)
 
 
-#: ``on_block(block, eas, taken)``: one executed compiled block.
-BlockConsumer = Callable[[_Block, List[Optional[int]], Optional[bool]], None]
+#: ``on_block(block, eas, taken)``: one executed compiled block; it may
+#: return a validated iteration to replay (see ``Interpreter.run``).
+BlockConsumer = Callable[[_Block, List[Optional[int]], Optional[bool]],
+                         Optional[tuple]]
 
 
 def _discard(block: _Block, eas: List[Optional[int]],
@@ -458,7 +558,9 @@ def _discard(block: _Block, eas: List[Optional[int]],
 def _recording(trace: List[ExecRecord],
                then: Optional[BlockConsumer]) -> BlockConsumer:
     """A block consumer that appends one ExecRecord per executed step to
-    *trace*, then hands the block on to *then*, if given."""
+    *trace*, then hands the block on to *then*, if given.  It returns
+    nothing, so a run that records replays no iteration *then* returns
+    and every executed step reaches the trace."""
     append = trace.append
 
     def record(block: _Block, eas: List[Optional[int]],

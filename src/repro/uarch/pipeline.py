@@ -28,7 +28,9 @@ effective addresses and the exit's outcome.  Two feeds share it:
 
 * **Blocks** — ``simulate_program``/``simulate_unit`` receive each
   executed block straight from the interpreter's traced block loop, so no
-  ``ExecRecord`` is built.
+  ``ExecRecord`` is built; while a loop is skipped, the interpreter
+  replays its validated iteration and reports the executions that
+  matched.
 * **Records** — ``simulate_trace`` cuts a collected trace into runs that
   end at control transfers and times each run the same way.
 
@@ -62,7 +64,12 @@ implies N periods advance the front end by ``N*c``, every live clock by
 N times its class's rate and every counter by N times its measured
 delta — so skipped iterations are *bit-identical* to walking them, which
 differential tests against the per-record oracle in
-``tests/uarch/record_walk.py`` assert.
+``tests/uarch/record_walk.py`` assert.  On the block feed the skipped
+executions never reach the engine one by one: the interpreter runs the
+validated iteration back to back, compares each execution itself and
+reports the whole iterations and the matched prefix at the first one
+that differs, which it then hands over; the record feed matches each
+execution in the engine.
 """
 
 from __future__ import annotations
@@ -163,17 +170,19 @@ class _BlockFacts:
     nothing it could read reaches a clock.  ``lines`` is the set of
     decode lines the LSD sees the run touch; the remaining fields
     describe the run's last instruction.  A control transfer can only be
-    last, so only it has exit effects.
+    last, so only it has exit effects.  ``block`` is the interpreter block
+    the facts were resolved for (None for a run of records).
     """
 
     __slots__ = ("model", "run", "steps", "stream_steps", "first_line",
                  "end_line", "inert", "uops", "loads", "stores", "lines",
                  "reach", "address", "branch", "cond", "lsd_reset",
-                 "target", "loop_key")
+                 "target", "loop_key", "block")
 
     def __init__(self, model: ProcessorModel,
-                 run: List[Tuple[Instruction, int]]) -> None:
-        self.model, self.run = model, run
+                 run: List[Tuple[Instruction, int]],
+                 block: object = None) -> None:
+        self.model, self.run, self.block = model, run, block
         port_map, latency = model.port_map, model.latency
         stride = model.prefetch_pc_alias_stride
         steps = []
@@ -362,7 +371,8 @@ class PipelineSimulator:
         facts = self._facts.get(block)
         if facts is None:
             facts = _BlockFacts(self.model, [(step.insn, step.address)
-                                             for step in block.steps])
+                                             for step in block.steps],
+                                block)
             self._facts[block] = facts
         return facts
 
@@ -626,11 +636,15 @@ class PipelineSimulator:
 # Steady-state loop fast-forward.
 # ---------------------------------------------------------------------------
 
+#: ``executions_checked`` counts the block executions the engine compared
+#: one at a time with a validated iteration while skipping: those of the
+#: record path, and each first execution that differs from a replayed one.
 _FF_STATS = {
     "loops_entered": 0,
     "iterations_fast_forwarded": 0,
     "records_fast_forwarded": 0,
     "validation_failures": 0,
+    "executions_checked": 0,
 }
 
 
@@ -964,7 +978,11 @@ class FastForwardEngine:
     matching, whole iterations are replaced by one ``_ff_apply`` per
     drained batch; the first diverging block execution replays the
     partial iteration matched so far through the normal walk, so exits
-    are exact.  One loop at a time is measured or skipped.
+    are exact.  One loop at a time is measured or skipped.  The
+    execution that starts a skip gets the validated iteration back from
+    ``time_block``: a caller that runs the iteration itself reports what
+    matched through ``replayed`` and hands over only the execution that
+    differs; otherwise ``time_block`` matches each execution.
 
     Skipped executions never enter the log, so the fingerprint of a loop
     enclosing a skip lacks them: it never starts a measurement, and what
@@ -1002,8 +1020,13 @@ class FastForwardEngine:
     # -- skip state ---------------------------------------------------------
 
     def time_block(self, facts: _BlockFacts, eas: List[Optional[int]],
-                   taken: Optional[bool]) -> None:
+                   taken: Optional[bool]) -> Optional[List[tuple]]:
+        """Time or skip one block execution.  Returns the validated
+        iteration, as its ``(facts, eas, taken)`` executions, when this
+        execution starts a skip; its caller may then replay it and report
+        through ``replayed`` instead of calling ``time_block``."""
         if self.skipping:
+            _FF_STATS["executions_checked"] += 1
             expected = self.unit_sig[self.pos]
             if expected[0] is facts and expected[2] is taken \
                     and expected[1] == eas:
@@ -1011,9 +1034,18 @@ class FastForwardEngine:
                 if self.pos == len(self.unit_sig):
                     self.pending += 1
                     self.pos = 0
-                return
+                return None
             self._drain()
         self._scan(facts, eas, taken)
+        return self.unit_sig if self.skipping else None
+
+    def replayed(self, iterations: int, matched: int) -> None:
+        """Account executions that matched the iteration ``time_block``
+        returned, replayed from its start without ``time_block``:
+        *iterations* whole iterations, then the first *matched* executions
+        of the next."""
+        self.pending += iterations
+        self.pos = matched
 
     def _drain(self) -> None:
         """Apply accumulated skips, then replay the matched partial unit."""
@@ -1204,7 +1236,11 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
 
     The interpreter hands each executed block, its per-step effective
     addresses and its exit's outcome to the pipeline through the
-    fast-forward engine; no ``ExecRecord`` is built.
+    fast-forward engine; no ``ExecRecord`` is built.  When the engine
+    starts skipping a loop, the consumer returns the validated iteration
+    (each execution's interpreter block, kept beside its facts, with its
+    effective addresses and outcome), and the interpreter replays it
+    without handing its blocks over until an execution differs.
     ``private_memory`` runs against a clone of the program's memory image
     so the same LoadedProgram can be reused across sweeps.
     """
@@ -1218,8 +1254,13 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
         block_facts, time_block = pipeline.block_facts, engine.time_block
 
         def on_block(block, eas: List[Optional[int]],
-                     taken: Optional[bool]) -> None:
-            time_block(block_facts(block), eas, taken)
+                     taken: Optional[bool]) -> Optional[tuple]:
+            unit = time_block(block_facts(block), eas, taken)
+            if unit is not None:
+                return ([(facts.block, addresses, outcome)
+                         for facts, addresses, outcome in unit],
+                        engine.replayed)
+            return None
 
         interp = Interpreter(program, max_steps=max_steps,
                              private_memory=private_memory)
@@ -1237,6 +1278,8 @@ def simulate_program(program: LoadedProgram, model: ProcessorModel,
                 - ff_before["iterations_fast_forwarded"],
                 ff_records=_FF_STATS["records_fast_forwarded"]
                 - ff_before["records_fast_forwarded"],
+                ff_checked=_FF_STATS["executions_checked"]
+                - ff_before["executions_checked"],
                 block_hits=int(blk_after["block_hits"])
                 - int(blk_before["block_hits"]),
                 blocks_compiled=int(blk_after["blocks_compiled"])

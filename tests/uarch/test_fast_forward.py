@@ -8,17 +8,21 @@ both processor models — including backend-bound loops skipped on the back
 end's clocks, one rate per independent chain, and loops the engine must
 *refuse* (LSD candidates below their activation threshold, backend-bound
 bodies whose front end races the back end, loop nests whose outer
-iterations differ).
+iterations differ).  On the block path the interpreter replays a
+validated iteration without handing its blocks to the engine, so the
+tests below also leave replayed loops mid-iteration, on both tiers and
+cut by ``max_steps``, and count the engine's calls while it skips.
 """
 
 import dataclasses
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.ir import parse_unit
-from repro.sim.interp import Interpreter, run_unit
+from repro.sim.interp import _CT_BASES, Interpreter, run_unit
 from repro.sim.loader import load_unit
 from repro.uarch.pipeline import (
     FastForwardEngine,
@@ -31,6 +35,8 @@ from repro.uarch.pipeline import (
 from repro.uarch.profiles import core2, opteron
 from repro.workloads import kernels
 from repro.workloads.spec import build_benchmark
+from tests.sim import reference_interp
+from tests.sim.generated_blocks import every_block_generated
 from tests.uarch.record_walk import simulate_reference
 
 WORKLOADS = [
@@ -499,9 +505,10 @@ class TestLoopNests:
 #: a store whose address advances on every execution, a forward branch
 #: taken every other time %eax is odd, an ``imul`` and a ``divl`` chain
 #: that the loop's counter waits on, so the back end falls behind the
-#: front end by a fixed number of cycles per iteration, and an ``imul``
-#: and a ``lea`` chain that nothing waits on, which run beside the
-#: counter's at rates of their own.
+#: front end by a fixed number of cycles per iteration, an ``imul`` and a
+#: ``lea`` chain that nothing waits on, which run beside the counter's at
+#: rates of their own, and an alignment directive, which puts padding
+#: between the blocks of an iteration.
 STATEMENTS = [
     "    addl $3, %eax",
     "    imull $3, %edx, %edx",
@@ -514,6 +521,7 @@ STATEMENTS = [
     "    addq %rdx, {counter}",
     "    imull $5, %r14d, %r14d",
     "    leal 3(%r15), %r15d\n    leal 5(%r15), %r15d",
+    "    .p2align 4",
 ]
 
 #: Counter registers by nesting depth.
@@ -571,14 +579,191 @@ ring:
 """
 
 
+def _cut(trace, near: int) -> int:
+    """The largest ``max_steps`` up to *near* that stops the run after an
+    instruction that is not a control transfer."""
+    cut = near
+    while trace[cut - 1].insn.base in _CT_BASES:
+        cut -= 1
+    return cut
+
+
 class TestRandomLoopPrograms:
     @settings(max_examples=15, suppress_health_check=[HealthCheck.too_slow])
-    @given(loop_programs())
-    def test_counters_match_the_oracle(self, source):
+    @given(loop_programs(), st.data())
+    def test_counters_match_the_oracle(self, source, data):
         run = run_unit(parse_unit(source), collect_trace=True)
         assert run.reason == "ret"
+        cut = _cut(run.trace, data.draw(st.integers(1, run.steps),
+                                        label="near"))
         for model in (core2(), opteron()):
             ref = simulate_reference(run.trace, model)
             assert simulate_trace(run.trace, model).counters == ref.counters
             _, fast = simulate_unit(parse_unit(source), model)
             assert fast.counters == ref.counters
+            with every_block_generated():
+                result, generated = simulate_unit(parse_unit(source), model)
+            assert generated.counters == ref.counters
+            assert result.state.gp == run.state.gp
+            result, cut_fast = simulate_unit(parse_unit(source), model,
+                                             max_steps=cut)
+            assert (result.steps, result.reason) == (cut, "max-steps")
+            assert cut_fast.counters == \
+                simulate_reference(run.trace[:cut], model).counters
+
+
+def _left_mid_iteration(by: str, iteration: int) -> str:
+    """A 600-trip loop of two blocks whose validated iteration is left in
+    its second block at *iteration*: by that block's branch, which leaves
+    the loop (``by="branch"``), or by the address of its load, which
+    moves to another cache line and stays there (``"address"``)."""
+    at = 601 - iteration          # the counter's value in that iteration
+    if by == "branch":
+        tail = ("    cmpq $%d, %%rcx\n    je .Lout\n" % at
+                + "    subq $1, %rcx\n    jne .Lloop\n.Lout:\n")
+    else:
+        tail = ("    cmpq $%d, %%rcx\n    cmoveq %%r8, %%rdi\n" % at
+                + "    subq $1, %rcx\n    jne .Lloop\n")
+    return f"""
+.text
+.globl main
+.type main, @function
+main:
+    leaq buf(%rip), %rdi
+    leaq 2048(%rdi), %r8
+    movq $600, %rcx
+.Lloop:
+    addl $1, %eax
+    testl %eax, %eax
+    jne .Lmid
+    nop
+.Lmid:
+    movl (%rdi), %edx
+{tail}    ret
+.section .bss
+buf:
+    .zero 4096
+"""
+
+
+#: Loops whose skip ends in the middle of an iteration: before their
+#: blocks' 128th execution on opteron, so the closure tier replays them,
+#: and later on core2, where their skip starts later.
+MID_ITERATION = [
+    ("branch41", _left_mid_iteration("branch", 41), opteron),
+    ("branch481", _left_mid_iteration("branch", 481), core2),
+    ("address41", _left_mid_iteration("address", 41), opteron),
+    ("address151", _left_mid_iteration("address", 151), core2),
+]
+
+#: A loop whose blocks alignment padding separates: a replay follows the
+#: padding to the next block of the iteration.
+PADDED = """
+.text
+.globl main
+main:
+    movq $600, %rcx
+.Lloop:
+    addq $1, %rax
+    .p2align 4
+    addq $2, %rbx
+    imulq %rbx, %rdx
+    .p2align 5
+    subq $1, %rcx
+    jne .Lloop
+    ret
+"""
+
+#: Skipped loops, with no more ``time_block`` calls while skipping than
+#: loops entered on the block path.  Handing each skipped block execution
+#: over made thousands a run.
+HAND_OFF = [
+    ("fig4_loop", kernels.fig4_loop(iterations=2000), core2),
+    ("hash_bench", kernels.hash_bench(trip=1600), core2),
+    ("hash_opteron", kernels.hash_bench(trip=1600), opteron),
+    ("eon_nest", kernels.eon_loop(outer=800), core2),
+    ("padded", PADDED, core2),
+]
+
+
+class TestReplay:
+    @pytest.mark.parametrize("generated", [False, True],
+                             ids=["closures", "generated"])
+    @pytest.mark.parametrize("name,source,make_model", MID_ITERATION,
+                             ids=_ids(MID_ITERATION))
+    def test_exit_replays_partial_iteration_exactly(self, name, source,
+                                                    make_model, generated):
+        # The block-path twin of TestEngagement's record-path test: the
+        # replay reports the executions of the iteration it matched before
+        # the one that differs, and the engine walks them.
+        model = make_model()
+        ref = reference_interp.run_unit(parse_unit(source),
+                                        collect_trace=True)
+        reports = []
+        replayed = FastForwardEngine.replayed
+
+        def reported(engine, iterations, matched):
+            reports.append((iterations, matched))
+            replayed(engine, iterations, matched)
+
+        with mock.patch.object(FastForwardEngine, "replayed", reported):
+            if generated:
+                with every_block_generated():
+                    run, fast = simulate_unit(parse_unit(source), model)
+            else:
+                run, fast = simulate_unit(parse_unit(source), model)
+        assert fast.counters == simulate_reference(ref.trace, model).counters
+        assert run.state.gp == ref.state.gp
+        assert any(matched for _, matched in reports), reports
+
+    @pytest.mark.parametrize("name,source,make_model", HAND_OFF,
+                             ids=_ids(HAND_OFF))
+    def test_one_hand_off_per_skip(self, name, source, make_model):
+        model = make_model()
+        calls = []
+        time_block = FastForwardEngine.time_block
+
+        def counted(engine, *args):
+            if engine.skipping:
+                calls.append(args)
+            return time_block(engine, *args)
+
+        reset_fast_forward_stats()
+        with mock.patch.object(FastForwardEngine, "time_block", counted):
+            _, fast = simulate_unit(parse_unit(source), model)
+        ff = fast_forward_stats()
+        assert ff["loops_entered"] >= 1
+        assert len(calls) <= ff["loops_entered"]
+        assert ff["executions_checked"] == len(calls)
+        _, ref = _oracle(source, model)
+        assert fast.counters == ref.counters
+
+    def test_recording_run_records_every_step(self):
+        # A consumer that returns the validated iteration gets no replay
+        # while the run records a trace: the engine matches each skipped
+        # execution itself, and the trace holds one record per step.
+        model = core2()
+        source = kernels.fig4_loop(iterations=600)
+        pipeline = PipelineSimulator(model)
+        engine = FastForwardEngine(pipeline)
+
+        def on_block(block, eas, taken):
+            unit = engine.time_block(pipeline.block_facts(block), eas, taken)
+            if unit is not None:
+                return ([(facts.block, addresses, outcome)
+                         for facts, addresses, outcome in unit],
+                        engine.replayed)
+            return None
+
+        reset_fast_forward_stats()
+        program = load_unit(parse_unit(source), "main")
+        run = Interpreter(program).run(collect_trace=True, on_block=on_block)
+        counters = engine.finish().counters
+        ff = fast_forward_stats()
+        plain = run_unit(parse_unit(source), collect_trace=True)
+        assert len(run.trace) == run.steps == plain.steps
+        assert [(r.address, r.taken, r.ea) for r in run.trace] == \
+            [(r.address, r.taken, r.ea) for r in plain.trace]
+        assert ff["iterations_fast_forwarded"] > 0
+        assert ff["executions_checked"] >= ff["iterations_fast_forwarded"]
+        assert counters == simulate_reference(plain.trace, model).counters
