@@ -1,19 +1,27 @@
 #!/usr/bin/env python3
-"""Hot-path performance harness: encoding cache + incremental relaxation.
+"""Hot-path performance harness: encoding cache, incremental relaxation
+and flag liveness.
 
-Measures the optimize→assemble hot path on a repeated-relaxation workload
-(the paper's §III overhead argument: MAO must be cheap enough to sit inside
-every compile) and records the numbers in ``BENCH_hotpath.json`` so the
-perf trajectory is tracked from PR to PR:
+Measures the optimize→assemble hot path (the paper's §III overhead
+argument: MAO must be cheap enough to sit inside every compile) and
+records the numbers in ``BENCH_hotpath.json`` so the perf trajectory is
+tracked from PR to PR.  Repeated relaxation (``relax_*`` rows):
 
 * **baseline** — the pre-fast-path configuration: the full re-walk
   relaxation oracle (``tests/analysis/relax_reference.py``) with the
   encoding cache disabled;
 * **fast** — incremental relaxation with a warm encoding cache.
 
+Flag liveness (``liveness_corpus``): the compile spec's passes run over
+the corpus twice, and every flag question they ask goes once to the
+whole-function fixpoint (``tests/analysis/liveness_fixpoint.py``,
+baseline) and once to the demand-driven query (fast); each side is the
+time spent building and asking its analysis.
+
 The fast path must be *bit-identical* to the baseline: the harness
-diffs section images and symbol tables, and a gate fails on wrong
-output.  Full runs also gate the corpus speedup at ``MIN_SPEEDUP``.
+diffs section images and symbol tables, the liveness answers and the
+optimized text, and a gate fails on wrong output.  Full runs also gate
+the corpus speedups at ``MIN_SPEEDUP`` and ``MIN_LIVENESS_SPEEDUP``.
 
 Usage::
 
@@ -26,6 +34,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -37,15 +46,25 @@ sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 sys.path.insert(0, _REPO_ROOT)   # the reference engine lives in tests/
 
 from perf_report import finish, gate, prefixed  # noqa: E402
+from repro.analysis.dataflow import Liveness  # noqa: E402
 from repro.analysis.relax import relax_section  # noqa: E402
 from repro.ir import parse_unit  # noqa: E402
+from repro.passes import PassPipeline  # noqa: E402
+from repro.passes.manager import get_pass, parse_pass_spec  # noqa: E402
 from repro.workloads.corpus import CorpusConfig, generate_corpus_text  # noqa: E402
 from repro.x86 import encoder  # noqa: E402
+from tests.analysis.liveness_fixpoint import FixpointLiveness  # noqa: E402
 from tests.analysis.relax_reference import relax_section_reference  # noqa: E402
 
 #: Full runs only: incremental + warm cache over the reference re-walk
 #: on the corpus workload.
 MIN_SPEEDUP = 2.0
+#: Full runs only: the liveness query over the fixpoint on the questions
+#: the compile spec asks of the corpus.
+MIN_LIVENESS_SPEEDUP = 10.0
+
+#: The ``compile`` workload's pass spec.
+COMPILE_SPEC = "REDZEE:REDTEST:REDMOV:ADDADD:SCHED:LOOP16"
 
 #: A relaxation-heavy kernel: chained branch spans sized so promotions
 #: ripple backward one per sweep — the worst case that motivated repeated
@@ -108,9 +127,68 @@ def bench_relax(text: str, repeats: int) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _passes_use(engine, spec: str):
+    """Point every pass of *spec* that asks flag liveness at *engine*."""
+    modules = {sys.modules[get_pass(name).__module__]
+               for name, _ in parse_pass_spec(spec)}
+    modules = [module for module in modules
+               if getattr(module, "Liveness", None) is Liveness]
+    for module in modules:
+        module.Liveness = engine
+    try:
+        yield
+    finally:
+        for module in modules:
+            module.Liveness = Liveness
+
+
+def _timed(engine, clock: list, answers: list):
+    """*engine* with its construction and its questions timed into
+    ``clock[0]`` and its answers appended to *answers*."""
+
+    class Timed(engine):
+        def __init__(self, cfg) -> None:
+            start = time.perf_counter()
+            super().__init__(cfg)
+            clock[0] += time.perf_counter() - start
+
+        def flags_live_after(self, block, entry):
+            start = time.perf_counter()
+            live = super().flags_live_after(block, entry)
+            clock[0] += time.perf_counter() - start
+            answers.append(sorted(live))
+            return live
+
+    return Timed
+
+
+def bench_liveness(text: str) -> dict:
+    """The compile spec over *text*, its flag questions answered by the
+    fixpoint (baseline) and by the query (fast)."""
+    sides = {}
+    for side, engine in (("baseline", FixpointLiveness), ("fast", Liveness)):
+        clock, answers = [0.0], []
+        unit = parse_unit(text)
+        with _passes_use(_timed(engine, clock, answers), COMPILE_SPEC):
+            PassPipeline.from_spec(COMPILE_SPEC).run(unit)
+        sides[side] = (clock[0], answers, unit.to_asm())
+    baseline_s, baseline_answers, baseline_asm = sides["baseline"]
+    fast_s, fast_answers, fast_asm = sides["fast"]
+    return {
+        "baseline_s": round(baseline_s, 6),
+        "fast_s": round(fast_s, 6),
+        "speedup": round(baseline_s / fast_s, 3),
+        "questions": len(fast_answers),
+        "identical": (baseline_answers == fast_answers
+                      and baseline_asm == fast_asm),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="hot-path perf harness (cache + incremental relax)")
+        description="hot-path perf harness (cache, incremental relax, "
+                    "flag liveness)")
     parser.add_argument("--quick", action="store_true",
                         help="small workload for CI smoke runs")
     parser.add_argument("--scale", type=float, default=None,
@@ -140,10 +218,14 @@ def main(argv=None) -> int:
                             bench_relax(corpus_text, repeats)))
     metrics.update(prefixed("relax_cascade",
                             bench_relax(cascade_text, repeats)))
+    metrics.update(prefixed("liveness_corpus", bench_liveness(corpus_text)))
     gates = [gate("relax_corpus.byte_identical", "==", True),
-             gate("relax_cascade.byte_identical", "==", True)]
+             gate("relax_cascade.byte_identical", "==", True),
+             gate("liveness_corpus.identical", "==", True)]
     if not args.quick:
-        gates.append(gate("relax_corpus.speedup", ">=", MIN_SPEEDUP))
+        gates += [gate("relax_corpus.speedup", ">=", MIN_SPEEDUP),
+                  gate("liveness_corpus.speedup", ">=",
+                       MIN_LIVENESS_SPEEDUP)]
     config = {"quick": args.quick, "scale": scale, "repeats": repeats}
     return finish("hotpath", config, metrics, gates, output)
 

@@ -1,24 +1,30 @@
-"""Simple data-flow apparatus: reaching definitions and liveness.
+"""Simple data-flow apparatus: reaching definitions and flag liveness.
 
 The paper: "MAO offers a simple data flow apparatus, but no alias or
 points-to analysis.  Since many assembly instructions work on registers,
 this data flow mechanism is powerful and solves many otherwise difficult to
 reason about problems."
 
-Locations are register *alias groups* (``eax`` and ``rax`` are one location)
-plus individual RFLAGS bits written ``F:ZF`` etc., so the same machinery
-serves register analyses and the precise condition-code reasoning behind
-redundant-test removal.  Each instruction's locations come from its
-side-effect record (:func:`repro.x86.sideeffects.effects`).
+Both analyses answer one question at a time by walking the CFG from the
+point asked about; neither solves a whole-function fixpoint.  Reaching
+definitions walks predecessors backward for a register *alias group*
+(``eax`` and ``rax`` are one location) or an RFLAGS bit written ``F:ZF``;
+tier-2 jump-table resolution asks it.  Liveness walks successors forward
+for the RFLAGS bits, the precise condition-code reasoning behind
+redundant-test removal and the flag checks of ADDADD and CONSTFOLD.  Each
+instruction's reads and writes come from its side-effect record
+(:func:`repro.x86.sideeffects.effects`).  The fixpoints both replaced live
+on in ``tests/analysis/`` as their differential oracles.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG, BasicBlock
 from repro.ir.entries import InstructionEntry
-from repro.x86.sideeffects import FLAG_PREFIX, effects
+from repro.x86.flags import ALL_FLAGS
+from repro.x86.sideeffects import effects
 
 
 class ReachingDefinitions:
@@ -86,90 +92,64 @@ def _last_def(entries: List[InstructionEntry],
 
 
 class Liveness:
-    """Backward liveness over register groups and flag bits."""
+    """Flag liveness, answered on demand by a forward walk.
 
-    def __init__(self, cfg: CFG,
-                 exit_live: Optional[Set[str]] = None) -> None:
+    The passes ask which flags are live right after one instruction, a
+    few times per function, so nothing is solved up front: construction
+    records nothing.  A query scans the rest of the block after *entry*,
+    then walks successors depth-first carrying only the flags still
+    unresolved: a flag read before it is written is live, and a flag
+    written first is resolved on that path.  A block is scanned again
+    only for flags not yet explored from its start, so a back edge into
+    the query block scans it in full.  Flags are dead at the function's
+    exit and past an unresolved indirect jump.  The answer is the least
+    solution of the classic backward equations.
+    """
+
+    def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
-        #: Locations assumed live at function exit (ABI: return registers
-        #: and callee-saved state).  Flags are dead at exit.
-        if exit_live is None:
-            exit_live = {"rax", "rdx", "rsp", "rbp", "rbx",
-                         "r12", "r13", "r14", "r15",
-                         "xmm0", "xmm1"}
-        self.exit_live = set(exit_live)
-        self._live_in: Dict[int, Set[str]] = {}
-        self._live_out: Dict[int, Set[str]] = {}
-        self._compute()
-
-    def _compute(self) -> None:
-        cfg = self.cfg
-        use: Dict[int, Set[str]] = {}
-        defs: Dict[int, Set[str]] = {}
-        for block in cfg.blocks:
-            block_use: Set[str] = set()
-            block_def: Set[str] = set()
-            for entry in block.entries:
-                record = effects(entry.insn)
-                block_use |= record.loc_uses - block_def
-                block_def |= record.loc_defs
-            use[block.index] = block_use
-            defs[block.index] = block_def
-
-        live_in: Dict[int, Set[str]] = {b.index: set() for b in cfg.blocks}
-        live_out: Dict[int, Set[str]] = {b.index: set() for b in cfg.blocks}
-
-        changed = True
-        while changed:
-            changed = False
-            for block in reversed(cfg.blocks):
-                new_out: Set[str] = set()
-                for succ in block.successors:
-                    if succ is self.cfg.exit:
-                        new_out |= self.exit_live
-                    else:
-                        new_out |= live_in.get(succ.index, set())
-                if block.has_unresolved_exit:
-                    # Unknown targets: everything may be live.
-                    new_out |= self.exit_live
-                new_in = use[block.index] | (new_out - defs[block.index])
-                if new_out != live_out[block.index] \
-                        or new_in != live_in[block.index]:
-                    live_out[block.index] = new_out
-                    live_in[block.index] = new_in
-                    changed = True
-        self._live_in = live_in
-        self._live_out = live_out
-
-    def live_in(self, block: BasicBlock) -> Set[str]:
-        return set(self._live_in.get(block.index, set()))
-
-    def live_out(self, block: BasicBlock) -> Set[str]:
-        return set(self._live_out.get(block.index, set()))
-
-    def live_after(self, block: BasicBlock,
-                   entry: InstructionEntry) -> Set[str]:
-        """Locations live immediately after *entry* inside *block*."""
-        live = self.live_out(block)
-        found = False
-        for node in reversed(block.entries):
-            if node is entry:
-                found = True
-                break
-            record = effects(node.insn)
-            live -= record.loc_defs
-            live |= record.loc_uses
-        if not found:
-            raise ValueError("entry not in block")
-        return live
 
     def flags_live_after(self, block: BasicBlock,
                          entry: InstructionEntry) -> Set[str]:
         """Flag bits (``ZF``, ...) live immediately after *entry*."""
-        return {loc[len(FLAG_PREFIX):]
-                for loc in self.live_after(block, entry)
-                if loc.startswith(FLAG_PREFIX)}
+        entries = block.entries
+        for index, node in enumerate(entries):
+            if node is entry:
+                break
+        else:
+            raise ValueError("entry not in block")
+        live: Set[str] = set()
+        unresolved = _scan(entries[index + 1:], ALL_FLAGS, live)
+        explored: Dict[int, Set[str]] = {}
+        stack = [(succ, unresolved) for succ in block.successors]
+        while stack:
+            node, flags = stack.pop()
+            if node is self.cfg.exit:
+                continue
+            seen = explored.setdefault(node.index, set())
+            flags = flags - seen - live
+            if not flags:
+                continue
+            seen |= flags
+            rest = _scan(node.entries, flags, live)
+            if rest:
+                stack.extend((succ, rest) for succ in node.successors)
+        return live
 
-    def is_dead_after(self, block: BasicBlock, entry: InstructionEntry,
-                      loc: str) -> bool:
-        return loc not in self.live_after(block, entry)
+
+def _scan(entries: List[InstructionEntry], flags: AbstractSet[str],
+          live: Set[str]) -> Set[str]:
+    """Walk *entries* forward with *flags* unresolved: add each one read
+    before it is written to *live*, and return those neither read nor
+    written."""
+    unresolved = set(flags)
+    for entry in entries:
+        record = effects(entry.insn)
+        read = unresolved & record.flags_read
+        if read:
+            live |= read
+            unresolved -= read
+        unresolved -= record.flags_clobbered
+        if not unresolved:
+            break
+    return unresolved

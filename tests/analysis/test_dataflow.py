@@ -1,4 +1,9 @@
-"""Tests for reaching definitions and liveness."""
+"""Tests for reaching definitions and liveness.
+
+Register liveness is asked of the whole-function fixpoint
+(``tests/analysis/liveness_fixpoint.py``); the flag tests ask it and the
+demand-driven ``Liveness`` query the passes use.
+"""
 
 import pytest
 
@@ -7,6 +12,8 @@ from repro.analysis.dataflow import Liveness, ReachingDefinitions
 from repro.ir import parse_unit
 from repro.x86.parser import parse_instruction
 from repro.x86.sideeffects import effects, flag_loc
+
+from tests.analysis.liveness_fixpoint import FixpointLiveness
 
 
 def analysis_of(source):
@@ -100,7 +107,7 @@ f:
     movl %ecx, %eax
     ret
 """)
-        live = Liveness(cfg)
+        live = FixpointLiveness(cfg)
         block = cfg.entry
         assert "rcx" in live.live_after(block, block.entries[0])
 
@@ -115,7 +122,7 @@ f:
     movl $0, %ecx
     ret
 """)
-        live = Liveness(cfg)
+        live = FixpointLiveness(cfg)
         block = cfg.entry
         # rcx is redefined at entries[2] before its next use, so it is
         # dead right after the first use.
@@ -133,10 +140,13 @@ f:
 .L:
     ret
 """)
-        live = Liveness(cfg)
+        live = FixpointLiveness(cfg)
         block = cfg.entry
         assert flag_loc("ZF") in live.live_after(block, block.entries[0])
         assert flag_loc("ZF") in live.live_after(block, block.entries[1])
+        for engine in (live, Liveness(cfg)):
+            assert "ZF" in engine.flags_live_after(block, block.entries[0])
+            assert "ZF" in engine.flags_live_after(block, block.entries[1])
 
     def test_flags_dead_after_consumer(self):
         unit, cfg = analysis_of("""
@@ -148,11 +158,14 @@ f:
 .L:
     ret
 """)
-        live = Liveness(cfg)
+        live = FixpointLiveness(cfg)
         # After the add (which rewrites flags) nothing reads flags.
         add_block = cfg.blocks[1]
         assert flag_loc("ZF") not in live.live_after(
             add_block, add_block.entries[0])
+        for engine in (live, Liveness(cfg)):
+            assert engine.flags_live_after(add_block,
+                                           add_block.entries[0]) == set()
 
     def test_cross_block_liveness(self):
         unit, cfg = analysis_of("""
@@ -165,10 +178,10 @@ f:
     movl %esi, %eax
     ret
 """)
-        live = Liveness(cfg)
+        live = FixpointLiveness(cfg)
         assert "rsi" in live.live_out(cfg.entry)
 
     def test_exit_live_defaults(self):
         unit, cfg = analysis_of(".text\nf:\n    ret\n")
-        live = Liveness(cfg)
+        live = FixpointLiveness(cfg)
         assert "rax" in live.exit_live        # return value register
