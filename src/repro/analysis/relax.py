@@ -14,7 +14,10 @@ demoted again, which guarantees termination.
 
 Alignment directives (``.p2align`` / ``.align`` / ``.balign``) and data
 directives contribute padding/size, so alignment-based optimization passes
-see exact addresses.
+see exact addresses.  This module is the one owner of directives: it sizes
+them (:func:`alignment_request`, :func:`directive_data_size`) and fills
+their bytes (:func:`data_bytes`), for ``compile``'s layouts and for the
+simulator's loader alike.
 
 Incremental layout
 ------------------
@@ -36,6 +39,7 @@ bench's baseline (``benchmarks/bench_hotpath.py``).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -90,14 +94,15 @@ class SectionLayout:
 
         Alignment padding in code sections is NOP-filled (the exact NOP
         choice differs from gas's fill patterns but is semantically
-        identical); data directives contribute zero bytes as placeholders.
+        identical); data directives contribute zero bytes as placeholders,
+        which the loader fills with :func:`data_bytes`.
         """
         image = bytearray()
         for entry, layout in self.placement.items():
             if isinstance(entry, InstructionEntry):
                 image += entry.insn.encoding or b""
             elif isinstance(entry, DirectiveEntry):
-                if _alignment_request(entry) is not None:
+                if alignment_request(entry) is not None:
                     for chunk in nop_sequence(layout.size):
                         image += chunk
                 else:
@@ -109,70 +114,39 @@ class SectionLayout:
         regions = []
         for entry, layout in self.placement.items():
             if (isinstance(entry, DirectiveEntry)
-                    and _alignment_request(entry) is not None
+                    and alignment_request(entry) is not None
                     and layout.size > 0):
                 regions.append((layout.address - self.start_address,
                                 layout.size))
         return regions
 
 
-def _unescape(text: str) -> bytes:
-    """Decode a gas string literal body (C escapes)."""
-    out = bytearray()
-    i = 0
-    simple = {"n": 10, "t": 9, "r": 13, "b": 8, "f": 12, "v": 11,
-              "a": 7, "0": 0, "\\": 92, '"': 34, "'": 39}
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt in simple:
-                out.append(simple[nxt])
-                i += 2
-                continue
-            if nxt == "x":
-                j = i + 2
-                while j < len(text) and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                out.append(int(text[i + 2:j], 16) & 0xFF)
-                i = j
-                continue
-            if nxt.isdigit():
-                j = i + 1
-                while j < len(text) and j < i + 4 and text[j].isdigit():
-                    j += 1
-                out.append(int(text[i + 1:j], 8) & 0xFF)
-                i = j
-                continue
-        out.append(ord(ch) & 0xFF)
-        i += 1
-    return bytes(out)
+#: A gas string literal, and one C escape in its body.
+_STRING = re.compile(r'"((?:[^"\\]|\\.)*)"', re.S)
+_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]+|[0-7]{1,3}|.)", re.S)
+_ESCAPES = {"n": 10, "t": 9, "r": 13, "b": 8, "f": 12, "v": 11, "a": 7}
+
+
+def _escaped(match: "re.Match") -> str:
+    """One escape's character; a hex or octal code keeps its low byte."""
+    code = match.group(1)
+    if code[0] == "x":
+        return chr(int(code[1:], 16) & 0xFF)
+    if code[0] in "01234567":
+        return chr(int(code, 8) & 0xFF)
+    return chr(_ESCAPES.get(code, ord(code)))
 
 
 def _string_literals(args: str) -> List[bytes]:
-    """All double-quoted string literal bodies in a directive argument."""
-    literals = []
-    i = 0
-    while i < len(args):
-        if args[i] == '"':
-            j = i + 1
-            while j < len(args):
-                if args[j] == "\\":
-                    j += 2
-                    continue
-                if args[j] == '"':
-                    break
-                j += 1
-            literals.append(_unescape(args[i + 1:j]))
-            i = j + 1
-        else:
-            i += 1
-    return literals
+    """The bodies of a directive's string literals, escapes decoded."""
+    return [bytes(ord(ch) & 0xFF for ch in _ESCAPE.sub(_escaped, body))
+            for body in _STRING.findall(args)]
 
 
-def _count_items(args: str) -> int:
+def _items(args: str) -> List[str]:
+    """The comma-separated items of a data directive."""
     from repro.x86.lexer import split_operands
-    return max(1, len([p for p in split_operands(args) if p.strip()]))
+    return [p for p in split_operands(args) if p]
 
 
 def _positional_int_args(args: str) -> List[Optional[int]]:
@@ -189,36 +163,97 @@ def _positional_int_args(args: str) -> List[Optional[int]]:
     return values
 
 
-def _alignment_request(directive: DirectiveEntry) -> Optional[Tuple[int, Optional[int]]]:
+def alignment_request(directive: DirectiveEntry) -> Optional[Tuple[int, Optional[int]]]:
     """(alignment_bytes, max_skip) for an alignment directive, else None."""
     name = directive.name
+    if name not in ("p2align", "align", "balign"):
+        return None
     args = _positional_int_args(directive.args)
     first = args[0] if args else None
     if first is None:
         return None
-    max_skip = args[2] if len(args) >= 3 else None
-    if name == "p2align":
-        return (1 << first, max_skip)
-    if name in ("align", "balign"):
-        # On x86 ELF, gas's .align is byte alignment (same as .balign).
-        return (first, max_skip)
-    return None
+    # gas reads a max-skip of 0 as no limit.
+    max_skip = (args[2] or None) if len(args) >= 3 else None
+    # On x86 ELF, gas's .align is byte alignment (same as .balign).
+    return (1 << first if name == "p2align" else first, max_skip)
+
+
+def common_request(directive: DirectiveEntry) -> Optional[Tuple[str, int, int]]:
+    """(symbol, size, alignment) of a ``.comm`` / ``.lcomm``, else None.
+
+    Without an alignment a common aligns to the largest power of two in
+    its size, at most 8, as gas's ``.lcomm`` does.
+    """
+    if directive.name not in ("comm", "lcomm"):
+        return None
+    symbol, _, rest = directive.args.partition(",")
+    args = _positional_int_args(rest) + [None]
+    size = args[0] or 0
+    alignment = args[1] or min(8, 1 << max(size.bit_length() - 1, 0))
+    return symbol.strip(), size, alignment
+
+
+_FILLS = ("zero", "skip", "space")
+_STRINGS = ("ascii", "asciz", "string")
+
+
+def _fill(directive: DirectiveEntry) -> Tuple[int, int]:
+    """(count, byte) of ``.zero N`` / ``.skip N, F`` / ``.space N, F``."""
+    args = _positional_int_args(directive.args)
+    count = (args[0] or 0) if args else 0
+    byte = args[1] if len(args) >= 2 and args[1] is not None else 0
+    return count, byte & 0xFF
 
 
 def directive_data_size(directive: DirectiveEntry) -> int:
     """Byte size contributed by a data directive (0 for non-data)."""
     name = directive.name
     if name in _DATA_ITEM_SIZES:
-        return _DATA_ITEM_SIZES[name] * _count_items(directive.args)
-    if name in ("zero", "skip", "space"):
-        args = _positional_int_args(directive.args)
-        return args[0] or 0 if args else 0
-    if name == "ascii":
-        return sum(len(s) for s in _string_literals(directive.args))
-    if name in ("asciz", "string"):
-        literals = _string_literals(directive.args)
-        return sum(len(s) + 1 for s in literals)
+        return _DATA_ITEM_SIZES[name] * len(_items(directive.args))
+    if name in _FILLS:
+        return _fill(directive)[0]
+    if name in _STRINGS:
+        end = name != "ascii"   # .asciz and .string end each with a NUL
+        return sum(len(literal) + end
+                   for literal in _string_literals(directive.args))
     return 0
+
+
+#: One signed term of a data item: a number or a symbol.
+_TERM = re.compile(r"([+-]?)\s*([^\s+-]+)")
+
+
+def _item_value(item: str, symtab: Dict[str, int]) -> int:
+    """A data item's value: a sum of signed numbers and symbols (``sym``,
+    ``sym+8``, ``.L3-.L4``).  A symbol with no value in *symtab* counts as
+    0, as gas leaves it to a relocation."""
+    value = 0
+    for sign, term in _TERM.findall(item):
+        try:
+            number = int(term, 0)
+        except ValueError:
+            number = symtab.get(term, 0)
+        value += -number if sign == "-" else number
+    return value
+
+
+def data_bytes(directive: DirectiveEntry, symtab: Dict[str, int]) -> bytes:
+    """The bytes a data directive emits, ``directive_data_size`` of them
+    (none for any other directive), with its symbols read from *symtab*."""
+    name = directive.name
+    size = _DATA_ITEM_SIZES.get(name)
+    if size is not None:
+        mask = (1 << (8 * size)) - 1
+        return b"".join((_item_value(item, symtab) & mask).to_bytes(
+            size, "little") for item in _items(directive.args))
+    if name in _FILLS:
+        count, byte = _fill(directive)
+        return bytes((byte,)) * count
+    if name in _STRINGS:
+        end = b"" if name == "ascii" else b"\0"
+        return b"".join(literal + end
+                        for literal in _string_literals(directive.args))
+    return b""
 
 
 def _is_label_branch(insn: Instruction) -> bool:
@@ -279,7 +314,7 @@ def _entry_plan(entries: List[MaoEntry],
                     ) from exc
                 plan.append((_KIND_FIXED, size))
         elif isinstance(entry, DirectiveEntry):
-            request = _alignment_request(entry)
+            request = alignment_request(entry)
             if request is not None:
                 plan.append((_KIND_ALIGN, request))
             else:

@@ -86,19 +86,6 @@ class DirectiveEntry(MaoEntry):
             return "\t.%s\t%s" % (self.name, self.args)
         return "\t.%s" % self.name
 
-    def int_args(self) -> List[int]:
-        """Comma-separated integer arguments; non-integers skipped."""
-        from repro.x86.lexer import parse_integer, split_operands
-        values = []
-        for part in split_operands(self.args):
-            part = part.strip()
-            if part:
-                try:
-                    values.append(parse_integer(part))
-                except ValueError:
-                    pass
-        return values
-
     def str_args(self) -> List[str]:
         from repro.x86.lexer import split_operands
         return [p.strip() for p in split_operands(self.args) if p.strip()]

@@ -9,7 +9,7 @@ noise for most benchmarks, plus ~1% code-size savings.
 
 from __future__ import annotations
 
-from repro.analysis.relax import _alignment_request, relax_section
+from repro.analysis.relax import alignment_request, relax_section
 from repro.ir.entries import DirectiveEntry, InstructionEntry
 from repro.passes.base import MaoFunctionPass
 from repro.passes.manager import register_func_pass
@@ -30,7 +30,7 @@ class NopKillerPass(MaoFunctionPass):
         for entry in list(self.function.entries()):
             if isinstance(entry, DirectiveEntry) \
                     and self.option("kill_directives") \
-                    and _alignment_request(entry) is not None:
+                    and alignment_request(entry) is not None:
                 self.bump("directives_removed")
                 if not self.option("count_only"):
                     self.unit.remove(entry)

@@ -71,6 +71,7 @@ from repro.x86.operands import (
     RegisterOperand,
 )
 from repro.x86.registers import Register
+from repro.x86.sideeffects import SHIFTS, shift_count
 
 RETURN_SENTINEL = 0xDEAD0000
 MASK128 = (1 << 128) - 1
@@ -1702,18 +1703,10 @@ def _flag_use(insn: Instruction) -> Tuple[FrozenSet[str], FrozenSet[str]]:
         return frozenset((CF, OF)), _NO_FLAGS
     if base == "imul":
         return frozenset((CF, OF, ZF, SF, PF)), _NO_FLAGS   # not AF
-    if base in ("shl", "shr", "sar", "rol", "ror"):
+    if base in SHIFTS:
         # Only a count that is nonzero after masking writes the flags,
         # and only an immediate (or the implied 1) is known to be one.
-        ops = insn.operands
-        if len(ops) == 1:
-            count = 1
-        elif len(ops) == 2 and isinstance(ops[0], Immediate):
-            count = ops[0].value & (63 if insn.effective_width() == 64
-                                    else 31)
-        else:
-            count = 0
-        if not count:
+        if not shift_count(insn):
             return _NO_FLAGS, _NO_FLAGS
         return (frozenset((CF,)) if base in ("rol", "ror")
                 else ALL_FLAGS), _NO_FLAGS

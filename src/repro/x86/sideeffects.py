@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, Iterable, NamedTuple, Optional, Set, Tuple
 from repro.x86._sideeffects_tables import TABLES
 from repro.x86.flags import ALL_FLAGS, cc_flags_read
 from repro.x86.instruction import Instruction
-from repro.x86.operands import Memory, Operand, RegisterOperand
+from repro.x86.operands import Immediate, Memory, Operand, RegisterOperand
 from repro.x86.registers import ALL_GROUPS
 
 #: Caller-saved groups clobbered by a call under the SysV ABI.
@@ -112,10 +112,26 @@ def effects(insn: Instruction) -> Effects:
     return record
 
 
+#: Shifts and rotates, which leave the flags alone when the count is 0.
+SHIFTS = frozenset(("shl", "shr", "sar", "rol", "ror"))
+
+
+def shift_count(insn: Instruction) -> Optional[int]:
+    """A shift's or rotate's count as the CPU masks it: 1 for the
+    one-operand form, the immediate's low 5 bits (6 at 64 bits), or None
+    for a count in ``%cl``, which may be 0."""
+    ops = insn.operands
+    if len(ops) == 1:
+        return 1
+    if len(ops) == 2 and isinstance(ops[0], Immediate):
+        return ops[0].value & (63 if insn.effective_width() == 64 else 31)
+    return None
+
+
 def _form(insn: Instruction) -> tuple:
-    """Everything :func:`_compute` reads: the mnemonic, and per operand
-    its register's alias group, its memory base and index groups, or its
-    kind."""
+    """Everything :func:`_compute` reads: the mnemonic, per operand its
+    register's alias group, its memory base and index groups, or its kind,
+    and whether a shift's literal count is 0."""
     form = [insn.mnemonic]
     for op in insn.operands:
         if isinstance(op, RegisterOperand):
@@ -125,6 +141,8 @@ def _form(insn: Instruction) -> tuple:
                          None if op.index is None else op.index.group))
         else:
             form.append(type(op))
+    if insn.base in SHIFTS and shift_count(insn) == 0:
+        form.append(0)
     return tuple(form)
 
 
@@ -145,6 +163,14 @@ def _compute(insn: Instruction) -> Effects:
         flags_read.discard("cc")
         if insn.cond is not None:
             flags_read |= cc_flags_read(insn.cond)
+    if insn.base in SHIFTS:
+        count = shift_count(insn)
+        if count == 0:
+            written = cleared = result = undefined = ()
+        elif count is None:
+            # A count of 0 passes every flag through, so each flag the
+            # shift may write is also read.
+            flags_read.update(written, undefined)
     return _record(reg_uses, reg_defs, flags_read, written + undefined,
                    cleared, result, undefined, barrier)
 

@@ -17,12 +17,12 @@ from repro.analysis.relax import (
     EntryLayout,
     RelaxError,
     SectionLayout,
-    _alignment_request,
     _final_encode,
     _is_label_branch,
     _long_len,
     _section_entries,
     _short_len,
+    alignment_request,
     directive_data_size,
 )
 from repro.ir.entries import (
@@ -83,7 +83,7 @@ def relax_section_reference(unit: MaoUnit, section: Section,
                         ) from exc
                     fixed_sizes[entry] = size
             elif isinstance(entry, DirectiveEntry):
-                request = _alignment_request(entry)
+                request = alignment_request(entry)
                 if request is not None:
                     alignment, max_skip = request
                     pad = (-address) % alignment

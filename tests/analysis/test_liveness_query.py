@@ -80,13 +80,14 @@ class TestInputSweep:
 
 
 #: Straight-line statements: flag writers (``inc``/``dec`` keep CF,
-#: ``bt`` keeps ZF), flag readers (``setcc``, ``cmov``, ``adc``/``sbb``,
-#: which also write), and instructions that touch no flag.  ``rep`` alone
-#: has no table entry, so it reads and writes every flag.
+#: ``bt`` keeps ZF, ``shl %cl`` keeps every flag when the count is 0),
+#: flag readers (``setcc``, ``cmov``, ``adc``/``sbb``, which also write),
+#: and instructions that touch no flag.  ``rep`` alone has no table
+#: entry, so it reads and writes every flag.
 STATEMENTS = [
     "addl $1, %eax", "subl %ebx, %eax", "cmpl $3, %ecx",
     "testl %eax, %eax", "incl %ebx", "decl %ecx", "btl $3, %eax",
-    "imull %ebx, %eax", "xorl %edx, %edx",
+    "imull %ebx, %eax", "xorl %edx, %edx", "shll %cl, %edx",
     "setne %al", "setb %dl", "seto %cl", "setp %bl",
     "cmovl %ebx, %eax", "cmovbe %ebx, %ecx",
     "adcl $0, %eax", "sbbl %ebx, %ebx",
@@ -270,6 +271,21 @@ f:
         assert_queries_agree(cfg)
         assert Liveness(cfg).flags_live_after(
             cfg.entry, find(cfg, "cmpl $1, %eax")) == {"ZF", "CF"}
+
+    @pytest.mark.parametrize("shift, live", [
+        ("shll %cl, %edx", {"CF", "PF", "AF", "ZF", "SF", "OF"}),
+        ("shll $32, %edx", {"CF"}),
+    ])
+    def test_shift_by_a_count_that_may_be_zero(self, shift, live):
+        # A zero count leaves the flags alone, so the jb may read the
+        # test's CF: a shift by %cl reads each flag it may write, and one
+        # whose literal count masks to 0 writes none.
+        unit, cfg = analysis_of(".text\nf:\n    testl %%eax, %%eax\n"
+                                "    %s\n    jb .L\n    ret\n.L:\n"
+                                "    ret\n" % shift)
+        assert_queries_agree(cfg)
+        assert Liveness(cfg).flags_live_after(
+            cfg.entry, find(cfg, "testl %eax, %eax")) == live
 
     def test_unknown_instruction_reads_every_flag(self):
         unit, cfg = analysis_of(".text\nf:\n    cmpl $1, %eax\n    rep\n"

@@ -5,6 +5,8 @@ import pytest
 from repro.analysis.relax import (
     MAX_RELAX_ITERATIONS,
     RelaxError,
+    common_request,
+    data_bytes,
     directive_data_size,
     relax_section,
     relax_unit,
@@ -130,6 +132,12 @@ f:
         # 15 bytes of padding needed > 7 allowed -> no alignment.
         assert layout.symtab[".Lmaybe"] == 1
 
+    def test_max_skip_of_zero_is_no_limit(self):
+        # As gas reads it: the alignment is done however far it skips.
+        unit, layout = layout_of(
+            ".text\nf:\n    nop\n    .p2align 4,,0\n.La:\n    ret\n")
+        assert layout.symtab[".La"] == 16
+
     def test_align_is_byte_alignment(self):
         unit, layout = layout_of(
             ".text\nf:\n    nop\n    .align 8\n.La:\n    ret\n")
@@ -155,6 +163,41 @@ class TestDataDirectives:
         name, _, args = directive.partition(" ")
         entry = DirectiveEntry(name[1:], args)
         assert directive_data_size(entry) == size
+        assert len(data_bytes(entry, {"a": 1, "b": 2})) == size
+
+    @pytest.mark.parametrize("directive,data", [
+        (".byte 1, -1, 0x101", b"\x01\xff\x01"),
+        (".value 0x1234", b"\x34\x12"),
+        (".long sym", b"\x00\x10\x60\x00"),
+        (".long sym+8, sym-0x10", b"\x08\x10\x60\x00\xf0\x0f\x60\x00"),
+        (".long .L3-.L4", b"\x30\x00\x00\x00"),
+        (".long .L4-.L3+1", b"\xd1\xff\xff\xff"),
+        (".quad unknown+4", b"\x04" + bytes(7)),
+        (".octa 1", b"\x01" + bytes(15)),
+        (".skip 3, 0x90", b"\x90" * 3),
+        (".space 2", bytes(2)),
+        (".zero 4", bytes(4)),
+        ('.asciz "a\\tb", "c"', b"a\tb\x00c\x00"),
+        (".p2align 4", b""),
+        (".globl main", b""),
+    ])
+    def test_bytes(self, directive, data):
+        name, _, args = directive.partition(" ")
+        entry = DirectiveEntry(name[1:], args)
+        symtab = {"sym": 0x601000, ".L3": 0x400040, ".L4": 0x400010}
+        assert data_bytes(entry, symtab) == data
+        assert directive_data_size(entry) == len(data)
+
+    @pytest.mark.parametrize("directive,expected", [
+        (".comm buf,400,32", ("buf", 400, 32)),
+        (".lcomm pad, 4", ("pad", 4, 4)),
+        (".lcomm odd,6", ("odd", 6, 4)),
+        (".comm big,100", ("big", 100, 8)),
+        (".long 4", None),
+    ])
+    def test_common_request(self, directive, expected):
+        name, _, args = directive.partition(" ")
+        assert common_request(DirectiveEntry(name[1:], args)) == expected
 
     def test_data_section_layout(self):
         unit = parse_unit("""

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.relax import relax_section
+from repro.analysis.relax import alignment_request, relax_section
 from repro.ir import parse_unit
 
 
@@ -66,15 +66,11 @@ def test_relaxation_invariants(source):
         assert place.address + place.size + rel == layout.symtab[label]
 
     # 5. Alignment directives actually align their successors.
-    entries = list(layout.placement.items())
-    for i, (entry, place) in enumerate(entries):
-        if entry.is_directive and entry.name == "p2align":
-            args = entry.int_args()
-            if not args:
-                continue
-            alignment = 1 << args[0]
-            next_addr = place.address + place.size
-            assert next_addr % alignment == 0
+    for entry, place in layout.placement.items():
+        request = entry.is_directive and alignment_request(entry)
+        if request:
+            alignment, _ = request
+            assert (place.address + place.size) % alignment == 0
 
     # 6. Idempotence: re-running relaxation reproduces the layout.
     again = relax_section(unit, unit.get_section(".text"))

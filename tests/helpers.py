@@ -4,18 +4,21 @@ When binutils is available (``as`` + ``objcopy``), differential tests
 compare PyMAO's encoder and relaxation output byte-for-byte against gas.
 Tests using these helpers should be decorated with ``requires_binutils``.
 On an x86-64 Linux host with ``as`` and ``ld``, ``native_exit_status``
-runs a program on the host itself; tests using it should be decorated
-with ``requires_native``.
+runs a program on the host itself, and ``link_at_bases`` links one at
+the simulator loader's section bases; tests using them should be
+decorated with ``requires_native``.
 """
 
 from __future__ import annotations
 
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
 import os
+from typing import Dict, Tuple
 
 import pytest
 
@@ -61,6 +64,57 @@ def native_exit_status(asm_source: str, timeout: float = 30.0) -> int:
                        check=True, capture_output=True)
         return subprocess.run([exe_path], capture_output=True,
                               timeout=timeout).returncode
+
+
+def link_at_bases(asm_source: str, bases: Dict[str, int]
+                  ) -> Tuple[Dict[str, bytes], Dict[str, int]]:
+    """Assemble *asm_source* with ``as --64`` and link it with ``ld``, each
+    section named in *bases* at the address given there (``.bss`` with
+    the common symbols after it, as ld's default script places them).
+    Returns each of those sections' linked bytes (none for ``.bss``) and
+    the linked symbol table.  Given the loader's ``LoadedProgram.bases``,
+    addresses compare as they are."""
+    with tempfile.TemporaryDirectory() as tmp:
+        asm_path = os.path.join(tmp, "input.s")
+        obj_path = os.path.join(tmp, "input.o")
+        exe_path = os.path.join(tmp, "input")
+        script_path = os.path.join(tmp, "link.ld")
+        with open(asm_path, "w") as handle:
+            handle.write(asm_source)
+        with open(script_path, "w") as handle:
+            handle.write("SECTIONS\n{\n")
+            for name, base in bases.items():
+                commons = " *(COMMON)" if name == ".bss" else ""
+                handle.write("  %s 0x%x : { *(%s)%s }\n"
+                             % (name, base, name, commons))
+            handle.write("}\n")
+        subprocess.run(["as", "--64", "-o", obj_path, asm_path],
+                       check=True, capture_output=True)
+        subprocess.run(["ld", "-T", script_path, "-o", exe_path, obj_path],
+                       check=True, capture_output=True)
+        with open(exe_path, "rb") as handle:
+            elf = handle.read()
+        listing = subprocess.run(["nm", exe_path], check=True,
+                                 capture_output=True, text=True).stdout
+    # ELF64 section headers: name, type, flags, address, offset, size...;
+    # ld drops an empty output section, and .bss (type 8) holds no bytes.
+    shoff, = struct.unpack_from("<Q", elf, 0x28)
+    size, count, names = struct.unpack_from("<HHH", elf, 0x3A)
+    headers = [struct.unpack_from("<IIQQQQ", elf, shoff + i * size)
+               for i in range(count)]
+    strings = headers[names][4]
+    sections = {name: b"" for name in bases}
+    for name, kind, _, _, offset, length in headers:
+        start = strings + name
+        label = elf[start:elf.index(b"\0", start)].decode()
+        if label in sections and kind != 8:
+            sections[label] = elf[offset:offset + length]
+    symbols = {}
+    for line in listing.splitlines():
+        fields = line.split()
+        if len(fields) == 3:
+            symbols[fields[2]] = int(fields[0], 16)
+    return sections, symbols
 
 
 def gas_assemble_text(asm_source: str) -> bytes:

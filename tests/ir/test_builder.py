@@ -128,10 +128,6 @@ b:
 
 
 class TestEntryHelpers:
-    def test_directive_int_args(self):
-        entry = DirectiveEntry("p2align", "4,,10")
-        assert entry.int_args() == [4, 10]
-
     def test_directive_str_args(self):
         entry = DirectiveEntry("type", "f, @function")
         assert entry.str_args() == ["f", "@function"]

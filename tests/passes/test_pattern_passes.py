@@ -27,6 +27,22 @@ def assert_same_semantics(source, spec, regs=("rax", "rbx", "rcx", "rdx",
     return unit, result
 
 
+#: REDTEST bait before a shift by ``%cl`` (0 here) or by a literal
+#: count that masks to 0; returns 1, and 2 when the test is removed.
+SHIFT_BY_ZERO = """
+    xorl %%ecx, %%ecx
+    xorl %%eax, %%eax
+    subl $1, %%eax
+    testl %%eax, %%eax
+    %s
+    jb .Ltaken
+    movl $1, %%eax
+    ret
+.Ltaken:
+    movl $2, %%eax
+"""
+
+
 def wrap(body):
     return ".text\n.globl main\n.type main, @function\nmain:\n%s\n    ret\n" % body
 
@@ -153,6 +169,15 @@ class TestRedTest:
         # addl wrote flags after the sub; test now reflects edx which the
         # addl's flags don't — the producer is the addl, of %ecx.
         assert result.total("REDTEST", "removed") == 0
+
+    @pytest.mark.parametrize("shift", ["shll %cl, %edx", "shll $32, %edx"])
+    def test_keeps_test_before_a_shift_by_zero(self, shift):
+        """A shift whose count is 0 leaves the flags alone, so the jb
+        reads the test's CF (0), not the sub's borrow (1)."""
+        source = wrap(SHIFT_BY_ZERO % shift)
+        unit, result = assert_same_semantics(source, "REDTEST")
+        assert result.total("REDTEST", "removed") == 0
+        assert run_unit(unit).state.gp["rax"] == 1
 
     def test_width_mismatch_blocks_removal(self):
         source = wrap("""

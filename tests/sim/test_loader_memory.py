@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.relax import RelaxError
 from repro.ir import parse_unit
 from repro.sim.loader import DATA_BASE, TEXT_BASE, load_unit
 from repro.sim.memory import SparseMemory
@@ -151,3 +152,51 @@ table:
         program = load_unit(parse_unit(self.SOURCE))
         main = program.symtab["main"]
         assert program.next_instruction_address(main) == main + 7
+
+
+class TestLoaderLayout:
+    """The loader places every section with ``relax_section`` and fills it
+    with ``data_bytes``."""
+
+    def test_octa_is_sixteen_bytes(self):
+        program = load_unit(parse_unit(
+            ".data\na:\n    .octa 0\nb:\n    .long 42\n"))
+        assert program.symtab["b"] == program.symtab["a"] + 16
+        assert program.memory.read(program.symtab["b"], 4) == 42
+
+    def test_data_in_text_is_filled(self):
+        program = load_unit(parse_unit(
+            ".text\nmain:\n    ret\n.Lk:\n    .long 42\n"
+            ".Ltab:\n    .quad main\n    .long .Ltab-.Lk\n"))
+        symtab, memory = program.symtab, program.memory
+        assert memory.read(symtab[".Lk"], 4) == 42
+        assert memory.read(symtab[".Ltab"], 8) == symtab["main"]
+        assert memory.read(symtab[".Ltab"] + 8, 4) == 4
+
+    def test_common_symbols_get_storage_past_the_sections(self):
+        program = load_unit(parse_unit(
+            ".text\nmain:\n    ret\n    .local buf\n    .comm buf,400,32\n"
+            "    .lcomm pad,4\n.bss\nb0:\n    .zero 8\n"))
+        buf, pad = program.symtab["buf"], program.symtab["pad"]
+        assert buf % 32 == 0 and pad == buf + 400
+        assert buf >= program.symtab["b0"] + 0x10000
+        assert program.memory.touched_pages() == 1   # the code's page
+
+    def test_zero_fills_allocate_no_page(self):
+        program = load_unit(parse_unit(
+            ".bss\nbuf:\n    .zero 65536\n.data\n    .skip 100\n"
+            "    .long 0\n    .p2align 4\n"))
+        assert program.memory.touched_pages() == 0
+
+    def test_instruction_in_data_is_encoded_and_placed(self):
+        program = load_unit(parse_unit(
+            ".data\n.Lcode:\n    ret\n.Lafter:\n    .byte 7\n"))
+        code = program.symtab[".Lcode"]
+        assert program.symtab[".Lafter"] == code + 1
+        assert program.memory.read(code, 2) == 0x07C3
+        assert code not in program.code_index
+
+    def test_opaque_statement_in_data_is_an_error(self):
+        with pytest.raises(RelaxError):
+            load_unit(parse_unit(
+                ".data\n    vfmadd231ps %ymm0, %ymm1, %ymm2\n"))
