@@ -15,11 +15,15 @@ translation units plus a slice of simulate requests — through
   *hit* and replay its stored artifact.
 
 Recorded per round: throughput (requests/s), p50/p99 latency, optimize
-cache hit rate, errors.  The server is then SIGTERMed and must drain to
-exit code 0.  Results land in ``BENCH_server.json``, a ``mao-bench/2``
-record whose gates require warm throughput >= ``MIN_SPEEDUP`` times
-cold (3x on full runs, 2x on quick runs), a 100% warm hit rate, no
-failed requests, byte-identical asm across rounds and a graceful exit.
+cache hit rate, errors; and, from ``/metrics`` after both rounds, the
+reply memo's ``server.memo.*`` (every simulate request after the first
+is a memo hit).  The server is then SIGTERMed and must drain to exit
+code 0.  Results land in ``BENCH_server.json``, a ``mao-bench/2`` record
+whose gates require warm throughput >= ``MIN_SPEEDUP`` times cold (3x on
+full runs, 2x on quick runs), a 100% warm hit rate, no failed requests,
+byte-identical replies (the same asm in both rounds, and every simulate
+reply's cycles, steps and counters equal to ``api.simulate``'s) and a
+graceful exit.
 
 Usage::
 
@@ -49,6 +53,7 @@ if os.path.isdir(os.path.join(_REPO_ROOT, "src", "repro")):
 sys.path.insert(0, os.path.join(_REPO_ROOT, "scripts"))
 
 from perf_report import finish, gate, prefixed  # noqa: E402
+from repro import api  # noqa: E402
 from repro.server.client import Client  # noqa: E402
 from repro.workloads.corpus import CorpusConfig, generate_corpus_text  # noqa: E402,E501
 
@@ -110,6 +115,7 @@ def run_round(port: int, workload: list, clients: int) -> dict:
         work.put(item)
     latencies = []
     asm_by_index = {}
+    simulated = []
     hits = misses = other = errors = 0
     lock = threading.Lock()
 
@@ -138,7 +144,10 @@ def run_round(port: int, workload: list, clients: int) -> dict:
                 elapsed = time.perf_counter() - start
                 with lock:
                     latencies.append(elapsed)
-                    if item[0] == "optimize":
+                    if item[0] == "simulate":
+                        simulated.append((result["cycles"], result["steps"],
+                                          result["counters"]))
+                    else:
                         asm_by_index[item[1]] = result["asm"]
                         state = result.get("cache")
                         if state == "hit":
@@ -175,6 +184,7 @@ def run_round(port: int, workload: list, clients: int) -> dict:
         "cache_misses": misses,
         "hit_rate": round(hits / looked_up, 4) if looked_up else 0.0,
         "_asm": asm_by_index,
+        "_simulated": simulated,
     }
 
 
@@ -213,19 +223,29 @@ def main(argv=None) -> int:
         try:
             cold = run_round(server.port, workload, args.clients)
             warm = run_round(server.port, workload, args.clients)
+            with Client(port=server.port) as client:
+                values = client.metrics()["values"]
         finally:
             exit_code = server.shutdown()
         cold_asm = cold.pop("_asm")
         warm_asm = warm.pop("_asm")
+        simulated = cold.pop("_simulated") + warm.pop("_simulated")
+        sim = api.simulate(None, "core2", workload="hash_bench",
+                           max_steps=SIM_MAX_STEPS)
+        expected = (sim.cycles, sim.steps, dict(sim.counters))
         metrics = {
             "speedup": round(warm["throughput_rps"]
                              / cold["throughput_rps"], 3),
             "byte_identical": cold_asm == warm_asm
-            and len(cold_asm) == n_opt,
+            and len(cold_asm) == n_opt
+            and simulated == [expected] * (2 * (n_requests - n_opt)),
             "graceful_exit": exit_code == 0,
         }
         metrics.update(prefixed("server_cold", cold))
         metrics.update(prefixed("server_warm", warm))
+        metrics.update(prefixed("server_memo", {
+            name: values.get("server.memo." + name, 0)
+            for name in ("hit", "miss", "evict", "bytes")}))
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 

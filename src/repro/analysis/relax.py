@@ -16,8 +16,8 @@ Alignment directives (``.p2align`` / ``.align`` / ``.balign``) and data
 directives contribute padding/size, so alignment-based optimization passes
 see exact addresses.  This module is the one owner of directives: it sizes
 them (:func:`alignment_request`, :func:`directive_data_size`) and fills
-their bytes (:func:`data_bytes`), for ``compile``'s layouts and for the
-simulator's loader alike.
+their bytes (:func:`data_bytes`, :func:`alignment_fill`), for
+``compile``'s layouts and for the simulator's loader alike.
 
 Incremental layout
 ------------------
@@ -176,6 +176,13 @@ def alignment_request(directive: DirectiveEntry) -> Optional[Tuple[int, Optional
     max_skip = (args[2] or None) if len(args) >= 3 else None
     # On x86 ELF, gas's .align is byte alignment (same as .balign).
     return (1 << first if name == "p2align" else first, max_skip)
+
+
+def alignment_fill(directive: DirectiveEntry) -> int:
+    """The byte an alignment directive pads a data section with: its
+    second argument, or 0 (code sections pad with NOPs)."""
+    args = _positional_int_args(directive.args)
+    return (args[1] or 0) & 0xFF if len(args) >= 2 else 0
 
 
 def common_request(directive: DirectiveEntry) -> Optional[Tuple[str, int, int]]:

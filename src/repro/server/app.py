@@ -31,12 +31,23 @@ are added to this server's registry, so the counters and histograms in
 
 **Shared cache.**  Optimize, batch and tune share one content-addressed
 :class:`~repro.batch.cache.ArtifactCache` store; identical concurrent
-requests to a coalescing endpoint (optimize) additionally share one
-execution — followers await the leader's pool future (shielded, so
-one impatient client cannot cancel work others depend on) instead of
-re-optimizing.  Servers that share a ``cache_dir`` share its artifacts,
-so a fresh server replays everything a drained one stored: restarting
-is ``SIGTERM`` followed by a new ``mao serve`` over the same directory.
+requests to a coalescing endpoint (optimize, predict, simulate)
+additionally share one execution — followers await the leader's pool
+future (shielded, so one impatient client cannot cancel work others
+depend on) instead of re-running it.  Servers that share a
+``cache_dir`` share its artifacts, so a fresh server replays everything
+a drained one stored: restarting is ``SIGTERM`` followed by a new
+``mao serve`` over the same directory.
+
+**Reply memo.**  While ``cache`` is on, the replies of the rows that set
+``memo`` (predict and simulate) are kept in a :class:`ReplyMemo`, an
+LRU table of :data:`MEMO_MAX_BYTES` in this process, under the row's
+``coalesce`` key.  A repeated request is answered from it on the event
+loop, before it takes an execution slot: no pool hop and no parse,
+relax or simulation, and the reply equals a recomputation by this
+process byte for byte, request id aside.  The table is not persisted:
+a prediction breaks ties in hash-seed order, so another process's
+answer could differ.
 
 **Drain.**  ``SIGTERM``/``SIGINT`` (or :meth:`MaoServer.request_drain`)
 closes the listener, nudges idle keep-alive connections closed, lets
@@ -48,10 +59,12 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import json
 import signal
 import socket
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
@@ -77,6 +90,10 @@ SERVER_SCHEMA = register_schema("server", "pymao.server/1")
 
 #: How long the thread harness waits for a server to start or stop.
 _THREAD_TIMEOUT_S = 120.0
+
+#: Byte budget of a server's :class:`ReplyMemo`: each entry counts its
+#: key and its reply fields' JSON.
+MEMO_MAX_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
@@ -124,6 +141,43 @@ def _delayed(delay_s: float, path: str,
     return work.execute(path, payload)
 
 
+class ReplyMemo:
+    """Successful replies by request key, least recently used first,
+    within *max_bytes*.  Counts ``server.memo.hit``, ``.miss`` and
+    ``.evict``, and keeps ``server.memo.bytes`` current."""
+
+    def __init__(self, registry: obs.Registry,
+                 max_bytes: int = MEMO_MAX_BYTES) -> None:
+        self.registry = registry
+        self.max_bytes = max_bytes
+        self.bytes = 0
+        self._entries: "OrderedDict[str, Tuple[Dict[str, Any], int]]" = \
+            OrderedDict()
+
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
+        entry = self._entries.get(key)
+        if entry is None:
+            self.registry.inc("server.memo.miss")
+            return None
+        self._entries.move_to_end(key)
+        self.registry.inc("server.memo.hit")
+        return entry[0]
+
+    def put(self, key: str, fields: Dict[str, Any]) -> None:
+        """Keep *fields*, which must not change afterwards."""
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.bytes -= old[1]
+        size = len(key) + len(json.dumps(fields))
+        self._entries[key] = (fields, size)
+        self.bytes += size
+        while self.bytes > self.max_bytes:
+            _key, (_fields, evicted) = self._entries.popitem(last=False)
+            self.bytes -= evicted
+            self.registry.inc("server.memo.evict")
+        self.registry.gauge("server.memo.bytes", self.bytes)
+
+
 class MaoServer:
     """The service: listener, keep-alive loop, error envelope, admission
     (503 past ``config.capacity()``, 504 past ``request_timeout_s``),
@@ -147,6 +201,7 @@ class MaoServer:
         self._executor = None
         self._slots: Optional[asyncio.Semaphore] = None
         self._singleflight: Dict[str, "asyncio.Future"] = {}
+        self._memo = ReplyMemo(self.registry) if config.cache else None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -373,32 +428,44 @@ class MaoServer:
     async def _serve(self, request: Request, rid: str, span: Any,
                      keep_alive: bool,
                      headers: Dict[str, str]) -> Tuple[int, bytes]:
-        async with self._slots:
-            self._executing += 1
-            self._publish_gauges()
-            try:
-                status, payload = await self._execute(request, rid, span)
-            finally:
-                self._executing -= 1
-                self._publish_gauges()
-        return status, render_json(status, payload, keep_alive=keep_alive,
-                                   headers=headers)
-
-    async def _execute(self, request: Request, rid: str,
-                       span: Any) -> Tuple[int, Dict[str, Any]]:
-        path = request.path
-        row = work.ENDPOINTS[path]
+        row = work.ENDPOINTS[request.path]
         data = request.json()
         if not isinstance(data, dict):
             raise ProtocolError(400, "request body must be a JSON object")
         payload = row.prepare(data, self.config)
         payload["want_spans"] = obs.enabled()
         payload["want_counters"] = self.config.parallel_backend == "process"
-        if row.coalesce is not None:
+        key = row.coalesce(payload) if row.coalesce is not None else None
+        memo = self._memo if row.memo else None
+        fields = None
+        if memo is not None:
+            fields = memo.get(key)
+            if span:
+                span.attach(memo="miss" if fields is None else "hit")
+        if fields is not None:
+            # A repeated request: answered here, holding no slot.
+            status, reply = 200, self._reply(row, payload, fields, rid, span)
+        else:
+            async with self._slots:
+                self._executing += 1
+                self._publish_gauges()
+                try:
+                    status, reply = await self._execute(
+                        request.path, row, payload, key, memo, rid, span)
+                finally:
+                    self._executing -= 1
+                    self._publish_gauges()
+        return status, render_json(status, reply, keep_alive=keep_alive,
+                                   headers=headers)
+
+    async def _execute(self, path: str, row: work.Endpoint,
+                       payload: Dict[str, Any], key: Optional[str],
+                       memo: Optional[ReplyMemo], rid: str,
+                       span: Any) -> Tuple[int, Dict[str, Any]]:
+        if key is not None:
             # Singleflight: identical concurrent requests share one pool
             # future.  It is shielded so a follower's (or the leader's)
             # timeout cancels only its own wait, never the shared work.
-            key = row.coalesce(payload)
             future = self._singleflight.get(key)
             coalesced = future is not None
             if future is None:
@@ -416,15 +483,23 @@ class MaoServer:
             return 400, error_payload(400, outcome["error"], rid)
         if outcome.get("span") is not None and span:
             obs.adopt_span(span, obs.Span.from_dict(outcome["span"]))
-        reply = {name: outcome[name] for name in row.reply}
-        if coalesced:
-            reply["cache"] = "coalesced"
+        fields = {name: outcome[name] for name in row.reply}
+        if memo is not None:
+            memo.put(key, fields)
+        if coalesced and "cache" in fields:
+            fields = dict(fields, cache="coalesced")
+        return 200, self._reply(row, payload, fields, rid, span)
+
+    def _reply(self, row: work.Endpoint, payload: Dict[str, Any],
+               fields: Dict[str, Any], rid: str,
+               span: Any) -> Dict[str, Any]:
+        """A 200 reply of *fields*: the row's span attributes and success
+        counter, then the envelope."""
         if span:
-            span.attach(**row.span(payload, reply))
+            span.attach(**row.span(payload, fields))
         if row.counter is not None:
-            self.registry.inc(row.counter.format(**reply))
-        reply.update(schema=SERVER_SCHEMA, request_id=rid)
-        return 200, reply
+            self.registry.inc(row.counter.format(**fields))
+        return dict(fields, schema=SERVER_SCHEMA, request_id=rid)
 
     def _pool(self, path: str, payload: Dict[str, Any]) -> "asyncio.Future":
         delay = self.config.test_delay_s
@@ -444,7 +519,7 @@ class MaoServer:
         if future.cancelled() or future.exception() is not None:
             return
         outcome = future.result()
-        for name, delta in outcome.get("counters", {}).items():
+        for name, delta in outcome.get("counter_deltas", {}).items():
             self.registry.inc(name, delta)
         for name, value in outcome.get("observations", ()):
             self.registry.observe(name, value)

@@ -27,11 +27,20 @@ keeps the ``repro.batch`` worker contract in one place:
 * **counters ride back** — a process worker's metrics registry is its
   own, so a payload with ``want_counters`` gets the counter deltas its
   run made (``batch.cache.*``, ``pass.*``, ...) in the outcome's
-  ``"counters"``, for the server to add to its registry.
+  ``"counter_deltas"``, a key no reply carries, for the server to add to
+  its registry.
+
+Two rows, predict and simulate, set ``memo``: the server keeps their
+replies in memory under their ``coalesce`` key and answers a repeated
+request from there (:mod:`repro.server.app`).  Their keys cover
+everything that decides the reply: the source's sha256 or the workload
+name, every option the body reads, and the core (:func:`_core_key`).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import threading
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -72,6 +81,9 @@ class Endpoint(NamedTuple):
     #: ``payload -> key``: identical concurrent requests (same key)
     #: share one run.
     coalesce: Optional[Callable[[Dict[str, Any]], str]] = None
+    #: Whether the server answers a repeated request (same ``coalesce``
+    #: key) from its in-memory table of this row's replies.
+    memo: bool = False
 
 
 def execute(path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -79,7 +91,8 @@ def execute(path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     executes.  Never raises: any exception becomes ``{"status":
     "error", "kind": <exception name>, "error": str}``.  With
     ``want_counters`` the outcome also carries the run's counter deltas
-    (``counters``) and histogram observations (``observations``)."""
+    (``counter_deltas``) and histogram observations
+    (``observations``)."""
     import repro.passes  # noqa: F401 — register built-ins in spawned children
     from repro import obs
 
@@ -89,7 +102,7 @@ def execute(path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     before = obs.REGISTRY.counters()
     with obs.REGISTRY.recording() as observed:
         outcome = _run(path, payload)
-    outcome["counters"] = {
+    outcome["counter_deltas"] = {
         name: value - before.get(name, 0)
         for name, value in obs.REGISTRY.counters().items()
         if value != before.get(name, 0)}
@@ -177,6 +190,8 @@ def _program(data: Dict[str, Any]) -> Dict[str, Any]:
     if (source is None) == (workload is None):
         raise ProtocolError(400, "pass exactly one of 'source' or "
                                  "'workload'")
+    if source is not None and not isinstance(source, str):
+        raise ProtocolError(400, "field 'source' must be a string")
     return {"source": source, "workload": workload, "core": core,
             "function": data.get("function")}
 
@@ -253,6 +268,42 @@ def _optimize_key(payload: Dict[str, Any]) -> str:
     artifact cache key, so requests that would share an artifact share
     one run."""
     return source_sha256(payload["source"]) + "\x00" + payload["key_spec"]
+
+
+def _core_key(core: Any) -> str:
+    """The core's part of a memo key.  An inline document is its compact
+    JSON in the request's key order, since the reply echoes it.  A named
+    profile is its name and the sha256 of its file, read on every
+    request as the worker's model is, so an edited or newly dropped-in
+    profile misses."""
+    from repro.uarch import tables
+
+    if isinstance(core, dict):
+        return json.dumps(core, separators=(",", ":"))
+    try:
+        data = tables.profile_bytes(core)
+    except tables.ProfileError as exc:
+        raise ProtocolError(400, str(exc))
+    return core + "\x00" + hashlib.sha256(data).hexdigest()
+
+
+def _program_key(payload: Dict[str, Any], *options: str) -> str:
+    """The source's sha256 (not the text: bodies reach 8 MiB) or the
+    workload name, the core, and the *options* the body reads.  Tracing
+    (``want_spans``, ``want_counters``) is left out."""
+    source = payload["source"]
+    return json.dumps(
+        [None if source is None else source_sha256(source),
+         payload["workload"], _core_key(payload["core"])]
+        + [payload[name] for name in options])
+
+
+def _predict_key(payload: Dict[str, Any]) -> str:
+    return _program_key(payload, "function", "loop", "assume_lsd")
+
+
+def _simulate_key(payload: Dict[str, Any]) -> str:
+    return _program_key(payload, "entry_symbol", "max_steps")
 
 
 # -- worker bodies (pool) --------------------------------------------------
@@ -351,8 +402,10 @@ def _batch(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _predict(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The static model; it skips the artifact cache because it re-runs
-    faster than a cache round trip would pay for itself."""
+    """The static model.  It skips the artifact cache: a prediction
+    breaks ties in hash-seed order, so one persisted by another server
+    process could differ from this one's.  The server memoizes its
+    replies in memory instead (the row's ``memo``)."""
     from repro import api
 
     prediction = api.predict(
@@ -436,7 +489,8 @@ ENDPOINTS: Dict[str, Endpoint] = {
             "core": reply["core"],
             "cycles": reply["prediction"]["cycles"],
             "bottleneck": reply["prediction"]["bottleneck"]},
-        counter="server.predict.requests"),
+        counter="server.predict.requests", coalesce=_predict_key,
+        memo=True),
     "/v1/tune": Endpoint(
         prepare=_tune_payload, run=_tune, reply=("core", "tune", "asm"),
         span=_tune_span, counter="server.tune.requests"),
@@ -444,7 +498,8 @@ ENDPOINTS: Dict[str, Endpoint] = {
         prepare=_simulate_payload, run=_simulate,
         reply=("core", "cycles", "steps", "ipc", "counters"),
         span=lambda payload, reply: {"core": reply["core"],
-                                     "cycles": reply["cycles"]}),
+                                     "cycles": reply["cycles"]},
+        coalesce=_simulate_key, memo=True),
     "/v1/profile": Endpoint(
         prepare=_profile_payload, run=_profile,
         reply=("found", "profile"),

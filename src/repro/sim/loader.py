@@ -6,12 +6,15 @@ section gets a fixed base and :func:`~repro.analysis.relax.relax_section`
 lays it out there: data sections first (their sizes do not depend on
 code), then code sections with the data symbols in scope, so every
 instruction has a true address and encoding.  ``.comm`` and ``.lcomm``
-symbols get zeroed, aligned storage past the unit's sections.  Then the
-bytes are written: each code section's image, and every data directive's
-:func:`~repro.analysis.relax.data_bytes` at its placement in any section,
-read with the whole symbol table (so jump tables of ``.quad .Lx`` or
-``.long .Lx-.Ltab`` hold code addresses).  Zero fills write nothing, so
-``.bss`` and ``.zero`` allocate no page.
+symbols get zeroed, aligned storage past the unit's sections.  A unit
+with more than one code section relaxes its code sections a second time,
+with every code symbol known, so a branch into a later section carries
+its real displacement.  Then the bytes are written: each code section's
+image, every data directive's :func:`~repro.analysis.relax.data_bytes`
+at its placement in any section, read with the whole symbol table (so
+jump tables of ``.quad .Lx`` or ``.long .Lx-.Ltab`` hold code
+addresses), and a data section's alignment pads in their fill byte.
+Zero fills write nothing, so ``.bss`` and ``.zero`` allocate no page.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.analysis.relax import (
+    SectionLayout,
+    alignment_fill,
     common_request,
     data_bytes,
     relax_section,
@@ -95,18 +100,22 @@ def load_unit(unit: MaoUnit, entry_symbol: str = "main") -> LoadedProgram:
                 symtab[symbol] = cursor
                 cursor += size
 
-    layouts = []
-    for sections in (data_sections, code_sections):
+    # A branch or call into a later code section is encoded before that
+    # section has an address, so a unit with more than one code section
+    # relaxes them all again once every code symbol is known.
+    again = code_sections if len(code_sections) > 1 else []
+    layouts: Dict[str, SectionLayout] = {}
+    for sections in (data_sections, code_sections, again):
         for order, section in enumerate(sections):
             base = bases[section.name] = _section_base(section.name, order)
             layout = relax_section(unit, section, base,
                                    extern_symbols=symtab,
                                    entries=by_section[section.name])
             symtab.update(layout.symtab)
-            layouts.append(layout)
+            layouts[section.name] = layout
 
     code_index: Dict[int, InstructionEntry] = {}
-    for layout in layouts:
+    for layout in layouts.values():
         is_code = layout.section.is_code
         if is_code:
             memory.write_bytes(layout.start_address, layout.code_image())
@@ -118,6 +127,9 @@ def load_unit(unit: MaoUnit, entry_symbol: str = "main") -> LoadedProgram:
                     memory.write_bytes(place.address, entry.insn.encoding)
             elif isinstance(entry, DirectiveEntry):
                 data = data_bytes(entry, symtab)
+                if not data and place.size and not is_code:
+                    # Only alignment sizes a directive that fills nothing.
+                    data = bytes((alignment_fill(entry),)) * place.size
                 if data.strip(b"\0"):
                     memory.write_bytes(place.address, data)
 

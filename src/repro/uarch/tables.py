@@ -347,6 +347,11 @@ def profile_path(name: str) -> str:
     return os.path.join(DATA_DIR, name + ".json")
 
 
+def profile_bytes(name: str) -> bytes:
+    """The bytes of the built-in profile *name*'s file, read now."""
+    return _read_bytes(profile_path(name))
+
+
 #: Built-in profile names at the last listing of ``DATA_DIR``.
 _BUILTIN: FrozenSet[str] = frozenset()
 
@@ -370,7 +375,7 @@ def _builtin_model(name: str) -> ProcessorModel:
     every call but parsed and validated again only when its bytes
     changed."""
     path = profile_path(name)
-    data = _read_bytes(path)
+    data = profile_bytes(name)
     loaded = _LOADED.get(path)
     if loaded is None or loaded[0] != data:
         loaded = _LOADED[path] = (
@@ -468,6 +473,6 @@ __all__ = [
     "UARCH_SCHEMA", "RANGES_SCHEMA", "DATA_DIR", "ProfileError",
     "param_value", "model_from_params", "model_to_doc", "validate_doc",
     "doc_to_model", "load_profile", "save_profile", "profile_names",
-    "profile_path", "get_profile", "resolve_core", "ranges_path",
-    "load_ranges", "draw_choices", "drawn_paths",
+    "profile_path", "profile_bytes", "get_profile", "resolve_core",
+    "ranges_path", "load_ranges", "draw_choices", "drawn_paths",
 ]

@@ -428,6 +428,55 @@ class TestWorkerCounters:
         assert process == thread
 
 
+class TestAcrossPoolKinds:
+    """Byte-identical replies across pool kinds, and for a repeat: the
+    reply memo's hits and the artifact cache's must equal a run."""
+
+    REQUESTS = [
+        ("/v1/optimize", {"source": SOURCE, "spec": "REDTEST:REDZEE"}),
+        ("/v1/predict", {"workload": "hash_bench", "core": "core2"}),
+        ("/v1/simulate", {"workload": "hash_bench", "core": "core2",
+                          "max_steps": 20_000}),
+        ("/v1/tune", {"workload": "eon_loop", "core": "core2",
+                      "budget": 8, "max_rounds": 1}),
+    ]
+
+    @classmethod
+    def _replies(cls, backend, cache_dir):
+        config = ServerConfig(port=0, parallel_backend=backend,
+                              max_inflight=2, cache_dir=cache_dir)
+        replies = []
+        with ServerThread(config) as handle:
+            conn = http.client.HTTPConnection("127.0.0.1", handle.port,
+                                              timeout=60)
+            try:
+                for _round in range(2):
+                    for path, body in cls.REQUESTS:
+                        conn.request("POST", path, json.dumps(body),
+                                     {"X-Request-Id": "same",
+                                      "Content-Type": "application/json"})
+                        response = conn.getresponse()
+                        replies.append((path, response.status,
+                                        response.read()))
+            finally:
+                conn.close()
+        return replies
+
+    def test_replies_are_byte_identical(self, tmp_path):
+        thread = self._replies("thread", str(tmp_path / "thread"))
+        process = self._replies("process", str(tmp_path / "process"))
+        assert [status for _, status, _ in thread] == [200] * 8
+        for (path, _, one), (_, _, other) in zip(thread, process):
+            assert one == other, path
+        half = len(self.REQUESTS)
+        for (path, _, cold), (_, _, warm) in zip(thread[:half],
+                                                 thread[half:]):
+            if path in ("/v1/predict", "/v1/simulate"):
+                assert warm == cold, path
+        counters = json.loads(thread[2][2])["counters"]
+        assert counters["INSTRUCTIONS"] == 20_000
+
+
 class TestTracing:
     def test_request_spans_flushed_on_drain(self, tmp_path):
         trace_path = str(tmp_path / "trace.jsonl")

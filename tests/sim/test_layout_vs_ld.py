@@ -3,14 +3,22 @@
 Hypothesis draws ``.data`` and ``.rodata`` sections of every data
 directive ``repro.analysis.relax`` fills: items that are numbers, label
 references (``sym``, ``sym+k``) and differences (``a-b±k``), fills and
-strings, with alignment that may carry a max-skip, and local common
-symbols.  ``as`` assembles each program and ``ld`` links it with every
+strings, with alignment that may carry a fill byte and a max-skip, and
+local common symbols.  ``as`` assembles each program and ``ld`` links it with every
 section at the loader's base; the linked bytes and symbols must equal
 the loaded memory and symbol table.  gas allocates local commons
 (``.local`` with ``.comm``, and ``.lcomm``) in ``.bss`` in source order,
 so ``.bss`` is linked at the loader's ``COMMON`` base.  Every drawn
 directive must also fill as many bytes as it sizes.
+
+The code sections of ``gcc -O2 -S`` output (``tests/sim/gcc/``) are
+compared the same way, instruction by instruction, since gas pads code
+with other NOPs than the loader's.
 """
+
+import os
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,6 +28,8 @@ from repro.ir import parse_unit
 from repro.ir.entries import DirectiveEntry
 from repro.sim.loader import load_unit
 from tests.helpers import link_at_bases, requires_binutils, requires_native
+
+GCC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "gcc")
 
 pytestmark = [requires_native, requires_binutils]
 
@@ -75,9 +85,14 @@ def _directive(own, anywhere):
     alignment = st.one_of(
         st.integers(0, 4).map(".p2align %d".__mod__),
         st.tuples(st.integers(0, 4), skip).map(".p2align %d,,%d".__mod__),
+        st.tuples(st.integers(0, 4), byte).map(".p2align %d, %#x".__mod__),
+        st.tuples(st.integers(0, 4), byte, skip)
+        .map(".p2align %d, %#x, %d".__mod__),
         st.sampled_from([1, 2, 4, 8, 16]).map(".balign %d".__mod__),
         st.tuples(st.sampled_from([2, 4, 8, 16]), skip)
         .map(".balign %d,,%d".__mod__),
+        st.tuples(st.sampled_from([2, 4, 8, 16]), byte)
+        .map(".balign %d, %#x".__mod__),
         st.sampled_from([2, 4, 8]).map(".align %d".__mod__))
     return st.one_of(items, octa, fills, strings, alignment)
 
@@ -111,6 +126,16 @@ def data_programs(draw):
     return "\n".join(lines) + "\n"
 
 
+def _linked(source):
+    """The loaded program, its bases (``COMMON`` as ld's ``.bss``), and
+    ld's sections and symbols at those bases."""
+    program = load_unit(parse_unit(source))
+    bases = dict(program.bases)
+    bases[".bss"] = bases.pop("COMMON")
+    sections, symbols = link_at_bases(source, bases)
+    return program, bases, sections, symbols
+
+
 @settings(max_examples=40)
 @given(data_programs())
 @example(".data\na:\n    .octa 0x0102030405060708090a0b0c0d0e0f10\n"
@@ -119,18 +144,40 @@ def data_programs(draw):
          "tab:\n    .quad main, tab+8\n    .long main-tab\n")
 @example(".data\nf:\n    .skip 5, 0xab\n    .space 3, 7\ng:\n    .zero 2\n"
          "h:\n")
+@example(".data\na:\n    .byte 1\n    .balign 4, 0xff\nb:\n    .byte 2\n")
 def test_loaded_data_matches_ld(source):
-    unit = parse_unit(source)
-    program = load_unit(unit)
-    bases = dict(program.bases)
-    bases[".bss"] = bases.pop("COMMON")
-    sections, symbols = link_at_bases(source, bases)
+    program, bases, sections, symbols = _linked(source)
     for name, data in sections.items():
         assert program.memory.read_bytes(bases[name], len(data)) == data, \
             name
     for name, address in symbols.items():
         assert program.symtab[name] == address, name
-    for entry in unit.entries():
+    for entry in program.unit.entries():
         if isinstance(entry, DirectiveEntry):
             assert len(data_bytes(entry, program.symtab)) \
                 == directive_data_size(entry), entry
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in os.listdir(GCC) if name.endswith(".s")))
+def test_loaded_code_matches_ld(name):
+    """Every instruction in a ``.text*`` section loads as ld links it,
+    a branch into a later code section (``switch_table.s``'s
+    ``ja .L11`` into ``.text.unlikely``) included."""
+    with open(os.path.join(GCC, name)) as handle:
+        source = handle.read()
+    program, bases, sections, _symbols = _linked(source)
+    checked = 0
+    for section, data in sections.items():
+        if not section.startswith(".text"):
+            continue
+        base = bases[section]
+        for address, entry in program.code_index.items():
+            if base <= address < base + len(data):
+                encoding = entry.insn.encoding
+                offset = address - base
+                assert program.memory.read_bytes(address, len(encoding)) \
+                    == data[offset:offset + len(encoding)], \
+                    "%s at %#x" % (entry.insn, address)
+                checked += 1
+    assert checked == len(program.code_index)
